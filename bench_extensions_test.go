@@ -65,21 +65,16 @@ func BenchmarkDiskEnergyComparison(b *testing.B) {
 // BenchmarkVideoTraceSimulation simulates one minute of frame-accurate
 // MPEG-like playback through a dimensioned buffer.
 func BenchmarkVideoTraceSimulation(b *testing.B) {
-	video := NewVideoStream(1024*Kbps, 7)
-	pattern, err := NewVideoRatePattern(video, 60*Second)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := SimConfig{
-		Device:     DefaultDevice(),
-		DRAM:       DefaultDRAM(),
-		Buffer:     92 * KiB,
-		Stream:     NewCBRStream(1024 * Kbps),
-		RateSource: pattern,
-		Duration:   60 * Second,
-		Seed:       7,
+		Device:   DefaultDevice(),
+		DRAM:     DefaultDRAM(),
+		Buffer:   92 * KiB,
+		Spec:     VideoSpec(1024*Kbps, 7),
+		Duration: 60 * Second,
+		Seed:     7,
 	}
 	var stats *SimStats
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats, err = Simulate(cfg)

@@ -50,6 +50,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -221,24 +222,20 @@ func scenarios() []scenario {
 	}
 }
 
-// measure warms the scenario up and times reps iterations, reading the
-// allocator's counters around the timed window.
+// measure runs the scenario twice. The first pass times reps warm
+// iterations with the garbage collector on, as the scenario runs in
+// production. The second pass (countAllocs) repeats the set-up, the warm-up
+// and the same seeds, and counts allocations over reps iterations in a window
+// no other goroutine and no collection can disturb: MemStats counts
+// allocations process-wide, and a collection inside the window empties
+// sync.Pool caches (encoding/json's among them), so a single
+// timed-and-counted pass is only exact when nothing else happens to run.
 func measure(sc scenario, warmup, reps int) (Result, error) {
-	iterate, err := sc.setup()
+	iterate, err := warmed(sc, warmup)
 	if err != nil {
-		return Result{}, fmt.Errorf("%s: setup: %w", sc.name, err)
+		return Result{}, err
 	}
-	for i := 0; i < warmup; i++ {
-		if err := iterate(); err != nil {
-			return Result{}, fmt.Errorf("%s: warmup: %w", sc.name, err)
-		}
-	}
-	// Settle the heap so the timed window only sees the scenario's own
-	// allocations; the per-op numbers are floors, so a stray runtime
-	// allocation cannot inflate a genuinely allocation-free scenario.
 	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		if err := iterate(); err != nil {
@@ -246,20 +243,68 @@ func measure(sc scenario, warmup, reps int) (Result, error) {
 		}
 	}
 	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+
+	mallocs, bytes, err := countAllocs(sc, warmup, reps)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{
 		Name:          sc.name,
 		Reps:          reps,
 		Warmup:        warmup,
 		SimHoursPerOp: sc.simHours,
-		AllocsPerOp:   int64(after.Mallocs-before.Mallocs) / int64(reps),
-		BytesPerOp:    int64(after.TotalAlloc-before.TotalAlloc) / int64(reps),
+		AllocsPerOp:   int64(mallocs) / int64(reps),
+		BytesPerOp:    int64(bytes) / int64(reps),
 		NsPerOp:       wall.Nanoseconds() / int64(reps),
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		res.SimHoursPerWallSecond = sc.simHours * float64(reps) / secs
 	}
 	return res, nil
+}
+
+// warmed sets the scenario up and runs its warm-up iterations.
+func warmed(sc scenario, warmup int) (func() error, error) {
+	iterate, err := sc.setup()
+	if err != nil {
+		return nil, fmt.Errorf("%s: setup: %w", sc.name, err)
+	}
+	for i := 0; i < warmup; i++ {
+		if err := iterate(); err != nil {
+			return nil, fmt.Errorf("%s: warmup: %w", sc.name, err)
+		}
+	}
+	return iterate, nil
+}
+
+// countAllocs sets the scenario up, warms it and returns the heap
+// allocations and bytes its next reps iterations make. The whole pass holds
+// one processor: sync.Pool keeps a per-processor private slot no other
+// processor can take from, so the warm-up must fill the slot the counted
+// window reads. The window itself runs with the collector off, so the
+// allocator's process-wide counters see only the iterations and pooled
+// buffers survive it. It opens on a settled heap: the collection runs on the
+// one processor, so the runtime's own post-collection work (the unique-map
+// cleanup, the scavenger re-arming its timer) runs while it waits, and one
+// yield lets any leftover finish before the counters are read.
+func countAllocs(sc scenario, warmup, reps int) (mallocs, bytes uint64, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	iterate, err := warmed(sc, warmup)
+	if err != nil {
+		return 0, 0, err
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.Gosched()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		if err := iterate(); err != nil {
+			return 0, 0, fmt.Errorf("%s: %w", sc.name, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, nil
 }
 
 // selectScenarios resolves the -scenario flag against the fixed set.

@@ -97,6 +97,40 @@ func TestCBRSteadyStateIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestAllocationCountsIgnoreNeighbours pins the exactness of the allocation
+// gate: a scenario's allocs/op and B/op must come out the same whether it
+// runs alone or after every other scenario in the same process. A counted
+// window that a collection or another goroutine can enter sees neighbours'
+// garbage and emptied sync.Pool caches, and drifts.
+func TestAllocationCountsIgnoreNeighbours(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so pooled allocations vary between runs")
+	}
+	measureJSON := func(scenario string) []Result {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(&buf, options{scenario: scenario, warmup: 1, reps: 3, format: "json"}); err != nil {
+			t.Fatal(err)
+		}
+		var r Report
+		if err := json.Unmarshal(buf.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Scenarios
+	}
+	together := measureJSON("all")
+	if len(together) != len(scenarios()) {
+		t.Fatalf("ran %d scenarios, want all %d", len(together), len(scenarios()))
+	}
+	for _, got := range together {
+		alone := measureJSON(got.Name)[0]
+		if got.AllocsPerOp != alone.AllocsPerOp || got.BytesPerOp != alone.BytesPerOp {
+			t.Errorf("%s: %d allocs/op and %d B/op after the other scenarios, %d and %d alone",
+				got.Name, got.AllocsPerOp, got.BytesPerOp, alone.AllocsPerOp, alone.BytesPerOp)
+		}
+	}
+}
+
 func TestRunRejectsUnknownScenarioAndFormat(t *testing.T) {
 	if err := run(&bytes.Buffer{}, opts(func(o *options) { o.scenario = "nope" })); err == nil ||
 		!strings.Contains(err.Error(), "unknown scenario") {

@@ -32,10 +32,9 @@
 // segment-wise variable-bit-rate model ("vbr"), an MPEG-like frame-accurate
 // video trace generated for the full run duration ("video"), or a
 // user-supplied frame trace ("trace", read from -trace in the
-// one-frame-per-line format "<timestamp> <size> [class]"). The deprecated
-// -vbr and -video flags remain as aliases. -dump-trace writes the frame
-// trace a video or trace run replays, so generated traces round-trip
-// through -stream trace.
+// one-frame-per-line format "<timestamp> <size> [class]"). -dump-trace
+// writes the frame trace a video or trace run replays, so generated traces
+// round-trip through -stream trace.
 //
 // -device selects the simulated backend: the Table I MEMS device ("mems",
 // the default), the improved-durability MEMS scenario ("improved"), or the
@@ -71,12 +70,10 @@ func (s *streamFlags) Set(v string) error {
 type options struct {
 	rate, buffer, duration string
 	stream                 string
-	vbrAlias, videoAlias   bool
 	traceFile              string
 	dumpTrace              string
 	bestEffort, ber        float64
 	device                 string
-	improvedAlias          bool
 	seed                   uint64
 	validate               bool
 	replicas               int
@@ -90,14 +87,11 @@ func main() {
 	flag.StringVar(&o.buffer, "buffer", "20KiB", "streaming buffer capacity")
 	flag.StringVar(&o.duration, "duration", "5min", "simulated streaming time")
 	flag.StringVar(&o.stream, "stream", "", "stream workload: cbr, vbr, video or trace (default cbr)")
-	flag.BoolVar(&o.vbrAlias, "vbr", false, "deprecated: alias for -stream vbr")
-	flag.BoolVar(&o.videoAlias, "video", false, "deprecated: alias for -stream video")
 	flag.StringVar(&o.traceFile, "trace", "", "frame-trace file for -stream trace (one \"<timestamp> <size> [class]\" per line)")
 	flag.StringVar(&o.dumpTrace, "dump-trace", "", "write the replayed frame trace of a video/trace run to this file")
 	flag.Float64Var(&o.bestEffort, "besteffort", 0.05, "best-effort share of device time (0 disables)")
 	flag.Float64Var(&o.ber, "ber", 0, "raw media bit-error rate exercised through the ECC codec")
 	flag.StringVar(&o.device, "device", "", "device backend: mems, improved or disk (default mems)")
-	flag.BoolVar(&o.improvedAlias, "improved", false, "deprecated: alias for -device improved")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.BoolVar(&o.validate, "validate", false, "compare the simulation against the analytical model")
 	flag.IntVar(&o.replicas, "replicas", 1, "run this many seed-varied replicas concurrently and report the spread")
@@ -111,19 +105,11 @@ func main() {
 	}
 }
 
-// resolveDevice turns the -device and deprecated -improved flags into a
-// canonical backend name, rejecting unknown or contradictory selections
-// instead of silently defaulting.
-func resolveDevice(deviceStr string, improvedAlias bool) (string, error) {
-	name := deviceStr
+// resolveDevice turns the -device flag into a canonical backend name,
+// rejecting unknown selections instead of silently defaulting.
+func resolveDevice(name string) (string, error) {
 	if name == "" {
-		if improvedAlias {
-			name = "improved"
-		} else {
-			name = "mems"
-		}
-	} else if improvedAlias && name != "improved" {
-		return "", fmt.Errorf("-improved is an alias for -device improved and contradicts -device %s", name)
+		name = "mems"
 	}
 	switch name {
 	case "mems", "improved", "disk":
@@ -133,30 +119,14 @@ func resolveDevice(deviceStr string, improvedAlias bool) (string, error) {
 	}
 }
 
-// resolveStream turns -stream, the deprecated -vbr/-video aliases and the
-// -trace file into a canonical workload kind, mirroring resolveDevice's
-// strictness: aliases may restate the flag but not contradict it, and a
-// trace file selects (or requires) the trace kind.
-func resolveStream(stream string, vbrAlias, videoAlias bool, traceFile string) (memstream.SimSpecKind, error) {
-	name := stream
+// resolveStream turns -stream and the -trace file into a canonical workload
+// kind, mirroring resolveDevice's strictness: a trace file selects (or
+// requires) the trace kind.
+func resolveStream(name, traceFile string) (memstream.SimSpecKind, error) {
 	if name == "" {
-		switch {
-		case videoAlias:
-			// -video historically overrode -vbr.
-			name = "video"
-		case vbrAlias:
-			name = "vbr"
-		case traceFile != "":
+		name = "cbr"
+		if traceFile != "" {
 			name = "trace"
-		default:
-			name = "cbr"
-		}
-	} else {
-		if vbrAlias && name != "vbr" {
-			return "", fmt.Errorf("-vbr is an alias for -stream vbr and contradicts -stream %s", name)
-		}
-		if videoAlias && name != "video" {
-			return "", fmt.Errorf("-video is an alias for -stream video and contradicts -stream %s", name)
 		}
 	}
 	switch name {
@@ -304,8 +274,8 @@ func runMulti(w io.Writer, o options) error {
 	// The shared-device path owns its flag set; reject the single-stream
 	// knobs instead of silently ignoring them.
 	switch {
-	case o.stream != "" || o.vbrAlias || o.videoAlias:
-		return fmt.Errorf("-stream (and its aliases) selects the single-stream workload; inside -streams use kind=")
+	case o.stream != "":
+		return fmt.Errorf("-stream selects the single-stream workload; inside -streams use kind=")
 	case o.traceFile != "":
 		return fmt.Errorf("-trace selects the single-stream trace; inside -streams use trace=<file>")
 	case o.dumpTrace != "":
@@ -325,7 +295,7 @@ func runMulti(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	deviceName, err := resolveDevice(o.device, o.improvedAlias)
+	deviceName, err := resolveDevice(o.device)
 	if err != nil {
 		return err
 	}
@@ -403,11 +373,11 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	deviceName, err := resolveDevice(o.device, o.improvedAlias)
+	deviceName, err := resolveDevice(o.device)
 	if err != nil {
 		return err
 	}
-	kind, err := resolveStream(o.stream, o.vbrAlias, o.videoAlias, o.traceFile)
+	kind, err := resolveStream(o.stream, o.traceFile)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func TestRunVBRWithErrors(t *testing.T) {
 
 func TestRunImprovedDevice(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, opts(func(o *options) { o.bestEffort = 0; o.improvedAlias = true })); err != nil {
+	if err := run(&buf, opts(func(o *options) { o.bestEffort = 0; o.device = "improved" })); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "springs projection") {
@@ -301,90 +301,64 @@ func TestRunReplicasRejectsValidate(t *testing.T) {
 
 func TestResolveDevice(t *testing.T) {
 	cases := []struct {
-		device   string
-		improved bool
-		want     string
-		wantErr  bool
+		device  string
+		want    string
+		wantErr bool
 	}{
-		{"", false, "mems", false},
-		{"", true, "improved", false},
-		{"mems", false, "mems", false},
-		{"improved", false, "improved", false},
-		{"improved", true, "improved", false},
-		{"disk", false, "disk", false},
-		{"mems", true, "", true}, // contradicts the alias
-		{"disk", true, "", true}, // contradicts the alias
-		{"floppy", false, "", true},
-		{"MEMS", false, "", true}, // no silent case-folding
+		{"", "mems", false},
+		{"mems", "mems", false},
+		{"improved", "improved", false},
+		{"disk", "disk", false},
+		{"floppy", "", true},
+		{"MEMS", "", true}, // no silent case-folding
 	}
 	for _, c := range cases {
-		got, err := resolveDevice(c.device, c.improved)
+		got, err := resolveDevice(c.device)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("resolveDevice(%q, %v) accepted, want error", c.device, c.improved)
+				t.Errorf("resolveDevice(%q) accepted, want error", c.device)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("resolveDevice(%q, %v): %v", c.device, c.improved, err)
+			t.Errorf("resolveDevice(%q): %v", c.device, err)
 		} else if got != c.want {
-			t.Errorf("resolveDevice(%q, %v) = %q, want %q", c.device, c.improved, got, c.want)
+			t.Errorf("resolveDevice(%q) = %q, want %q", c.device, got, c.want)
 		}
 	}
 }
 
 func TestResolveStream(t *testing.T) {
 	cases := []struct {
-		stream     string
-		vbr, video bool
-		trace      string
-		want       string
-		wantErr    bool
+		stream  string
+		trace   string
+		want    string
+		wantErr bool
 	}{
-		{"", false, false, "", "cbr", false},
-		{"", true, false, "", "vbr", false},
-		{"", false, true, "", "video", false},
-		{"", true, true, "", "video", false}, // -video historically overrode -vbr
-		{"", false, false, "f.txt", "trace", false},
-		{"cbr", false, false, "", "cbr", false},
-		{"vbr", true, false, "", "vbr", false}, // alias may restate the flag
-		{"video", false, true, "", "video", false},
-		{"trace", false, false, "f.txt", "trace", false},
-		{"video", true, false, "", "", true},     // -vbr contradicts -stream video
-		{"cbr", false, true, "", "", true},       // -video contradicts -stream cbr
-		{"trace", false, false, "", "", true},    // trace needs a file
-		{"cbr", false, false, "f.txt", "", true}, // file needs -stream trace
-		{"chaos", false, false, "", "", true},
-		{"VBR", false, false, "", "", true}, // no silent case-folding
+		{"", "", "cbr", false},
+		{"", "f.txt", "trace", false},
+		{"cbr", "", "cbr", false},
+		{"vbr", "", "vbr", false},
+		{"video", "", "video", false},
+		{"trace", "f.txt", "trace", false},
+		{"trace", "", "", true},    // trace needs a file
+		{"cbr", "f.txt", "", true}, // file needs -stream trace
+		{"chaos", "", "", true},
+		{"VBR", "", "", true}, // no silent case-folding
 	}
 	for _, c := range cases {
-		got, err := resolveStream(c.stream, c.vbr, c.video, c.trace)
+		got, err := resolveStream(c.stream, c.trace)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("resolveStream(%q, %v, %v, %q) accepted, want error", c.stream, c.vbr, c.video, c.trace)
+				t.Errorf("resolveStream(%q, %q) accepted, want error", c.stream, c.trace)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("resolveStream(%q, %v, %v, %q): %v", c.stream, c.vbr, c.video, c.trace, err)
+			t.Errorf("resolveStream(%q, %q): %v", c.stream, c.trace, err)
 		} else if string(got) != c.want {
-			t.Errorf("resolveStream(%q, %v, %v, %q) = %q, want %q", c.stream, c.vbr, c.video, c.trace, got, c.want)
+			t.Errorf("resolveStream(%q, %q) = %q, want %q", c.stream, c.trace, got, c.want)
 		}
-	}
-}
-
-// TestRunVBRAliasMatchesStreamFlag locks in that the deprecated alias and
-// the consolidated flag run the identical workload.
-func TestRunVBRAliasMatchesStreamFlag(t *testing.T) {
-	var alias, flagged bytes.Buffer
-	if err := run(&alias, opts(func(o *options) { o.vbrAlias = true; o.seed = 9 })); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&flagged, opts(func(o *options) { o.stream = "vbr"; o.seed = 9 })); err != nil {
-		t.Fatal(err)
-	}
-	if alias.String() != flagged.String() {
-		t.Error("-vbr and -stream vbr diverged")
 	}
 }
 
@@ -420,19 +394,6 @@ func TestRunDiskRejections(t *testing.T) {
 	// A MEMS-sized buffer cannot cover the disk's spin-up drain.
 	if err := run(&bytes.Buffer{}, opts(func(o *options) { o.bestEffort = 0; o.device = "disk" })); err == nil {
 		t.Error("disk run with a 20 KiB buffer accepted")
-	}
-}
-
-func TestRunImprovedAliasMatchesDeviceFlag(t *testing.T) {
-	var alias, flagged bytes.Buffer
-	if err := run(&alias, opts(func(o *options) { o.bestEffort = 0; o.improvedAlias = true })); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&flagged, opts(func(o *options) { o.bestEffort = 0; o.device = "improved" })); err != nil {
-		t.Fatal(err)
-	}
-	if alias.String() != flagged.String() {
-		t.Error("-improved and -device improved diverged")
 	}
 }
 

@@ -39,13 +39,11 @@
 //     concurrently, and Ablations evaluates the ablated model variants
 //     concurrently;
 //   - SimulateBatch and SimulateMultiBatch run many discrete-event
-//     simulations at once. A batch of seed-varied replicas of one
-//     configuration — the shape every replicated study produces — is
-//     validated once, and each worker reuses a single simulator across the
-//     replicas it claims, resetting its engine core, demand pattern and
-//     request trace in place instead of rebuilding them; mixed batches fall
-//     back to one simulator per entry. Both paths return bit-identical
-//     results.
+//     simulations at once. Each worker keeps one simulator: an entry that
+//     differs from it only in seeds — the shape every replicated study
+//     produces — resets its engine core, demand pattern and request trace
+//     in place instead of rebuilding them, and any other entry builds a
+//     fresh simulator. Either way the results are bit-identical.
 //
 // Every parallel path is deterministic: results are returned in input order
 // and are identical — byte-identical for the rendered figures — to the
@@ -88,8 +86,7 @@
 //     SimConfig.Device, or assign MEMSBackend/DiskBackend (via
 //     DefaultSimConfigFor or DefaultDiskSimConfig); SimulateDisk runs a
 //     configuration against a drive directly.
-//   - CLI: memssim -device mems|improved|disk (-improved remains as a
-//     deprecated alias for -device improved; unknown names are usage
+//   - CLI: memssim -device mems|improved|disk (unknown names are usage
 //     errors).
 //   - HTTP API: POST /v1/simulate accepts "device":{"name":...} with
 //     "default"/"mems", "improved" or "disk"; the backend is part of the

@@ -39,7 +39,7 @@ func run(w io.Writer) error {
 		Device:   dev,
 		DRAM:     memstream.DefaultDRAM(),
 		Buffer:   buffer,
-		Stream:   memstream.NewCBRStream(rate),
+		Spec:     memstream.CBRSpec(rate),
 		Duration: 10 * 60 * memstream.Second,
 		Seed:     1,
 	}
@@ -76,7 +76,7 @@ func run(w io.Writer) error {
 		Device:       dev,
 		DRAM:         memstream.DefaultDRAM(),
 		Buffer:       buffer,
-		Stream:       memstream.NewVBRStream(rate, 7),
+		Spec:         memstream.VBRSpec(rate, 7),
 		BestEffort:   memstream.NewBestEffortProcess(0.05, dev.MediaRate(), 7),
 		Duration:     10 * 60 * memstream.Second,
 		BitErrorRate: 1e-4,

@@ -106,9 +106,8 @@ func SimulateMulti(cfg SimMultiConfig) (*SimMultiStats, error) {
 
 // SimulateMultiBatch runs many independent shared-device simulations
 // concurrently on one worker per CPU and returns the statistics in input
-// order, with the same determinism guarantee as SimulateBatch — including
-// its seed-varied fast path, which reuses one simulator per worker when
-// every plan in the batch differs only by seeds.
+// order, with the same determinism guarantee and the same per-worker
+// simulator reuse as SimulateBatch.
 func SimulateMultiBatch(cfgs ...SimMultiConfig) ([]*SimMultiStats, error) {
 	return SimulateMultiBatchContext(context.Background(), 0, cfgs)
 }
@@ -161,23 +160,12 @@ func SimulateDisk(d Disk, cfg SimConfig) (*SimStats, error) {
 	return stats, nil
 }
 
-// Video-trace extension.
+// Stream workloads and frame traces.
 type (
-	// VideoStream describes an MPEG-like encoded video stream (GOP
-	// structure, I/P/B frame weights, jitter).
-	VideoStream = workload.VideoStream
-	// VideoRatePattern samples the frame-accurate demand of a video stream;
-	// it plugs into SimConfig.RateSource.
-	VideoRatePattern = workload.VideoRatePattern
-	// TracePattern samples the demand of a user-supplied frame trace,
-	// wrapping around beyond its horizon.
-	TracePattern = workload.TracePattern
 	// Frame is one encoded frame of a generated trace.
 	Frame = workload.Frame
 	// FrameClass is the coding class of a frame (I, P or B).
 	FrameClass = workload.FrameClass
-	// SimRateSource is the demand-sampling interface the simulator accepts.
-	SimRateSource = sim.RateSource
 	// SimStreamSpec is the typed stream description SimConfig.Spec consumes:
 	// one value selects the workload family (SpecCBR, SpecVBR, SpecVideo or
 	// SpecTrace) and carries its parameters; the simulator derives the
@@ -210,8 +198,8 @@ func CBRSpec(rate BitRate) SimStreamSpec { return workload.CBRSpec(rate) }
 // VBRSpec returns a variable-bit-rate stream spec averaging the given rate.
 func VBRSpec(rate BitRate, seed uint64) SimStreamSpec { return workload.VBRSpec(rate, seed) }
 
-// VideoSpec returns an MPEG-like video stream spec with the NewVideoStream
-// defaults (12-frame GOP at 25 fps, 5:3:1 weights, 20 % jitter).
+// VideoSpec returns an MPEG-like video stream spec averaging the given rate
+// (12-frame GOP at 25 fps, 5:3:1 weights, 20 % jitter).
 func VideoSpec(rate BitRate, seed uint64) SimStreamSpec { return workload.VideoSpec(rate, seed) }
 
 // TraceSpec returns a stream spec replaying the given frames (as produced
@@ -242,19 +230,6 @@ const (
 	// FrameB is a bidirectionally predicted frame.
 	FrameB = workload.FrameB
 )
-
-// NewVideoStream returns an MPEG-like stream averaging the given rate
-// (12-frame GOP at 25 fps, 5:3:1 frame weights).
-func NewVideoStream(rate BitRate, seed uint64) VideoStream {
-	return workload.NewVideoStream(rate, seed)
-}
-
-// NewVideoRatePattern generates a frame trace covering the horizon and wraps
-// it as a rate source for the simulator.
-func NewVideoRatePattern(v VideoStream, horizon Duration) (*VideoRatePattern, error) {
-	p, err := workload.NewVideoRatePattern(v, horizon)
-	return p, wrapErr(err)
-}
 
 // DiskEnergyRow is one row of the extended MEMS-versus-disk energy comparison.
 type DiskEnergyRow struct {

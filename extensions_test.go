@@ -109,27 +109,21 @@ func TestDiskEnergyComparison(t *testing.T) {
 }
 
 func TestVideoStreamFacade(t *testing.T) {
-	video := NewVideoStream(1024*Kbps, 5)
+	video := VideoSpec(1024*Kbps, 5)
 	if err := video.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pattern, err := NewVideoRatePattern(video, 30*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var source SimRateSource = pattern
-	if source.PeakRate() <= 1024*Kbps {
+	if video.PeakRate() <= 1024*Kbps {
 		t.Error("video peak rate should exceed the nominal rate")
 	}
-	// Drive a simulation with the frame trace through the public API.
+	// Drive a simulation with the video spec through the public API.
 	cfg := SimConfig{
-		Device:     DefaultDevice(),
-		DRAM:       DefaultDRAM(),
-		Buffer:     64 * KiB,
-		Stream:     NewCBRStream(1024 * Kbps),
-		RateSource: pattern,
-		Duration:   60 * Second,
-		Seed:       5,
+		Device:   DefaultDevice(),
+		DRAM:     DefaultDRAM(),
+		Buffer:   64 * KiB,
+		Spec:     video,
+		Duration: 60 * Second,
+		Seed:     5,
 	}
 	stats, err := Simulate(cfg)
 	if err != nil {
@@ -139,7 +133,10 @@ func TestVideoStreamFacade(t *testing.T) {
 		t.Errorf("video simulation underran %d times", stats.Underruns)
 	}
 	// Frame classes behave as expected through the aliases.
-	frames := pattern.Frames()
+	frames, err := video.TraceFrames(cfg.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if frames[0].Class != FrameI {
 		t.Errorf("first frame class = %v, want I", frames[0].Class)
 	}

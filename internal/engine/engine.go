@@ -6,17 +6,17 @@
 //
 // There is one scheduling core, MultiCore: K stream buffers draining
 // concurrently while the device wakes, services them under a Policy and
-// shuts down again. A single-stream run is literally the K=1 case — Core is
-// a thin view over it — so wake provisioning, refill accounting, write-wear
-// inflation and the reset-in-place machinery exist exactly once.
+// shuts down again. A single-stream run is the K=1 case, so wake
+// provisioning, refill accounting, write-wear inflation and the
+// reset-in-place machinery exist exactly once.
 //
 // The engine advances time by next-event stepping, not by fixed slices: a
 // drain or refill integration step ends at the earliest of the target level,
-// the deadline, and the next demand change of the rate source (when the
-// source can announce one through RateStepper). For piecewise-constant
-// demand — CBR, VBR segments, per-frame video traces — the integration is
-// therefore exact, and the step count is proportional to the number of rate
-// changes instead of the simulated time divided by a slice width.
+// the deadline, and the next demand change every RateSource announces. For
+// piecewise-constant demand — CBR, VBR segments, per-frame video traces — the
+// integration is therefore exact, and the step count is proportional to the
+// number of rate changes instead of the simulated time divided by a slice
+// width.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so
@@ -32,51 +32,18 @@ import (
 	"memstream/internal/workload"
 )
 
-// RateSource samples the instantaneous demand of a stream. workload's
-// RatePattern (CBR/VBR) and VideoRatePattern (MPEG-like frame traces) both
-// implement it.
+// RateSource samples the piecewise-constant demand of a stream and announces
+// its own rate changes. Every workload.Pattern (RatePattern, VideoRatePattern,
+// TracePattern) implements it.
 type RateSource interface {
 	// RateAt returns the demand in effect at time t.
 	RateAt(t units.Duration) units.BitRate
 	// PeakRate returns the largest demand the source can produce; the
 	// engine provisions its wake-up threshold against it.
 	PeakRate() units.BitRate
-}
-
-// RateStepper is the optional refinement of RateSource that enables exact
-// event-driven stepping: NextRateChange(t) returns the earliest time
-// strictly after t at which RateAt may return a different value (infinity
-// for a constant source). Sources that do not implement it are integrated in
-// one step per drain/refill target, which is exact only for constant demand.
-type RateStepper interface {
+	// NextRateChange returns the earliest time strictly after t at which
+	// RateAt may return a different value (infinity for a constant source).
 	NextRateChange(t units.Duration) units.Duration
-}
-
-// sliced adapts an arbitrary RateSource into a RateStepper by announcing a
-// possible rate change every step seconds. It is the compatibility fallback
-// for sources that cannot enumerate their own change points; the integration
-// then degrades gracefully to the legacy fixed-slice resolution.
-type sliced struct {
-	RateSource
-	step float64
-}
-
-// Sliced wraps src so event-driven integrators sample it at least every step
-// interval. Sources that already implement RateStepper are returned as-is.
-func Sliced(src RateSource, step units.Duration) RateSource {
-	if _, ok := src.(RateStepper); ok {
-		return src
-	}
-	if !step.Positive() {
-		return src
-	}
-	return sliced{RateSource: src, step: step.Seconds()}
-}
-
-// NextRateChange returns the end of the slice containing t, always strictly
-// after t (workload.NextBoundary carries the rounding guard).
-func (s sliced) NextRateChange(t units.Duration) units.Duration {
-	return workload.NextBoundary(t, s.step)
 }
 
 // Backend is the device model driven through the refill cycle: power per
@@ -252,9 +219,10 @@ func (t CycleTimes) Period() units.Duration {
 }
 
 // CycleEnergy charges each state's residency at the backend's state powers —
-// the same accounting the simulated Core performs step by step, collapsed to
-// one steady-state cycle. A simulated run and a closed-form plan that agree
-// on the per-state times therefore agree on the energy by construction.
+// the same accounting the simulated MultiCore performs step by step,
+// collapsed to one steady-state cycle. A simulated run and a closed-form plan
+// that agree on the per-state times therefore agree on the energy by
+// construction.
 func CycleEnergy(b Backend, t CycleTimes) units.Energy {
 	return b.StatePower(device.StateSeek).Times(t.Positioning).
 		Add(b.StatePower(device.StateReadWrite).Times(t.Transfer)).

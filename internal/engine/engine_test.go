@@ -21,6 +21,11 @@ func almostEqual(a, b, tol float64) bool {
 	return diff/scale < tol
 }
 
+// newSingleCore builds the one-stream core a single-stream simulation drives.
+func newSingleCore(b Backend, src RateSource, buffer units.Size, writeFraction float64) *MultiCore {
+	return NewMultiCore(b, []StreamConfig{{Source: src, Buffer: buffer, WriteFraction: writeFraction}})
+}
+
 func TestMEMSBackendMatchesDevice(t *testing.T) {
 	dev := device.DefaultMEMS()
 	b := NewMEMS(dev)
@@ -75,34 +80,32 @@ func TestCoreDrainRefillConservation(t *testing.T) {
 	dev := device.DefaultMEMS()
 	b := NewMEMS(dev)
 	rate := 1024 * units.Kbps
-	pattern, err := workload.NewRatePattern(workload.NewCBRStream(rate))
-	if err != nil {
-		t.Fatal(err)
-	}
 	buffer := 64 * units.KiB
-	c := NewCore(b, pattern, buffer)
+	c := newSingleCore(b, cbrSource(t, rate), buffer, 0.4)
 
-	target := 8 * units.KiB
+	target := c.WakeLevel(0)
 	deadline := units.Duration(3600)
-	c.DrainTo(device.StateStandby, target, deadline)
-	if !almostEqual(c.Level().Bits(), target.Bits(), 1e-9) {
-		t.Fatalf("drained to %v, want %v", c.Level(), target)
+	if woken := c.DrainToWake(device.StateStandby, deadline); woken != 0 {
+		t.Fatalf("DrainToWake = %d, want stream 0 to force the wake-up", woken)
+	}
+	if !almostEqual(c.Level(0).Bits(), target.Bits(), 1e-9) {
+		t.Fatalf("drained to %v, want %v", c.Level(0), target)
 	}
 	// CBR drain is a single exact step: streamed bits equal the level drop.
 	wantStreamed := buffer.Sub(target)
-	if !almostEqual(c.Stats().StreamedBits.Bits(), wantStreamed.Bits(), 1e-9) {
-		t.Errorf("streamed %v, want %v", c.Stats().StreamedBits, wantStreamed)
+	if !almostEqual(c.DeviceStats().StreamedBits.Bits(), wantStreamed.Bits(), 1e-9) {
+		t.Errorf("streamed %v, want %v", c.DeviceStats().StreamedBits, wantStreamed)
 	}
 	wantTime := rate.TimeFor(wantStreamed)
-	if !almostEqual(c.Stats().StateTime[device.StateStandby].Seconds(), wantTime.Seconds(), 1e-9) {
-		t.Errorf("standby time %v, want %v", c.Stats().StateTime[device.StateStandby], wantTime)
+	if !almostEqual(c.DeviceStats().StateTime[device.StateStandby].Seconds(), wantTime.Seconds(), 1e-9) {
+		t.Errorf("standby time %v, want %v", c.DeviceStats().StateTime[device.StateStandby], wantTime)
 	}
 
-	c.RefillToFull(device.StateReadWrite, 0.4)
-	if !almostEqual(c.Level().Bits(), buffer.Bits(), 1e-9) {
-		t.Fatalf("refilled to %v, want %v", c.Level(), buffer)
+	c.RefillStream(0)
+	if !almostEqual(c.Level(0).Bits(), buffer.Bits(), 1e-9) {
+		t.Fatalf("refilled to %v, want %v", c.Level(0), buffer)
 	}
-	st := c.Stats()
+	st := c.DeviceStats()
 	if !st.MediaBits.Positive() || st.MediaBits < buffer.Sub(target) {
 		t.Errorf("media bits %v too small for a %v refill", st.MediaBits, buffer.Sub(target))
 	}
@@ -120,23 +123,18 @@ func TestCoreDrainRefillConservation(t *testing.T) {
 func TestCoreUnderrunAccounting(t *testing.T) {
 	dev := device.DefaultMEMS()
 	b := NewMEMS(dev)
-	rate := 4096 * units.Kbps
-	pattern, err := workload.NewRatePattern(workload.NewCBRStream(rate))
-	if err != nil {
-		t.Fatal(err)
-	}
 	buffer := units.Size(1000)
-	c := NewCore(b, pattern, buffer)
+	c := newSingleCore(b, cbrSource(t, 4096*units.Kbps), buffer, 0.4)
 	// A one-second accounting step drains far more than the buffer holds.
-	c.Account(device.StateSeek, units.Duration(1))
-	if c.Stats().Underruns != 1 {
-		t.Errorf("underruns = %d, want 1", c.Stats().Underruns)
+	c.Account(device.StateSeek, units.Duration(1), 0)
+	if c.DeviceStats().Underruns != 1 {
+		t.Errorf("underruns = %d, want 1", c.DeviceStats().Underruns)
 	}
-	if c.Level() != 0 {
-		t.Errorf("level = %v, want 0 after an underrun", c.Level())
+	if c.Level(0) != 0 {
+		t.Errorf("level = %v, want 0 after an underrun", c.Level(0))
 	}
-	if !almostEqual(c.Stats().StreamedBits.Bits(), buffer.Bits(), 1e-12) {
-		t.Errorf("streamed %v, want only the %v that was there", c.Stats().StreamedBits, buffer)
+	if !almostEqual(c.DeviceStats().StreamedBits.Bits(), buffer.Bits(), 1e-12) {
+		t.Errorf("streamed %v, want only the %v that was there", c.DeviceStats().StreamedBits, buffer)
 	}
 }
 
@@ -179,20 +177,25 @@ func TestStepBoundStopsAtRateChanges(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
 	// A buffer holding many seconds of stream forces multi-segment drains.
 	buffer := (1024 * units.Kbps).Times(10 * units.Second)
-	c := NewCore(b, pattern, buffer)
-	c.DrainTo(device.StateStandby, 0, units.Duration(3600))
-	// Exactness: the streamed volume equals the full buffer (no underruns,
-	// no overshoot), even though the rate changed every two seconds.
-	if c.Stats().Underruns != 0 {
-		t.Errorf("underruns = %d, want 0", c.Stats().Underruns)
+	c := newSingleCore(b, pattern, buffer, 0.4)
+	c.DrainToWake(device.StateStandby, units.Duration(3600))
+	// Exactness: the streamed volume equals the drop to the wake level (no
+	// underruns, no overshoot), even though the rate changed every two
+	// seconds.
+	if c.DeviceStats().Underruns != 0 {
+		t.Errorf("underruns = %d, want 0", c.DeviceStats().Underruns)
 	}
-	if !almostEqual(c.Stats().StreamedBits.Bits(), buffer.Bits(), 1e-9) {
-		t.Errorf("streamed %v, want exactly %v", c.Stats().StreamedBits, buffer)
+	want := buffer.Sub(c.WakeLevel(0))
+	if !almostEqual(c.DeviceStats().StreamedBits.Bits(), want.Bits(), 1e-9) {
+		t.Errorf("streamed %v, want exactly %v", c.DeviceStats().StreamedBits, want)
+	}
+	if c.DeviceStats().Steps < 4 {
+		t.Errorf("drain took %d steps, want one per crossed two-second segment", c.DeviceStats().Steps)
 	}
 	// The drain crossed several segments, so it took several steps; the
 	// total time must equal the sum of per-segment drain times, which for a
 	// ±30% pattern differs measurably from the constant-rate time.
-	drainTime := c.Stats().StateTime[device.StateStandby]
+	drainTime := c.DeviceStats().StateTime[device.StateStandby]
 	if drainTime.Seconds() < 5 || drainTime.Seconds() > 20 {
 		t.Errorf("drain time %v outside the plausible VBR range", drainTime)
 	}
@@ -242,7 +245,7 @@ func (s *spikeRate) NextRateChange(t units.Duration) units.Duration {
 	return units.Duration(math.Inf(1))
 }
 
-// TestRefillStepsOverDemandSpike locks in the RefillToFull fix: while demand
+// TestRefillStepsOverDemandSpike locks in the RefillStream fix: while demand
 // momentarily outruns the media rate, the engine must step straight to the
 // source's next rate change instead of degrading to fixed 1 ms slices for
 // the whole interval.
@@ -255,13 +258,13 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 		lowRate:  media.Scale(0.01),
 	}
 	buffer := 64 * units.KiB
-	c := NewCore(b, src, buffer)
+	c := newSingleCore(b, src, buffer, 0.4)
 	// Open a gap so the refill loop engages while the spike is still on.
-	c.Account(device.StateSeek, units.Duration(0.001))
+	c.Account(device.StateSeek, units.Duration(0.001), 0)
 	callsBefore := src.calls
-	c.RefillToFull(device.StateReadWrite, 0.4)
-	if c.Level() != buffer {
-		t.Fatalf("refill ended at %v, want full %v", c.Level(), buffer)
+	c.RefillStream(0)
+	if c.Level(0) != buffer {
+		t.Fatalf("refill ended at %v, want full %v", c.Level(0), buffer)
 	}
 	if c.Now() < src.switchAt {
 		t.Fatalf("refill finished at %v, before the spike ended at %v", c.Now(), src.switchAt)
@@ -278,25 +281,20 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 // episode, a recovery starts a new one, and the stalled time accumulates.
 func TestRebufferEpisodesCollapseConsecutiveDrySteps(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
-	rate := 4096 * units.Kbps
-	pattern, err := workload.NewRatePattern(workload.NewCBRStream(rate))
-	if err != nil {
-		t.Fatal(err)
-	}
 	buffer := units.Size(1000)
-	c := NewCore(b, pattern, buffer)
-	if !c.Stats().StartupDelay.Positive() {
+	c := newSingleCore(b, cbrSource(t, 4096*units.Kbps), buffer, 0)
+	if !c.DeviceStats().StartupDelay.Positive() {
 		t.Error("startup delay missing")
 	}
 	wantStartup := b.PositioningTime().Add(b.MediaRate().TimeFor(buffer))
-	if got := c.Stats().StartupDelay; !almostEqual(got.Seconds(), wantStartup.Seconds(), 1e-12) {
+	if got := c.DeviceStats().StartupDelay; !almostEqual(got.Seconds(), wantStartup.Seconds(), 1e-12) {
 		t.Errorf("startup delay %v, want %v", got, wantStartup)
 	}
 
 	// Two consecutive dry one-second steps: two underruns, one episode.
-	c.Account(device.StateSeek, units.Duration(1))
-	c.Account(device.StateSeek, units.Duration(1))
-	st := c.Stats()
+	c.Account(device.StateSeek, units.Duration(1), 0)
+	c.Account(device.StateSeek, units.Duration(1), 0)
+	st := c.DeviceStats()
 	if st.Underruns != 2 || st.RebufferEpisodes != 1 {
 		t.Errorf("underruns = %d, episodes = %d; want 2 dry steps in 1 episode", st.Underruns, st.RebufferEpisodes)
 	}
@@ -304,10 +302,10 @@ func TestRebufferEpisodesCollapseConsecutiveDrySteps(t *testing.T) {
 		t.Error("rebuffer time missing")
 	}
 	// Recover, then stall again: a second episode.
-	c.RefillToFull(device.StateReadWrite, 0)
-	c.Account(device.StateSeek, units.Duration(0.0001)) // drains 410 bits: no stall
-	c.Account(device.StateSeek, units.Duration(1))
-	st = c.Stats()
+	c.RefillStream(0)
+	c.Account(device.StateSeek, units.Duration(0.0001), 0) // drains 410 bits: no stall
+	c.Account(device.StateSeek, units.Duration(1), 0)
+	st = c.DeviceStats()
 	if st.RebufferEpisodes != 2 {
 		t.Errorf("episodes = %d after a recovery and a new stall, want 2", st.RebufferEpisodes)
 	}
@@ -319,14 +317,10 @@ func TestRebufferEpisodesCollapseConsecutiveDrySteps(t *testing.T) {
 func TestCreditWriteCarriesInflation(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
 	buffer := 20 * units.KiB
-	pattern, err := workload.NewRatePattern(workload.NewCBRStream(1024 * units.Kbps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCore(b, pattern, buffer)
+	c := newSingleCore(b, cbrSource(t, 1024*units.Kbps), buffer, 0.4)
 	size := 4 * units.KiB
-	c.CreditWrite(size)
-	st := c.Stats()
+	c.CreditStreamWrite(0, size)
+	st := c.DeviceStats()
 	if st.WrittenUserBits != size {
 		t.Errorf("user bits = %v, want %v", st.WrittenUserBits, size)
 	}
@@ -347,18 +341,18 @@ func TestTransitionDrainsAcrossRateChanges(t *testing.T) {
 	d := device.Default18InchDisk()
 	b := NewDisk(d)
 	src := stepRate{switchAt: units.Duration(1), lowRate: 512 * units.Kbps, highRate: 2048 * units.Kbps}
-	c := NewCore(b, src, 8*units.MB)
-	c.Positioning() // spin-up + seek: 2.515 s from t = 0
+	c := newSingleCore(b, src, 8*units.MB, 0.4)
+	c.Positioning(0) // spin-up + seek: 2.515 s from t = 0
 	pos := b.PositioningTime()
 	if !almostEqual(c.Now().Seconds(), pos.Seconds(), 1e-12) {
 		t.Fatalf("transition advanced %v, want %v", c.Now(), pos)
 	}
 	want := src.lowRate.Times(units.Duration(1)).
 		Add(src.highRate.Times(pos.Sub(units.Duration(1))))
-	if got := c.Stats().StreamedBits; !almostEqual(got.Bits(), want.Bits(), 1e-9) {
+	if got := c.DeviceStats().StreamedBits; !almostEqual(got.Bits(), want.Bits(), 1e-9) {
 		t.Errorf("drained %v during the transition, want the piecewise-exact %v", got, want)
 	}
-	if got := c.Stats().StateTime[device.StateSeek]; !almostEqual(got.Seconds(), pos.Seconds(), 1e-12) {
+	if got := c.DeviceStats().StateTime[device.StateSeek]; !almostEqual(got.Seconds(), pos.Seconds(), 1e-12) {
 		t.Errorf("seek residency %v, want %v", got, pos)
 	}
 }

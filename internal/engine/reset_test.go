@@ -8,34 +8,35 @@ import (
 	"memstream/internal/units"
 )
 
-// runCycles drives the single-stream core through n refill cycles of the
+// runCycles drives a one-stream core through n refill cycles of the
 // simulator's wake/position/refill/shutdown loop.
-func runCycles(c *Core, n int) {
-	wake := c.WakeLevel()
+func runCycles(m *MultiCore, n int) {
 	for i := 0; i < n; i++ {
-		c.DrainTo(device.StateStandby, wake, units.Hour)
-		c.Positioning()
-		c.RefillToFull(device.StateReadWrite, 0.4)
-		c.Shutdown()
+		m.DrainToWake(device.StateStandby, units.Hour)
+		m.Positioning(0)
+		m.RefillStream(0)
+		m.Shutdown()
 	}
 }
 
 func TestCoreResetReplaysIdentically(t *testing.T) {
-	c := NewCore(NewMEMS(device.DefaultMEMS()), cbrSource(t, 1024*units.Kbps), 128*units.KB)
-	runCycles(c, 5)
-	first := *c.Stats()
-	firstEnd := c.Now()
+	m := NewMultiCore(NewMEMS(device.DefaultMEMS()), []StreamConfig{
+		{Source: cbrSource(t, 1024*units.Kbps), Buffer: 128 * units.KB, WriteFraction: 0.4},
+	})
+	runCycles(m, 5)
+	first := *m.DeviceStats()
+	firstEnd := m.Now()
 
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Now = %v after Reset, want 0", c.Now())
+	m.Reset()
+	if m.Now() != 0 {
+		t.Fatalf("Now = %v after Reset, want 0", m.Now())
 	}
-	runCycles(c, 5)
-	if got := *c.Stats(); !reflect.DeepEqual(got, first) {
+	runCycles(m, 5)
+	if got := *m.DeviceStats(); !reflect.DeepEqual(got, first) {
 		t.Error("statistics after Reset diverge from the first run")
 	}
-	if c.Now() != firstEnd {
-		t.Errorf("replay ended at %v, first run at %v", c.Now(), firstEnd)
+	if m.Now() != firstEnd {
+		t.Errorf("replay ended at %v, first run at %v", m.Now(), firstEnd)
 	}
 }
 

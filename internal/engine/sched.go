@@ -9,8 +9,7 @@ package engine
 // (n-1) extra seeks — and shuts down again. MultiCore carries per-stream
 // Stats (streamed bits, underruns, playback metrics, attributed seek/transfer
 // energy) alongside the aggregate device Stats the drivers report; for K=1
-// the aggregate record is the single-stream statistics, which is what the
-// Core view exposes.
+// the aggregate record is the single-stream statistics.
 
 import (
 	"math"
@@ -36,7 +35,6 @@ type StreamConfig struct {
 // streamState is the per-stream accounting of the core.
 type streamState struct {
 	source        RateSource
-	stepper       RateStepper // nil for sources without announced rate changes
 	buffer        units.Size
 	level         units.Size
 	wakeLevel     units.Size
@@ -81,8 +79,8 @@ func (st *streamState) drain(rate units.BitRate, dt units.Duration, dev *Stats) 
 // MultiCore is the accounting heart of one simulated device: N stream buffers
 // draining concurrently, one backend servicing them. It only does the
 // bookkeeping; a driver (internal/sim's cycle loop) walks it through
-// wake-ups, per-stream refills and shutdowns. The single-stream Core is a
-// view of the K=1 case.
+// wake-ups, per-stream refills and shutdowns; a single-stream run is the K=1
+// case.
 type MultiCore struct {
 	backend Backend
 	streams []*streamState
@@ -125,9 +123,6 @@ func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 			inflation:     b.WriteInflation(sc.Buffer),
 			writeFraction: sc.WriteFraction,
 			priority:      sc.Priority,
-		}
-		if stepper, ok := sc.Source.(RateStepper); ok {
-			st.stepper = stepper
 		}
 		m.totalBuffer = m.totalBuffer.Add(sc.Buffer)
 		m.streams = append(m.streams, st)
@@ -252,10 +247,7 @@ func (m *MultiCore) Account(state device.PowerState, dt units.Duration, focus in
 // piecewise-constant demand across all sources at once.
 func (m *MultiCore) stepBound(dt units.Duration) units.Duration {
 	for _, st := range m.streams {
-		if st.stepper == nil {
-			continue
-		}
-		next := st.stepper.NextRateChange(m.now)
+		next := st.source.NextRateChange(m.now)
 		if remaining := next.Sub(m.now); remaining.Positive() && remaining < dt {
 			dt = remaining
 		}
@@ -337,44 +329,46 @@ func (m *MultiCore) Shutdown() {
 // buffer is full, crediting its media bits and the write wear implied by its
 // configured write fraction while every other stream keeps draining.
 func (m *MultiCore) RefillStream(focus int) {
-	m.refill(device.StateReadWrite, focus, m.streams[focus].writeFraction)
-}
-
-// refill is the one refill loop behind both RefillStream and the Core view's
-// RefillToFull: it runs the device in the given active state until stream
-// focus's buffer is full, crediting the transferred media bits and the write
-// wear implied by writeFraction.
-func (m *MultiCore) refill(state device.PowerState, focus int, writeFraction float64) {
 	st := m.streams[focus]
 	media := m.mediaRate
 	for st.level < st.buffer {
+		level, now := st.level, m.now
 		rate := st.source.RateAt(m.now)
 		net := media.Sub(rate)
 		if net <= 0 {
 			// The stream momentarily outruns the media rate; step straight to
 			// the next rate change of any stream, falling back to 1 ms slices
-			// only when no source can announce one.
+			// only when every source is constant.
 			dt := units.Duration(1e-3)
 			if bound := m.stepBound(units.Duration(math.Inf(1))); bound.Positive() && !math.IsInf(bound.Seconds(), 0) {
 				dt = bound
 			}
-			m.Account(state, dt, focus)
-			continue
+			m.Account(device.StateReadWrite, dt, focus)
+		} else {
+			dt := net.TimeFor(st.buffer.Sub(st.level))
+			dt = m.stepBound(dt)
+			transferred := media.Times(dt)
+			m.device.MediaBits = m.device.MediaBits.Add(transferred)
+			st.stats.MediaBits = st.stats.MediaBits.Add(transferred)
+			m.creditWrites(st, transferred.Scale(st.writeFraction))
+			// The refill and the drain happen concurrently: credit the
+			// incoming data before accounting the drain so the net fill never
+			// reads as an artificial underrun. The true occupancy minimum of a
+			// cycle occurs at the end of the positioning, which Account has
+			// already tracked.
+			st.level = st.level.Add(transferred)
+			m.Account(device.StateReadWrite, dt, focus)
+			if st.level > st.buffer {
+				st.level = st.buffer
+			}
 		}
-		dt := net.TimeFor(st.buffer.Sub(st.level))
-		dt = m.stepBound(dt)
-		transferred := media.Times(dt)
-		m.device.MediaBits = m.device.MediaBits.Add(transferred)
-		st.stats.MediaBits = st.stats.MediaBits.Add(transferred)
-		m.creditWrites(st, transferred.Scale(writeFraction))
-		// The refill and the drain happen concurrently: credit the incoming
-		// data before accounting the drain so the net fill never reads as an
-		// artificial underrun. The true occupancy minimum of a cycle occurs
-		// at the end of the positioning, which Account has already tracked.
-		st.level = st.level.Add(transferred)
-		m.Account(state, dt, focus)
-		if st.level > st.buffer {
-			st.level = st.buffer
+		// An iteration's step and outcome depend only on the focused level
+		// and the clock. When neither moved (a sub-ulp remainder against a
+		// large level or clock), every later iteration would repeat this one
+		// forever, so the refill ends here, as transition does on a vanished
+		// step.
+		if st.level == level && m.now == now {
+			return
 		}
 	}
 }

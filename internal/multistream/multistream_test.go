@@ -392,7 +392,7 @@ func TestSingleStreamMatchesSimEngine(t *testing.T) {
 		Device:   device.DefaultMEMS(),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   rate.Times(period),
-		Stream:   workload.NewCBRStream(rate),
+		Spec:     workload.CBRSpec(rate),
 		Duration: 10 * units.Minute,
 		Seed:     1,
 	}

@@ -166,6 +166,31 @@ func TestSimulateEndpointWithReplicas(t *testing.T) {
 	}
 }
 
+// TestSimulateHighRateAnswers is the service-level regression for the refill
+// livelock: a 40 Mbps CBR stream through 64 KiB once left the simulator
+// stepping a refill by sub-ulp amounts forever, so the request never
+// answered and kept its admission slot and a CPU. The handler runs on its own
+// goroutine so a regression fails here instead of hanging the suite.
+func TestSimulateHighRateAnswers(t *testing.T) {
+	svc := New(Config{Timeout: 2 * time.Second})
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/simulate",
+		strings.NewReader(`{"rate":"40 Mbps","buffer":"64 KiB","duration":"30 s"}`))
+	done := make(chan struct{})
+	go func() {
+		svc.Handler().ServeHTTP(rec, req)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("/v1/simulate at 40 Mbps did not answer within 10 s")
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s; want 200", rec.Code, rec.Body)
+	}
+}
+
 func TestBreakEvenEndpoint(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	status, body := post(t, srv, "/v1/breakeven", `{"rate":"1024 kbps"}`)

@@ -10,14 +10,12 @@ package sim
 // the best-effort backlog and shuts down again.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
 
 	"memstream/internal/device"
 	"memstream/internal/engine"
-	"memstream/internal/parallel"
 	"memstream/internal/units"
 	"memstream/internal/workload"
 )
@@ -193,9 +191,9 @@ type MultiSimulator struct {
 	cfg     MultiConfig
 	backend engine.Backend
 	core    *engine.MultiCore
-	// sources keeps the per-stream demand patterns in configuration order so
-	// ResetFor can reseed them in place across replicas.
-	sources []engine.RateSource
+	// patterns keeps the per-stream demand patterns in configuration order
+	// so ResetFor can reseed them in place across replicas.
+	patterns []workload.Pattern
 	// run is the shared cycle loop, configured for the shared-device model:
 	// no top-off, uninflated background writes, refilled-volume DRAM charge.
 	run runner
@@ -217,7 +215,7 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	// place, which must never reach through to the caller's slice.
 	cfg.Streams = append([]MultiStream(nil), cfg.Streams...)
 	streams := make([]engine.StreamConfig, len(cfg.Streams))
-	sources := make([]engine.RateSource, len(cfg.Streams))
+	patterns := make([]workload.Pattern, len(cfg.Streams))
 	for i, s := range cfg.Streams {
 		pattern, err := s.Spec.Pattern(cfg.Duration)
 		if err != nil {
@@ -229,7 +227,7 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 			WriteFraction: s.Spec.WriteFraction,
 			Priority:      s.Priority,
 		}
-		sources[i] = pattern
+		patterns[i] = pattern
 	}
 	var requests []workload.BestEffortRequest
 	if cfg.BestEffort.TargetFraction > 0 {
@@ -242,10 +240,10 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	backend := cfg.backend()
 	core := engine.NewMultiCore(backend, streams)
 	return &MultiSimulator{
-		cfg:     cfg,
-		backend: backend,
-		core:    core,
-		sources: sources,
+		cfg:      cfg,
+		backend:  backend,
+		core:     core,
+		patterns: patterns,
 		run: runner{
 			core:       core,
 			policy:     cfg.policy(),
@@ -263,38 +261,46 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 // statistics to a fresh NewMulti(cfg) run. cfg must be reset-compatible with
 // the configuration the simulator was built from — identical except for the
 // seeds (Seed, each stream's Spec.Seed, BestEffort.Seed); ResetFor reports
-// an error otherwise. Patterns are reseeded before the core re-provisions so
-// the recomputed wake levels see the new traces' peaks.
+// an error otherwise.
 func (s *MultiSimulator) ResetFor(cfg MultiConfig) error {
-	if !multiResetCompatible(s.cfg, cfg) {
+	if !s.compatible(cfg) {
 		return errors.New("sim: ResetFor needs a reset-compatible configuration (identical up to seeds)")
 	}
-	// Copy the entries into the simulator-owned slice so later Resets never
-	// reach through to the caller's.
-	streams := s.cfg.Streams
-	copy(streams, cfg.Streams)
-	cfg.Streams = streams
 	return s.rewind(cfg)
 }
 
+// compatible reports whether cfg is identical to the simulator's
+// configuration up to its seed fields (the run seed, each stream's spec seed
+// and the best-effort seed), so rewind can replay it.
+func (s *MultiSimulator) compatible(cfg MultiConfig) bool {
+	a, b := s.cfg, cfg
+	if len(a.Streams) != len(b.Streams) {
+		return false
+	}
+	a.Seed, b.Seed = 0, 0
+	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
+	a.Streams = append([]MultiStream(nil), a.Streams...)
+	b.Streams = append([]MultiStream(nil), b.Streams...)
+	for i := range a.Streams {
+		a.Streams[i].Spec.Seed = 0
+		b.Streams[i].Spec.Seed = 0
+	}
+	return reflect.DeepEqual(a, b)
+}
+
 // rewind is ResetFor without the compatibility check, for callers that know
-// cfg is reset-compatible by construction and that cfg.Streams is the
-// simulator-owned slice. Patterns are reseeded before the core re-provisions
-// so the recomputed wake levels see the new traces' peaks.
+// cfg is reset-compatible (Reset derives it from the stored configuration;
+// the pooled runner checks it first). cfg's stream entries are copied into
+// the simulator-owned slice, so later in-place reseeds never reach through to
+// the caller's. Patterns are reseeded before the core re-provisions so the
+// recomputed wake levels see the new traces' peaks.
 func (s *MultiSimulator) rewind(cfg MultiConfig) error {
-	for i, src := range s.sources {
-		seed := cfg.Streams[i].Spec.Seed
-		switch p := src.(type) {
-		case *workload.RatePattern:
-			p.Reset(seed)
-		case *workload.VideoRatePattern:
-			if err := p.Reset(seed); err != nil {
-				return fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
-			}
-		case *workload.TracePattern:
-			// Read-only after construction; the replayed frames carry no seed.
-		default:
-			return fmt.Errorf("sim: stream %d (%s): pattern cannot be reset", i, cfg.Streams[i].Name)
+	streams := s.cfg.Streams
+	copy(streams, cfg.Streams)
+	cfg.Streams = streams
+	for i, p := range s.patterns {
+		if err := reseedPattern(p, streams[i].Spec.Seed); err != nil {
+			return fmt.Errorf("sim: stream %d (%s): %w", i, streams[i].Name, err)
 		}
 	}
 	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
@@ -318,24 +324,6 @@ func (s *MultiSimulator) Reset(seed uint64) error {
 	// s.cfg.Streams is the simulator-owned backing; rewind replaces s.cfg
 	// wholesale, so reseeding it in place is safe.
 	return s.rewind(reseedMultiConfig(s.cfg, seed))
-}
-
-// multiResetCompatible reports whether two configurations are identical up
-// to their seed fields (the run seed, each stream's spec seed and the
-// best-effort seed), so a simulator built for a can be rewound into b.
-func multiResetCompatible(a, b MultiConfig) bool {
-	if len(a.Streams) != len(b.Streams) {
-		return false
-	}
-	a.Seed, b.Seed = 0, 0
-	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
-	a.Streams = append([]MultiStream(nil), a.Streams...)
-	b.Streams = append([]MultiStream(nil), b.Streams...)
-	for i := range a.Streams {
-		a.Streams[i].Spec.Seed = 0
-		b.Streams[i].Spec.Seed = 0
-	}
-	return reflect.DeepEqual(a, b)
 }
 
 // Run executes the simulation and returns the collected statistics.
@@ -371,71 +359,4 @@ func RunMulti(cfg MultiConfig) (*MultiStats, error) {
 		return nil, err
 	}
 	return s.Run()
-}
-
-// RunMultiBatch runs every configuration as an independent shared-device
-// simulation on a bounded worker pool and returns the statistics in input
-// order, with the same worker and error semantics as RunBatch — including
-// the reset fast path: a batch of seed-varied, otherwise identical
-// configurations validates once and reuses one simulator per worker.
-func RunMultiBatch(ctx context.Context, workers int, cfgs []MultiConfig) ([]*MultiStats, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	if multiBatchResettable(cfgs) {
-		// One validation covers every replica: reset-compatible
-		// configurations differ only in seeds, which Validate never inspects.
-		if err := cfgs[0].Validate(); err != nil {
-			return nil, fmt.Errorf("sim: batch config 0: %w", err)
-		}
-		slots := make([]*MultiSimulator, parallel.EffectiveWorkers(workers, len(cfgs)))
-		return parallel.MapWorkers(ctx, workers, len(cfgs), func(_ context.Context, worker, i int) (*MultiStats, error) {
-			s := slots[worker]
-			if s == nil {
-				var err error
-				s, err = newMultiValidated(cfgs[i])
-				if err != nil {
-					return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-				}
-				slots[worker] = s
-			} else {
-				cfg := cfgs[i]
-				streams := s.cfg.Streams
-				copy(streams, cfg.Streams)
-				cfg.Streams = streams
-				if err := s.rewind(cfg); err != nil {
-					return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-				}
-			}
-			// Run builds a fresh MultiStats per invocation, so no copy is
-			// needed before the next reset reuses the core.
-			stats, err := s.Run()
-			if err != nil {
-				return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-			}
-			return stats, nil
-		})
-	}
-	return parallel.Map(ctx, workers, len(cfgs), func(_ context.Context, i int) (*MultiStats, error) {
-		stats, err := RunMulti(cfgs[i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-		}
-		return stats, nil
-	})
-}
-
-// multiBatchResettable reports whether every configuration of the batch can
-// share one simulator per worker: at least two entries (a singleton gains
-// nothing from the reset path) and all reset-compatible with the first.
-func multiBatchResettable(cfgs []MultiConfig) bool {
-	if len(cfgs) < 2 {
-		return false
-	}
-	for _, cfg := range cfgs[1:] {
-		if !multiResetCompatible(cfgs[0], cfg) {
-			return false
-		}
-	}
-	return true
 }

@@ -28,7 +28,7 @@ func parityConfig(buffer units.Size, rate units.BitRate) Config {
 		Device:   device.DefaultMEMS(),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   buffer,
-		Stream:   workload.NewCBRStream(rate),
+		Spec:     workload.CBRSpec(rate),
 		Duration: 5 * units.Minute,
 		Seed:     1,
 	}
@@ -92,7 +92,7 @@ func TestEventDrivenMatchesSlicedCBR(t *testing.T) {
 
 func TestEventDrivenMatchesSlicedVBR(t *testing.T) {
 	cfg := parityConfig(64*units.KiB, 1024*units.Kbps)
-	cfg.Stream = workload.NewVBRStream(1024*units.Kbps, 13)
+	cfg.Spec = workload.VBRSpec(1024*units.Kbps, 13)
 	got, err := RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,16 +104,12 @@ func TestEventDrivenMatchesSlicedVBR(t *testing.T) {
 	assertParity(t, got, want, variableTol)
 }
 
+// TestEventDrivenMatchesSlicedVideo runs five minutes of frame-accurate
+// video, a trace five times longer than TestSpecMatchesLegacySlicedVideo's.
 func TestEventDrivenMatchesSlicedVideo(t *testing.T) {
 	rate := 1024 * units.Kbps
 	cfg := parityConfig(64*units.KiB, rate)
-	// Both paths must sample the identical trace, so share one generated
-	// pattern per run (the pattern is stateless after generation).
-	pattern, err := workload.NewVideoRatePattern(workload.NewVideoStream(rate, 3), 60*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RateSource = pattern
+	cfg.Spec = workload.VideoSpec(rate, 3)
 	got, err := RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +131,7 @@ func TestDiskBackendSimulation(t *testing.T) {
 		Backend:  backend,
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   8 * units.MB,
-		Stream:   workload.NewCBRStream(1024 * units.Kbps),
+		Spec:     workload.CBRSpec(1024 * units.Kbps),
 		Duration: 10 * units.Minute,
 		Seed:     1,
 	}
@@ -169,7 +165,7 @@ func TestDiskBackendRejectsUndersizedBuffer(t *testing.T) {
 		Backend:  engine.NewDisk(device.Default18InchDisk()),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   64 * units.KiB, // < rate * (spin-up + seek)
-		Stream:   workload.NewCBRStream(1024 * units.Kbps),
+		Spec:     workload.CBRSpec(1024 * units.Kbps),
 		Duration: units.Minute,
 		Seed:     1,
 	}
@@ -182,11 +178,7 @@ func TestDiskBackendRejectsUndersizedBuffer(t *testing.T) {
 func benchmarkVideoConfig(b *testing.B) Config {
 	rate := 1024 * units.Kbps
 	cfg := parityConfig(64*units.KiB, rate)
-	pattern, err := workload.NewVideoRatePattern(workload.NewVideoStream(rate, 3), 60*units.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.RateSource = pattern
+	cfg.Spec = workload.VideoSpec(rate, 3)
 	cfg.Duration = units.Minute
 	return cfg
 }
@@ -220,7 +212,7 @@ func BenchmarkSimVideoLegacySliced(b *testing.B) {
 // fifty times per second).
 func BenchmarkSimVBREventDriven(b *testing.B) {
 	cfg := parityConfig(64*units.KiB, 1024*units.Kbps)
-	cfg.Stream = workload.NewVBRStream(1024*units.Kbps, 13)
+	cfg.Spec = workload.VBRSpec(1024*units.Kbps, 13)
 	cfg.Duration = units.Minute
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -232,7 +224,7 @@ func BenchmarkSimVBREventDriven(b *testing.B) {
 
 func BenchmarkSimVBRLegacySliced(b *testing.B) {
 	cfg := parityConfig(64*units.KiB, 1024*units.Kbps)
-	cfg.Stream = workload.NewVBRStream(1024*units.Kbps, 13)
+	cfg.Spec = workload.VBRSpec(1024*units.Kbps, 13)
 	cfg.Duration = units.Minute
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -252,7 +244,7 @@ func TestBackendValidation(t *testing.T) {
 		Backend:  engine.NewDisk(broken),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   8 * units.MB,
-		Stream:   workload.NewCBRStream(1024 * units.Kbps),
+		Spec:     workload.CBRSpec(1024 * units.Kbps),
 		Duration: units.Minute,
 		Seed:     1,
 	}

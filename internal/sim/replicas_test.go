@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"memstream/internal/engine"
-	"memstream/internal/units"
-	"memstream/internal/workload"
 )
 
 // TestRunReplicasMatchesPerReplicaBatch pins the replica runner to the path
@@ -77,19 +75,5 @@ func TestRunMultiReplicasMatchesPerReplicaBatch(t *testing.T) {
 				t.Error("RunMultiReplicas reseeded the caller's stream slice in place")
 			}
 		})
-	}
-}
-
-// TestRunReplicasRejectsCustomSource pins the documented restriction: a
-// caller-owned rate source cannot be reseeded per replica.
-func TestRunReplicasRejectsCustomSource(t *testing.T) {
-	pattern, err := workload.NewVideoRatePattern(workload.NewVideoStream(1024*units.Kbps, 1), 10*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := resettableConfigs()["legacy-stream"]
-	cfg.RateSource = pattern
-	if _, err := RunReplicas(context.Background(), 1, cfg, 1, 2); err == nil {
-		t.Fatal("expected an error for a custom rate source")
 	}
 }

@@ -31,14 +31,16 @@ func resettableConfigs() map[string]Config {
 	withBestEffort.BestEffort = workload.NewBestEffortProcess(0.05, withBestEffort.MediaRate(), 1)
 	withECC := base(workload.CBRSpec(1024 * units.Kbps))
 	withECC.BitErrorRate = 1e-5
-	legacy := Config{
-		Device:   device.DefaultMEMS(),
-		DRAM:     device.DefaultDRAM(),
-		Buffer:   128 * units.KB,
-		Stream:   workload.NewVBRStream(1024*units.Kbps, 1),
-		Duration: 2 * units.Minute,
-		Seed:     1,
-	}
+	// The record the retired Stream description produced, kept under its
+	// golden key: a hand-built VBR spec carrying NewVBRStream's fields.
+	legacy := base(workload.StreamSpec{
+		Kind:          workload.SpecVBR,
+		Rate:          1024 * units.Kbps,
+		WriteFraction: 0.4,
+		Seed:          1,
+		SegmentLength: 2 * units.Second,
+		Variability:   0.3,
+	})
 	trace, err := workload.NewVideoStream(1024*units.Kbps, 3).GenerateTrace(20 * units.Second)
 	if err != nil {
 		panic(err)
@@ -58,11 +60,7 @@ func resettableConfigs() map[string]Config {
 // every stochastic input takes the replica seed.
 func reseed(cfg Config, seed uint64) Config {
 	cfg.Seed = seed
-	if cfg.Spec.Kind != "" {
-		cfg.Spec.Seed = seed
-	} else {
-		cfg.Stream.Seed = seed
-	}
+	cfg.Spec.Seed = seed
 	cfg.BestEffort.Seed = seed
 	return cfg
 }
@@ -116,29 +114,6 @@ func TestResetForRejectsIncompatibleConfig(t *testing.T) {
 	}
 }
 
-func TestResetRejectsCustomRateSource(t *testing.T) {
-	pattern, err := workload.NewVideoRatePattern(workload.NewVideoStream(1024*units.Kbps, 1), 10*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     128 * units.KB,
-		Stream:     workload.NewCBRStream(1024 * units.Kbps),
-		RateSource: pattern,
-		Duration:   30 * units.Second,
-		Seed:       1,
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reset(2); err == nil {
-		t.Error("Reset accepted a simulator driving a custom rate source")
-	}
-}
-
 // marshal renders statistics to JSON so the batch comparison is literally
 // byte-for-byte, not merely DeepEqual.
 func marshal(t *testing.T, v any) []byte {
@@ -182,24 +157,44 @@ func TestRunBatchResetPathMatchesFresh(t *testing.T) {
 }
 
 func TestRunBatchMixedConfigsStillMatchSequential(t *testing.T) {
-	// A batch whose entries differ beyond seeds cannot reuse simulators and
-	// must fall back to per-entry construction with identical results.
+	// A batch whose entries differ beyond seeds cannot reuse one simulator
+	// throughout: an entry rewinds the worker's simulator only when it is
+	// reset-compatible with it and otherwise builds a fresh one, with results
+	// identical to the sequential runs either way. In the seed-varied
+	// batches over two families A and B, the interleaved A, B, A', B' order
+	// rebuilds at every entry on one worker and mixes rewinds and rebuilds
+	// on two; the grouped A, A', B, B' order makes one worker rewind, rebuild
+	// and rewind again.
 	a := resettableConfigs()["cbr"]
 	b := a
 	b.Buffer = a.Buffer * 2
 	c := resettableConfigs()["vbr"]
-	cfgs := []Config{a, b, c}
-	got, err := RunBatch(context.Background(), 2, cfgs)
-	if err != nil {
-		t.Fatal(err)
+	famA, famB := resettableConfigs()["vbr"], resettableConfigs()["best-effort"]
+	famA2, famB2 := reseed(famA, 5), reseed(famB, 5)
+	batches := []struct {
+		name    string
+		workers []int
+		cfgs    []Config
+	}{
+		{"mixed", []int{2}, []Config{a, b, c}},
+		{"interleaved", []int{1, 2}, []Config{famA, famB, famA2, famB2}},
+		{"grouped", []int{1}, []Config{famA, famA2, famB, famB2}},
 	}
-	for i := range cfgs {
-		want, err := RunConfig(cfgs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("mixed batch entry %d diverges from the sequential run", i)
+	for _, batch := range batches {
+		for _, workers := range batch.workers {
+			got, err := RunBatch(context.Background(), workers, batch.cfgs)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", batch.name, workers, err)
+			}
+			for i, cfg := range batch.cfgs {
+				want, err := RunConfig(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got[i], want) {
+					t.Errorf("%s, workers=%d: entry %d diverges from the sequential run", batch.name, workers, i)
+				}
+			}
 		}
 	}
 }

@@ -15,14 +15,14 @@
 // charges time and energy against a pluggable device backend. The default
 // backend is the MEMS device of Config.Device; Config.Backend swaps in any
 // other engine.Backend (for example the 1.8-inch disk baseline), so the
-// paper's break-even comparison can be validated by simulation. legacy.go
-// preserves the original fixed-slice integration path as the parity oracle
-// for the event-driven engine.
+// paper's break-even comparison can be validated by simulation. Demand is
+// described one way, by a workload.StreamSpec.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 
 	"memstream/internal/device"
@@ -31,17 +31,6 @@ import (
 	"memstream/internal/units"
 	"memstream/internal/workload"
 )
-
-// RateSource samples the instantaneous demand of a stream. workload's
-// RatePattern (CBR/VBR) and VideoRatePattern (MPEG-like frame traces) both
-// implement it.
-type RateSource = engine.RateSource
-
-// halfFrameSlice is the sampling resolution for custom rate sources that
-// cannot announce their own rate changes: half a frame interval at the 25 fps
-// video default, the legacy fixed-slice resolution the event-driven engine
-// degrades to on such sources.
-var halfFrameSlice = units.Second.Scale(0.02)
 
 // Stats accumulates everything observed during a run. It is the engine's
 // statistics record; the public facade re-exports it as memstream.SimStats.
@@ -60,22 +49,12 @@ type Config struct {
 	DRAM device.DRAM
 	// Buffer is the streaming-buffer capacity B.
 	Buffer units.Size
-	// Spec describes the stream for any built-in workload kind (CBR, VBR,
-	// frame-accurate video, user frame traces). When Spec.Kind is set it is
-	// the single source of truth: the simulator derives the demand pattern
+	// Spec describes the stream: any workload kind (CBR, VBR, frame-accurate
+	// video, user frame traces). The simulator derives the demand pattern
 	// from it — for video, with the trace horizon tied to Duration (capped
 	// at workload.MaxTraceHorizon, wrapping beyond) — and takes the write
-	// mix from Spec.WriteFraction; Stream and RateSource are ignored.
+	// mix from Spec.WriteFraction.
 	Spec workload.StreamSpec
-	// Stream is the legacy stream description, used when Spec.Kind is
-	// empty. New code should prefer Spec.
-	Stream workload.Stream
-	// RateSource optionally overrides the demand sampling of Stream (for
-	// example with a pre-generated video trace). Stream still provides the
-	// nominal rate and the write fraction. Ignored when Spec.Kind is set;
-	// sources that cannot announce their own rate changes fall back to
-	// half-frame slicing, which the Spec path never needs.
-	RateSource RateSource
 	// BestEffort is the background request process. Leave the zero value for
 	// a clean stream with no best-effort traffic.
 	BestEffort workload.BestEffortProcess
@@ -124,11 +103,7 @@ func (c Config) Validate() error {
 	if err := c.DRAM.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if c.Spec.Kind != "" {
-		if err := c.Spec.Validate(); err != nil {
-			errs = append(errs, err)
-		}
-	} else if err := c.Stream.Validate(); err != nil {
+	if err := c.Spec.Validate(); err != nil {
 		errs = append(errs, err)
 	}
 	if c.BestEffort.TargetFraction > 0 {
@@ -142,26 +117,16 @@ func (c Config) Validate() error {
 	if !c.Duration.Positive() {
 		errs = append(errs, errors.New("sim: duration must be positive"))
 	}
-	mediaRate := c.backend().MediaRate()
-	if mediaRate.Positive() {
-		if c.Spec.Kind != "" {
-			// The peak bound covers the average too, but both checks name the
-			// quantity a user would recognise in the error. RateBounds scans
-			// a trace once for both values.
-			average, peak := c.Spec.RateBounds()
-			if average >= mediaRate {
-				errs = append(errs, errors.New("sim: stream rate must be below the media rate"))
-			}
-			if peak >= mediaRate {
-				errs = append(errs, errors.New("sim: the stream's peak demand must be below the media rate"))
-			}
-		} else {
-			if c.Stream.NominalRate >= mediaRate {
-				errs = append(errs, errors.New("sim: stream rate must be below the media rate"))
-			}
-			if c.RateSource != nil && c.RateSource.PeakRate() >= mediaRate {
-				errs = append(errs, errors.New("sim: the rate source's peak demand must be below the media rate"))
-			}
+	if mediaRate := c.backend().MediaRate(); mediaRate.Positive() {
+		// The peak bound covers the average too, but both checks name the
+		// quantity a user would recognise in the error. RateBounds scans a
+		// trace once for both values.
+		average, peak := c.Spec.RateBounds()
+		if average >= mediaRate {
+			errs = append(errs, errors.New("sim: stream rate must be below the media rate"))
+		}
+		if peak >= mediaRate {
+			errs = append(errs, errors.New("sim: the stream's peak demand must be below the media rate"))
 		}
 	}
 	if c.BitErrorRate < 0 || c.BitErrorRate >= 1 {
@@ -176,7 +141,7 @@ type Simulator struct {
 	cfg     Config
 	backend engine.Backend
 	core    *engine.MultiCore
-	source  RateSource
+	pattern workload.Pattern
 	rng     *workload.Rng
 	// run is the shared cycle loop, configured for the single-stream model:
 	// top-off refill, inflated background writes, full-buffer DRAM charge
@@ -196,28 +161,9 @@ func New(cfg Config) (*Simulator, error) {
 // batch runners validating a whole batch once do not pay per-replica
 // re-validation.
 func newValidated(cfg Config) (*Simulator, error) {
-	var source RateSource
-	writeFraction := cfg.Stream.WriteFraction
-	switch {
-	case cfg.Spec.Kind != "":
-		// Every built-in kind announces its own rate changes, so the spec
-		// path never needs the half-frame Sliced fallback.
-		pattern, err := cfg.Spec.Pattern(cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-		source = pattern
-		writeFraction = cfg.Spec.WriteFraction
-	case cfg.RateSource != nil:
-		// A custom source that cannot announce its own rate changes falls
-		// back to the legacy half-frame sampling resolution.
-		source = engine.Sliced(cfg.RateSource, halfFrameSlice)
-	default:
-		pattern, err := workload.NewRatePattern(cfg.Stream)
-		if err != nil {
-			return nil, err
-		}
-		source = pattern
+	pattern, err := cfg.Spec.Pattern(cfg.Duration)
+	if err != nil {
+		return nil, err
 	}
 	var requests []workload.BestEffortRequest
 	if cfg.BestEffort.TargetFraction > 0 {
@@ -227,20 +173,18 @@ func newValidated(cfg Config) (*Simulator, error) {
 			return nil, err
 		}
 	}
-	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
-		cfg.ECCSampleWords = 8
-	}
+	cfg = cfg.normalized()
 	backend := cfg.backend()
 	core := engine.NewMultiCore(backend, []engine.StreamConfig{{
-		Source:        source,
+		Source:        pattern,
 		Buffer:        cfg.Buffer,
-		WriteFraction: writeFraction,
+		WriteFraction: cfg.Spec.WriteFraction,
 	}})
 	s := &Simulator{
 		cfg:     cfg,
 		backend: backend,
 		core:    core,
-		source:  source,
+		pattern: pattern,
 		rng:     workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d),
 	}
 	s.run = runner{
@@ -258,13 +202,14 @@ func newValidated(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// patternSeed returns the seed the demand pattern derives its randomness
-// from: the spec's for the typed path, the legacy stream's otherwise.
-func (c Config) patternSeed() uint64 {
-	if c.Spec.Kind != "" {
-		return c.Spec.Seed
+// normalized applies New's defaulting (eight sampled codewords per refill
+// when the error model is on), so a stored configuration compares equal to a
+// caller's un-normalized one.
+func (c Config) normalized() Config {
+	if c.BitErrorRate > 0 && c.ECCSampleWords <= 0 {
+		c.ECCSampleWords = 8
 	}
-	return c.Stream.Seed
+	return c
 }
 
 // ResetFor rewinds the simulator so its next Run replays cfg from scratch,
@@ -272,49 +217,34 @@ func (c Config) patternSeed() uint64 {
 // request trace instead of rebuilding them: after a ResetFor, Run produces
 // bit-identical statistics to a fresh New(cfg) run. cfg must be reset-
 // compatible with the configuration the simulator was built from — identical
-// except for the seeds (Seed, Spec.Seed/Stream.Seed, BestEffort.Seed) — and
-// the simulator must not drive a custom RateSource, whose internal state the
-// engine cannot rewind; ResetFor reports an error otherwise. RunBatch uses
-// it to run seed-varied replicas with an allocation-free steady state.
+// except for the seeds (Seed, Spec.Seed, BestEffort.Seed); ResetFor reports
+// an error otherwise.
 func (s *Simulator) ResetFor(cfg Config) error {
-	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
-		// The same defaulting New applies, so the stored (normalized)
-		// configuration compares equal to a caller's un-normalized one.
-		cfg.ECCSampleWords = 8
-	}
-	if !resetCompatible(s.cfg, cfg) {
-		return errors.New("sim: ResetFor needs a reset-compatible configuration (identical up to seeds, no custom rate source)")
+	if !s.compatible(cfg) {
+		return errors.New("sim: ResetFor needs a reset-compatible configuration (identical up to seeds)")
 	}
 	return s.rewind(cfg)
 }
 
+// compatible reports whether cfg is identical to the simulator's
+// configuration up to its seed fields, so rewind can replay it.
+func (s *Simulator) compatible(cfg Config) bool {
+	a, b := s.cfg, cfg.normalized()
+	a.Seed, b.Seed = 0, 0
+	a.Spec.Seed, b.Spec.Seed = 0, 0
+	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
 // rewind is ResetFor without the compatibility check, for callers that know
-// cfg is reset-compatible by construction (Reset derives it from the stored
-// configuration; the batch runners verify the whole batch once up front). It
-// allocates nothing in steady state: the pattern regenerates into its own
-// storage and the request trace reuses its capacity.
+// cfg is reset-compatible (Reset derives it from the stored configuration;
+// the pooled runner checks it first). It allocates nothing in steady state:
+// the pattern regenerates into its own storage and the request trace reuses
+// its capacity.
 func (s *Simulator) rewind(cfg Config) error {
-	if cfg.RateSource != nil {
-		// The caller owns the source's internal state, which the engine
-		// cannot rewind — even when the source is one of the resettable
-		// pattern types below, reseeding it here would desync it from the
-		// caller's view of it.
-		return errors.New("sim: a custom rate source cannot be reset")
-	}
-	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
-		cfg.ECCSampleWords = 8
-	}
-	switch p := s.source.(type) {
-	case *workload.RatePattern:
-		p.Reset(cfg.patternSeed())
-	case *workload.VideoRatePattern:
-		if err := p.Reset(cfg.patternSeed()); err != nil {
-			return err
-		}
-	case *workload.TracePattern:
-		// Read-only after construction; the replayed frames carry no seed.
-	default:
-		return errors.New("sim: a custom rate source cannot be reset")
+	cfg = cfg.normalized()
+	if err := reseedPattern(s.pattern, cfg.Spec.Seed); err != nil {
+		return err
 	}
 	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
 		return err
@@ -335,21 +265,6 @@ func (s *Simulator) rewind(cfg Config) error {
 // and runs allocation-free.
 func (s *Simulator) Reset(seed uint64) error {
 	return s.rewind(reseedConfig(s.cfg, seed))
-}
-
-// resetCompatible reports whether two configurations are identical up to
-// their seed fields, so a simulator built for a can be rewound into b by
-// ResetFor. Custom rate sources are never reset-compatible: the engine
-// cannot rewind state it does not own.
-func resetCompatible(a, b Config) bool {
-	if a.RateSource != nil || b.RateSource != nil {
-		return false
-	}
-	a.Seed, b.Seed = 0, 0
-	a.Spec.Seed, b.Spec.Seed = 0, 0
-	a.Stream.Seed, b.Stream.Seed = 0, 0
-	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
-	return reflect.DeepEqual(a, b)
 }
 
 // injectErrors exercises the ECC codec with the configured raw bit-error rate
@@ -382,6 +297,27 @@ func (s *Simulator) injectErrors() {
 			// This cannot happen with a correct codec; record it as an
 			// uncorrectable event so tests would catch a regression.
 			stats.ECCUncorrectable++
+		}
+	}
+}
+
+// poissonSample draws a Poisson-distributed count with the given mean using
+// Knuth's method (the means used here are far below one).
+func poissonSample(rng *workload.Rng, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	limit := math.Exp(-mean)
+	k := 0
+	p := 1.0
+	for {
+		p *= rng.Float64()
+		if p <= limit {
+			return k
+		}
+		k++
+		if k > 1000 {
+			return k
 		}
 	}
 }

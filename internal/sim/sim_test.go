@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"memstream/internal/device"
 	"memstream/internal/energy"
@@ -15,7 +17,7 @@ func baseConfig(buffer units.Size, rate units.BitRate) Config {
 		Device:   device.DefaultMEMS(),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   buffer,
-		Stream:   workload.NewCBRStream(rate),
+		Spec:     workload.CBRSpec(rate),
 		Duration: 5 * units.Minute,
 		Seed:     1,
 	}
@@ -39,10 +41,10 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero buffer", func(c *Config) { c.Buffer = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
-		{"rate above media", func(c *Config) { c.Stream.NominalRate = 200 * units.Mbps }},
+		{"rate above media", func(c *Config) { c.Spec.Rate = 200 * units.Mbps }},
 		{"broken device", func(c *Config) { c.Device.ActiveProbes = 0 }},
 		{"broken dram", func(c *Config) { c.DRAM.DieCapacity = 0 }},
-		{"broken stream", func(c *Config) { c.Stream.WriteFraction = 2 }},
+		{"broken stream", func(c *Config) { c.Spec.WriteFraction = 2 }},
 		{"broken best effort", func(c *Config) {
 			c.BestEffort = workload.BestEffortProcess{TargetFraction: 0.05}
 		}},
@@ -79,7 +81,7 @@ func TestRunBasicInvariants(t *testing.T) {
 	}
 	// Conservation: streamed bits equal the drain rate times the time, within
 	// the granularity of one buffer.
-	wantStreamed := cfg.Stream.NominalRate.Times(stats.SimulatedTime)
+	wantStreamed := cfg.Spec.Rate.Times(stats.SimulatedTime)
 	if relDiff(stats.StreamedBits.Bits(), wantStreamed.Bits()) > 0.02 {
 		t.Errorf("streamed %v, want about %v", stats.StreamedBits, wantStreamed)
 	}
@@ -236,7 +238,7 @@ func TestBestEffortTrafficIsServed(t *testing.T) {
 
 func TestVBRStreamSimulation(t *testing.T) {
 	cfg := baseConfig(45*units.KiB, 1024*units.Kbps)
-	cfg.Stream = workload.NewVBRStream(1024*units.Kbps, 13)
+	cfg.Spec = workload.VBRSpec(1024*units.Kbps, 13)
 	stats, err := RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +247,7 @@ func TestVBRStreamSimulation(t *testing.T) {
 		t.Errorf("VBR stream underran %d times with a 45 KiB buffer", stats.Underruns)
 	}
 	// Streamed volume stays near nominal (the VBR pattern averages out).
-	want := cfg.Stream.NominalRate.Times(stats.SimulatedTime)
+	want := cfg.Spec.Rate.Times(stats.SimulatedTime)
 	if relDiff(stats.StreamedBits.Bits(), want.Bits()) > 0.15 {
 		t.Errorf("VBR streamed %v, want within 15%% of %v", stats.StreamedBits, want)
 	}
@@ -317,5 +319,37 @@ func TestStatsZeroTimeEdgeCases(t *testing.T) {
 	}
 	if got := s.ProjectedProbesLifetime(device.DefaultMEMS(), workload.DefaultCalendar()); got != 0 {
 		t.Errorf("zero-time probes projection = %v, want 0", got)
+	}
+}
+
+// TestRefillEndsAtHighRates is the regression sweep for the refill livelock:
+// 30-second CBR runs from 30 to 60 Mbps in 0.5 Mbps steps, at three buffer
+// sizes. Rates in (rm/3, rm/2] ≈ (34.13, 51.2] Mbps of the 102.4 Mbps media
+// rate used to leave a refill stepping by sub-ulp amounts that moved neither
+// the buffer level nor the clock, so the run never returned. Every run must
+// now finish well inside the wall-clock bound (a healthy run takes about a
+// millisecond).
+func TestRefillEndsAtHighRates(t *testing.T) {
+	const bound = 5 * time.Second
+	for _, buffer := range []units.Size{16 * units.KiB, 64 * units.KiB, units.MiB} {
+		for tenths := 300; tenths <= 600; tenths += 5 {
+			rate := units.Mbps.Scale(float64(tenths) / 10)
+			t.Run(fmt.Sprintf("%v/%v", buffer, rate), func(t *testing.T) {
+				cfg := baseConfig(buffer, rate)
+				cfg.Duration = 30 * units.Second
+				done := make(chan error, 1)
+				go func() {
+					_, err := RunConfig(cfg)
+					done <- err
+				}()
+				select {
+				case <-done:
+					// Undersized buffers are rejected at run time; either
+					// outcome is an answer.
+				case <-time.After(bound):
+					t.Fatalf("run did not return within %v", bound)
+				}
+			})
+		}
 	}
 }

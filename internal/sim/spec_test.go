@@ -89,8 +89,8 @@ func TestSpecVideoCoversFullDuration(t *testing.T) {
 	}
 }
 
-// TestSpecMatchesLegacySlicedVideo extends the parity suite to the spec
-// path: the event-driven engine and the fixed-slice oracle must agree on a
+// TestSpecMatchesLegacySlicedVideo extends the parity suite to generated
+// video: the event-driven engine and the fixed-slice oracle must agree on a
 // spec-driven video run within the established variable-rate tolerance.
 func TestSpecMatchesLegacySlicedVideo(t *testing.T) {
 	spec := workload.VideoSpec(1024*units.Kbps, 3)
@@ -106,9 +106,9 @@ func TestSpecMatchesLegacySlicedVideo(t *testing.T) {
 	assertParity(t, got, want, variableTol)
 }
 
-// TestSpecPeakAboveMediaRateRejected mirrors the RateSource admission check
-// on the spec path: a video spec whose peak bound reaches the media rate
-// must fail validation, not underrun at run time.
+// TestSpecPeakAboveMediaRateRejected locks in the admission check: a video
+// spec whose peak bound reaches the media rate must fail validation, not
+// underrun at run time.
 func TestSpecPeakAboveMediaRateRejected(t *testing.T) {
 	cfg := specConfig(workload.VideoSpec(90*units.Mbps, 1), 10*units.MiB, units.Second)
 	if err := cfg.Validate(); err == nil {
@@ -126,12 +126,12 @@ func TestBestEffortWritesCountAsUserBits(t *testing.T) {
 		Device:   device.DefaultMEMS(),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   20 * units.KiB,
-		Stream:   workload.NewCBRStream(rate),
+		Spec:     workload.CBRSpec(rate),
 		Duration: 2 * units.Minute,
 		Seed:     7,
 	}
 	// The stream itself writes nothing, so every written bit is best-effort.
-	base.Stream.WriteFraction = 0
+	base.Spec.WriteFraction = 0
 	base.BestEffort = workload.NewBestEffortProcess(0.05, base.Device.MediaRate(), 7)
 
 	for _, path := range []struct {

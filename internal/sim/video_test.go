@@ -14,19 +14,13 @@ func TestVideoTraceSimulation(t *testing.T) {
 	// (I-frame) demand; with a generous buffer the stream plays without
 	// underruns and the delivered volume matches the trace average.
 	rate := 1024 * units.Kbps
-	video := workload.NewVideoStream(rate, 3)
-	pattern, err := workload.NewVideoRatePattern(video, 60*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     64 * units.KiB,
-		Stream:     workload.NewCBRStream(rate), // nominal rate + write mix
-		RateSource: pattern,
-		Duration:   3 * units.Minute,
-		Seed:       3,
+		Device:   device.DefaultMEMS(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   64 * units.KiB,
+		Spec:     workload.VideoSpec(rate, 3),
+		Duration: 3 * units.Minute,
+		Seed:     3,
 	}
 	stats, err := RunConfig(cfg)
 	if err != nil {
@@ -38,7 +32,7 @@ func TestVideoTraceSimulation(t *testing.T) {
 	if stats.RefillCycles == 0 {
 		t.Fatal("no refill cycles")
 	}
-	want := pattern.AverageRate().Times(stats.SimulatedTime)
+	want := cfg.Spec.AverageRate().Times(stats.SimulatedTime)
 	if rel := stats.StreamedBits.DivideBy(want); rel < 0.85 || rel > 1.15 {
 		t.Errorf("streamed %v, want within 15%% of %v", stats.StreamedBits, want)
 	}
@@ -56,23 +50,21 @@ func TestVideoTraceSimulation(t *testing.T) {
 }
 
 func TestVideoTracePeakAboveMediaRateRejected(t *testing.T) {
-	// A synthetic rate source whose peak exceeds the media rate must be
-	// rejected at validation time.
-	video := workload.NewVideoStream(90*units.Mbps, 1)
-	pattern, err := workload.NewVideoRatePattern(video, 10*units.Second)
+	// A replayed frame trace whose peak exceeds the media rate must be
+	// rejected at validation time, from the trace's own realized peak.
+	frames, err := workload.VideoSpec(90*units.Mbps, 1).TraceFrames(10 * units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     10 * units.MiB,
-		Stream:     workload.NewCBRStream(90 * units.Mbps),
-		RateSource: pattern,
-		Duration:   units.Second,
+		Device:   device.DefaultMEMS(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   10 * units.MiB,
+		Spec:     workload.TraceSpec(frames),
+		Duration: units.Second,
 	}
 	if err := cfg.Validate(); err == nil {
-		t.Error("rate source peaking above the media rate accepted")
+		t.Error("frame trace peaking above the media rate accepted")
 	}
 }
 
@@ -81,20 +73,15 @@ func TestVideoTraceTightBufferUnderruns(t *testing.T) {
 	// I-frame bursts of the trace outrun the refills and underruns appear —
 	// exactly the peak-provisioning effect the analytical model cannot see.
 	rate := 1024 * units.Kbps
-	video := workload.NewVideoStream(rate, 9)
-	video.Jitter = 0.4
-	pattern, err := workload.NewVideoRatePattern(video, 30*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := workload.VideoSpec(rate, 9)
+	spec.Jitter = 0.4
 	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     units.Size(4000), // ~0.5 KiB: covers the peak-rate seek drain, nothing more
-		Stream:     workload.NewCBRStream(rate),
-		RateSource: pattern,
-		Duration:   time30s(),
-		Seed:       9,
+		Device:   device.DefaultMEMS(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   units.Size(4000), // ~0.5 KiB: covers the peak-rate seek drain, nothing more
+		Spec:     spec,
+		Duration: time30s(),
+		Seed:     9,
 	}
 	stats, err := RunConfig(cfg)
 	if err != nil {

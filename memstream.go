@@ -265,8 +265,6 @@ type (
 	// transitions, the media rate and the write-wear inflation. Assign one
 	// to SimConfig.Backend to simulate a device other than the MEMS default.
 	SimBackend = engine.Backend
-	// Stream describes a streaming session for the simulator.
-	Stream = workload.Stream
 	// BestEffortProcess generates background OS/file-system requests.
 	BestEffortProcess = workload.BestEffortProcess
 	// PlaybackCalendar converts daily usage into yearly totals.
@@ -295,12 +293,6 @@ const (
 	StateBestEffort = device.StateBestEffort
 )
 
-// NewCBRStream returns a constant-bit-rate stream with the Table I write mix.
-func NewCBRStream(rate BitRate) Stream { return workload.NewCBRStream(rate) }
-
-// NewVBRStream returns a variable-bit-rate stream averaging the given rate.
-func NewVBRStream(rate BitRate, seed uint64) Stream { return workload.NewVBRStream(rate, seed) }
-
 // NewBestEffortProcess returns a background request process targeting the
 // given share of device-active time.
 func NewBestEffortProcess(fraction float64, serviceRate BitRate, seed uint64) BestEffortProcess {
@@ -321,12 +313,11 @@ func Simulate(cfg SimConfig) (*SimStats, error) {
 }
 
 // SimulateBatch runs many independent simulations concurrently on one worker
-// per CPU and returns the statistics in input order. When the batch is a set
-// of seed-varied replicas of one configuration — identical except for seeds —
-// it is validated once and each worker reuses a single simulator across the
-// replicas it claims instead of rebuilding state per replica; mixed batches
-// fall back to one simulator per configuration. Both paths are bit-identical
-// to calling Simulate on each configuration in sequence.
+// per CPU and returns the statistics in input order. Each worker keeps one
+// simulator: an entry identical to that simulator's configuration except for
+// seeds rewinds it in place instead of rebuilding state, and any other entry
+// builds and validates a fresh one. The results are bit-identical to calling
+// Simulate on each configuration in sequence.
 func SimulateBatch(cfgs ...SimConfig) ([]*SimStats, error) {
 	return SimulateBatchContext(context.Background(), 0, cfgs)
 }
@@ -363,7 +354,7 @@ func DefaultSimConfig(rate BitRate, buffer Size) SimConfig {
 		Device:     dev,
 		DRAM:       device.DefaultDRAM(),
 		Buffer:     buffer,
-		Stream:     workload.NewCBRStream(rate),
+		Spec:       workload.CBRSpec(rate),
 		BestEffort: workload.NewBestEffortProcess(0.05, dev.MediaRate(), 1),
 		Duration:   5 * units.Minute,
 		Seed:       1,
@@ -380,7 +371,7 @@ func DefaultSimConfigFor(b SimBackend, rate BitRate, buffer Size) SimConfig {
 		Backend:    b,
 		DRAM:       device.DefaultDRAM(),
 		Buffer:     buffer,
-		Stream:     workload.NewCBRStream(rate),
+		Spec:       workload.CBRSpec(rate),
 		BestEffort: workload.NewBestEffortProcess(0.05, b.MediaRate(), 1),
 		Duration:   5 * units.Minute,
 		Seed:       1,

@@ -115,10 +115,10 @@ func TestSimulateFacade(t *testing.T) {
 }
 
 func TestStreamConstructors(t *testing.T) {
-	if err := NewCBRStream(1024 * Kbps).Validate(); err != nil {
+	if err := CBRSpec(1024 * Kbps).Validate(); err != nil {
 		t.Error(err)
 	}
-	if err := NewVBRStream(1024*Kbps, 3).Validate(); err != nil {
+	if err := VBRSpec(1024*Kbps, 3).Validate(); err != nil {
 		t.Error(err)
 	}
 	if err := NewBestEffortProcess(0.05, DefaultDevice().MediaRate(), 3).Validate(); err != nil {
