@@ -7,9 +7,9 @@
 // Usage:
 //
 //	memsbench [-scenario all|name,name,...] [-warmup N] [-reps N]
-//	          [-format table|json|csv] [-out BENCH_9.json]
-//	memsbench -check BENCH_9.json [-warmup N] [-reps N]
-//	memsbench -compare BENCH_8.json BENCH_9.json
+//	          [-format table|json|csv] [-out BENCH_15.json]
+//	memsbench -check BENCH_15.json [-warmup N] [-reps N]
+//	memsbench -compare BENCH_9.json BENCH_15.json
 //
 // The scenarios:
 //
@@ -19,6 +19,7 @@
 //	trace-replay   one simulated hour replaying a fixed 60 s frame trace (wrap-around)
 //	multi-4stream  one simulated hour of four streams sharing one device
 //	service-warm   a warm-cache dimensioning request through the service facade
+//	fig3-panel     one Fig. 3a panel (64 rates) dimensioned on one worker
 //
 // Every scenario reports ns/op, B/op and allocs/op for one iteration
 // (reset + full run), plus simulated hours per wall-clock second — the
@@ -216,6 +217,15 @@ func scenarios() []scenario {
 			}
 			return func() error {
 				_, err := svc.Dimension(ctx, req)
+				return err
+			}, nil
+		}},
+		{name: "fig3-panel", simHours: 0, setup: func() (func() error, error) {
+			// The analytical layer alone: one Fig. 3a panel, 64 rates
+			// dimensioned in sequence, no simulation and no cache.
+			ctx := context.Background()
+			return func() error {
+				_, err := memstream.GenerateFigure3Context(ctx, 1, memstream.DefaultDevice(), memstream.PaperGoalA(), 64)
 				return err
 			}, nil
 		}},

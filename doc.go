@@ -195,16 +195,30 @@
 // replica loops validate one prototype configuration and rewind a pooled
 // simulator per worker instead of building one per replica.
 //
+// The analytical layer follows the same validate-once rule. Inverting the
+// Eq. 1 saving curve for one Fig. 3 point takes a golden-section search for
+// the maximum saving and a bisection for the target, some 70-84 evaluations.
+// Each search validates the energy model once, derives its per-model
+// constants (rm − rs, rm/rs, the overhead energy, the power gaps) on the
+// stack, and evaluates Eq. 1 over them per buffer size; energy.Model's
+// SavingCurve hands the same validated curve to core. A dimensioning
+// allocates nothing unless it has to explain an infeasible goal.
+// internal/core/testdata/analytic_golden.json pins the outputs bit for bit:
+// the Fig. 3 dimensioning of three goals on both devices at 64 rates, and
+// points, cycles, breakdowns, savings and maximum savings along six saving
+// curves.
+//
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_9.json
-//	go run ./cmd/memsbench -check BENCH_9.json    # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_8.json BENCH_9.json
+//	go run ./cmd/memsbench -format json -out BENCH_15.json
+//	go run ./cmd/memsbench -check BENCH_15.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_9.json BENCH_15.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
-// multi-4stream, service-warm) reports ns/op, B/op, allocs/op and simulated
-// hours per wall-clock second. The committed baseline lives in
+// multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op
+// and simulated hours per wall-clock second; fig3-panel is one Fig. 3a panel
+// of 64 rates dimensioned on one worker, the analytical layer alone. The committed baseline lives in
 // BENCH_<pr>.json at the repository root — one file per PR that moves the
 // numbers, forming a perf trajectory — and CI reruns the scenarios against
 // the committed file: allocation counts may never exceed the baseline

@@ -567,3 +567,28 @@ func TestQuickDimensionIsMaxOfRequirements(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDimensionAllocations pins the heap allocations of the analytical
+// layer: a point evaluation and a feasible dimensioning allocate nothing,
+// because the saving-curve searches keep the energy model's constants on the
+// stack. (An infeasible goal allocates the explanation it returns; the
+// memsbench fig3-panel gate counts those exactly.)
+func TestDimensionAllocations(t *testing.T) {
+	for _, c := range []struct {
+		rate units.BitRate
+		goal Goal
+	}{
+		{256 * units.Kbps, PaperGoalA()},
+		{1024 * units.Kbps, PaperGoalB()},
+		{2048 * units.Kbps, PaperGoalB()},
+	} {
+		m := modelAt(t, c.rate)
+		if got := testing.AllocsPerRun(20, func() { _, _ = m.Dimension(c.goal) }); got != 0 {
+			t.Errorf("Dimension(%v) at %v: %v allocs, want 0", c.goal, c.rate, got)
+		}
+	}
+	m := modelAt(t, 1024*units.Kbps)
+	if got := testing.AllocsPerRun(20, func() { _, _ = m.At(20 * units.KiB) }); got != 0 {
+		t.Errorf("At: %v allocs, want 0", got)
+	}
+}

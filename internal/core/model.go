@@ -127,11 +127,11 @@ type Point struct {
 
 // At evaluates every model output at buffer size b.
 func (m *Model) At(b units.Size) (Point, error) {
-	breakdown, err := m.energyModel.PerBit(b)
+	savingCurve, err := m.energyModel.SavingCurve()
 	if err != nil {
 		return Point{}, err
 	}
-	saving, err := m.energyModel.Saving(b)
+	breakdown, saving, err := savingCurve(b)
 	if err != nil {
 		return Point{}, err
 	}
@@ -338,8 +338,12 @@ func (m *Model) BufferForEnergySaving(target float64) (Requirement, error) {
 	if hi <= lo {
 		hi = m.energySearchCeiling().Bits()
 	}
+	savingCurve, err := m.energyModel.SavingCurve()
+	if err != nil {
+		return req, err
+	}
 	pred := func(bBits float64) bool {
-		s, serr := m.energyModel.Saving(units.Bit.Scale(bBits))
+		_, s, serr := savingCurve(units.Bit.Scale(bBits))
 		return serr == nil && s >= target
 	}
 	bBits, err := solve.MinimumWhere(pred, lo, hi, 1e-9)

@@ -104,37 +104,153 @@ type Cycle struct {
 	RefillsPerSecond float64
 }
 
-// Cycle computes the refill-cycle timing for buffer size B (Eq. 1's timing
-// relations: tRW = B/(rm-rs), Tm = B*rm/((rm-rs)*rs)).
-func (m Model) Cycle(b units.Size) (Cycle, error) {
+// curve is Eq. 1 over the per-model constants of one validated Model. Each
+// exported method that evaluates Eq. 1 validates the model and derives the
+// constants once per call, so a search over buffer sizes neither validates
+// nor copies the model per evaluation. Reordering any expression here moves
+// results in the last bits; internal/core/testdata/analytic_golden.json pins
+// them.
+type curve struct {
+	// rm is the media rate and rs the stream rate.
+	rm, rs units.BitRate
+	// net is rm − rs, the rate the buffer fills at during a refill.
+	net units.BitRate
+	// periodScale is rm/rs: Tm = tRW·rm/rs.
+	periodScale float64
+	// overhead is toh and bestEffort the best-effort fraction fbe.
+	overhead   units.Duration
+	bestEffort float64
+	// standbyPower is Psb and overheadEnergy (Poh − Psb)·toh.
+	standbyPower   units.Power
+	overheadEnergy units.Energy
+	// activeGap is Prw − Psb, the active power above standby.
+	activeGap units.Power
+	// idlePower is Pid and idleGap Prw − Pid, for the always-on reference.
+	idlePower units.Power
+	idleGap   units.Power
+
+	dram        device.DRAM
+	includeDRAM bool
+}
+
+// curve validates the model and derives its Eq. 1 constants.
+func (m Model) curve() (curve, error) {
 	if err := m.Validate(); err != nil {
+		return curve{}, err
+	}
+	dev := m.Device
+	rm := dev.MediaRate()
+	rs := m.StreamRate
+	psb := dev.StandbyPower
+	overhead := dev.OverheadTime()
+	return curve{
+		rm:             rm,
+		rs:             rs,
+		net:            rm.Sub(rs),
+		periodScale:    rm.BitsPerSecond() / rs.BitsPerSecond(),
+		overhead:       overhead,
+		bestEffort:     m.BestEffortFraction,
+		standbyPower:   psb,
+		overheadEnergy: dev.OverheadPower().Sub(psb).Times(overhead),
+		activeGap:      dev.ReadWritePower.Sub(psb),
+		idlePower:      dev.IdlePower,
+		idleGap:        dev.ReadWritePower.Sub(dev.IdlePower),
+		dram:           m.Buffer,
+		includeDRAM:    m.IncludeDRAM,
+	}, nil
+}
+
+// checkBuffer rejects a non-positive buffer size.
+func checkBuffer(b units.Size) error {
+	if !b.Positive() {
+		return fmt.Errorf("%w: B = %v", ErrBufferTooSmall, b)
+	}
+	return nil
+}
+
+// timing returns the refill time tRW = B/(rm-rs) and the cycle length
+// Tm = tRW*rm/rs for buffer size B.
+func (c *curve) timing(b units.Size) (transfer, period units.Duration) {
+	transfer = c.net.TimeFor(b)
+	return transfer, transfer.Scale(c.periodScale)
+}
+
+// cycle computes the refill-cycle timing for buffer size B.
+func (c *curve) cycle(b units.Size) (Cycle, error) {
+	if err := checkBuffer(b); err != nil {
 		return Cycle{}, err
 	}
-	if !b.Positive() {
-		return Cycle{}, fmt.Errorf("%w: B = %v", ErrBufferTooSmall, b)
-	}
-	rm := m.Device.MediaRate()
-	rs := m.StreamRate
-	net := rm.Sub(rs)
-
-	transfer := net.TimeFor(b)
-	period := transfer.Scale(rm.BitsPerSecond() / rs.BitsPerSecond())
-	overhead := m.Device.OverheadTime()
-	bestEffort := period.Scale(m.BestEffortFraction)
-	standby := period.Sub(transfer).Sub(overhead).Sub(bestEffort)
+	transfer, period := c.timing(b)
+	bestEffort := period.Scale(c.bestEffort)
+	standby := period.Sub(transfer).Sub(c.overhead).Sub(bestEffort)
 	if standby < 0 {
 		return Cycle{}, fmt.Errorf("%w: B = %v leaves no standby time at rs = %v",
-			ErrBufferTooSmall, b, rs)
+			ErrBufferTooSmall, b, c.rs)
 	}
 	return Cycle{
 		Buffer:           b,
 		Period:           period,
 		Transfer:         transfer,
-		Overhead:         overhead,
+		Overhead:         c.overhead,
 		BestEffort:       bestEffort,
 		Standby:          standby,
 		RefillsPerSecond: 1 / period.Seconds(),
 	}, nil
+}
+
+// perBit evaluates Eq. 1 (plus the best-effort and DRAM extensions) over one
+// closed refill cycle.
+func (c *curve) perBit(cycle Cycle) Breakdown {
+	b := cycle.Buffer
+	transferE := c.activeGap.Times(cycle.Transfer)
+	standbyE := c.standbyPower.Times(cycle.Period)
+	bestEffortE := c.activeGap.Times(cycle.BestEffort)
+
+	var dramE units.Energy
+	if c.includeDRAM {
+		bestEffortBits := c.rm.Times(cycle.BestEffort)
+		dramE = c.dram.CycleEnergy(b, cycle.Period, bestEffortBits)
+	}
+	return Breakdown{
+		Overhead:   c.overheadEnergy.PerBit(b),
+		Transfer:   transferE.PerBit(b),
+		Standby:    standbyE.PerBit(b),
+		BestEffort: bestEffortE.PerBit(b),
+		DRAM:       dramE.PerBit(b),
+	}
+}
+
+// alwaysOnPerBit prices buffer size B on the always-on reference, given the
+// refill time and cycle length timing returns for it.
+func (c *curve) alwaysOnPerBit(b units.Size, transfer, period units.Duration) units.EnergyPerBit {
+	transferE := c.idleGap.Times(transfer)
+	baseE := c.idlePower.Times(period)
+	return transferE.Add(baseE).PerBit(b)
+}
+
+// evaluate returns the per-bit breakdown and the saving over the always-on
+// reference at buffer size B, from one refill cycle.
+func (c *curve) evaluate(b units.Size) (Breakdown, float64, error) {
+	cycle, err := c.cycle(b)
+	if err != nil {
+		return Breakdown{}, 0, err
+	}
+	buffered := c.perBit(cycle)
+	alwaysOn := c.alwaysOnPerBit(b, cycle.Transfer, cycle.Period)
+	if alwaysOn <= 0 {
+		return Breakdown{}, 0, errors.New("energy: always-on reference energy is not positive")
+	}
+	return buffered, 1 - buffered.Total().JoulesPerBit()/alwaysOn.JoulesPerBit(), nil
+}
+
+// Cycle computes the refill-cycle timing for buffer size B (Eq. 1's timing
+// relations: tRW = B/(rm-rs), Tm = B*rm/((rm-rs)*rs)).
+func (m Model) Cycle(b units.Size) (Cycle, error) {
+	c, err := m.curve()
+	if err != nil {
+		return Cycle{}, err
+	}
+	return c.cycle(b)
 }
 
 // MinimumBuffer returns the smallest buffer for which a refill cycle closes,
@@ -178,29 +294,15 @@ func (b Breakdown) Total() units.EnergyPerBit {
 // PerBit evaluates Eq. 1 (plus the best-effort and DRAM extensions) for the
 // given buffer size.
 func (m Model) PerBit(b units.Size) (Breakdown, error) {
-	cycle, err := m.Cycle(b)
+	c, err := m.curve()
 	if err != nil {
 		return Breakdown{}, err
 	}
-	dev := m.Device
-	psb := dev.StandbyPower
-	overheadE := dev.OverheadPower().Sub(psb).Times(cycle.Overhead)
-	transferE := dev.ReadWritePower.Sub(psb).Times(cycle.Transfer)
-	standbyE := psb.Times(cycle.Period)
-	bestEffortE := dev.ReadWritePower.Sub(psb).Times(cycle.BestEffort)
-
-	var dramE units.Energy
-	if m.IncludeDRAM {
-		bestEffortBits := m.Device.MediaRate().Times(cycle.BestEffort)
-		dramE = m.Buffer.CycleEnergy(b, cycle.Period, bestEffortBits)
+	cycle, err := c.cycle(b)
+	if err != nil {
+		return Breakdown{}, err
 	}
-	return Breakdown{
-		Overhead:   overheadE.PerBit(b),
-		Transfer:   transferE.PerBit(b),
-		Standby:    standbyE.PerBit(b),
-		BestEffort: bestEffortE.PerBit(b),
-		DRAM:       dramE.PerBit(b),
-	}, nil
+	return c.perBit(cycle), nil
 }
 
 // AlwaysOnPerBit returns the per-bit energy of the always-on reference: the
@@ -216,23 +318,15 @@ func (m Model) PerBit(b units.Size) (Breakdown, error) {
 // the paper's observation that the 80 % saving target becomes unreachable
 // slightly above 1000 kbps (Fig. 3a).
 func (m Model) AlwaysOnPerBit(b units.Size) (units.EnergyPerBit, error) {
-	if err := m.Validate(); err != nil {
+	c, err := m.curve()
+	if err != nil {
 		return 0, err
 	}
-	if !b.Positive() {
-		return 0, fmt.Errorf("%w: B = %v", ErrBufferTooSmall, b)
+	if err := checkBuffer(b); err != nil {
+		return 0, err
 	}
-	rm := m.Device.MediaRate()
-	rs := m.StreamRate
-	transfer := rm.Sub(rs).TimeFor(b)
-	period := transfer.Scale(rm.BitsPerSecond() / rs.BitsPerSecond())
-
-	dev := m.Device
-	idle := dev.IdlePower
-	transferE := dev.ReadWritePower.Sub(idle).Times(transfer)
-	baseE := idle.Times(period)
-	total := transferE.Add(baseE)
-	return total.PerBit(b), nil
+	transfer, period := c.timing(b)
+	return c.alwaysOnPerBit(b, transfer, period), nil
 }
 
 // Saving returns the relative energy saving of the buffered, shutdown-capable
@@ -240,18 +334,25 @@ func (m Model) AlwaysOnPerBit(b units.Size) (units.EnergyPerBit, error) {
 // 1 - Em(B)/Eon. Negative values mean the buffer is too small for shutdown to
 // pay off.
 func (m Model) Saving(b units.Size) (float64, error) {
-	buffered, err := m.PerBit(b)
+	c, err := m.curve()
 	if err != nil {
 		return 0, err
 	}
-	alwaysOn, err := m.AlwaysOnPerBit(b)
-	if err != nil {
-		return 0, err
-	}
-	if alwaysOn <= 0 {
-		return 0, errors.New("energy: always-on reference energy is not positive")
-	}
-	return 1 - buffered.Total().JoulesPerBit()/alwaysOn.JoulesPerBit(), nil
+	_, saving, err := c.evaluate(b)
+	return saving, err
+}
+
+// SavingCurve validates the model once and returns its saving curve: for a
+// buffer size B, the breakdown PerBit reports and the saving Saving reports,
+// bit for bit and with the same errors, without validating the model again.
+// A search over buffer sizes should evaluate through it. The function must
+// not be called when err is non-nil.
+//
+// SavingCurve is small enough to inline, so the curve it returns stays on
+// the caller's stack: keep it that way, or every search allocates.
+func (m Model) SavingCurve() (func(units.Size) (Breakdown, float64, error), error) {
+	c, err := m.curve()
+	return c.evaluate, err
 }
 
 // maxSearchBuffer bounds the buffer sizes considered when searching the
@@ -267,7 +368,8 @@ func (m Model) maxSearchBuffer() units.Size {
 // eventually droops once DRAM retention grows), so a golden-section search on
 // the unimodal curve suffices.
 func (m Model) MaxSaving() (saving float64, buffer units.Size, err error) {
-	if err := m.Validate(); err != nil {
+	c, err := m.curve()
+	if err != nil {
 		return 0, 0, err
 	}
 	lo := m.MinimumBuffer().Bits()
@@ -276,7 +378,7 @@ func (m Model) MaxSaving() (saving float64, buffer units.Size, err error) {
 		return 0, 0, fmt.Errorf("%w: no admissible buffer size", ErrBufferTooSmall)
 	}
 	f := func(bBits float64) float64 {
-		s, serr := m.Saving(units.Bit.Scale(bBits))
+		_, s, serr := c.evaluate(units.Bit.Scale(bBits))
 		if serr != nil {
 			return math.Inf(-1)
 		}

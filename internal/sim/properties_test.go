@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memstream/internal/device"
+	"memstream/internal/energy"
 	"memstream/internal/engine"
 	"memstream/internal/units"
 	"memstream/internal/workload"
@@ -103,4 +104,67 @@ func TestConservationProperties(t *testing.T) {
 			assertConserved(t, cfg.backend(), &stats.Device)
 		})
 	}
+}
+
+// TestDiskBreakEvenMatchesAnalytical checks the disk backend against the
+// closed-form break-even buffer of Section III-A.1: bisecting the buffer at
+// which the simulated spin-down drive starts saving energy over an always-on
+// drive lands within 2 % of energy.BreakEvenBuffer (the facade's
+// DiskBreakEvenBuffer) at 256, 1024 and 4096 kbps.
+func TestDiskBreakEvenMatchesAnalytical(t *testing.T) {
+	disk := device.Default18InchDisk()
+	for _, rate := range []units.BitRate{256 * units.Kbps, 1024 * units.Kbps, 4096 * units.Kbps} {
+		analytic, err := energy.BreakEvenBuffer(energy.DiskBreakEvenAdapter{Disk: disk}, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulated := simulatedDiskBreakEven(t, disk, rate, analytic)
+		if d := relDiff(simulated.Bits(), analytic.Bits()); d > 0.02 {
+			t.Errorf("%v: simulated break-even %v, analytical %v (rel %.3f)", rate, simulated, analytic, d)
+		}
+	}
+}
+
+// simulatedDiskSaving measures, by simulation, the device-only energy saving
+// of the spin-down architecture over an always-on reference streaming the
+// same data: the reference transfers for the same media-active time and
+// idles for the rest of the run.
+func simulatedDiskSaving(t *testing.T, disk device.Disk, rate units.BitRate, buffer units.Size) float64 {
+	t.Helper()
+	// A clean streaming cycle, long enough to average out the truncated
+	// final cycle: ~40 spin-down periods of roughly buffer/rate each.
+	st, err := RunConfig(Config{
+		Backend:  engine.NewDisk(disk),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   buffer,
+		Spec:     workload.CBRSpec(rate),
+		Duration: rate.TimeFor(buffer).Scale(40),
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := st.StateTime[device.StateReadWrite].Add(st.StateTime[device.StateBestEffort])
+	alwaysOn := disk.ReadWritePower.Times(active).
+		Add(disk.IdlePower.Times(st.SimulatedTime.Sub(active)))
+	return 1 - st.DeviceEnergy().Joules()/alwaysOn.Joules()
+}
+
+// simulatedDiskBreakEven bisects the buffer at which the simulated saving
+// crosses zero, starting from a bracket around the analytical prediction.
+func simulatedDiskBreakEven(t *testing.T, disk device.Disk, rate units.BitRate, analytic units.Size) units.Size {
+	t.Helper()
+	lo, hi := analytic.Scale(0.3), analytic.Scale(3)
+	if sLo, sHi := simulatedDiskSaving(t, disk, rate, lo), simulatedDiskSaving(t, disk, rate, hi); sLo >= 0 || sHi <= 0 {
+		t.Fatalf("%v: simulated saving does not bracket zero in [0.3, 3] x %v (%.3f, %.3f)", rate, analytic, sLo, sHi)
+	}
+	for i := 0; i < 12; i++ {
+		mid := lo.Add(hi.Sub(lo).Scale(0.5))
+		if simulatedDiskSaving(t, disk, rate, mid) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo.Add(hi.Sub(lo).Scale(0.5))
 }
