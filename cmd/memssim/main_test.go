@@ -472,6 +472,7 @@ func TestRunMultiStreamsRejections(t *testing.T) {
 		{"missing rate", func(o *options) { o.streams = streamFlags{"name=a,buffer=128KiB"} }, "rate is required"},
 		{"unknown key", func(o *options) { o.streams = streamFlags{"name=a,rate=1kbps,buffer=1KiB,color=red"} }, "unknown key"},
 		{"bad write", func(o *options) { o.streams = streamFlags{"name=a,rate=1kbps,buffer=1KiB,write=2"} }, "write must be"},
+		{"NaN write", func(o *options) { o.streams = streamFlags{"name=a,rate=1024kbps,buffer=64KiB,write=NaN"} }, "write fraction must be in [0, 1]"},
 		{"trace on cbr", func(o *options) { o.streams = streamFlags{"name=a,rate=1kbps,buffer=1KiB,trace=x"} }, "trace only applies"},
 	}
 	for _, tc := range cases {

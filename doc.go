@@ -353,19 +353,25 @@
 //
 //   - internal/units: physical quantities (sizes, rates, powers, energies)
 //   - internal/device: MEMS, 1.8-inch disk and DRAM parameter models
-//   - internal/format, internal/ecc, internal/media: formatting, ECC and
-//     layout substrates behind the capacity model
+//   - internal/format: the sector formatting behind the capacity model
 //   - internal/energy, internal/lifetime: the forward models (Eqs. 1, 5, 6)
+//   - internal/solve: the monotone searches and the unimodal maximisation
+//     the inverse models run on
 //   - internal/core: the combined model and the inverse buffer dimensioning
+//   - internal/multistream: the analytical model of several streams sharing
+//     one device
 //   - internal/explore: design-space sweeps over streaming rates
 //   - internal/parallel: the bounded worker pool behind the concurrent paths
 //   - internal/engine: the event-driven simulation core and its pluggable
 //     device backends (MEMS, 1.8-inch disk)
 //   - internal/sim, internal/workload: a discrete-event simulator and its
-//     workload generators, used to validate the analytical models
+//     demand patterns, used to validate the analytical models
+//   - internal/ecc: the simulator's bit-error model (a SECDED code)
 //   - internal/cache, internal/service: the sharded result cache and the
 //     dimensioning-as-a-service layer behind NewService and cmd/memsd
+//   - internal/metrics: the Prometheus-style registry behind /metricsz
 //   - internal/report, internal/config: tables, plots and configuration files
+//   - internal/analysis: the analyzers cmd/memsvet runs over the tree
 //
 // The figure generators in this package regenerate every table and figure of
 // the paper's evaluation; cmd/memsfigures prints them, and the benchmarks in

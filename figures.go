@@ -16,8 +16,7 @@ import (
 )
 
 // This file contains the generators that regenerate every table and figure of
-// the paper's evaluation section (see EXPERIMENTS.md for the paper-versus-
-// measured record):
+// the paper's evaluation section:
 //
 //	Table I           — TableIStudy / RenderTableI
 //	Section III-A.1   — BreakEvenTable (MEMS vs 1.8-inch disk break-even buffer)

@@ -7,10 +7,10 @@
 // least-recently-used order and entry bound, so the total entry count never
 // exceeds the configured capacity (rounded up to a multiple of the shard
 // count). Stored values are byte slices that callers must treat as
-// read-only: every Get for a key returns the very slice that was stored, so
+// read-only: every hit for a key returns the very slice that was stored, so
 // cache hits are byte-identical by construction.
 //
-// Beyond plain Get/Put, Do adds single-flight semantics: concurrent calls
+// Do is the one access path, with single-flight semantics: concurrent calls
 // for the same missing key run the compute function once and share its
 // result. Errors are never cached — a failed compute leaves the key absent,
 // and every waiter sharing that flight receives the leader's error.
@@ -27,9 +27,8 @@ import (
 type Stats struct {
 	// Hits counts lookups answered from a stored entry.
 	Hits uint64 `json:"hits"`
-	// Misses counts Get lookups that found no stored entry plus Do flights
-	// that had to compute; Do waiters served a flight's shared result
-	// count as hits, not misses.
+	// Misses counts Do flights that had to compute; waiters served a
+	// flight's shared result count as hits, not misses.
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries dropped to respect the shard bound.
 	Evictions uint64 `json:"evictions"`
@@ -145,31 +144,8 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the stored value for key and whether it was present. The
-// returned slice is shared with the cache and must not be modified.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ele, ok := s.entries[key]; ok {
-		s.order.MoveToFront(ele)
-		s.hits++
-		return ele.Value.(*entry).value, true
-	}
-	s.misses++
-	return nil, false
-}
-
-// Put stores value under key, evicting least-recently-used entries as needed.
-// The cache takes ownership of the slice; callers must not modify it after.
-func (c *Cache) Put(key string, value []byte) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.put(key, value)
-}
-
-// put inserts under the shard lock.
+// put inserts under the shard lock, evicting least-recently-used entries as
+// needed.
 func (s *shard) put(key string, value []byte) {
 	if ele, ok := s.entries[key]; ok {
 		s.order.MoveToFront(ele)
@@ -264,17 +240,6 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 // ErrComputeFailed is what waiters of a flight receive when its compute
 // function panicked instead of returning.
 var ErrComputeFailed = errors.New("cache: compute function panicked")
-
-// Len returns the number of stored entries.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
 
 // Stats aggregates the per-shard counters and carries the per-shard
 // breakdown alongside, indexed by shard number.

@@ -11,50 +11,74 @@ import (
 	"time"
 )
 
+// errAbsent fails the compute of a lookup, so a lookup stores nothing.
+var errAbsent = errors.New("absent")
+
+// lookup returns the stored value for key and whether it was present. A
+// miss runs a failing compute, which Do never caches.
+func lookup(c *Cache, key string) ([]byte, bool) {
+	v, hit, err := c.Do(context.Background(), key, func() ([]byte, error) { return nil, errAbsent })
+	return v, hit && err == nil
+}
+
+// put stores value under key through a computing Do flight.
+func put(t *testing.T, c *Cache, key string, value []byte) {
+	t.Helper()
+	if _, _, err := c.Do(context.Background(), key, func() ([]byte, error) { return value, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetPutHitMiss checks the counters and the single stored entry of a
+// miss followed by a hit: the second flight neither recomputes nor replaces
+// the stored value.
 func TestGetPutHitMiss(t *testing.T) {
 	c := New(8, 2)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := lookup(c, "a"); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	c.Put("a", []byte("alpha"))
-	v, ok := c.Get("a")
-	if !ok || string(v) != "alpha" {
-		t.Fatalf("Get(a) = %q, %v; want alpha, true", v, ok)
+	put(t, c, "a", []byte("alpha"))
+	v, hit, err := c.Do(context.Background(), "a", func() ([]byte, error) { return []byte("two"), nil })
+	if err != nil || !hit || string(v) != "alpha" {
+		t.Fatalf("Do(a) = %q, hit=%v, err=%v; want alpha, true, nil", v, hit, err)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v; want 1 hit, 1 miss", st)
+	if st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v; want 1 hit, 2 misses, 1 entry", st)
 	}
 	if st.Shards != 2 {
 		t.Errorf("shards = %d; want 2", st.Shards)
 	}
 }
 
+// TestPutOverwrites checks the shard store: a second store under a key
+// replaces the value in place and keeps a single entry.
 func TestPutOverwrites(t *testing.T) {
 	c := New(8, 1)
-	c.Put("k", []byte("one"))
-	c.Put("k", []byte("two"))
-	if v, _ := c.Get("k"); string(v) != "two" {
-		t.Errorf("Get(k) = %q; want two", v)
+	s := c.shardFor("k")
+	s.put("k", []byte("one"))
+	s.put("k", []byte("two"))
+	if v, _ := lookup(c, "k"); string(v) != "two" {
+		t.Errorf("lookup(k) = %q; want two", v)
 	}
-	if n := c.Len(); n != 1 {
-		t.Errorf("Len = %d; want 1", n)
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("entries = %d; want 1", n)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2, 1) // single shard, two entries
-	c.Put("a", []byte("a"))
-	c.Put("b", []byte("b"))
-	c.Get("a") // a becomes most recent
-	c.Put("c", []byte("c"))
-	if _, ok := c.Get("b"); ok {
+	put(t, c, "a", []byte("a"))
+	put(t, c, "b", []byte("b"))
+	lookup(c, "a") // a becomes most recent
+	put(t, c, "c", []byte("c"))
+	if _, ok := lookup(c, "b"); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := lookup(c, "a"); !ok {
 		t.Error("a should have survived: it was touched after b")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := lookup(c, "c"); !ok {
 		t.Error("c should be present")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -65,10 +89,10 @@ func TestLRUEviction(t *testing.T) {
 func TestCapacityBoundAcrossShards(t *testing.T) {
 	c := New(32, 4)
 	for i := 0; i < 1000; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), []byte{byte(i)})
+		put(t, c, fmt.Sprintf("key-%d", i), []byte{byte(i)})
 	}
-	if n := c.Len(); n > 32 {
-		t.Errorf("Len = %d exceeds the capacity bound 32", n)
+	if n := c.Stats().Entries; n > 32 {
+		t.Errorf("entries = %d exceeds the capacity bound 32", n)
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Error("expected evictions after overfilling")
@@ -101,7 +125,7 @@ func TestDoErrorNotCached(t *testing.T) {
 	if _, _, err := c.Do(context.Background(), "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v; want boom", err)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := lookup(c, "k"); ok {
 		t.Error("failed compute must not be cached")
 	}
 	v, hit, err := c.Do(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
@@ -275,8 +299,8 @@ func TestDefaults(t *testing.T) {
 	}
 	// More shards than capacity must not create zero-sized shards.
 	small := New(2, 64)
-	small.Put("x", []byte("x"))
-	if _, ok := small.Get("x"); !ok {
+	put(t, small, "x", []byte("x"))
+	if _, ok := lookup(small, "x"); !ok {
 		t.Error("tiny cache lost its only entry")
 	}
 }
@@ -284,10 +308,10 @@ func TestDefaults(t *testing.T) {
 func TestStatsPerShard(t *testing.T) {
 	c := New(64, 4)
 	for i := 0; i < 32; i++ {
-		c.Put(string(rune('a'+i)), []byte{byte(i)})
+		put(t, c, string(rune('a'+i)), []byte{byte(i)}) // miss
 	}
-	c.Get(string(rune('a'))) // hit
-	c.Get("missing")         // miss
+	lookup(c, string(rune('a'))) // hit
+	lookup(c, "missing")         // miss
 	st := c.Stats()
 	if len(st.PerShard) != st.Shards {
 		t.Fatalf("per-shard entries = %d; want %d", len(st.PerShard), st.Shards)
@@ -304,8 +328,8 @@ func TestStatsPerShard(t *testing.T) {
 		agg.Evictions != st.Evictions || agg.Capacity != st.Capacity {
 		t.Errorf("per-shard breakdown %+v does not sum to the aggregate %+v", agg, st)
 	}
-	if st.Entries != 32 || st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("aggregate = %+v; want 32 entries, 1 hit, 1 miss", st)
+	if st.Entries != 32 || st.Hits != 1 || st.Misses != 33 {
+		t.Errorf("aggregate = %+v; want 32 entries, 1 hit, 33 misses", st)
 	}
 }
 
@@ -369,7 +393,7 @@ func TestDoWaiterWithDeadContextDoesNotRetry(t *testing.T) {
 		t.Fatalf("dead-context waiter ran its compute %d times", n)
 	}
 	<-leaderDone
-	if _, ok := c.Get(key); ok {
+	if _, ok := lookup(c, key); ok {
 		t.Fatal("a failed flight cached a value")
 	}
 }

@@ -3,14 +3,13 @@ package ecc
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestOverheadIsOneEighth(t *testing.T) {
-	if Overhead != 0.125 {
-		t.Fatalf("Overhead = %g, want 0.125 (the paper's one-eighth ECC assumption)", Overhead)
+	if overhead := float64(ParityBits) / float64(DataBits); overhead != 0.125 {
+		t.Fatalf("overhead = %g, want 0.125 (the paper's one-eighth ECC assumption)", overhead)
 	}
 	if CodewordBits != 72 {
 		t.Fatalf("CodewordBits = %d, want 72", CodewordBits)
@@ -170,70 +169,6 @@ func TestStorageOverheadBits(t *testing.T) {
 	}
 }
 
-func TestInterleaverRoundTrip(t *testing.T) {
-	il, err := NewInterleaver(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if il.Probes() != 8 {
-		t.Fatalf("Probes() = %d, want 8", il.Probes())
-	}
-	stripe := []bool{true, false, true, true, false, false, true, false}
-	for idx := 0; idx < 20; idx++ {
-		inter, err := il.Interleave(idx, stripe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := il.Deinterleave(idx, inter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range stripe {
-			if back[i] != stripe[i] {
-				t.Fatalf("stripe %d bit %d mismatched after round trip", idx, i)
-			}
-		}
-	}
-}
-
-func TestInterleaverSpreadsBursts(t *testing.T) {
-	// A burst on one physical probe must map back to different logical
-	// positions for different stripes — that is the point of interleaving.
-	il, _ := NewInterleaver(16)
-	burstProbe := 5
-	seen := make(map[int]bool)
-	for stripe := 0; stripe < 16; stripe++ {
-		physical := make([]bool, 16)
-		physical[burstProbe] = true
-		logical, err := il.Deinterleave(stripe, physical)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, b := range logical {
-			if b {
-				seen[i] = true
-			}
-		}
-	}
-	if len(seen) != 16 {
-		t.Errorf("burst on one probe mapped to only %d distinct logical positions, want 16", len(seen))
-	}
-}
-
-func TestInterleaverErrors(t *testing.T) {
-	if _, err := NewInterleaver(0); err == nil {
-		t.Error("NewInterleaver(0) succeeded")
-	}
-	il, _ := NewInterleaver(4)
-	if _, err := il.Interleave(0, make([]bool, 3)); err == nil {
-		t.Error("Interleave with wrong stripe width succeeded")
-	}
-	if _, err := il.Deinterleave(0, make([]bool, 5)); err == nil {
-		t.Error("Deinterleave with wrong stripe width succeeded")
-	}
-}
-
-// Property: encode/decode round-trips for arbitrary data words.
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(word uint64) bool {
 		got, corrected, err := Decode(Encode(word))
@@ -293,7 +228,7 @@ func TestDataPositionsAreConsistent(t *testing.T) {
 	// The largest data position must fit in the 7-bit syndrome and no data
 	// position may be a power of two.
 	maxPos := 0
-	for k, pos := range dataPositions {
+	for k, pos := range buildDataPositions() {
 		if pos&(pos-1) == 0 {
 			t.Errorf("data bit %d sits at power-of-two position %d", k, pos)
 		}
@@ -309,8 +244,5 @@ func TestDataPositionsAreConsistent(t *testing.T) {
 	}
 	if maxPos != 71 {
 		t.Errorf("max data position = %d, want 71 for a (72,64) layout", maxPos)
-	}
-	if math.Ceil(float64(DataBits)*Overhead) != ParityBits {
-		t.Errorf("overhead ratio inconsistent with parity bit count")
 	}
 }

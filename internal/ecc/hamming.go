@@ -1,13 +1,10 @@
-// Package ecc implements the error-correction substrate of the modelled MEMS
-// device: a Hamming SECDED (72,64) code, which adds exactly one ECC bit for
-// every eight user bits — the overhead ratio the paper assumes for the IBM
-// device ("ECC data is one-eighth the user data") — plus a bit interleaver
-// that spreads a codeword across probes so that a burst of errors on one probe
-// degrades into correctable single-bit errors per codeword.
-//
-// The analytical capacity model in internal/format only needs the overhead
-// ratio; the codec exists so that the simulator and examples can push real
-// data through the same formatting path the capacity model reasons about.
+// Package ecc is the simulator's bit-error model: a Hamming SECDED (72,64)
+// code, which adds exactly one ECC bit for every eight user bits — the
+// overhead ratio the paper assumes for the IBM device ("ECC data is
+// one-eighth the user data"). On every refill the simulator encodes a sample
+// of random words, flips bits at the configured raw bit-error rate and
+// decodes them, counting corrected and uncorrectable errors; the analytical
+// capacity model in internal/format only needs the overhead ratio.
 package ecc
 
 import (
@@ -25,9 +22,6 @@ const ParityBits = 8
 
 // CodewordBits is the total number of bits per codeword.
 const CodewordBits = DataBits + ParityBits
-
-// Overhead is the ratio of check bits to user bits (exactly 1/8).
-const Overhead = float64(ParityBits) / float64(DataBits)
 
 // ErrUncorrectable is returned when a codeword contains more errors than the
 // code can correct (a detected double-bit error, or an inconsistent syndrome).
@@ -48,9 +42,6 @@ type Codeword struct {
 // is placed at the (k+1)-th non-power-of-two position, and parity bit i covers
 // the positions whose binary expansion has bit i set.
 var hammingMasks = buildHammingMasks()
-
-// dataPositions[k] is the 1-based Hamming position of data bit k.
-var dataPositions = buildDataPositions()
 
 // positionToDataBit maps a 1-based Hamming position back to the data bit index,
 // or -1 if the position holds a parity bit.

@@ -18,9 +18,6 @@ type Disk struct {
 // NewDisk wraps the drive as a simulation backend.
 func NewDisk(d device.Disk) Disk { return Disk{disk: d} }
 
-// Drive returns the wrapped disk.
-func (d Disk) Drive() device.Disk { return d.disk }
-
 // Name labels the backend.
 func (d Disk) Name() string { return d.disk.Name }
 

@@ -169,8 +169,7 @@ func TestCycleEnergyMatchesStepwiseAccounting(t *testing.T) {
 func TestStepBoundStopsAtRateChanges(t *testing.T) {
 	// A VBR pattern announces its segment boundaries; the drain must step
 	// exactly to each boundary instead of integrating across it.
-	stream := workload.NewVBRStream(1024*units.Kbps, 42)
-	pattern, err := workload.NewRatePattern(stream)
+	pattern, err := workload.VBRSpec(1024*units.Kbps, 42).Pattern(units.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

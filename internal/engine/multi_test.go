@@ -12,7 +12,7 @@ import (
 // cbrSource builds a CBR demand pattern for multi-core tests.
 func cbrSource(t *testing.T, rate units.BitRate) RateSource {
 	t.Helper()
-	p, err := workload.NewRatePattern(workload.NewCBRStream(rate))
+	p, err := workload.CBRSpec(rate).Pattern(units.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

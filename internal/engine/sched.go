@@ -186,12 +186,6 @@ func (m *MultiCore) Reset() {
 // Now returns the current simulated time.
 func (m *MultiCore) Now() units.Duration { return m.now }
 
-// Backend returns the device backend being driven.
-func (m *MultiCore) Backend() Backend { return m.backend }
-
-// NumStreams returns the number of streams sharing the device.
-func (m *MultiCore) NumStreams() int { return len(m.streams) }
-
 // Level returns stream i's current buffer fill level.
 func (m *MultiCore) Level(i int) units.Size { return m.streams[i].level }
 

@@ -70,12 +70,6 @@ func LogSpace(min, max units.BitRate, n int) ([]units.BitRate, error) {
 	return out, nil
 }
 
-// PaperRates returns the paper's studied rate range, 32-4096 kbps, sampled at
-// n log-spaced points.
-func PaperRates(n int) ([]units.BitRate, error) {
-	return LogSpace(32*units.Kbps, 4096*units.Kbps, n)
-}
-
 // Run dimensions the buffer for the goal at every supplied rate, fanning the
 // rates out over one worker per CPU.
 func Run(cfg Config, rates []units.BitRate) (*Sweep, error) {

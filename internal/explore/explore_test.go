@@ -17,7 +17,7 @@ func paperConfig(goal core.Goal) Config {
 
 func runSweep(t *testing.T, goal core.Goal, n int) *Sweep {
 	t.Helper()
-	rates, err := PaperRates(n)
+	rates, err := LogSpace(32*units.Kbps, 4096*units.Kbps, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSweepGoalCRegimes(t *testing.T) {
 	// Fig. 3c: with improved durability, capacity prevails followed by
 	// energy; no lifetime regime and no infeasible region.
 	cfg := Config{Device: device.DefaultMEMS().WithDurability(200, 1e12), Goal: core.PaperGoalB()}
-	rates, err := PaperRates(25)
+	rates, err := LogSpace(32*units.Kbps, 4096*units.Kbps, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRegimeLabel(t *testing.T) {
 }
 
 func TestRunWorkersDeterministic(t *testing.T) {
-	rates, err := PaperRates(17)
+	rates, err := LogSpace(32*units.Kbps, 4096*units.Kbps, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRunWorkersDeterministic(t *testing.T) {
 }
 
 func TestRunContextCancelled(t *testing.T) {
-	rates, err := PaperRates(16)
+	rates, err := LogSpace(32*units.Kbps, 4096*units.Kbps, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,15 +84,6 @@ func (t *Table) AddRow(cells ...string) error {
 	return nil
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, values ...any) error {
-	formatted := fmt.Sprintf(format, values...)
-	return t.AddRow(strings.Split(formatted, "\t")...)
-}
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the table in aligned plain text.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

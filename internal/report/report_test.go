@@ -46,11 +46,11 @@ func TestTableRender(t *testing.T) {
 	if err := tbl.AddRow("Capacity", "120", "GB"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.AddRowf("Probe-array size\t%d x %d\tprobe", 64, 64); err != nil {
+	if err := tbl.AddRow("Probe-array size", "64 x 64", "probe"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Rows() != 2 {
-		t.Errorf("Rows = %d", tbl.Rows())
+	if len(tbl.rows) != 2 {
+		t.Errorf("rows = %d", len(tbl.rows))
 	}
 	if err := tbl.AddRow("too", "few"); err == nil {
 		t.Error("short row accepted")

@@ -32,7 +32,7 @@ func resettableConfigs() map[string]Config {
 	withECC := base(workload.CBRSpec(1024 * units.Kbps))
 	withECC.BitErrorRate = 1e-5
 	// The record the retired Stream description produced, kept under its
-	// golden key: a hand-built VBR spec carrying NewVBRStream's fields.
+	// golden key: a hand-built VBR spec carrying VBRSpec's fields.
 	legacy := base(workload.StreamSpec{
 		Kind:          workload.SpecVBR,
 		Rate:          1024 * units.Kbps,
@@ -41,7 +41,7 @@ func resettableConfigs() map[string]Config {
 		SegmentLength: 2 * units.Second,
 		Variability:   0.3,
 	})
-	trace, err := workload.NewVideoStream(1024*units.Kbps, 3).GenerateTrace(20 * units.Second)
+	trace, err := workload.VideoSpec(1024*units.Kbps, 3).TraceFrames(20 * units.Second)
 	if err != nil {
 		panic(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // sampleRates walks the pattern through the first minute at a quarter-second
 // step, driving the lazy segment draws exactly as an integrator would.
-func sampleRates(p *RatePattern) []units.BitRate {
+func sampleRates(p Pattern) []units.BitRate {
 	out := make([]units.BitRate, 0, 240)
 	for i := 0; i < 240; i++ {
 		out = append(out, p.RateAt(units.Second.Scale(float64(i)*0.25)))
@@ -18,8 +18,8 @@ func sampleRates(p *RatePattern) []units.BitRate {
 }
 
 func TestRatePatternResetMatchesFresh(t *testing.T) {
-	stream := NewVBRStream(1024*units.Kbps, 1)
-	p, err := NewRatePattern(stream)
+	spec := VBRSpec(1024*units.Kbps, 1)
+	p, err := spec.Pattern(units.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,11 @@ func TestRatePatternResetMatchesFresh(t *testing.T) {
 	// segment state would be caught.
 	_ = sampleRates(p)
 
-	p.Reset(42)
+	p.(*RatePattern).Reset(42)
 	got := sampleRates(p)
 
-	stream.Seed = 42
-	fresh, err := NewRatePattern(stream)
+	spec.Seed = 42
+	fresh, err := spec.Pattern(units.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,9 @@ func TestRatePatternResetMatchesFresh(t *testing.T) {
 }
 
 func TestVideoRatePatternResetMatchesFresh(t *testing.T) {
-	stream := NewVideoStream(1024*units.Kbps, 1)
+	spec := VideoSpec(1024*units.Kbps, 1)
 	horizon := 30 * units.Second
-	p, err := NewVideoRatePattern(stream, horizon)
+	p, err := newVideoRatePattern(spec, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,8 @@ func TestVideoRatePatternResetMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stream.Seed = 42
-	fresh, err := NewVideoRatePattern(stream, horizon)
+	spec.Seed = 42
+	fresh, err := newVideoRatePattern(spec, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestVideoRatePatternResetMatchesFresh(t *testing.T) {
 }
 
 func TestVideoRatePatternResetDoesNotAllocate(t *testing.T) {
-	p, err := NewVideoRatePattern(NewVideoStream(1024*units.Kbps, 1), 30*units.Second)
+	p, err := newVideoRatePattern(VideoSpec(1024*units.Kbps, 1), 30*units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ type Pattern interface {
 	NextRateChange(t units.Duration) units.Duration
 }
 
-// StreamSpec is the typed stream description shared by every layer: the
+// StreamSpec is the one stream description shared by every layer: the
 // simulator consumes it directly, the service parses requests into it and
 // the CLI builds it from flags. Exactly one workload family is active,
 // selected by Kind; the other families' fields are ignored.
@@ -60,22 +60,26 @@ type StreamSpec struct {
 	// Rate is the nominal (long-run average) stream rate. Ignored for
 	// SpecTrace, where the rate is derived from the frames.
 	Rate units.BitRate
-	// WriteFraction is the share of the stream written to the device.
+	// WriteFraction is the share of the stream written to the device
+	// (recording); the rest is read (playback).
 	WriteFraction float64
 	// Seed makes the stochastic kinds (vbr, video) reproducible.
 	Seed uint64
 
-	// SegmentLength and Variability parameterise SpecVBR (zero values take
-	// the NewVBRStream defaults: two-second segments, ±30 %).
+	// SegmentLength and Variability parameterise SpecVBR: the rate holds
+	// for one segment, uniform in Rate*(1 ± Variability). Zero values take
+	// the VBRSpec defaults (two-second segments, ±30 %).
 	SegmentLength units.Duration
 	Variability   float64
 
-	// FrameRate, GOPLength, IPDistance, the class weights and Jitter
-	// parameterise SpecVideo. Zero values of the first six take the
-	// NewVideoStream defaults (25 fps, N=12, M=3, 5:3:1 weights); Jitter is
-	// taken verbatim, because zero is a meaningful value there (a
-	// deterministic trace) — the VideoSpec constructor seeds the 20 %
-	// default.
+	// FrameRate (frames per second), GOPLength (N, frames per group of
+	// pictures), IPDistance (M, the spacing of I/P anchor frames), the
+	// relative class sizes WeightI:WeightP:WeightB and Jitter (the relative
+	// half-range of each frame's size) parameterise SpecVideo. Zero values
+	// of the first six take the VideoSpec defaults (25 fps, N=12, M=3, 5:3:1
+	// weights); Jitter is taken verbatim, because zero is a meaningful value
+	// there (a deterministic trace) — the VideoSpec constructor seeds the
+	// 20 % default.
 	FrameRate  float64
 	GOPLength  int
 	IPDistance int
@@ -103,35 +107,35 @@ func CBRSpec(rate units.BitRate) StreamSpec {
 	return StreamSpec{Kind: SpecCBR, Rate: rate, WriteFraction: 0.4}
 }
 
-// VBRSpec returns a variable-bit-rate spec with the NewVBRStream defaults.
+// VBRSpec returns a variable-bit-rate spec with the Table I write share and
+// two-second segments varying ±30 %, as compressed video does scene by scene.
 func VBRSpec(rate units.BitRate, seed uint64) StreamSpec {
-	s := NewVBRStream(rate, seed)
 	return StreamSpec{
 		Kind:          SpecVBR,
 		Rate:          rate,
-		WriteFraction: s.WriteFraction,
+		WriteFraction: 0.4,
 		Seed:          seed,
-		SegmentLength: s.SegmentLength,
-		Variability:   s.Variability,
+		SegmentLength: 2 * units.Second,
+		Variability:   0.3,
 	}
 }
 
-// VideoSpec returns an MPEG-like video spec with the NewVideoStream
-// defaults (12-frame GOP at 25 fps, 5:3:1 weights, 20 % jitter).
+// VideoSpec returns an MPEG-like video spec with the Table I write share: a
+// 12-frame GOP (IBBPBBPBBPBB) at 25 frames per second, 5:3:1 frame weights
+// and 20 % size jitter.
 func VideoSpec(rate units.BitRate, seed uint64) StreamSpec {
-	v := NewVideoStream(rate, seed)
 	return StreamSpec{
 		Kind:          SpecVideo,
 		Rate:          rate,
-		WriteFraction: v.WriteFraction,
+		WriteFraction: 0.4,
 		Seed:          seed,
-		FrameRate:     v.FrameRate,
-		GOPLength:     v.GOPLength,
-		IPDistance:    v.IPDistance,
-		WeightI:       v.WeightI,
-		WeightP:       v.WeightP,
-		WeightB:       v.WeightB,
-		Jitter:        v.Jitter,
+		FrameRate:     25,
+		GOPLength:     12,
+		IPDistance:    3,
+		WeightI:       5,
+		WeightP:       3,
+		WeightB:       1,
+		Jitter:        0.2,
 	}
 }
 
@@ -156,90 +160,110 @@ func (s StreamSpec) tracePattern() (*TracePattern, error) {
 	return NewTracePattern(s.Frames)
 }
 
-// stream converts the CBR/VBR families to the legacy Stream description.
-func (s StreamSpec) stream() Stream {
-	st := Stream{
-		Kind:          CBR,
-		NominalRate:   s.Rate,
-		WriteFraction: s.WriteFraction,
-	}
-	if s.Kind == SpecVBR {
-		st.Kind = VBR
-		st.SegmentLength = s.SegmentLength
-		st.Variability = s.Variability
-		st.Seed = s.Seed
-		if !st.SegmentLength.Positive() {
-			st.SegmentLength = 2 * units.Second
+// withDefaults fills the zero-valued VBR and video parameters from the
+// VBRSpec and VideoSpec defaults. Jitter is taken verbatim (see StreamSpec).
+func (s StreamSpec) withDefaults() StreamSpec {
+	switch s.Kind {
+	case SpecVBR:
+		d := VBRSpec(s.Rate, s.Seed)
+		s.SegmentLength = positiveOr(s.SegmentLength, d.SegmentLength)
+		if s.Variability == 0 {
+			s.Variability = d.Variability
 		}
-		if st.Variability == 0 {
-			st.Variability = 0.3
-		}
+	case SpecVideo:
+		d := VideoSpec(s.Rate, s.Seed)
+		s.FrameRate = positiveOr(s.FrameRate, d.FrameRate)
+		s.GOPLength = positiveOr(s.GOPLength, d.GOPLength)
+		s.IPDistance = positiveOr(s.IPDistance, d.IPDistance)
+		s.WeightI = positiveOr(s.WeightI, d.WeightI)
+		s.WeightP = positiveOr(s.WeightP, d.WeightP)
+		s.WeightB = positiveOr(s.WeightB, d.WeightB)
 	}
-	return st
+	return s
 }
 
-// video converts the SpecVideo family to a VideoStream, applying the
-// NewVideoStream defaults to zero-valued fields. Jitter is the one field
-// for which zero is a meaningful value (a deterministic, jitter-free
-// trace), so it is taken verbatim; the VideoSpec constructor seeds it with
-// the 20 % default.
-func (s StreamSpec) video() VideoStream {
-	v := NewVideoStream(s.Rate, s.Seed)
-	v.WriteFraction = s.WriteFraction
-	v.Jitter = s.Jitter
-	if s.FrameRate > 0 {
-		v.FrameRate = s.FrameRate
+// positiveOr returns v if it is positive and def otherwise (NaN included).
+func positiveOr[T ~int | ~float64](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	if s.GOPLength > 0 {
-		v.GOPLength = s.GOPLength
-	}
-	if s.IPDistance > 0 {
-		v.IPDistance = s.IPDistance
-	}
-	if s.WeightI > 0 {
-		v.WeightI = s.WeightI
-	}
-	if s.WeightP > 0 {
-		v.WeightP = s.WeightP
-	}
-	if s.WeightB > 0 {
-		v.WeightB = s.WeightB
-	}
-	return v
+	return def
 }
 
-// Validate checks the spec for its active family.
+// errWriteFraction reports a write share outside [0, 1] for every kind.
+var errWriteFraction = errors.New("workload: write fraction must be in [0, 1]")
+
+// Validate checks the spec for its active family, once zero-valued VBR and
+// video parameters have taken their defaults. Every range check fails on
+// NaN.
 func (s StreamSpec) Validate() error {
+	s = s.withDefaults()
+	var errs []error
+	writeOK := s.WriteFraction >= 0 && s.WriteFraction <= 1
 	switch s.Kind {
 	case SpecCBR, SpecVBR:
-		return s.stream().Validate()
+		if !s.Rate.Positive() {
+			errs = append(errs, errors.New("workload: nominal rate must be positive"))
+		}
+		if !writeOK {
+			errs = append(errs, errWriteFraction)
+		}
+		if s.Kind == SpecVBR {
+			if !s.SegmentLength.Positive() {
+				errs = append(errs, errors.New("workload: VBR streams need a positive segment length"))
+			}
+			if !(s.Variability >= 0 && s.Variability < 1) {
+				errs = append(errs, errors.New("workload: variability must be in [0, 1)"))
+			}
+		}
 	case SpecVideo:
-		return s.video().Validate()
+		if !s.Rate.Positive() {
+			errs = append(errs, errors.New("workload: video nominal rate must be positive"))
+		}
+		if s.FrameRate <= 0 {
+			errs = append(errs, errors.New("workload: frame rate must be positive"))
+		}
+		if s.GOPLength < 1 {
+			errs = append(errs, errors.New("workload: GOP length must be at least 1"))
+		}
+		if s.IPDistance < 1 || s.IPDistance > s.GOPLength {
+			errs = append(errs, errors.New("workload: anchor distance must be in [1, GOP length]"))
+		}
+		if s.WeightI <= 0 || s.WeightP <= 0 || s.WeightB <= 0 {
+			errs = append(errs, errors.New("workload: frame weights must be positive"))
+		}
+		if !(s.Jitter >= 0 && s.Jitter < 1) {
+			errs = append(errs, errors.New("workload: jitter must be in [0, 1)"))
+		}
+		if !writeOK {
+			errs = append(errs, errWriteFraction)
+		}
 	case SpecTrace:
-		var errs []error
-		if s.WriteFraction < 0 || s.WriteFraction > 1 {
-			errs = append(errs, errors.New("workload: write fraction must be in [0, 1]"))
+		if !writeOK {
+			errs = append(errs, errWriteFraction)
 		}
 		if err := ValidateFrames(s.Frames); err != nil {
 			errs = append(errs, err)
 		}
-		return errors.Join(errs...)
 	default:
 		return fmt.Errorf("workload: unknown stream kind %q (want %s)", string(s.Kind), specKinds)
 	}
+	return errors.Join(errs...)
 }
 
 // RateBounds returns the long-run average and the largest instantaneous
 // demand the spec can produce in one pass: nominal and nominal for CBR,
 // nominal and the top of the variability band for VBR, nominal and the
-// largest possible I frame over one frame interval for video, and the
+// largest possible frame over one frame interval for video, and the
 // trace's own mean and largest frame for SpecTrace (built once — the trace
 // scan is O(frames)). Buffer provisioning and media-rate admission check
 // against the peak; it bounds the realized pattern peak from above.
 func (s StreamSpec) RateBounds() (average, peak units.BitRate) {
 	switch s.Kind {
+	case SpecVBR:
+		return s.Rate, s.Rate.Scale(1 + s.withDefaults().Variability)
 	case SpecVideo:
-		return s.Rate, s.video().PeakRate()
+		return s.Rate, s.withDefaults().videoPeak()
 	case SpecTrace:
 		p, err := s.tracePattern()
 		if err != nil {
@@ -247,7 +271,7 @@ func (s StreamSpec) RateBounds() (average, peak units.BitRate) {
 		}
 		return p.AverageRate(), p.PeakRate()
 	default:
-		return s.Rate, s.stream().PeakRate()
+		return s.Rate, s.Rate
 	}
 }
 
@@ -282,32 +306,30 @@ func (s StreamSpec) TraceFrames(duration units.Duration) ([]Frame, error) {
 	return nil, fmt.Errorf("workload: %q streams have no frame trace", string(s.Kind))
 }
 
-// Pattern builds the demand sampler for a run of the given duration. For
-// SpecVideo the trace horizon is the duration itself, capped at
-// MaxTraceHorizon and floored at one frame interval; runs beyond the
-// generated horizon wrap around explicitly (VideoRatePattern and
+// Pattern validates the spec and builds the demand sampler for a run of the
+// given duration. For SpecVideo the trace horizon is the duration itself,
+// capped at MaxTraceHorizon and floored at one frame interval; runs beyond
+// the generated horizon wrap around explicitly (VideoRatePattern and
 // TracePattern both replay from the start). CBR and VBR patterns are
 // unbounded and need no horizon.
 func (s StreamSpec) Pattern(duration units.Duration) (Pattern, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	s = s.withDefaults()
 	switch s.Kind {
 	case SpecCBR, SpecVBR:
-		return NewRatePattern(s.stream())
+		return newRatePattern(s), nil
 	case SpecVideo:
-		v := s.video()
 		horizon := duration
 		if horizon > MaxTraceHorizon {
 			horizon = MaxTraceHorizon
 		}
-		if interval := units.Second.Scale(1 / v.FrameRate); horizon < interval {
+		if interval := units.Second.Scale(1 / s.FrameRate); horizon < interval {
 			horizon = interval
 		}
-		return NewVideoRatePattern(v, horizon)
-	case SpecTrace:
-		return s.tracePattern()
-	default:
-		return nil, fmt.Errorf("workload: unknown stream kind %q (want %s)", string(s.Kind), specKinds)
+		return newVideoRatePattern(s, horizon)
 	}
+	// Validate admits no other kind.
+	return s.tracePattern()
 }

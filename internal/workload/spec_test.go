@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"memstream/internal/units"
@@ -22,17 +23,34 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("%s spec invalid: %v", s.Kind, err)
 		}
 	}
-	bad := []StreamSpec{
-		{},                                // no kind
-		{Kind: "chaos", Rate: units.Kbps}, // unknown kind
-		CBRSpec(0),                        // no rate
-		func() StreamSpec { s := VideoSpec(units.Kbps, 1); s.Jitter = 2; return s }(),
-		TraceSpec(nil), // no frames
-		TraceSpec([]Frame{{Timestamp: units.Second, Size: 4000}}), // not at zero
+	nan := math.NaN()
+	with := func(s StreamSpec, edit func(*StreamSpec)) StreamSpec { edit(&s); return s }
+	frames := []Frame{{Timestamp: 0, Size: 4000}}
+	bad := []struct {
+		spec StreamSpec
+		want string // a fragment of the expected message
+	}{
+		{StreamSpec{}, "unknown stream kind"},
+		{StreamSpec{Kind: "chaos", Rate: units.Kbps}, "unknown stream kind"},
+		{CBRSpec(0), "nominal rate must be positive"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.Jitter = 2 }), "jitter must be in [0, 1)"},
+		{TraceSpec(nil), "trace holds no frames"},
+		{TraceSpec([]Frame{{Timestamp: units.Second, Size: 4000}}), "must start at time zero"},
+		// NaN fails every range check instead of slipping through as pure
+		// playback or a NaN rate.
+		{with(CBRSpec(units.Kbps), func(s *StreamSpec) { s.WriteFraction = nan }), "write fraction must be in [0, 1]"},
+		{with(VBRSpec(units.Kbps, 1), func(s *StreamSpec) { s.WriteFraction = nan }), "write fraction must be in [0, 1]"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WriteFraction = nan }), "write fraction must be in [0, 1]"},
+		{with(TraceSpec(frames), func(s *StreamSpec) { s.WriteFraction = nan }), "write fraction must be in [0, 1]"},
+		{with(VBRSpec(units.Kbps, 1), func(s *StreamSpec) { s.Variability = nan }), "variability must be in [0, 1)"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.Jitter = nan }), "jitter must be in [0, 1)"},
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("bad spec %d (%q) validated", i, s.Kind)
+	for i, c := range bad {
+		err := c.spec.Validate()
+		if err == nil {
+			t.Errorf("bad spec %d (%q) validated", i, c.spec.Kind)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("bad spec %d (%q): error %q, want it to mention %q", i, c.spec.Kind, err, c.want)
 		}
 	}
 }
@@ -160,9 +178,9 @@ func TestSpecVideoZeroJitterIsDeterministic(t *testing.T) {
 // a horizon × frame-rate product in the billions must error, not overflow
 // the float-to-int conversion or exhaust memory.
 func TestGenerateTraceRejectsAbsurdFrameCounts(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 1)
+	v := VideoSpec(1024*units.Kbps, 1)
 	v.FrameRate = 1e9
-	if _, err := v.GenerateTrace(units.Hour); err == nil {
+	if _, err := v.TraceFrames(units.Hour); err == nil {
 		t.Error("3.6e12-frame trace accepted")
 	}
 }
@@ -172,9 +190,8 @@ func TestGenerateTraceRejectsAbsurdFrameCounts(t *testing.T) {
 // the trace from the start, frame boundaries keep advancing, and the
 // long-run average is unchanged.
 func TestVideoRatePatternWrapAround(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 3)
 	horizon := 10 * units.Second
-	p, err := NewVideoRatePattern(v, horizon)
+	p, err := VideoSpec(1024*units.Kbps, 3).Pattern(horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,9 +193,6 @@ func NewTracePattern(frames []Frame) (*TracePattern, error) {
 	return p, nil
 }
 
-// Horizon returns the trace length; the pattern repeats beyond it.
-func (p *TracePattern) Horizon() units.Duration { return units.Second.Scale(p.horizon) }
-
 // Frames exposes the trace (for reports and round-trips).
 func (p *TracePattern) Frames() []Frame { return p.frames }
 

@@ -67,8 +67,7 @@ func TestParseFramesErrors(t *testing.T) {
 }
 
 func TestFormatFramesRoundTrip(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 11)
-	frames, err := v.GenerateTrace(2 * units.Second)
+	frames, err := VideoSpec(1024*units.Kbps, 11).TraceFrames(2 * units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestTracePatternRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Horizon(); got != units.Duration(1.5) {
+	if got := p.horizon; got != 1.5 {
 		t.Errorf("horizon = %v, want 1.5 s (last interval repeated)", got)
 	}
 	checks := []struct {
@@ -168,7 +167,7 @@ func TestTracePatternSingleFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Horizon(); got != DefaultFrameInterval {
+	if got := p.horizon; got != DefaultFrameInterval.Seconds() {
 		t.Errorf("single-frame horizon = %v, want the default interval %v", got, DefaultFrameInterval)
 	}
 	want := 400 / DefaultFrameInterval.Seconds()

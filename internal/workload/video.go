@@ -46,184 +46,80 @@ type Frame struct {
 	Size units.Size
 }
 
-// VideoStream describes an MPEG-like encoded video stream with a periodic
-// group-of-pictures (GOP) structure. It refines the coarse VBR model of
-// Stream: the instantaneous demand now follows the I/P/B frame pattern of
-// real encoders, which is the traffic shape a streaming buffer actually sees.
-type VideoStream struct {
-	// NominalRate is the long-run average bit rate.
-	NominalRate units.BitRate
-	// FrameRate is the display rate in frames per second.
-	FrameRate float64
-	// GOPLength is the number of frames per GOP (N, typically 12 or 15).
-	GOPLength int
-	// IPDistance is the distance between anchor (I or P) frames (M,
-	// typically 3: two B frames between anchors).
-	IPDistance int
-	// WeightI, WeightP and WeightB are the relative encoded sizes of the
-	// frame classes (typical ratios around 5 : 3 : 1).
-	WeightI float64
-	WeightP float64
-	WeightB float64
-	// Jitter is the relative standard deviation applied to every frame size
-	// (scene-activity noise), in [0, 1).
-	Jitter float64
-	// WriteFraction is the share of the stream written to the device.
-	WriteFraction float64
-	// Seed makes the trace reproducible.
-	Seed uint64
-}
-
-// NewVideoStream returns an MPEG-like stream with a 12-frame GOP (IBBPBBPBBPBB)
-// at 25 frames per second, 5:3:1 frame weights and 20 % size jitter.
-func NewVideoStream(rate units.BitRate, seed uint64) VideoStream {
-	return VideoStream{
-		NominalRate:   rate,
-		FrameRate:     25,
-		GOPLength:     12,
-		IPDistance:    3,
-		WeightI:       5,
-		WeightP:       3,
-		WeightB:       1,
-		Jitter:        0.2,
-		WriteFraction: 0.4,
-		Seed:          seed,
-	}
-}
-
-// Validate checks the stream description.
-func (v VideoStream) Validate() error {
-	var errs []error
-	if !v.NominalRate.Positive() {
-		errs = append(errs, errors.New("workload: video nominal rate must be positive"))
-	}
-	if v.FrameRate <= 0 {
-		errs = append(errs, errors.New("workload: frame rate must be positive"))
-	}
-	if v.GOPLength < 1 {
-		errs = append(errs, errors.New("workload: GOP length must be at least 1"))
-	}
-	if v.IPDistance < 1 || v.IPDistance > v.GOPLength {
-		errs = append(errs, errors.New("workload: anchor distance must be in [1, GOP length]"))
-	}
-	if v.WeightI <= 0 || v.WeightP <= 0 || v.WeightB <= 0 {
-		errs = append(errs, errors.New("workload: frame weights must be positive"))
-	}
-	if v.Jitter < 0 || v.Jitter >= 1 {
-		errs = append(errs, errors.New("workload: jitter must be in [0, 1)"))
-	}
-	if v.WriteFraction < 0 || v.WriteFraction > 1 {
-		errs = append(errs, errors.New("workload: write fraction must be in [0, 1]"))
-	}
-	return errors.Join(errs...)
-}
-
-// PeakRate bounds the largest instantaneous demand any trace generated from
-// this stream can reach: the largest frame of any class that actually
-// occurs in the GOP (its mean at the top of the jitter band) consumed over
-// one frame interval. Weights are arbitrary — nothing forces I frames to be
-// the largest class — so the bound maximises over the occurring classes.
-// The realized peak of a generated trace is at most this bound, so
-// admission checks against it are conservative but never unsafe.
-func (v VideoStream) PeakRate() units.BitRate {
-	meanI, meanP, meanB := v.meanFrameSizes()
-	var largest units.Size
-	for k := 0; k < v.GOPLength; k++ {
-		var mean units.Size
-		switch v.classOf(k) {
-		case FrameI:
-			mean = meanI
-		case FrameP:
-			mean = meanP
-		default:
-			mean = meanB
-		}
-		if mean > largest {
-			largest = mean
-		}
-	}
-	return units.BitPerSecond.Scale(largest.Scale(1+v.Jitter).Bits() * v.FrameRate)
-}
-
 // classOf returns the coding class of the frame at the given position within
-// a GOP (position 0 is the I frame; every IPDistance-th frame is an anchor).
-func (v VideoStream) classOf(positionInGOP int) FrameClass {
+// a GOP of the defaulted video spec (position 0 is the I frame; every
+// IPDistance-th frame is an anchor).
+func (s StreamSpec) classOf(positionInGOP int) FrameClass {
 	if positionInGOP == 0 {
 		return FrameI
 	}
-	if positionInGOP%v.IPDistance == 0 {
+	if positionInGOP%s.IPDistance == 0 {
 		return FrameP
 	}
 	return FrameB
 }
 
-// meanFrameSizes returns the mean encoded size per class such that the
-// long-run average rate equals the nominal rate.
-func (v VideoStream) meanFrameSizes() (i, p, b units.Size) {
-	// Count frames per class in one GOP.
-	var nI, nP, nB float64
-	for k := 0; k < v.GOPLength; k++ {
-		switch v.classOf(k) {
-		case FrameI:
-			nI++
-		case FrameP:
-			nP++
-		default:
-			nB++
+// meanFrameSizes returns the mean encoded size of each frame class, indexed
+// by FrameClass, such that the long-run average rate of the defaulted video
+// spec equals its nominal rate.
+func (s StreamSpec) meanFrameSizes() [3]units.Size {
+	var count [3]float64
+	for k := 0; k < s.GOPLength; k++ {
+		count[s.classOf(k)]++
+	}
+	gopDuration := float64(s.GOPLength) / s.FrameRate
+	gopBits := s.Rate.BitsPerSecond() * gopDuration
+	unit := gopBits / (count[FrameI]*s.WeightI + count[FrameP]*s.WeightP + count[FrameB]*s.WeightB)
+	return [3]units.Size{units.Bit.Scale(unit * s.WeightI), units.Bit.Scale(unit * s.WeightP), units.Bit.Scale(unit * s.WeightB)}
+}
+
+// videoPeak bounds the largest instantaneous demand any trace generated from
+// the defaulted video spec can reach: the largest frame of any class that
+// actually occurs in the GOP (its mean at the top of the jitter band)
+// consumed over one frame interval. Weights are arbitrary — nothing forces
+// I frames to be the largest class — so the bound maximises over the
+// occurring classes. The realized peak of a generated trace is at most this
+// bound, so admission checks against it are conservative but never unsafe.
+func (s StreamSpec) videoPeak() units.BitRate {
+	means := s.meanFrameSizes()
+	var largest units.Size
+	for k := 0; k < s.GOPLength; k++ {
+		if mean := means[s.classOf(k)]; mean > largest {
+			largest = mean
 		}
 	}
-	gopDuration := float64(v.GOPLength) / v.FrameRate
-	gopBits := v.NominalRate.BitsPerSecond() * gopDuration
-	unit := gopBits / (nI*v.WeightI + nP*v.WeightP + nB*v.WeightB)
-	return units.Bit.Scale(unit * v.WeightI), units.Bit.Scale(unit * v.WeightP), units.Bit.Scale(unit * v.WeightB)
+	return units.BitPerSecond.Scale(largest.Scale(1+s.Jitter).Bits() * s.FrameRate)
 }
 
-// GenerateTrace produces the frame sequence covering [0, horizon).
-func (v VideoStream) GenerateTrace(horizon units.Duration) ([]Frame, error) {
-	return v.AppendTrace(nil, horizon)
-}
-
-// AppendTrace appends the frame sequence covering [0, horizon) to dst and
-// returns the extended slice, exactly as GenerateTrace would produce it.
-// Passing a previous trace's slice truncated to zero length reuses its
-// capacity, so seed-varied replicas regenerate their traces without
-// steady-state allocations.
-func (v VideoStream) AppendTrace(dst []Frame, horizon units.Duration) ([]Frame, error) {
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
+// appendTrace appends the frame sequence of the defaulted, validated video
+// spec covering [0, horizon) to dst and returns the extended slice. Passing
+// a previous trace's slice truncated to zero length reuses its capacity, so
+// seed-varied replicas regenerate their traces without steady-state
+// allocations.
+func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, error) {
 	if !horizon.Positive() {
 		return nil, errors.New("workload: horizon must be positive")
 	}
-	meanI, meanP, meanB := v.meanFrameSizes()
-	rng := NewRng(v.Seed ^ 0x9e3779b97f4a7c15)
-	frameInterval := units.Second.Scale(1 / v.FrameRate)
+	means := s.meanFrameSizes()
+	rng := NewRng(s.Seed ^ 0x9e3779b97f4a7c15)
+	frameInterval := units.Second.Scale(1 / s.FrameRate)
 	// Defence against absurd horizon × frame-rate products: beyond this the
 	// float-to-int conversion would overflow (or the allocation would take
 	// the process down), so fail loudly instead.
 	const maxFrames = 100_000_000
-	if n := horizon.Seconds() * v.FrameRate; n > maxFrames {
+	if n := horizon.Seconds() * s.FrameRate; n > maxFrames {
 		return nil, fmt.Errorf("workload: trace of %.3g frames exceeds the %d-frame generation bound", n, maxFrames)
 	}
-	total := int(horizon.Seconds() * v.FrameRate)
+	total := int(horizon.Seconds() * s.FrameRate)
 	frames := dst
 	if frames == nil {
 		frames = make([]Frame, 0, total)
 	}
 	for idx := 0; idx < total; idx++ {
-		class := v.classOf(idx % v.GOPLength)
-		var mean units.Size
-		switch class {
-		case FrameI:
-			mean = meanI
-		case FrameP:
-			mean = meanP
-		default:
-			mean = meanB
-		}
+		class := s.classOf(idx % s.GOPLength)
 		// Symmetric jitter keeps the long-run mean on target.
-		factor := 1 + v.Jitter*(2*rng.Float64()-1)
-		size := mean.Scale(factor)
+		factor := 1 + s.Jitter*(2*rng.Float64()-1)
+		size := means[class].Scale(factor)
 		if size < 8 {
 			size = 8
 		}
@@ -237,10 +133,11 @@ func (v VideoStream) AppendTrace(dst []Frame, horizon units.Duration) ([]Frame, 
 	return frames, nil
 }
 
-// VideoRatePattern samples the instantaneous demand of a video trace: within
-// each frame interval the rate is the frame size divided by the interval.
+// VideoRatePattern samples the instantaneous demand of a generated video
+// trace: within each frame interval the rate is the frame size divided by
+// the interval. StreamSpec.Pattern builds it for SpecVideo.
 type VideoRatePattern struct {
-	stream        VideoStream
+	spec          StreamSpec // defaulted
 	frames        []Frame
 	frameInterval units.Duration
 	horizon       units.Duration
@@ -250,11 +147,12 @@ type VideoRatePattern struct {
 	peak       units.BitRate
 }
 
-// NewVideoRatePattern builds a demand sampler covering the given horizon. The
-// pattern repeats (wraps around) beyond the horizon, so simulations longer
-// than the generated trace remain well defined.
-func NewVideoRatePattern(v VideoStream, horizon units.Duration) (*VideoRatePattern, error) {
-	frames, err := v.GenerateTrace(horizon)
+// newVideoRatePattern builds a demand sampler for the defaulted, validated
+// video spec covering the given horizon. The pattern repeats (wraps around)
+// beyond the horizon, so simulations longer than the generated trace remain
+// well defined.
+func newVideoRatePattern(s StreamSpec, horizon units.Duration) (*VideoRatePattern, error) {
+	frames, err := s.appendTrace(nil, horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -262,10 +160,10 @@ func NewVideoRatePattern(v VideoStream, horizon units.Duration) (*VideoRatePatte
 		return nil, errors.New("workload: horizon too short for a single frame")
 	}
 	p := &VideoRatePattern{
-		stream:        v,
+		spec:          s,
 		frames:        frames,
-		frameInterval: units.Second.Scale(1 / v.FrameRate),
-		horizon:       units.Second.Scale(float64(len(frames)) / v.FrameRate),
+		frameInterval: units.Second.Scale(1 / s.FrameRate),
+		horizon:       units.Second.Scale(float64(len(frames)) / s.FrameRate),
 		genHorizon:    horizon,
 	}
 	p.rescanPeak()
@@ -286,18 +184,18 @@ func (p *VideoRatePattern) rescanPeak() {
 	}
 }
 
-// Reset regenerates the trace in place for the stream re-seeded with seed,
+// Reset regenerates the trace in place for the spec re-seeded with seed,
 // reusing the existing frame storage, so the pattern ends up exactly as
-// NewVideoRatePattern would build it for that seed — without allocating. It
+// StreamSpec.Pattern would build it for that seed — without allocating. It
 // exists so batch replicas can reuse one pattern across seed-varied runs.
 func (p *VideoRatePattern) Reset(seed uint64) error {
-	p.stream.Seed = seed
-	frames, err := p.stream.AppendTrace(p.frames[:0], p.genHorizon)
+	p.spec.Seed = seed
+	frames, err := p.spec.appendTrace(p.frames[:0], p.genHorizon)
 	if err != nil {
 		return err
 	}
 	p.frames = frames
-	p.horizon = units.Second.Scale(float64(len(frames)) / p.stream.FrameRate)
+	p.horizon = units.Second.Scale(float64(len(frames)) / p.spec.FrameRate)
 	p.rescanPeak()
 	return nil
 }

@@ -9,24 +9,25 @@ import (
 )
 
 func TestVideoStreamValidation(t *testing.T) {
-	good := NewVideoStream(1024*units.Kbps, 1)
+	good := VideoSpec(1024*units.Kbps, 1)
 	if err := good.Validate(); err != nil {
-		t.Fatalf("default video stream invalid: %v", err)
+		t.Fatalf("default video spec invalid: %v", err)
 	}
-	mutations := []func(*VideoStream){
-		func(v *VideoStream) { v.NominalRate = 0 },
-		func(v *VideoStream) { v.FrameRate = 0 },
-		func(v *VideoStream) { v.GOPLength = 0 },
-		func(v *VideoStream) { v.IPDistance = 0 },
-		func(v *VideoStream) { v.IPDistance = v.GOPLength + 1 },
-		func(v *VideoStream) { v.WeightI = 0 },
-		func(v *VideoStream) { v.Jitter = 1 },
-		func(v *VideoStream) { v.WriteFraction = -0.1 },
+	// Zero-valued GOP parameters take the VideoSpec defaults.
+	if err := (StreamSpec{Kind: SpecVideo, Rate: units.Kbps}).Validate(); err != nil {
+		t.Errorf("zero-valued video spec invalid: %v", err)
+	}
+	mutations := []func(*StreamSpec){
+		func(s *StreamSpec) { s.Rate = 0 },
+		func(s *StreamSpec) { s.IPDistance = s.GOPLength + 1 },
+		func(s *StreamSpec) { s.Jitter = 1 },
+		func(s *StreamSpec) { s.Jitter = -0.1 },
+		func(s *StreamSpec) { s.WriteFraction = -0.1 },
 	}
 	for i, mutate := range mutations {
-		v := NewVideoStream(1024*units.Kbps, 1)
-		mutate(&v)
-		if err := v.Validate(); err == nil {
+		s := VideoSpec(1024*units.Kbps, 1)
+		mutate(&s)
+		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d validated unexpectedly", i)
 		}
 	}
@@ -42,7 +43,7 @@ func TestFrameClassString(t *testing.T) {
 }
 
 func TestGOPStructure(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 1)
+	v := VideoSpec(1024*units.Kbps, 1)
 	// IBBPBBPBBPBB with N=12, M=3.
 	want := []FrameClass{FrameI, FrameB, FrameB, FrameP, FrameB, FrameB, FrameP, FrameB, FrameB, FrameP, FrameB, FrameB}
 	for k, w := range want {
@@ -53,9 +54,8 @@ func TestGOPStructure(t *testing.T) {
 }
 
 func TestGenerateTraceAveragesToNominalRate(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 3)
 	horizon := 60 * units.Second
-	frames, err := v.GenerateTrace(horizon)
+	frames, err := VideoSpec(1024*units.Kbps, 3).TraceFrames(horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +103,19 @@ func TestGenerateTraceAveragesToNominalRate(t *testing.T) {
 }
 
 func TestGenerateTraceErrors(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 1)
-	if _, err := v.GenerateTrace(0); err == nil {
+	v := VideoSpec(1024*units.Kbps, 1)
+	if _, err := v.appendTrace(nil, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	v.GOPLength = 0
-	if _, err := v.GenerateTrace(units.Second); err == nil {
+	v.IPDistance = v.GOPLength + 1
+	if _, err := v.TraceFrames(units.Second); err == nil {
 		t.Error("invalid stream accepted")
 	}
 }
 
 func TestVideoRatePattern(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 5)
-	p, err := NewVideoRatePattern(v, 30*units.Second)
+	v := VideoSpec(1024*units.Kbps, 5)
+	p, err := newVideoRatePattern(v, 30*units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestVideoRatePattern(t *testing.T) {
 	if got := p.AverageRate().BitsPerSecond(); math.Abs(got-1.024e6)/1.024e6 > 0.05 {
 		t.Errorf("average rate = %g, want near 1.024e6", got)
 	}
-	if p.PeakRate() <= v.NominalRate {
-		t.Errorf("peak rate %v not above nominal %v", p.PeakRate(), v.NominalRate)
+	if p.PeakRate() <= v.Rate {
+		t.Errorf("peak rate %v not above nominal %v", p.PeakRate(), v.Rate)
 	}
-	if p.PeakRate().BitsPerSecond() > 5*v.NominalRate.BitsPerSecond() {
+	if p.PeakRate().BitsPerSecond() > 5*v.Rate.BitsPerSecond() {
 		t.Errorf("peak rate %v implausibly high", p.PeakRate())
 	}
 	// Sampling at any time returns a positive rate bounded by the peak, and
@@ -143,24 +143,23 @@ func TestVideoRatePattern(t *testing.T) {
 }
 
 func TestVideoRatePatternRejectsInvalid(t *testing.T) {
-	v := NewVideoStream(1024*units.Kbps, 1)
-	v.FrameRate = 0
-	if _, err := NewVideoRatePattern(v, 10*units.Second); err == nil {
+	v := VideoSpec(1024*units.Kbps, 1)
+	v.Jitter = 1
+	if _, err := v.Pattern(10 * units.Second); err == nil {
 		t.Error("invalid stream accepted")
 	}
-	good := NewVideoStream(1024*units.Kbps, 1)
-	if _, err := NewVideoRatePattern(good, units.Duration(0.001)); err == nil {
+	if _, err := newVideoRatePattern(VideoSpec(1024*units.Kbps, 1), units.Duration(0.001)); err == nil {
 		t.Error("horizon shorter than one frame accepted")
 	}
 }
 
 func TestVideoTraceDeterministic(t *testing.T) {
-	v := NewVideoStream(2048*units.Kbps, 11)
-	a, err := v.GenerateTrace(10 * units.Second)
+	v := VideoSpec(2048*units.Kbps, 11)
+	a, err := v.TraceFrames(10 * units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := v.GenerateTrace(10 * units.Second)
+	b, err := v.TraceFrames(10 * units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +175,7 @@ func TestVideoTraceDeterministic(t *testing.T) {
 func TestQuickVideoTraceAverage(t *testing.T) {
 	f := func(seed uint64, rawRate uint16) bool {
 		rate := units.BitRate(int(rawRate%4000)+64) * units.Kbps
-		v := NewVideoStream(rate, seed)
-		frames, err := v.GenerateTrace(20 * units.Second)
+		frames, err := VideoSpec(rate, seed).TraceFrames(20 * units.Second)
 		if err != nil {
 			return false
 		}

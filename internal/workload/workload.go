@@ -64,147 +64,63 @@ func (r *Rng) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// StreamKind distinguishes constant- and variable-bit-rate streams.
-type StreamKind int
-
-// Stream kinds.
-const (
-	// CBR streams consume exactly the nominal rate at all times.
-	CBR StreamKind = iota
-	// VBR streams vary around the nominal rate segment by segment, as
-	// compressed video does scene by scene.
-	VBR
-)
-
-// Stream describes one streaming session.
-type Stream struct {
-	// Kind selects constant or variable bit rate.
-	Kind StreamKind
-	// NominalRate is the average consumption/production rate rs.
-	NominalRate units.BitRate
-	// WriteFraction is the share of traffic written to the device
-	// (recording); the rest is read (playback).
-	WriteFraction float64
-	// SegmentLength is the duration over which a VBR stream holds one rate
-	// (ignored for CBR).
-	SegmentLength units.Duration
-	// Variability is the relative half-range of VBR rate excursions: each
-	// segment's rate is uniform in nominal*(1 ± Variability).
-	Variability float64
-	// Seed makes the VBR pattern reproducible.
-	Seed uint64
-}
-
-// NewCBRStream returns a constant-bit-rate stream at the given rate with the
-// Table I write share.
-func NewCBRStream(rate units.BitRate) Stream {
-	return Stream{Kind: CBR, NominalRate: rate, WriteFraction: 0.4}
-}
-
-// NewVBRStream returns a variable-bit-rate stream averaging the given rate,
-// with two-second segments varying ±30 %.
-func NewVBRStream(rate units.BitRate, seed uint64) Stream {
-	return Stream{
-		Kind:          VBR,
-		NominalRate:   rate,
-		WriteFraction: 0.4,
-		SegmentLength: 2 * units.Second,
-		Variability:   0.3,
-		Seed:          seed,
-	}
-}
-
-// PeakRate returns the highest instantaneous rate the stream can reach: the
-// nominal rate for CBR, and the top of the variability band for VBR. Buffer
-// controllers provision wake-up thresholds against this rate.
-func (s Stream) PeakRate() units.BitRate {
-	if s.Kind == VBR {
-		return s.NominalRate.Scale(1 + s.Variability)
-	}
-	return s.NominalRate
-}
-
-// Validate checks the stream description.
-func (s Stream) Validate() error {
-	var errs []error
-	if !s.NominalRate.Positive() {
-		errs = append(errs, errors.New("workload: nominal rate must be positive"))
-	}
-	if s.WriteFraction < 0 || s.WriteFraction > 1 {
-		errs = append(errs, errors.New("workload: write fraction must be in [0, 1]"))
-	}
-	if s.Kind == VBR {
-		if !s.SegmentLength.Positive() {
-			errs = append(errs, errors.New("workload: VBR streams need a positive segment length"))
-		}
-		if s.Variability < 0 || s.Variability >= 1 {
-			errs = append(errs, errors.New("workload: variability must be in [0, 1)"))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// RatePattern samples the instantaneous stream rate over time. It is safe to
-// call with monotonically non-decreasing times.
+// RatePattern samples the instantaneous demand of a CBR or VBR spec: the
+// nominal rate throughout for CBR, and for VBR one rate per segment, uniform
+// in the variability band. StreamSpec.Pattern builds it. It is safe to call
+// with monotonically non-decreasing times.
 type RatePattern struct {
-	stream     Stream
+	spec       StreamSpec // defaulted
+	vbr        bool
 	rng        *Rng
 	segmentEnd units.Duration
 	current    units.BitRate
 }
 
-// NewRatePattern builds a sampler for the stream.
-func NewRatePattern(s Stream) (*RatePattern, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	p := &RatePattern{stream: s, rng: NewRng(s.Seed ^ 0xa5a5a5a5a5a5a5a5), current: s.NominalRate}
-	if s.Kind == VBR {
-		p.segmentEnd = 0 // force a draw on first use
-	}
-	return p, nil
+// newRatePattern builds a sampler for a defaulted, validated CBR or VBR
+// spec. The first RateAt call draws the first VBR segment.
+func newRatePattern(s StreamSpec) *RatePattern {
+	return &RatePattern{spec: s, vbr: s.Kind == SpecVBR, rng: NewRng(s.Seed ^ 0xa5a5a5a5a5a5a5a5), current: s.Rate}
 }
 
-// Reset rewinds the pattern to the state NewRatePattern would build for the
-// same stream re-seeded with seed, without allocating: a reused pattern
+// Reset rewinds the pattern to the state StreamSpec.Pattern would build for
+// the same spec re-seeded with seed, without allocating: a reused pattern
 // replays exactly the segment sequence a fresh one would produce. It exists
 // so batch replicas can reuse one sampler across seed-varied runs.
 func (p *RatePattern) Reset(seed uint64) {
-	p.stream.Seed = seed
 	p.rng.Seed(seed ^ 0xa5a5a5a5a5a5a5a5)
-	p.segmentEnd = 0 // force a draw on first use, as NewRatePattern does
-	p.current = p.stream.NominalRate
+	p.segmentEnd = 0 // force a draw on first use, as a fresh pattern does
+	p.current = p.spec.Rate
 }
 
 // PeakRate returns the highest rate the pattern can produce.
-func (p *RatePattern) PeakRate() units.BitRate { return p.stream.PeakRate() }
+func (p *RatePattern) PeakRate() units.BitRate { return p.spec.PeakRate() }
 
 // RateAt returns the stream rate in effect at time t.
 func (p *RatePattern) RateAt(t units.Duration) units.BitRate {
-	if p.stream.Kind == CBR {
-		return p.stream.NominalRate
+	if !p.vbr {
+		return p.spec.Rate
 	}
 	for t >= p.segmentEnd {
-		spread := p.stream.Variability
+		spread := p.spec.Variability
 		factor := 1 - spread + 2*spread*p.rng.Float64()
-		p.current = p.stream.NominalRate.Scale(factor)
-		p.segmentEnd = p.segmentEnd.Add(p.stream.SegmentLength)
+		p.current = p.spec.Rate.Scale(factor)
+		p.segmentEnd = p.segmentEnd.Add(p.spec.SegmentLength)
 	}
 	return p.current
 }
 
 // AverageRate returns the long-run average rate of the stream.
-func (p *RatePattern) AverageRate() units.BitRate { return p.stream.NominalRate }
+func (p *RatePattern) AverageRate() units.BitRate { return p.spec.Rate }
 
 // NextRateChange returns the earliest time strictly after t at which RateAt
 // may return a different value: the next segment boundary for VBR, never for
 // CBR. It lets event-driven integrators step exactly from segment to segment
 // instead of slicing time.
 func (p *RatePattern) NextRateChange(t units.Duration) units.Duration {
-	if p.stream.Kind == CBR {
+	if !p.vbr {
 		return units.Duration(math.Inf(1))
 	}
-	return NextBoundary(t, p.stream.SegmentLength.Seconds())
+	return NextBoundary(t, p.spec.SegmentLength.Seconds())
 }
 
 // NextBoundary returns the first multiple of interval strictly after t. The

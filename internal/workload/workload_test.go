@@ -75,19 +75,20 @@ func TestRngIntn(t *testing.T) {
 }
 
 func TestStreamValidation(t *testing.T) {
-	good := NewCBRStream(1024 * units.Kbps)
-	if err := good.Validate(); err != nil {
-		t.Errorf("CBR stream invalid: %v", err)
+	for _, good := range []StreamSpec{
+		CBRSpec(1024 * units.Kbps),
+		VBRSpec(1024*units.Kbps, 1),
+		{Kind: SpecVBR, Rate: 1024 * units.Kbps}, // zero segment and variability take the defaults
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("%s spec invalid: %v", good.Kind, err)
+		}
 	}
-	vbr := NewVBRStream(1024*units.Kbps, 1)
-	if err := vbr.Validate(); err != nil {
-		t.Errorf("VBR stream invalid: %v", err)
-	}
-	bad := []Stream{
-		{Kind: CBR, NominalRate: 0},
-		{Kind: CBR, NominalRate: 1024 * units.Kbps, WriteFraction: 1.5},
-		{Kind: VBR, NominalRate: 1024 * units.Kbps, SegmentLength: 0, Variability: 0.3},
-		{Kind: VBR, NominalRate: 1024 * units.Kbps, SegmentLength: units.Second, Variability: 1.2},
+	bad := []StreamSpec{
+		{Kind: SpecCBR, Rate: 0},
+		{Kind: SpecCBR, Rate: 1024 * units.Kbps, WriteFraction: 1.5},
+		{Kind: SpecVBR, Rate: 1024 * units.Kbps, SegmentLength: units.Second, Variability: -0.1},
+		{Kind: SpecVBR, Rate: 1024 * units.Kbps, SegmentLength: units.Second, Variability: 1.2},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -97,7 +98,7 @@ func TestStreamValidation(t *testing.T) {
 }
 
 func TestCBRPatternIsConstant(t *testing.T) {
-	p, err := NewRatePattern(NewCBRStream(1024 * units.Kbps))
+	p, err := CBRSpec(1024 * units.Kbps).Pattern(units.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +113,18 @@ func TestCBRPatternIsConstant(t *testing.T) {
 }
 
 func TestVBRPatternBoundedAndVarying(t *testing.T) {
-	stream := NewVBRStream(1024*units.Kbps, 99)
-	p, err := NewRatePattern(stream)
+	spec := VBRSpec(1024*units.Kbps, 99)
+	p, err := spec.Pattern(units.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := stream.NominalRate.Scale(1 - stream.Variability)
-	hi := stream.NominalRate.Scale(1 + stream.Variability)
+	lo := spec.Rate.Scale(1 - spec.Variability)
+	hi := spec.Rate.Scale(1 + spec.Variability)
 	seen := make(map[int64]bool)
 	var sum float64
 	const samples = 500
 	for i := 0; i < samples; i++ {
-		at := units.Duration(i) * stream.SegmentLength
+		at := units.Duration(i) * spec.SegmentLength
 		rate := p.RateAt(at)
 		if rate < lo-1 || rate > hi+1 {
 			t.Fatalf("VBR rate %v outside [%v, %v]", rate, lo, hi)
@@ -135,14 +136,14 @@ func TestVBRPatternBoundedAndVarying(t *testing.T) {
 		t.Errorf("VBR pattern produced only %d distinct rates", len(seen))
 	}
 	mean := sum / samples
-	if mean < 0.9*stream.NominalRate.BitsPerSecond() || mean > 1.1*stream.NominalRate.BitsPerSecond() {
-		t.Errorf("VBR mean rate = %g, want near nominal %g", mean, stream.NominalRate.BitsPerSecond())
+	if mean < 0.9*spec.Rate.BitsPerSecond() || mean > 1.1*spec.Rate.BitsPerSecond() {
+		t.Errorf("VBR mean rate = %g, want near nominal %g", mean, spec.Rate.BitsPerSecond())
 	}
 }
 
 func TestVBRPatternDeterministicPerSeed(t *testing.T) {
-	a, _ := NewRatePattern(NewVBRStream(1024*units.Kbps, 7))
-	b, _ := NewRatePattern(NewVBRStream(1024*units.Kbps, 7))
+	a, _ := VBRSpec(1024*units.Kbps, 7).Pattern(units.Minute)
+	b, _ := VBRSpec(1024*units.Kbps, 7).Pattern(units.Minute)
 	for i := 0; i < 50; i++ {
 		at := units.Duration(i) * units.Second
 		if a.RateAt(at) != b.RateAt(at) {
@@ -152,7 +153,7 @@ func TestVBRPatternDeterministicPerSeed(t *testing.T) {
 }
 
 func TestNewRatePatternRejectsInvalid(t *testing.T) {
-	if _, err := NewRatePattern(Stream{Kind: CBR}); err == nil {
+	if _, err := (StreamSpec{Kind: SpecCBR}).Pattern(units.Second); err == nil {
 		t.Error("invalid stream accepted")
 	}
 }
@@ -300,26 +301,27 @@ func TestPlaybackCalendar(t *testing.T) {
 	}
 }
 
-// Property: VBR rates always stay within the configured variability band.
+// Property: VBR rates always stay within the configured variability band
+// (a zero variability takes the VBRSpec default).
 func TestQuickVBRBounds(t *testing.T) {
 	f := func(seed uint64, rawVar uint8) bool {
-		variability := float64(rawVar%90) / 100
-		s := Stream{
-			Kind:          VBR,
-			NominalRate:   1024 * units.Kbps,
+		s := StreamSpec{
+			Kind:          SpecVBR,
+			Rate:          1024 * units.Kbps,
 			WriteFraction: 0.4,
 			SegmentLength: units.Second,
-			Variability:   variability,
+			Variability:   float64(rawVar%90) / 100,
 			Seed:          seed,
 		}
-		p, err := NewRatePattern(s)
+		p, err := s.Pattern(units.Minute)
 		if err != nil {
 			return false
 		}
+		s = s.withDefaults()
 		for i := 0; i < 50; i++ {
 			rate := p.RateAt(units.Duration(i) * units.Second)
-			lo := s.NominalRate.Scale(1 - variability)
-			hi := s.NominalRate.Scale(1 + variability)
+			lo := s.Rate.Scale(1 - s.Variability)
+			hi := s.Rate.Scale(1 + s.Variability)
 			if rate < lo-1 || rate > hi+1 {
 				return false
 			}
