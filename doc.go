@@ -269,6 +269,17 @@
 // bounds; worker bounds never change an answer (only its latency), so they
 // are excluded from the cache key.
 //
+// Every /v1 endpoint runs one pipeline: a strict decode of the body (unknown
+// fields and trailing data are refused), resolve into canonical inputs,
+// fingerprint those inputs, answer from the cache or join the single flight
+// computing them, and on a miss compute and marshal the answer once. An
+// invalid request answers 400, and so does one the engines reject (a rate at
+// or above the media rate, a buffer the run cannot refill); an oversized
+// body answers 413, a shed or rate-limited request 429, a client that went
+// away 499, a request past its deadline 504, and anything else 500. A
+// computation runs on the request that leads its flight, so none outlives
+// its response.
+//
 // The /v1 endpoints sit behind two traffic controls. An admission controller
 // bounds the requests in flight (-max-inflight) and queues a short overflow
 // (-max-queue) for at most -queue-wait; arrivals beyond the queue, or queued

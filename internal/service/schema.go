@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"memstream/internal/device"
 	"memstream/internal/engine"
 	"memstream/internal/multistream"
+	"memstream/internal/sim"
 	"memstream/internal/units"
 	"memstream/internal/workload"
 )
@@ -148,10 +150,11 @@ type simDevice struct {
 	// Kind is the canonical backend label fingerprinted into the cache key:
 	// "mems" or "disk".
 	Kind string
-	// MEMS is the device for Kind "mems" (zero otherwise).
-	MEMS device.MEMS
+	// MEMS is the device for Kind "mems" (zero otherwise). The zero device
+	// of the other kind is left out of the key, which Kind already decides.
+	MEMS device.MEMS `json:",omitzero"`
 	// Disk is the drive for Kind "disk" (zero otherwise).
-	Disk device.Disk
+	Disk device.Disk `json:",omitzero"`
 }
 
 // resolveSim resolves the spec for a simulate request, where the disk
@@ -393,29 +396,16 @@ func (v *VideoSpec) resolve(rate units.BitRate) (workload.StreamSpec, error) {
 	return spec, nil
 }
 
-// videoKey is the canonical video fingerprint payload: the fully resolved
-// parameters, so equivalent spellings share a cache entry.
-type videoKey struct {
-	FrameRate  float64
-	GOPLength  int
-	IPDistance int
-	WeightI    float64
-	WeightP    float64
-	WeightB    float64
-	Jitter     float64
-}
-
-// videoKeyOf extracts the fingerprinted video parameters of a resolved spec.
-func videoKeyOf(spec workload.StreamSpec) videoKey {
-	return videoKey{
-		FrameRate:  spec.FrameRate,
-		GOPLength:  spec.GOPLength,
-		IPDistance: spec.IPDistance,
-		WeightI:    spec.WeightI,
-		WeightP:    spec.WeightP,
-		WeightB:    spec.WeightB,
-		Jitter:     spec.Jitter,
+// resolveSpec builds the seedless demand of a generated stream kind (cbr,
+// vbr or video) at its nominal rate; the replica runners seed it.
+func resolveSpec(kind string, rate units.BitRate, video *VideoSpec) (workload.StreamSpec, error) {
+	switch kind {
+	case "vbr":
+		return workload.VBRSpec(rate, 0), nil
+	case "video":
+		return video.resolve(rate)
 	}
+	return workload.CBRSpec(rate), nil
 }
 
 // TraceFrameSpec is one frame of an inline trace ("stream": "trace").
@@ -490,8 +480,11 @@ func resolveFrames(specs []TraceFrameSpec) ([]workload.Frame, []traceFrameKey, e
 		// The offset normalization subtracts timestamps, which leaves
 		// sub-nanosecond floating-point noise; quantize the canonical form
 		// to nanoseconds so shifted-but-equal traces share a fingerprint.
+		// The IEEE remainder is exact and, unlike a nanosecond count, cannot
+		// overflow to an unmarshalable infinity on a huge timestamp.
+		t := f.Timestamp.Seconds()
 		keys[i] = traceFrameKey{
-			T: math.Round(f.Timestamp.Seconds()/units.Nanosecond.Seconds()) * units.Nanosecond.Seconds(),
+			T: t - math.Remainder(t, units.Nanosecond.Seconds()),
 			S: f.Size.Bits(),
 			C: f.Class.String(),
 		}
@@ -794,91 +787,52 @@ func resolvePolicy(s string) (engine.Policy, error) {
 	return p, nil
 }
 
-// multiSimStream is one resolved stream of a multisim request, carrying both
-// the simulator inputs and the canonical fingerprint fields.
-type multiSimStream struct {
-	name          string
-	kind          string
-	rate          units.BitRate
-	buffer        units.Size
-	writeFraction float64
-	priority      int
-	video         workload.StreamSpec // resolved spec for kind "video"
-}
-
-// multiSimStreamKey is one stream of the canonical multisim fingerprint.
-type multiSimStreamKey struct {
-	Name          string
-	Kind          string
-	RateBps       float64
-	BufferBits    float64
-	WriteFraction float64
-	Priority      int
-	Video         videoKey
-}
-
 // resolveMultiSimStreams parses and validates the streams of a multisim
-// request, returning the resolved streams and their fingerprint form.
-func resolveMultiSimStreams(specs []MultiSimStreamSpec) ([]multiSimStream, []multiSimStreamKey, error) {
+// request into the simulator's stream descriptions.
+func resolveMultiSimStreams(specs []MultiSimStreamSpec) ([]sim.MultiStream, error) {
 	if len(specs) == 0 {
-		return nil, nil, invalidf("streams is required")
+		return nil, invalidf("streams is required")
 	}
 	if len(specs) > MaxMultiStreams {
-		return nil, nil, invalidf("at most %d streams per request, got %d", MaxMultiStreams, len(specs))
+		return nil, invalidf("at most %d streams per request, got %d", MaxMultiStreams, len(specs))
 	}
-	streams := make([]multiSimStream, len(specs))
-	keys := make([]multiSimStreamKey, len(specs))
+	streams := make([]sim.MultiStream, len(specs))
 	for i, s := range specs {
 		if s.Name == "" {
-			return nil, nil, invalidf("streams[%d].name is required", i)
+			return nil, invalidf("streams[%d].name is required", i)
 		}
-		kind := s.Stream
-		if kind == "" {
-			kind = "cbr"
-		}
+		kind := cmp.Or(s.Stream, "cbr")
 		switch kind {
 		case "cbr", "vbr", "video":
 		default:
-			return nil, nil, invalidf("streams[%d].stream must be \"cbr\", \"vbr\" or \"video\", got %q", i, s.Stream)
+			return nil, invalidf("streams[%d].stream must be \"cbr\", \"vbr\" or \"video\", got %q", i, s.Stream)
 		}
 		if s.Video != nil && kind != "video" {
-			return nil, nil, invalidf("streams[%d]: the video object only applies to \"stream\": \"video\", not %q", i, kind)
+			return nil, invalidf("streams[%d]: the video object only applies to \"stream\": \"video\", not %q", i, kind)
 		}
 		rate, err := s.Rate.rate(fmt.Sprintf("streams[%d].rate", i))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		buffer, err := s.Buffer.size(fmt.Sprintf("streams[%d].buffer", i))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		write := 0.4
 		if s.WriteFraction != nil {
 			write = *s.WriteFraction
 		}
 		if math.IsNaN(write) || write < 0 || write > 1 {
-			return nil, nil, invalidf("streams[%d].write_fraction must be in [0, 1], got %v", i, write)
+			return nil, invalidf("streams[%d].write_fraction must be in [0, 1], got %v", i, write)
 		}
-		st := multiSimStream{name: s.Name, kind: kind, rate: rate, buffer: buffer, writeFraction: write, priority: s.Priority}
-		key := multiSimStreamKey{
-			Name:          s.Name,
-			Kind:          kind,
-			RateBps:       rate.BitsPerSecond(),
-			BufferBits:    buffer.Bits(),
-			WriteFraction: write,
-			Priority:      s.Priority,
+		spec, err := resolveSpec(kind, rate, s.Video)
+		if err != nil {
+			return nil, invalidf("streams[%d]: %v", i, errMessage(err))
 		}
-		if kind == "video" {
-			st.video, err = s.Video.resolve(rate)
-			if err != nil {
-				return nil, nil, invalidf("streams[%d]: %v", i, errMessage(err))
-			}
-			key.Video = videoKeyOf(st.video)
-		}
-		streams[i] = st
-		keys[i] = key
+		spec.WriteFraction = write
+		streams[i] = sim.MultiStream{Name: s.Name, Spec: spec, Buffer: buffer, Priority: s.Priority}
 	}
-	return streams, keys, nil
+	return streams, nil
 }
 
 // errMessage unwraps a ValidationError's message for re-prefixing (other
@@ -889,23 +843,6 @@ func errMessage(err error) string {
 		return verr.Msg
 	}
 	return err.Error()
-}
-
-// spec builds the workload spec of one resolved stream for one seed; the
-// stochastic kinds re-derive their randomness from it.
-func (s multiSimStream) spec(seed uint64) workload.StreamSpec {
-	var spec workload.StreamSpec
-	switch s.kind {
-	case "vbr":
-		spec = workload.VBRSpec(s.rate, seed)
-	case "video":
-		spec = s.video
-		spec.Seed = seed
-	default:
-		spec = workload.CBRSpec(s.rate)
-	}
-	spec.WriteFraction = s.writeFraction
-	return spec
 }
 
 // resolveStreams converts the request streams into engine stream specs.

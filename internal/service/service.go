@@ -18,9 +18,13 @@
 // questions — including concurrent ones, which share a single computation —
 // return byte-identical response bodies. Worker bounds never change a
 // result, only its latency, so they are excluded from the fingerprint.
+// Every endpoint runs one pipeline — strict decode, resolve, fingerprint,
+// cache or single-flight, compute, marshal — on the request's own
+// goroutine, so no computation outlives its response.
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -232,23 +236,42 @@ func (s *Service) begin(ctx context.Context) (context.Context, func(err error)) 
 	}
 }
 
-// fingerprint canonicalizes a parsed, validated request into a cache key.
-// The normalized value must marshal deterministically (structs and sorted
-// maps only) and must contain every input that can change the result.
-func fingerprint(endpoint string, normalized any) (string, error) {
-	blob, err := json.Marshal(normalized)
-	if err != nil {
-		return "", fmt.Errorf("service: fingerprint: %w", err)
-	}
-	return endpoint + "\x00" + string(blob), nil
+// job is one resolved request: every input of its computation, parsed,
+// validated and canonicalized. Every input that can change the answer is an
+// exported field, so the job's JSON encoding is its cache key and equivalent
+// spellings of one question share an entry. The worker bound changes only the
+// latency, never the answer, so it is not exported and not part of the key.
+type job interface {
+	// workers returns the worker bound the computation runs under.
+	workers() int
+	// run computes the response value.
+	run(ctx context.Context) (any, error)
 }
 
-// memoize runs compute through the shared cache under the request deadline,
-// marshaling its result once; hits and single-flight waiters reuse the
-// stored bytes, so identical requests get byte-identical bodies.
-func (s *Service) memoize(ctx context.Context, key string, compute func(ctx context.Context) (any, error)) ([]byte, error) {
-	body, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-		result, err := compute(ctx)
+// serve is the one endpoint pipeline: resolve the request into its job,
+// fingerprint the job, then answer from the cache or compute and marshal
+// once under the request deadline. Hits and single-flight waiters reuse the
+// stored bytes, so identical questions get byte-identical bodies.
+func serve[J job](ctx context.Context, s *Service, endpoint string, resolve func(*Service) (J, error)) (body []byte, err error) {
+	ctx, finish := s.begin(ctx)
+	defer func() { finish(err) }()
+
+	j, err := resolve(s)
+	if err != nil {
+		return nil, err
+	}
+	key, err := json.Marshal(j)
+	if err != nil {
+		return nil, fmt.Errorf("service: fingerprint: %w", err)
+	}
+	noteWorkers(ctx, effectiveWorkers(j.workers()))
+	body, cached, err := s.cache.Do(ctx, endpoint+"\x00"+string(key), func() ([]byte, error) {
+		// A dead context never starts a computation, so a single-flight
+		// retry of a timed-out flight cannot start work nobody awaits.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		result, err := j.run(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -260,93 +283,67 @@ func (s *Service) memoize(ctx context.Context, key string, compute func(ctx cont
 	return body, err
 }
 
-// await runs fn on its own goroutine and abandons it when ctx ends, so
-// engines without internal cancellation points still respect the request
-// deadline. An abandoned computation finishes in the background (its result
-// is discarded); a context that is already dead never starts fn at all, so
-// single-flight retries of a timed-out flight cannot pile up orphaned work.
-func await[T any](ctx context.Context, fn func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
+// runError classifies a failed computation. Cancellations and deadline hits
+// keep their transport status codes; anything else the engines reject was
+// derived from the request (a rate at the media rate, a buffer below the
+// disk's spin-up drain, ...) and is a 400.
+func runError(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
 	}
-	if err := ctx.Err(); err != nil {
-		var zero T
-		return zero, err
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := fn()
-		ch <- outcome{v, err}
-	}()
-	select {
-	case out := <-ch:
-		return out.v, out.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
+	return invalidf("%v", err)
 }
 
-// dimensionKey is the canonical fingerprint payload of a DimensionRequest.
-type dimensionKey struct {
-	Device  device.MEMS
-	RateBps float64
-	Goal    core.Goal
+// dimensionJob is a resolved DimensionRequest.
+type dimensionJob struct {
+	Device device.MEMS
+	Rate   units.BitRate
+	Goal   core.Goal
+}
+
+func (r DimensionRequest) resolve(*Service) (j dimensionJob, err error) {
+	if j.Device, err = r.Device.resolve(); err != nil {
+		return j, err
+	}
+	if j.Rate, err = r.Rate.rate("rate"); err != nil {
+		return j, err
+	}
+	j.Goal, err = r.Goal.resolve()
+	return j, err
+}
+
+// A single-rate dimensioning always runs on one worker.
+func (dimensionJob) workers() int { return 1 }
+
+func (j dimensionJob) run(ctx context.Context) (any, error) {
+	// A single-rate sweep routes the dimensioning through the same engine
+	// path (and worker pool) as /v1/sweep.
+	sweep, err := explore.RunContext(ctx, explore.Config{Device: j.Device, Goal: j.Goal, Workers: 1}, []units.BitRate{j.Rate})
+	if err != nil {
+		return nil, runError(err)
+	}
+	p := sweep.Points[0]
+	d := p.Dimensioning
+	resp := &DimensionResponse{
+		Rate:              j.Rate.String(),
+		RateBitsPerSecond: j.Rate.BitsPerSecond(),
+		Feasible:          d.Feasible,
+		Dominant:          d.Dominant.String(),
+		BreakEvenBits:     p.BreakEven.Bits(),
+		BreakEven:         p.BreakEven.String(),
+		MinimumBufferBits: p.MinimumBuffer.Bits(),
+		Requirements:      requirementResults(d),
+	}
+	if d.Feasible {
+		resp.BufferBits = d.Buffer.Bits()
+		resp.Buffer = d.Buffer.String()
+	}
+	return resp, nil
 }
 
 // DimensionBytes answers a DimensionRequest with the cached response body.
 func (s *Service) DimensionBytes(ctx context.Context, req DimensionRequest) ([]byte, error) {
-	ctx, finish := s.begin(ctx)
-	var err error
-	defer func() { finish(err) }()
-
-	dev, err := req.Device.resolve()
-	if err != nil {
-		return nil, err
-	}
-	rate, err := req.Rate.rate("rate")
-	if err != nil {
-		return nil, err
-	}
-	goal, err := req.Goal.resolve()
-	if err != nil {
-		return nil, err
-	}
-	key, err := fingerprint("dimension", dimensionKey{Device: dev, RateBps: rate.BitsPerSecond(), Goal: goal})
-	if err != nil {
-		return nil, err
-	}
-	// A single-rate dimensioning always runs on one worker.
-	noteWorkers(ctx, 1)
-	var body []byte
-	body, err = s.memoize(ctx, key, func(ctx context.Context) (any, error) {
-		// A single-rate sweep routes the dimensioning through the same
-		// engine path (and worker pool) as /v1/sweep; RunContext already
-		// honours cancellation, so no await wrapper is needed.
-		sweep, err := explore.RunContext(ctx, explore.Config{Device: dev, Goal: goal, Workers: 1}, []units.BitRate{rate})
-		if err != nil {
-			return nil, err
-		}
-		p := sweep.Points[0]
-		d := p.Dimensioning
-		resp := &DimensionResponse{
-			Rate:              rate.String(),
-			RateBitsPerSecond: rate.BitsPerSecond(),
-			Feasible:          d.Feasible,
-			Dominant:          d.Dominant.String(),
-			BreakEvenBits:     p.BreakEven.Bits(),
-			BreakEven:         p.BreakEven.String(),
-			MinimumBufferBits: p.MinimumBuffer.Bits(),
-			Requirements:      requirementResults(d),
-		}
-		if d.Feasible {
-			resp.BufferBits = d.Buffer.Bits()
-			resp.Buffer = d.Buffer.String()
-		}
-		return resp, nil
-	})
-	return body, err
+	return serve(ctx, s, "dimension", req.resolve)
 }
 
 // Dimension answers a DimensionRequest through the cache.
@@ -354,107 +351,91 @@ func (s *Service) Dimension(ctx context.Context, req DimensionRequest) (*Dimensi
 	return typed[DimensionResponse](s.DimensionBytes(ctx, req))
 }
 
-// sweepKey is the canonical fingerprint payload of a SweepRequest.
-type sweepKey struct {
-	Device     device.MEMS
-	Goal       core.Goal
-	MinRateBps float64
-	MaxRateBps float64
-	Points     int
+// sweepJob is a resolved SweepRequest.
+type sweepJob struct {
+	Device  device.MEMS
+	Goal    core.Goal
+	MinRate units.BitRate
+	MaxRate units.BitRate
+	Points  int
+	bound   int
+}
+
+func (r SweepRequest) resolve(s *Service) (j sweepJob, err error) {
+	if j.Device, err = r.Device.resolve(); err != nil {
+		return j, err
+	}
+	if j.Goal, err = r.Goal.resolve(); err != nil {
+		return j, err
+	}
+	if j.MinRate, err = r.MinRate.rate("min_rate"); err != nil {
+		return j, err
+	}
+	if j.MaxRate, err = r.MaxRate.rate("max_rate"); err != nil {
+		return j, err
+	}
+	if j.MaxRate <= j.MinRate {
+		return j, invalidf("max_rate %v must exceed min_rate %v", j.MaxRate, j.MinRate)
+	}
+	if r.Points < 2 || r.Points > MaxSweepPoints {
+		return j, invalidf("points must be in [2, %d], got %d", MaxSweepPoints, r.Points)
+	}
+	j.Points = r.Points
+	j.bound, err = s.workerBound(r.Workers)
+	return j, err
+}
+
+func (j sweepJob) workers() int { return j.bound }
+
+func (j sweepJob) run(ctx context.Context) (any, error) {
+	rates, err := explore.LogSpace(j.MinRate, j.MaxRate, j.Points)
+	if err != nil {
+		return nil, err
+	}
+	sweep, err := explore.RunContext(ctx, explore.Config{Device: j.Device, Goal: j.Goal, Workers: j.bound}, rates)
+	if err != nil {
+		return nil, runError(err)
+	}
+	resp := &SweepResponse{
+		Goal:           j.Goal.String(),
+		Points:         make([]SweepPointResult, 0, len(sweep.Points)),
+		DominanceShare: map[string]float64{},
+	}
+	for _, p := range sweep.Points {
+		d := p.Dimensioning
+		pr := SweepPointResult{
+			RateBitsPerSecond: p.Rate.BitsPerSecond(),
+			Rate:              p.Rate.String(),
+			Feasible:          d.Feasible,
+			Dominant:          d.Dominant.String(),
+			BreakEvenBits:     p.BreakEven.Bits(),
+		}
+		if d.Feasible {
+			pr.BufferBits = d.Buffer.Bits()
+			pr.Buffer = d.Buffer.String()
+		}
+		resp.Points = append(resp.Points, pr)
+	}
+	for _, r := range sweep.Regimes() {
+		resp.Regimes = append(resp.Regimes, RegimeResult{
+			MinRate: r.MinRate.String(),
+			MaxRate: r.MaxRate.String(),
+			Label:   r.Label(),
+			Points:  r.Points,
+		})
+	}
+	if limit, ok := sweep.FeasibilityLimit(); ok {
+		resp.FeasibilityLimit = limit.String()
+	}
+	for c, share := range sweep.DominanceShare() {
+		resp.DominanceShare[c.String()] = share
+	}
+	return resp, nil
 }
 
 // SweepBytes answers a SweepRequest with the cached response body.
 func (s *Service) SweepBytes(ctx context.Context, req SweepRequest) ([]byte, error) {
-	ctx, finish := s.begin(ctx)
-	var err error
-	defer func() { finish(err) }()
-
-	dev, err := req.Device.resolve()
-	if err != nil {
-		return nil, err
-	}
-	goal, err := req.Goal.resolve()
-	if err != nil {
-		return nil, err
-	}
-	minRate, err := req.MinRate.rate("min_rate")
-	if err != nil {
-		return nil, err
-	}
-	maxRate, err := req.MaxRate.rate("max_rate")
-	if err != nil {
-		return nil, err
-	}
-	if maxRate <= minRate {
-		err = invalidf("max_rate %v must exceed min_rate %v", maxRate, minRate)
-		return nil, err
-	}
-	if req.Points < 2 || req.Points > MaxSweepPoints {
-		err = invalidf("points must be in [2, %d], got %d", MaxSweepPoints, req.Points)
-		return nil, err
-	}
-	workers, err := s.workerBound(req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	noteWorkers(ctx, effectiveWorkers(workers))
-	key, err := fingerprint("sweep", sweepKey{
-		Device:     dev,
-		Goal:       goal,
-		MinRateBps: minRate.BitsPerSecond(),
-		MaxRateBps: maxRate.BitsPerSecond(),
-		Points:     req.Points,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	body, err = s.memoize(ctx, key, func(ctx context.Context) (any, error) {
-		rates, err := explore.LogSpace(minRate, maxRate, req.Points)
-		if err != nil {
-			return nil, err
-		}
-		sweep, err := explore.RunContext(ctx, explore.Config{Device: dev, Goal: goal, Workers: workers}, rates)
-		if err != nil {
-			return nil, err
-		}
-		resp := &SweepResponse{
-			Goal:           goal.String(),
-			Points:         make([]SweepPointResult, 0, len(sweep.Points)),
-			DominanceShare: map[string]float64{},
-		}
-		for _, p := range sweep.Points {
-			d := p.Dimensioning
-			pr := SweepPointResult{
-				RateBitsPerSecond: p.Rate.BitsPerSecond(),
-				Rate:              p.Rate.String(),
-				Feasible:          d.Feasible,
-				Dominant:          d.Dominant.String(),
-				BreakEvenBits:     p.BreakEven.Bits(),
-			}
-			if d.Feasible {
-				pr.BufferBits = d.Buffer.Bits()
-				pr.Buffer = d.Buffer.String()
-			}
-			resp.Points = append(resp.Points, pr)
-		}
-		for _, r := range sweep.Regimes() {
-			resp.Regimes = append(resp.Regimes, RegimeResult{
-				MinRate: r.MinRate.String(),
-				MaxRate: r.MaxRate.String(),
-				Label:   r.Label(),
-				Points:  r.Points,
-			})
-		}
-		if limit, ok := sweep.FeasibilityLimit(); ok {
-			resp.FeasibilityLimit = limit.String()
-		}
-		for c, share := range sweep.DominanceShare() {
-			resp.DominanceShare[c.String()] = share
-		}
-		return resp, nil
-	})
-	return body, err
+	return serve(ctx, s, "sweep", req.resolve)
 }
 
 // Sweep answers a SweepRequest through the cache.
@@ -462,232 +443,189 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 	return typed[SweepResponse](s.SweepBytes(ctx, req))
 }
 
-// simulateKey is the canonical fingerprint payload of a SimulateRequest. The
-// backend kind and both device parameter sets are fingerprinted, so a MEMS
-// and a disk run of otherwise identical shape can never share a cache entry.
-// Video parameters enter fully resolved and trace frames normalized, so
-// equivalent spellings (omitted defaults, unit strings, timestamp offsets)
-// share an entry.
-type simulateKey struct {
-	Backend    string
-	Device     device.MEMS
-	Disk       device.Disk
-	RateBps    float64
-	BufferBits float64
-	DurationS  float64
-	Stream     string
-	Video      videoKey
-	Frames     []traceFrameKey
+// simRun is the run shape /v1/simulate and /v1/multisim share: the backend
+// (its kind and both parameter sets are keyed, so a MEMS and a disk run of
+// one shape never share an entry), the simulated time, the best-effort share
+// and the replica seeds. The replica runners apply seed+i to every
+// stochastic input, so nothing below the run carries a seed of its own.
+type simRun struct {
+	simDevice
+	Duration   units.Duration
 	BestEffort float64
 	Seed       uint64
 	Replicas   int
+	bound      int
+}
+
+// resolveRun parses the run fields of a simulation request, in the order
+// both simulation endpoints check them.
+func (s *Service) resolveRun(dev simDevice, duration Quantity, bestEffort *float64, seed uint64, replicas, workers int) (r simRun, err error) {
+	r.simDevice = dev
+	if r.Duration, err = duration.duration("duration", 5*units.Minute); err != nil {
+		return r, err
+	}
+	if !r.Duration.Positive() {
+		return r, invalidf("duration must be positive")
+	}
+	if r.Duration.Seconds() > MaxSimSeconds {
+		return r, invalidf("duration must not exceed %d simulated seconds, got %v", MaxSimSeconds, r.Duration)
+	}
+	r.BestEffort = 0.05
+	if bestEffort != nil {
+		r.BestEffort = *bestEffort
+	}
+	if math.IsNaN(r.BestEffort) || r.BestEffort < 0 || r.BestEffort >= 1 {
+		return r, invalidf("best_effort must be in [0, 1), got %v", r.BestEffort)
+	}
+	r.Seed = cmp.Or(seed, 1)
+	r.Replicas = cmp.Or(replicas, 1)
+	if r.Replicas < 1 || r.Replicas > MaxSimReplicas {
+		return r, invalidf("replicas must be in [1, %d], got %d", MaxSimReplicas, replicas)
+	}
+	r.bound, err = s.workerBound(workers)
+	return r, err
+}
+
+func (r simRun) workers() int { return r.bound }
+
+// backend returns the disk backend of a disk run, and nil for a MEMS run,
+// which the simulators then build from the device.
+func (r simRun) backend() engine.Backend {
+	if r.Kind == "disk" {
+		return engine.NewDisk(r.Disk)
+	}
+	return nil
+}
+
+// bestEffort returns the run's background request process against the
+// device's media rate (the zero, disabled process for a zero share).
+func (r simRun) bestEffort(mediaRate units.BitRate) workload.BestEffortProcess {
+	if r.BestEffort > 0 {
+		return workload.NewBestEffortProcess(r.BestEffort, mediaRate, 0)
+	}
+	return workload.BestEffortProcess{}
+}
+
+// wear projects a run's observed wear onto the springs and probes ratings
+// under the default calendar. The projections are MEMS-specific: the disk
+// has no analogue, so its runs omit both.
+func (r simRun) wear(st *sim.Stats) (springs, probes *float64) {
+	if r.Kind != "mems" {
+		return nil, nil
+	}
+	cal := workload.DefaultCalendar()
+	return yearsOrNil(st.ProjectedSpringsLifetime(r.MEMS, cal)), yearsOrNil(st.ProjectedProbesLifetime(r.MEMS, cal))
+}
+
+// simulateJob is a resolved SimulateRequest.
+type simulateJob struct {
+	simRun
+	Buffer units.Size
+	// Spec is the demand of the generated kinds (cbr, vbr, video).
+	Spec workload.StreamSpec
+	// Frames keys a trace instead of its spec: the offset normalization
+	// leaves sub-nanosecond noise in the timestamps, and the quantized
+	// frames let time-shifted traces share an entry.
+	Frames []traceFrameKey
+	// trace is the spec replaying Frames, built once so every replica's
+	// validation and run share its demand pattern.
+	trace workload.StreamSpec
+}
+
+func (r SimulateRequest) resolve(s *Service) (j simulateJob, err error) {
+	dev, err := r.Device.resolveSim()
+	if err != nil {
+		return j, err
+	}
+	kind := cmp.Or(r.Stream, "cbr")
+	switch kind {
+	case "cbr", "vbr", "video", "trace":
+	default:
+		return j, invalidf("stream must be \"cbr\", \"vbr\", \"video\" or \"trace\", got %q", r.Stream)
+	}
+	if r.Video != nil && kind != "video" {
+		return j, invalidf("the video object only applies to \"stream\": \"video\", not %q", kind)
+	}
+	if len(r.Frames) > 0 && kind != "trace" {
+		return j, invalidf("frames only apply to \"stream\": \"trace\", not %q", kind)
+	}
+	// The trace defines its own rate; for every other kind the rate is the
+	// nominal stream rate and is required.
+	if kind == "trace" {
+		if r.Rate != "" {
+			return j, invalidf("rate does not apply to \"stream\": \"trace\" (the frames define it)")
+		}
+		var frames []workload.Frame
+		if frames, j.Frames, err = resolveFrames(r.Frames); err != nil {
+			return j, err
+		}
+		j.trace = workload.TraceSpec(frames)
+	} else {
+		rate, err := r.Rate.rate("rate")
+		if err != nil {
+			return j, err
+		}
+		if j.Spec, err = resolveSpec(kind, rate, r.Video); err != nil {
+			return j, err
+		}
+	}
+	if j.Buffer, err = r.Buffer.size("buffer"); err != nil {
+		return j, err
+	}
+	j.simRun, err = s.resolveRun(dev, r.Duration, r.BestEffort, r.Seed, r.Replicas, r.Workers)
+	return j, err
+}
+
+func (j simulateJob) run(ctx context.Context) (any, error) {
+	spec := j.Spec
+	if j.Frames != nil {
+		spec = j.trace
+	}
+	cfg := sim.Config{
+		Device:   j.MEMS,
+		Backend:  j.backend(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   j.Buffer,
+		Spec:     spec,
+		Duration: j.Duration,
+	}
+	cfg.BestEffort = j.bestEffort(cfg.MediaRate())
+	// One prototype configuration, validated once; RunReplicas seeds each
+	// replica and reuses one pooled simulator per worker.
+	stats, err := sim.RunReplicas(ctx, j.bound, cfg, j.Seed, j.Replicas)
+	if err != nil {
+		return nil, runError(err)
+	}
+	resp := &SimulateResponse{
+		Rate:   spec.AverageRate().String(),
+		Buffer: j.Buffer.String(),
+		Runs:   make([]SimulateResult, len(stats)),
+	}
+	for i, st := range stats {
+		perBit := st.PerBitEnergy()
+		springs, probes := j.wear(st)
+		resp.Runs[i] = SimulateResult{
+			Seed:                 j.Seed + uint64(i),
+			SimulatedSeconds:     st.SimulatedTime.Seconds(),
+			StreamedBits:         st.StreamedBits.Bits(),
+			RefillCycles:         st.RefillCycles,
+			Underruns:            st.Underruns,
+			RebufferEpisodes:     st.RebufferEpisodes,
+			RebufferSeconds:      st.RebufferTime.Seconds(),
+			StartupDelaySeconds:  st.StartupDelay.Seconds(),
+			EnergyPerBit:         perBit.String(),
+			EnergyPerBitJoules:   perBit.JoulesPerBit(),
+			DutyCycle:            st.DutyCycle(),
+			SpringsLifetimeYears: springs,
+			ProbesLifetimeYears:  probes,
+		}
+	}
+	return resp, nil
 }
 
 // SimulateBytes answers a SimulateRequest with the cached response body.
 func (s *Service) SimulateBytes(ctx context.Context, req SimulateRequest) ([]byte, error) {
-	ctx, finish := s.begin(ctx)
-	var err error
-	defer func() { finish(err) }()
-
-	sd, err := req.Device.resolveSim()
-	if err != nil {
-		return nil, err
-	}
-	kind := req.Stream
-	if kind == "" {
-		kind = "cbr"
-	}
-	switch kind {
-	case "cbr", "vbr", "video", "trace":
-	default:
-		err = invalidf("stream must be \"cbr\", \"vbr\", \"video\" or \"trace\", got %q", req.Stream)
-		return nil, err
-	}
-	if req.Video != nil && kind != "video" {
-		err = invalidf("the video object only applies to \"stream\": \"video\", not %q", kind)
-		return nil, err
-	}
-	if len(req.Frames) > 0 && kind != "trace" {
-		err = invalidf("frames only apply to \"stream\": \"trace\", not %q", kind)
-		return nil, err
-	}
-	// The trace defines its own rate; for every other kind the rate is the
-	// nominal stream rate and is required.
-	var rate units.BitRate
-	var videoSpec, traceSpec workload.StreamSpec
-	var vkey videoKey
-	var fkeys []traceFrameKey
-	if kind == "trace" {
-		if req.Rate != "" {
-			err = invalidf("rate does not apply to \"stream\": \"trace\" (the frames define it)")
-			return nil, err
-		}
-		var frames []workload.Frame
-		frames, fkeys, err = resolveFrames(req.Frames)
-		if err != nil {
-			return nil, err
-		}
-		// Built once: the spec memoizes its demand pattern, which every
-		// replica's validation and run then shares.
-		traceSpec = workload.TraceSpec(frames)
-		rate = traceSpec.AverageRate()
-	} else {
-		rate, err = req.Rate.rate("rate")
-		if err != nil {
-			return nil, err
-		}
-		if kind == "video" {
-			videoSpec, err = req.Video.resolve(rate)
-			if err != nil {
-				return nil, err
-			}
-			vkey = videoKeyOf(videoSpec)
-		}
-	}
-	buffer, err := req.Buffer.size("buffer")
-	if err != nil {
-		return nil, err
-	}
-	duration, err := req.Duration.duration("duration", 5*units.Minute)
-	if err != nil {
-		return nil, err
-	}
-	if !duration.Positive() {
-		err = invalidf("duration must be positive")
-		return nil, err
-	}
-	if duration.Seconds() > MaxSimSeconds {
-		err = invalidf("duration must not exceed %d simulated seconds, got %v", MaxSimSeconds, duration)
-		return nil, err
-	}
-	bestEffort := 0.05
-	if req.BestEffort != nil {
-		bestEffort = *req.BestEffort
-	}
-	if math.IsNaN(bestEffort) || bestEffort < 0 || bestEffort >= 1 {
-		err = invalidf("best_effort must be in [0, 1), got %v", bestEffort)
-		return nil, err
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	replicas := req.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	if replicas < 1 || replicas > MaxSimReplicas {
-		err = invalidf("replicas must be in [1, %d], got %d", MaxSimReplicas, req.Replicas)
-		return nil, err
-	}
-	workers, err := s.workerBound(req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	noteWorkers(ctx, effectiveWorkers(workers))
-	// The trace's rate is derived from its frames (with subtractive
-	// floating-point noise from the offset normalization); the quantized
-	// frames already determine the run, so the key carries no rate for it.
-	keyRate := rate.BitsPerSecond()
-	if kind == "trace" {
-		keyRate = 0
-	}
-	key, err := fingerprint("simulate", simulateKey{
-		Backend:    sd.Kind,
-		Device:     sd.MEMS,
-		Disk:       sd.Disk,
-		RateBps:    keyRate,
-		BufferBits: buffer.Bits(),
-		DurationS:  duration.Seconds(),
-		Stream:     kind,
-		Video:      vkey,
-		Frames:     fkeys,
-		BestEffort: bestEffort,
-		Seed:       seed,
-		Replicas:   replicas,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	body, err = s.memoize(ctx, key, func(ctx context.Context) (any, error) {
-		var backend engine.Backend
-		if sd.Kind == "disk" {
-			backend = engine.NewDisk(sd.Disk)
-		}
-		mediaRate := sim.Config{Device: sd.MEMS, Backend: backend}.MediaRate()
-		// One prototype configuration, validated once; RunReplicas applies
-		// the replica seeds to every stochastic input, exactly as the old
-		// per-replica construction did, and reuses one pooled simulator per
-		// worker instead of building replicas simulators.
-		var spec workload.StreamSpec
-		switch kind {
-		case "cbr":
-			spec = workload.CBRSpec(rate)
-		case "vbr":
-			spec = workload.VBRSpec(rate, seed)
-		case "video":
-			spec = videoSpec
-		case "trace":
-			spec = traceSpec
-		}
-		cfg := sim.Config{
-			Device:   sd.MEMS,
-			Backend:  backend,
-			DRAM:     device.DefaultDRAM(),
-			Buffer:   buffer,
-			Spec:     spec,
-			Duration: duration,
-			Seed:     seed,
-		}
-		if bestEffort > 0 {
-			cfg.BestEffort = workload.NewBestEffortProcess(bestEffort, mediaRate, seed)
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, invalidf("%v", err)
-		}
-		stats, err := sim.RunReplicas(ctx, workers, cfg, seed, replicas)
-		if err != nil {
-			// Run-time simulator failures are request-derived (most commonly
-			// a buffer below the disk's spin-up drain, which only the run
-			// itself detects); keep them 400s, but let cancellations and
-			// deadline hits keep their transport status codes.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			return nil, invalidf("%v", err)
-		}
-		resp := &SimulateResponse{
-			Rate:   rate.String(),
-			Buffer: buffer.String(),
-			Runs:   make([]SimulateResult, len(stats)),
-		}
-		cal := workload.DefaultCalendar()
-		for i, st := range stats {
-			perBit := st.PerBitEnergy()
-			resp.Runs[i] = SimulateResult{
-				Seed:                seed + uint64(i),
-				SimulatedSeconds:    st.SimulatedTime.Seconds(),
-				StreamedBits:        st.StreamedBits.Bits(),
-				RefillCycles:        st.RefillCycles,
-				Underruns:           st.Underruns,
-				RebufferEpisodes:    st.RebufferEpisodes,
-				RebufferSeconds:     st.RebufferTime.Seconds(),
-				StartupDelaySeconds: st.StartupDelay.Seconds(),
-				EnergyPerBit:        perBit.String(),
-				EnergyPerBitJoules:  perBit.JoulesPerBit(),
-				DutyCycle:           st.DutyCycle(),
-			}
-			if sd.Kind == "mems" {
-				// The wear projections are MEMS-specific: springs and probes
-				// have no disk analogue, so disk runs omit both fields.
-				resp.Runs[i].SpringsLifetimeYears = yearsOrNil(st.ProjectedSpringsLifetime(sd.MEMS, cal))
-				resp.Runs[i].ProbesLifetimeYears = yearsOrNil(st.ProjectedProbesLifetime(sd.MEMS, cal))
-			}
-		}
-		return resp, nil
-	})
-	return body, err
+	return serve(ctx, s, "simulate", req.resolve)
 }
 
 // Simulate answers a SimulateRequest through the cache.
@@ -695,172 +633,85 @@ func (s *Service) Simulate(ctx context.Context, req SimulateRequest) (*SimulateR
 	return typed[SimulateResponse](s.SimulateBytes(ctx, req))
 }
 
-// multiSimKey is the canonical fingerprint payload of a MultiSimRequest. The
-// policy enters in canonical spelling, and each stream carries its resolved
-// parameters, so equivalent spellings share a cache entry.
-type multiSimKey struct {
-	Backend    string
-	Device     device.MEMS
-	Disk       device.Disk
-	Policy     string
-	Streams    []multiSimStreamKey
-	DurationS  float64
-	BestEffort float64
-	Seed       uint64
-	Replicas   int
+// multiSimJob is a resolved MultiSimRequest: the policy in canonical
+// spelling and the streams as the simulator takes them.
+type multiSimJob struct {
+	simRun
+	Policy  engine.Policy
+	Streams []sim.MultiStream
+}
+
+func (r MultiSimRequest) resolve(s *Service) (j multiSimJob, err error) {
+	dev, err := r.Device.resolveSim()
+	if err != nil {
+		return j, err
+	}
+	if j.Policy, err = resolvePolicy(r.Policy); err != nil {
+		return j, err
+	}
+	if j.Streams, err = resolveMultiSimStreams(r.Streams); err != nil {
+		return j, err
+	}
+	j.simRun, err = s.resolveRun(dev, r.Duration, r.BestEffort, r.Seed, r.Replicas, r.Workers)
+	return j, err
+}
+
+func (j multiSimJob) run(ctx context.Context) (any, error) {
+	cfg := sim.MultiConfig{
+		Device:   j.MEMS,
+		Backend:  j.backend(),
+		DRAM:     device.DefaultDRAM(),
+		Policy:   j.Policy,
+		Streams:  j.Streams,
+		Duration: j.Duration,
+	}
+	cfg.BestEffort = j.bestEffort(cfg.MediaRate())
+	// RunMultiReplicas seeds stream j of replica i through the multi-stream
+	// convention, on one pooled simulator per worker.
+	stats, err := sim.RunMultiReplicas(ctx, j.bound, cfg, j.Seed, j.Replicas)
+	if err != nil {
+		return nil, runError(err)
+	}
+	resp := &MultiSimResponse{
+		Policy: string(j.Policy),
+		Runs:   make([]MultiSimResult, len(stats)),
+	}
+	for i, st := range stats {
+		perBit := st.Device.PerBitEnergy()
+		springs, probes := j.wear(&st.Device)
+		run := MultiSimResult{
+			Seed:                 j.Seed + uint64(i),
+			SimulatedSeconds:     st.Device.SimulatedTime.Seconds(),
+			WakeUps:              st.Device.RefillCycles,
+			StreamedBits:         st.Device.StreamedBits.Bits(),
+			Underruns:            st.Device.Underruns,
+			EnergyPerBit:         perBit.String(),
+			EnergyPerBitJoules:   perBit.JoulesPerBit(),
+			DutyCycle:            st.Device.DutyCycle(),
+			SpringsLifetimeYears: springs,
+			ProbesLifetimeYears:  probes,
+		}
+		for k, stream := range st.Streams {
+			run.Streams = append(run.Streams, MultiSimStreamResult{
+				Name:                stream.Name,
+				StreamedBits:        stream.StreamedBits.Bits(),
+				RefillCycles:        stream.RefillCycles,
+				Underruns:           stream.Underruns,
+				RebufferEpisodes:    stream.RebufferEpisodes,
+				RebufferSeconds:     stream.RebufferTime.Seconds(),
+				StartupDelaySeconds: stream.StartupDelay.Seconds(),
+				MinBufferLevelBits:  stream.MinBufferLevel.Bits(),
+				EnergyShare:         st.EnergyShare(k),
+			})
+		}
+		resp.Runs[i] = run
+	}
+	return resp, nil
 }
 
 // MultiSimBytes answers a MultiSimRequest with the cached response body.
 func (s *Service) MultiSimBytes(ctx context.Context, req MultiSimRequest) ([]byte, error) {
-	ctx, finish := s.begin(ctx)
-	var err error
-	defer func() { finish(err) }()
-
-	sd, err := req.Device.resolveSim()
-	if err != nil {
-		return nil, err
-	}
-	policy, err := resolvePolicy(req.Policy)
-	if err != nil {
-		return nil, err
-	}
-	streams, skeys, err := resolveMultiSimStreams(req.Streams)
-	if err != nil {
-		return nil, err
-	}
-	duration, err := req.Duration.duration("duration", 5*units.Minute)
-	if err != nil {
-		return nil, err
-	}
-	if !duration.Positive() {
-		err = invalidf("duration must be positive")
-		return nil, err
-	}
-	if duration.Seconds() > MaxSimSeconds {
-		err = invalidf("duration must not exceed %d simulated seconds, got %v", MaxSimSeconds, duration)
-		return nil, err
-	}
-	bestEffort := 0.05
-	if req.BestEffort != nil {
-		bestEffort = *req.BestEffort
-	}
-	if math.IsNaN(bestEffort) || bestEffort < 0 || bestEffort >= 1 {
-		err = invalidf("best_effort must be in [0, 1), got %v", bestEffort)
-		return nil, err
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	replicas := req.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	if replicas < 1 || replicas > MaxSimReplicas {
-		err = invalidf("replicas must be in [1, %d], got %d", MaxSimReplicas, req.Replicas)
-		return nil, err
-	}
-	workers, err := s.workerBound(req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	noteWorkers(ctx, effectiveWorkers(workers))
-	key, err := fingerprint("multisim", multiSimKey{
-		Backend:    sd.Kind,
-		Device:     sd.MEMS,
-		Disk:       sd.Disk,
-		Policy:     string(policy),
-		Streams:    skeys,
-		DurationS:  duration.Seconds(),
-		BestEffort: bestEffort,
-		Seed:       seed,
-		Replicas:   replicas,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	body, err = s.memoize(ctx, key, func(ctx context.Context) (any, error) {
-		var backend engine.Backend
-		if sd.Kind == "disk" {
-			backend = engine.NewDisk(sd.Disk)
-		}
-		mediaRate := sim.MultiConfig{Device: sd.MEMS, Backend: backend}.MediaRate()
-		// One prototype configuration, validated once; RunMultiReplicas
-		// applies the replica seeds through the multi-stream convention
-		// (stream j of replica i draws from seed+i ^ ((j+1)·golden ratio),
-		// exactly as before) on one pooled simulator per worker.
-		cfg := sim.MultiConfig{
-			Device:   sd.MEMS,
-			Backend:  backend,
-			DRAM:     device.DefaultDRAM(),
-			Policy:   policy,
-			Duration: duration,
-			Seed:     seed,
-		}
-		for j, st := range streams {
-			cfg.Streams = append(cfg.Streams, sim.MultiStream{
-				Name:     st.name,
-				Spec:     st.spec(seed ^ (uint64(j+1) * 0x9e3779b97f4a7c15)),
-				Buffer:   st.buffer,
-				Priority: st.priority,
-			})
-		}
-		if bestEffort > 0 {
-			cfg.BestEffort = workload.NewBestEffortProcess(bestEffort, mediaRate, seed)
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, invalidf("%v", err)
-		}
-		stats, err := sim.RunMultiReplicas(ctx, workers, cfg, seed, replicas)
-		if err != nil {
-			// Run-time failures are request-derived (most commonly a buffer
-			// that cannot cover the multi-stream service round); keep them
-			// 400s, but let cancellations keep their transport status codes.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			return nil, invalidf("%v", err)
-		}
-		resp := &MultiSimResponse{
-			Policy: string(policy),
-			Runs:   make([]MultiSimResult, len(stats)),
-		}
-		cal := workload.DefaultCalendar()
-		for i, st := range stats {
-			perBit := st.Device.PerBitEnergy()
-			run := MultiSimResult{
-				Seed:               seed + uint64(i),
-				SimulatedSeconds:   st.Device.SimulatedTime.Seconds(),
-				WakeUps:            st.Device.RefillCycles,
-				StreamedBits:       st.Device.StreamedBits.Bits(),
-				Underruns:          st.Device.Underruns,
-				EnergyPerBit:       perBit.String(),
-				EnergyPerBitJoules: perBit.JoulesPerBit(),
-				DutyCycle:          st.Device.DutyCycle(),
-			}
-			if sd.Kind == "mems" {
-				run.SpringsLifetimeYears = yearsOrNil(st.Device.ProjectedSpringsLifetime(sd.MEMS, cal))
-				run.ProbesLifetimeYears = yearsOrNil(st.Device.ProjectedProbesLifetime(sd.MEMS, cal))
-			}
-			for j, stream := range st.Streams {
-				run.Streams = append(run.Streams, MultiSimStreamResult{
-					Name:                stream.Name,
-					StreamedBits:        stream.StreamedBits.Bits(),
-					RefillCycles:        stream.RefillCycles,
-					Underruns:           stream.Underruns,
-					RebufferEpisodes:    stream.RebufferEpisodes,
-					RebufferSeconds:     stream.RebufferTime.Seconds(),
-					StartupDelaySeconds: stream.StartupDelay.Seconds(),
-					MinBufferLevelBits:  stream.MinBufferLevel.Bits(),
-					EnergyShare:         st.EnergyShare(j),
-				})
-			}
-			resp.Runs[i] = run
-		}
-		return resp, nil
-	})
-	return body, err
+	return serve(ctx, s, "multisim", req.resolve)
 }
 
 // MultiSim answers a MultiSimRequest through the cache.
@@ -868,59 +719,52 @@ func (s *Service) MultiSim(ctx context.Context, req MultiSimRequest) (*MultiSimR
 	return typed[MultiSimResponse](s.MultiSimBytes(ctx, req))
 }
 
-// breakEvenKey is the canonical fingerprint payload of a BreakEvenRequest.
-type breakEvenKey struct {
-	Device  device.MEMS
-	RateBps float64
+// breakEvenJob is a resolved BreakEvenRequest.
+type breakEvenJob struct {
+	Device device.MEMS
+	Rate   units.BitRate
+}
+
+func (r BreakEvenRequest) resolve(*Service) (j breakEvenJob, err error) {
+	if j.Device, err = r.Device.resolve(); err != nil {
+		return j, err
+	}
+	j.Rate, err = r.Rate.rate("rate")
+	return j, err
+}
+
+// The MEMS and disk inversions fan out on exactly two workers.
+func (breakEvenJob) workers() int { return 2 }
+
+func (j breakEvenJob) run(ctx context.Context) (any, error) {
+	// The MEMS and disk inversions are independent; fan them out on the
+	// shared pool so the request honours cancellation between them.
+	buffers, err := parallel.Map(ctx, 2, 2, func(_ context.Context, i int) (units.Size, error) {
+		if i == 0 {
+			return energy.BreakEvenBuffer(energy.MEMSBreakEvenAdapter{Device: j.Device}, j.Rate)
+		}
+		return energy.BreakEvenBuffer(energy.DiskBreakEvenAdapter{Disk: device.Default18InchDisk()}, j.Rate)
+	})
+	if err != nil {
+		return nil, err
+	}
+	mems, disk := buffers[0], buffers[1]
+	resp := &BreakEvenResponse{
+		Rate:     j.Rate.String(),
+		MEMSBits: mems.Bits(),
+		DiskBits: disk.Bits(),
+		MEMS:     mems.String(),
+		Disk:     disk.String(),
+	}
+	if mems.Positive() {
+		resp.DiskOverMEMS = disk.DivideBy(mems)
+	}
+	return resp, nil
 }
 
 // BreakEvenBytes answers a BreakEvenRequest with the cached response body.
 func (s *Service) BreakEvenBytes(ctx context.Context, req BreakEvenRequest) ([]byte, error) {
-	ctx, finish := s.begin(ctx)
-	var err error
-	defer func() { finish(err) }()
-
-	dev, err := req.Device.resolve()
-	if err != nil {
-		return nil, err
-	}
-	rate, err := req.Rate.rate("rate")
-	if err != nil {
-		return nil, err
-	}
-	key, err := fingerprint("breakeven", breakEvenKey{Device: dev, RateBps: rate.BitsPerSecond()})
-	if err != nil {
-		return nil, err
-	}
-	// The MEMS and disk inversions fan out on exactly two workers.
-	noteWorkers(ctx, 2)
-	var body []byte
-	body, err = s.memoize(ctx, key, func(ctx context.Context) (any, error) {
-		// The MEMS and disk inversions are independent; fan them out on the
-		// shared pool so the request honours cancellation between them.
-		buffers, err := parallel.Map(ctx, 2, 2, func(_ context.Context, i int) (units.Size, error) {
-			if i == 0 {
-				return energy.BreakEvenBuffer(energy.MEMSBreakEvenAdapter{Device: dev}, rate)
-			}
-			return energy.BreakEvenBuffer(energy.DiskBreakEvenAdapter{Disk: device.Default18InchDisk()}, rate)
-		})
-		if err != nil {
-			return nil, err
-		}
-		mems, disk := buffers[0], buffers[1]
-		resp := &BreakEvenResponse{
-			Rate:     rate.String(),
-			MEMSBits: mems.Bits(),
-			DiskBits: disk.Bits(),
-			MEMS:     mems.String(),
-			Disk:     disk.String(),
-		}
-		if mems.Positive() {
-			resp.DiskOverMEMS = disk.DivideBy(mems)
-		}
-		return resp, nil
-	})
-	return body, err
+	return serve(ctx, s, "breakeven", req.resolve)
 }
 
 // BreakEven answers a BreakEvenRequest through the cache.
@@ -928,93 +772,84 @@ func (s *Service) BreakEven(ctx context.Context, req BreakEvenRequest) (*BreakEv
 	return typed[BreakEvenResponse](s.BreakEvenBytes(ctx, req))
 }
 
-// multiStreamKey is the canonical fingerprint payload of a MultiStreamRequest.
-type multiStreamKey struct {
+// multiStreamJob is a resolved MultiStreamRequest.
+type multiStreamJob struct {
 	Device                device.MEMS
 	Goal                  core.Goal
 	Streams               []multistream.StreamSpec
 	CountInterStreamSeeks bool
 }
 
+func (r MultiStreamRequest) resolve(*Service) (j multiStreamJob, err error) {
+	if j.Device, err = r.Device.resolve(); err != nil {
+		return j, err
+	}
+	if j.Goal, err = r.Goal.resolve(); err != nil {
+		return j, err
+	}
+	j.Streams, err = resolveStreams(r.Streams)
+	j.CountInterStreamSeeks = r.CountInterStreamSeeks
+	return j, err
+}
+
+// Shared-device dimensioning is a single sequential computation.
+func (multiStreamJob) workers() int { return 1 }
+
+func (j multiStreamJob) run(ctx context.Context) (any, error) {
+	// The Table I calendar; the per-stream write mix comes from the specs.
+	system, err := multistream.NewSystem(j.Device, device.DefaultDRAM(), lifetime.DefaultWorkload(), j.Streams)
+	if err != nil {
+		return nil, invalidf("%v", err)
+	}
+	system.CountInterStreamSeeks = j.CountInterStreamSeeks
+	dim, err := system.Dimension(j.Goal)
+	if err != nil {
+		return nil, err
+	}
+	// Dimension has no cancellation points (a whole 64-stream request takes
+	// a fraction of a millisecond); a deadline that passed while it ran
+	// still answers 504 and caches nothing.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	resp := &MultiStreamResponse{
+		Feasible: dim.Feasible,
+		Dominant: dim.Dominant.String(),
+	}
+	if len(dim.Reasons) > 0 {
+		resp.Reasons = make(map[string]string, len(dim.Reasons))
+		for c, reason := range dim.Reasons {
+			resp.Reasons[c.String()] = reason
+		}
+	}
+	if dim.Feasible {
+		resp.PeriodSeconds = dim.Period.Seconds()
+		resp.Period = dim.Period.String()
+		resp.TotalBufferBits = dim.Plan.TotalBuffer.Bits()
+		resp.TotalBuffer = dim.Plan.TotalBuffer.String()
+		resp.EnergySaving = dim.Plan.EnergySaving
+		resp.Utilisation = dim.Plan.Utilisation
+		resp.LifetimeYears = yearsOrNil(dim.Plan.Lifetime)
+		for i, b := range dim.Plan.Buffers {
+			resp.Buffers = append(resp.Buffers, MultiStreamBuffer{
+				Name:       j.Streams[i].Name,
+				BufferBits: b.Bits(),
+				Buffer:     b.String(),
+			})
+		}
+	}
+	return resp, nil
+}
+
 // MultiStreamBytes answers a MultiStreamRequest with the cached response body.
 func (s *Service) MultiStreamBytes(ctx context.Context, req MultiStreamRequest) ([]byte, error) {
-	ctx, finish := s.begin(ctx)
-	var err error
-	defer func() { finish(err) }()
-
-	dev, err := req.Device.resolve()
-	if err != nil {
-		return nil, err
-	}
-	goal, err := req.Goal.resolve()
-	if err != nil {
-		return nil, err
-	}
-	streams, err := resolveStreams(req.Streams)
-	if err != nil {
-		return nil, err
-	}
-	key, err := fingerprint("multistream", multiStreamKey{
-		Device:                dev,
-		Goal:                  goal,
-		Streams:               streams,
-		CountInterStreamSeeks: req.CountInterStreamSeeks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Shared-device dimensioning is a single sequential computation.
-	noteWorkers(ctx, 1)
-	var body []byte
-	body, err = s.memoize(ctx, key, func(ctx context.Context) (any, error) {
-		system, err := multistream.NewSystem(dev, device.DefaultDRAM(), workloadForStreams(), streams)
-		if err != nil {
-			return nil, invalidf("%v", err)
-		}
-		system.CountInterStreamSeeks = req.CountInterStreamSeeks
-		dim, err := await(ctx, func() (multistream.Dimensioning, error) { return system.Dimension(goal) })
-		if err != nil {
-			return nil, err
-		}
-		resp := &MultiStreamResponse{
-			Feasible: dim.Feasible,
-			Dominant: dim.Dominant.String(),
-		}
-		if len(dim.Reasons) > 0 {
-			resp.Reasons = make(map[string]string, len(dim.Reasons))
-			for c, reason := range dim.Reasons {
-				resp.Reasons[c.String()] = reason
-			}
-		}
-		if dim.Feasible {
-			resp.PeriodSeconds = dim.Period.Seconds()
-			resp.Period = dim.Period.String()
-			resp.TotalBufferBits = dim.Plan.TotalBuffer.Bits()
-			resp.TotalBuffer = dim.Plan.TotalBuffer.String()
-			resp.EnergySaving = dim.Plan.EnergySaving
-			resp.Utilisation = dim.Plan.Utilisation
-			resp.LifetimeYears = yearsOrNil(dim.Plan.Lifetime)
-			for i, b := range dim.Plan.Buffers {
-				resp.Buffers = append(resp.Buffers, MultiStreamBuffer{
-					Name:       streams[i].Name,
-					BufferBits: b.Bits(),
-					Buffer:     b.String(),
-				})
-			}
-		}
-		return resp, nil
-	})
-	return body, err
+	return serve(ctx, s, "multistream", req.resolve)
 }
 
 // MultiStream answers a MultiStreamRequest through the cache.
 func (s *Service) MultiStream(ctx context.Context, req MultiStreamRequest) (*MultiStreamResponse, error) {
 	return typed[MultiStreamResponse](s.MultiStreamBytes(ctx, req))
 }
-
-// workloadForStreams returns the shared-device workload: the Table I
-// calendar, with the per-stream write mix coming from the stream specs.
-func workloadForStreams() lifetime.Workload { return lifetime.DefaultWorkload() }
 
 // typed decodes a cached response body into its response type.
 func typed[T any](body []byte, err error) (*T, error) {

@@ -263,6 +263,13 @@ func TestValidationFailures(t *testing.T) {
 		{"multistream no streams", "/v1/multistream", `{"goal":` + goalJSON + `,"streams":[]}`},
 		{"multistream bad write fraction", "/v1/multistream", `{"goal":` + goalJSON + `,"streams":[{"name":"a","rate":"768 kbps","write_fraction":2}]}`},
 		{"multistream inadmissible mix", "/v1/multistream", `{"goal":` + goalJSON + `,"streams":[{"name":"a","rate":"300 Mbps","write_fraction":1}]}`},
+		// Rates the analytical model rejects are input errors, as they are on
+		// /v1/simulate and /v1/multistream, not server failures.
+		{"dimension rate below media rate without admissible buffer", "/v1/dimension", `{"rate":"101 Mbps","goal":` + goalJSON + `}`},
+		{"dimension rate at media rate", "/v1/dimension", `{"rate":"102.4 Mbps","goal":` + goalJSON + `}`},
+		{"dimension rate above media rate", "/v1/dimension", `{"rate":"150 Mbps","goal":` + goalJSON + `}`},
+		{"sweep max rate without admissible buffer", "/v1/sweep", `{"goal":` + goalJSON + `,"min_rate":"32 kbps","max_rate":"101 Mbps","points":8}`},
+		{"sweep max rate above media rate", "/v1/sweep", `{"goal":` + goalJSON + `,"min_rate":"32 kbps","max_rate":"200 Mbps","points":8}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
