@@ -65,12 +65,22 @@
 // machinery through one cycle loop and differ only in a handful of declared
 // behavioural knobs (the single-stream top-off refill, its ECC error model,
 // its full-buffer DRAM charge), so the two paths cannot drift apart. Time
-// advances by next-event stepping — a drain or refill integration step ends
-// at the earliest of the target buffer level, the run deadline, and the next
-// demand change announced by the rate source — so piecewise-constant demand
-// (CBR, VBR segments, per-frame video traces) is integrated exactly, and
-// VBR/video runs take steps proportional to the number of rate changes
-// instead of fixed 20-millisecond slices.
+// advances by next-event stepping: a drain or refill integration step ends
+// at the earliest of the target buffer level, the run deadline, and the end
+// of a stream's current demand segment. Each stream caches that segment —
+// its rate and where it ends — from one Segment query to its demand pattern,
+// answered from a single frame (or VBR segment) index, and reloads it only
+// when the clock reaches the end; the pattern's cursor then advances frame
+// by frame in O(1). The rate a step drains at and the boundary it stops at
+// come from the same frame, so piecewise-constant demand (CBR, VBR segments,
+// per-frame video and user traces) is integrated exactly: a video or trace
+// run without underruns or best-effort traffic (each background request is
+// one step at the demand in effect when it starts) streams the bits its
+// frames play to a relative 1e-12. TestFrameAccurateRunsStreamTheirFrames
+// in internal/sim checks this, and TestSegmentWalkIntegratesFrames in
+// internal/workload checks the patterns over three passes of the
+// wrap-around. VBR/video runs take steps proportional to the number of rate
+// changes instead of fixed 20-millisecond slices.
 //
 // The engine accounts per-state time and energy against a pluggable device
 // backend (power per cycle state, positioning and shutdown transitions,
@@ -211,9 +221,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_15.json
-//	go run ./cmd/memsbench -check BENCH_15.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_9.json BENCH_15.json
+//	go run ./cmd/memsbench -format json -out BENCH_18.json
+//	go run ./cmd/memsbench -check BENCH_18.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_15.json BENCH_18.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

@@ -12,11 +12,17 @@
 //
 // The engine advances time by next-event stepping, not by fixed slices: a
 // drain or refill integration step ends at the earliest of the target level,
-// the deadline, and the next demand change every RateSource announces. For
-// piecewise-constant demand — CBR, VBR segments, per-frame video traces — the
-// integration is therefore exact, and the step count is proportional to the
-// number of rate changes instead of the simulated time divided by a slice
-// width.
+// the deadline, and the end of every stream's current demand segment. Each
+// stream caches its segment — the rate and where it ends, read from its
+// RateSource with one Segment call — and reloads it only once the clock
+// reaches that end. Drain, refill and transition steps therefore never
+// straddle a rate change, and the rate a step drains at and the boundary it
+// stops at come from the same frame index of the source, so
+// piecewise-constant demand — CBR, VBR segments, per-frame video and user
+// traces — is integrated exactly. (A best-effort request is accounted as one
+// step, at the demand in effect when it starts.) The step count is
+// proportional to the number of rate changes instead of the simulated time
+// divided by a slice width.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so
@@ -32,18 +38,19 @@ import (
 	"memstream/internal/workload"
 )
 
-// RateSource samples the piecewise-constant demand of a stream and announces
-// its own rate changes. Every workload.Pattern (RatePattern, VideoRatePattern,
-// TracePattern) implements it.
+// RateSource is the piecewise-constant demand of a stream, read one
+// constant segment at a time. Every workload.Pattern (RatePattern,
+// VideoRatePattern, TracePattern) implements it.
 type RateSource interface {
-	// RateAt returns the demand in effect at time t.
-	RateAt(t units.Duration) units.BitRate
 	// PeakRate returns the largest demand the source can produce; the
 	// engine provisions its wake-up threshold against it.
 	PeakRate() units.BitRate
-	// NextRateChange returns the earliest time strictly after t at which
-	// RateAt may return a different value (infinity for a constant source).
-	NextRateChange(t units.Duration) units.Duration
+	// Segment returns the demand in effect at time t, the end of the
+	// constant-demand segment holding t (strictly after t; +Inf for a
+	// constant source) and the cursor for the next call.
+	// workload.NoCursor carries no hint; the returned cursor lets the
+	// source answer for the next segment in O(1).
+	Segment(t units.Duration, cursor int) (rate units.BitRate, end units.Duration, next int)
 }
 
 // Backend is the device model driven through the refill cycle: power per

@@ -201,47 +201,33 @@ func TestStepBoundStopsAtRateChanges(t *testing.T) {
 }
 
 // stepRate is a two-phase test source: lowRate before switchAt, highRate
-// after, with the boundary announced through NextRateChange.
+// after, with the boundary as the first segment's end.
 type stepRate struct {
 	switchAt          units.Duration
 	lowRate, highRate units.BitRate
 }
 
-func (s stepRate) RateAt(t units.Duration) units.BitRate {
-	if t < s.switchAt {
-		return s.lowRate
-	}
-	return s.highRate
-}
 func (s stepRate) PeakRate() units.BitRate { return s.highRate }
-func (s stepRate) NextRateChange(t units.Duration) units.Duration {
+func (s stepRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if t < s.switchAt {
-		return s.switchAt
+		return s.lowRate, s.switchAt, cursor
 	}
-	return units.Duration(math.Inf(1))
+	return s.highRate, units.Duration(math.Inf(1)), cursor
 }
 
 // spikeRate models one oversized video frame: demand above the media rate
-// until switchAt, modest afterwards, with the boundary announced.
+// until switchAt, modest afterwards, with the boundary as a segment end.
 type spikeRate struct {
 	switchAt          units.Duration
 	highRate, lowRate units.BitRate
-	calls             int
 }
 
-func (s *spikeRate) RateAt(t units.Duration) units.BitRate {
-	s.calls++
-	if t < s.switchAt {
-		return s.highRate
-	}
-	return s.lowRate
-}
 func (s *spikeRate) PeakRate() units.BitRate { return s.highRate }
-func (s *spikeRate) NextRateChange(t units.Duration) units.Duration {
+func (s *spikeRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if t < s.switchAt {
-		return s.switchAt
+		return s.highRate, s.switchAt, cursor
 	}
-	return units.Duration(math.Inf(1))
+	return s.lowRate, units.Duration(math.Inf(1)), cursor
 }
 
 // TestRefillStepsOverDemandSpike locks in the RefillStream fix: while demand
@@ -260,7 +246,7 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 	c := newSingleCore(b, src, buffer, 0.4)
 	// Open a gap so the refill loop engages while the spike is still on.
 	c.Account(device.StateSeek, units.Duration(0.001), 0)
-	callsBefore := src.calls
+	stepsBefore := c.DeviceStats().Steps
 	c.RefillStream(0)
 	if c.Level(0) != buffer {
 		t.Fatalf("refill ended at %v, want full %v", c.Level(0), buffer)
@@ -269,9 +255,9 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 		t.Fatalf("refill finished at %v, before the spike ended at %v", c.Now(), src.switchAt)
 	}
 	// One step to the spike boundary plus a handful of refill steps — the
-	// 1 ms fallback would have sampled the source hundreds of times.
-	if got := src.calls - callsBefore; got > 20 {
-		t.Errorf("refill sampled the source %d times across the spike; want a few event steps", got)
+	// 1 ms fallback would have taken hundreds of steps.
+	if got := c.DeviceStats().Steps - stepsBefore; got > 20 {
+		t.Errorf("refill took %d steps across the spike; want a few event steps", got)
 	}
 }
 

@@ -104,9 +104,8 @@ func (m *MultiCore) before(p Policy, a, b int) bool {
 // demand (infinite for a momentarily idle stream).
 func (m *MultiCore) urgency(i int) float64 {
 	st := m.streams[i]
-	rate := st.source.RateAt(m.now)
-	if !rate.Positive() {
+	if !st.rate.Positive() {
 		return math.Inf(1)
 	}
-	return rate.TimeFor(st.level).Seconds()
+	return st.rate.TimeFor(st.level).Seconds()
 }

@@ -16,6 +16,7 @@ import (
 
 	"memstream/internal/device"
 	"memstream/internal/units"
+	"memstream/internal/workload"
 )
 
 // StreamConfig describes one stream driven through a shared device.
@@ -34,7 +35,13 @@ type StreamConfig struct {
 
 // streamState is the per-stream accounting of the core.
 type streamState struct {
-	source        RateSource
+	source RateSource
+	// rate is the source's demand over its current segment, which ends at
+	// segEnd (always after the core's clock); cursor is the source's hint
+	// for the next segment.
+	rate          units.BitRate
+	segEnd        units.Duration
+	cursor        int
 	buffer        units.Size
 	level         units.Size
 	wakeLevel     units.Size
@@ -43,6 +50,11 @@ type streamState struct {
 	priority      int
 	inRebuffer    bool
 	stats         Stats
+}
+
+// loadSegment caches the source's segment holding time t.
+func (st *streamState) loadSegment(t units.Duration) {
+	st.rate, st.segEnd, st.cursor = st.source.Segment(t, st.cursor)
 }
 
 // drain removes dt's worth of demand from the stream buffer, tracking
@@ -132,11 +144,12 @@ func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 	return m
 }
 
-// provision derives every run-initial quantity that depends on the sources'
-// peak demands — wake levels, startup delays, full buffers, fresh statistics
-// — shared by NewMultiCore and Reset. It allocates nothing, so re-seeded
-// sources (whose realized peaks change with the seed) can be re-provisioned
-// per run on the reset path.
+// provision derives every run-initial quantity that depends on the sources
+// — wake levels against their peak demands, startup delays, full buffers,
+// fresh statistics and each stream's demand segment at time zero — shared by
+// NewMultiCore and Reset. It allocates nothing, so re-seeded sources (whose
+// realized peaks change with the seed) can be re-provisioned per run on the
+// reset path.
 func (m *MultiCore) provision() {
 	// The longest a full service round can take. A single stream only has to
 	// survive the positioning transition before its own refill begins; with
@@ -160,6 +173,8 @@ func (m *MultiCore) provision() {
 		st.wakeLevel = st.source.PeakRate().Times(serviceBound).Scale(1.05)
 		st.inRebuffer = false
 		st.stats = Stats{MinBufferLevel: st.buffer}
+		st.cursor = workload.NoCursor
+		st.loadSegment(0)
 		// Startup: the device positions to and fills each region in turn at
 		// the media rate before any stream may start draining; stream i can
 		// start once its own fill completes.
@@ -175,10 +190,10 @@ func (m *MultiCore) provision() {
 
 // Reset rewinds the core to the state NewMultiCore would build for the same
 // backend and streams — time zero, full buffers, zeroed statistics, wake
-// levels re-provisioned against the sources' current peak demands — without
-// allocating. The sources themselves are not touched: a driver re-seeding
-// stochastic sources resets them before calling Reset, so the re-provisioned
-// wake levels see the new traces.
+// levels re-provisioned against the sources' current peak demands, segments
+// reloaded at time zero — without allocating. The sources themselves are not
+// reset: a driver re-seeding stochastic sources resets them before calling
+// Reset, so the re-provisioned wake levels and segments see the new traces.
 func (m *MultiCore) Reset() {
 	m.provision()
 }
@@ -209,13 +224,16 @@ func (m *MultiCore) StreamStats(i int) *Stats { return &m.streams[i].stats }
 // Account records dt seconds in the given device state while every stream
 // drains its buffer at its own demand. focus names the stream being serviced
 // (its statistics receive the state time and energy too); pass -1 for shared
-// states.
+// states. Each stream drains at the rate of the segment holding the step's
+// start (left-endpoint sampling, exact for steps bounded by stepBound); a
+// stream whose segment ended by the step's end reloads it, skipping any
+// segments a longer step (a best-effort request's service time) crossed.
 func (m *MultiCore) Account(state device.PowerState, dt units.Duration, focus int) {
 	if dt <= 0 {
 		return
 	}
 	for _, st := range m.streams {
-		st.drain(st.source.RateAt(m.now), dt, &m.device)
+		st.drain(st.rate, dt, &m.device)
 	}
 	m.now = m.now.Add(dt)
 	m.device.Steps++
@@ -230,6 +248,9 @@ func (m *MultiCore) Account(state device.PowerState, dt units.Duration, focus in
 	var total units.Size
 	for _, st := range m.streams {
 		total = total.Add(st.level)
+		if st.segEnd <= m.now {
+			st.loadSegment(m.now)
+		}
 	}
 	if total < m.device.MinBufferLevel {
 		m.device.MinBufferLevel = total
@@ -237,12 +258,11 @@ func (m *MultiCore) Account(state device.PowerState, dt units.Duration, focus in
 }
 
 // stepBound trims an integration step so it ends no later than the earliest
-// rate change of any stream, keeping left-endpoint sampling exact for
+// segment end of any stream, keeping left-endpoint sampling exact for
 // piecewise-constant demand across all sources at once.
 func (m *MultiCore) stepBound(dt units.Duration) units.Duration {
 	for _, st := range m.streams {
-		next := st.source.NextRateChange(m.now)
-		if remaining := next.Sub(m.now); remaining.Positive() && remaining < dt {
+		if remaining := st.segEnd.Sub(m.now); remaining.Positive() && remaining < dt {
 			dt = remaining
 		}
 	}
@@ -273,11 +293,10 @@ func (m *MultiCore) DrainToWake(state device.PowerState, deadline units.Duration
 		}
 		dt := deadline.Sub(m.now)
 		for _, st := range m.streams {
-			rate := st.source.RateAt(m.now)
-			if !rate.Positive() {
+			if !st.rate.Positive() {
 				continue
 			}
-			if need := rate.TimeFor(st.level.Sub(st.wakeLevel)); need < dt {
+			if need := st.rate.TimeFor(st.level.Sub(st.wakeLevel)); need < dt {
 				dt = need
 			}
 		}
@@ -327,11 +346,10 @@ func (m *MultiCore) RefillStream(focus int) {
 	media := m.mediaRate
 	for st.level < st.buffer {
 		level, now := st.level, m.now
-		rate := st.source.RateAt(m.now)
-		net := media.Sub(rate)
+		net := media.Sub(st.rate)
 		if net <= 0 {
 			// The stream momentarily outruns the media rate; step straight to
-			// the next rate change of any stream, falling back to 1 ms slices
+			// the next segment end of any stream, falling back to 1 ms slices
 			// only when every source is constant.
 			dt := units.Duration(1e-3)
 			if bound := m.stepBound(units.Duration(math.Inf(1))); bound.Positive() && !math.IsInf(bound.Seconds(), 0) {

@@ -69,14 +69,20 @@ func newSliced(cfg Config) (*slicedSimulator, error) {
 	return s, nil
 }
 
+// rate samples the demand in effect now. The oracle keeps no cursor: every
+// sample looks its segment up from scratch.
+func (s *slicedSimulator) rate() units.BitRate {
+	rate, _, _ := s.source.Segment(s.now, workload.NoCursor)
+	return rate
+}
+
 // account records dt seconds in the given device state while the stream
 // drains the buffer.
 func (s *slicedSimulator) account(state device.PowerState, dt units.Duration) {
 	if dt <= 0 {
 		return
 	}
-	rate := s.source.RateAt(s.now)
-	drained := rate.Times(dt)
+	drained := s.rate().Times(dt)
 	s.level = s.level.Sub(drained)
 	if s.level < 0 {
 		s.stats.Underruns++
@@ -100,7 +106,7 @@ func (s *slicedSimulator) drainInState(state device.PowerState, target units.Siz
 	// left-endpoint sampling does not bias the drained volume.
 	const step = 0.02 // seconds
 	for s.level > target && s.now < deadline {
-		rate := s.source.RateAt(s.now)
+		rate := s.rate()
 		if !rate.Positive() {
 			break
 		}
@@ -119,7 +125,7 @@ func (s *slicedSimulator) drainInState(state device.PowerState, target units.Siz
 // full, crediting the transferred media bits.
 func (s *slicedSimulator) refillToFull(state device.PowerState) {
 	for s.level < s.cfg.Buffer {
-		rate := s.source.RateAt(s.now)
+		rate := s.rate()
 		net := s.cfg.Device.MediaRate().Sub(rate)
 		if net <= 0 {
 			// The stream momentarily outruns the media rate; nothing refills.

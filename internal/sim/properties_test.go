@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -167,4 +168,81 @@ func simulatedDiskBreakEven(t *testing.T, disk device.Disk, rate units.BitRate, 
 		}
 	}
 	return lo.Add(hi.Sub(lo).Scale(0.5))
+}
+
+// framePlayback returns the bits a frame trace plays over [0, end), replayed
+// every horizon: whole passes, the whole frames of the last pass, then the
+// elapsed fraction of the frame playing at end.
+func framePlayback(frames []workload.Frame, horizon, end units.Duration) float64 {
+	var pass float64
+	for _, f := range frames {
+		pass += f.Size.Bits()
+	}
+	k := math.Floor(end.Seconds() / horizon.Seconds())
+	bits := k * pass
+	w := end.Seconds() - k*horizon.Seconds()
+	for i, f := range frames {
+		start, stop := f.Timestamp.Seconds(), horizon.Seconds()
+		if i+1 < len(frames) {
+			stop = frames[i+1].Timestamp.Seconds()
+		}
+		if w >= stop {
+			bits += f.Size.Bits()
+			continue
+		}
+		if w > start {
+			bits += f.Size.Bits() * (w - start) / (stop - start)
+		}
+		break
+	}
+	return bits
+}
+
+// TestFrameAccurateRunsStreamTheirFrames checks that the engine integrates
+// frame-accurate demand exactly: a video or trace run without underruns or
+// best-effort traffic streams the bits its frames play over the simulated
+// time, to a relative 1e-12. The runs are an hour of 1024 kbps video at
+// three seeds and five minutes replaying a 60 s trace (five passes and the
+// overrun of the last cycle).
+func TestFrameAccurateRunsStreamTheirFrames(t *testing.T) {
+	rate := 1024 * units.Kbps
+	type run struct {
+		cfg     Config
+		frames  []workload.Frame
+		horizon units.Duration
+	}
+	runs := map[string]run{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec := workload.VideoSpec(rate, seed)
+		frames, err := spec.TraceFrames(units.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := specConfig(spec, 128*units.KiB, units.Hour)
+		horizon := units.Second.Scale(float64(len(frames)) / spec.FrameRate)
+		runs[fmt.Sprintf("video/seed-%d", seed)] = run{cfg, frames, horizon}
+	}
+	frames, err := workload.VideoSpec(rate, 3).TraceFrames(units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(frames)
+	last := frames[n-1].Timestamp
+	horizon := last.Add(last.Sub(frames[n-2].Timestamp))
+	runs["trace/60s-for-5min"] = run{specConfig(workload.TraceSpec(frames), 64*units.KiB, 5*units.Minute), frames, horizon}
+
+	for name, r := range runs {
+		st, err := RunConfig(r.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Underruns != 0 {
+			t.Fatalf("%s: %d underruns; the property needs a run that never starves", name, st.Underruns)
+		}
+		want := framePlayback(r.frames, r.horizon, st.SimulatedTime)
+		if d := relDiff(st.StreamedBits.Bits(), want); d > 1e-12 {
+			t.Errorf("%s: streamed %.17g bits over %v, the frames play %.17g (rel %.2e)",
+				name, st.StreamedBits.Bits(), st.SimulatedTime, want, d)
+		}
+	}
 }

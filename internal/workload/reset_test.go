@@ -7,12 +7,19 @@ import (
 	"memstream/internal/units"
 )
 
+// rateAt samples the demand a pattern plays at t, looked up without a
+// cursor.
+func rateAt(p Pattern, t units.Duration) units.BitRate {
+	rate, _, _ := p.Segment(t, NoCursor)
+	return rate
+}
+
 // sampleRates walks the pattern through the first minute at a quarter-second
 // step, driving the lazy segment draws exactly as an integrator would.
 func sampleRates(p Pattern) []units.BitRate {
 	out := make([]units.BitRate, 0, 240)
 	for i := 0; i < 240; i++ {
-		out = append(out, p.RateAt(units.Second.Scale(float64(i)*0.25)))
+		out = append(out, rateAt(p, units.Second.Scale(float64(i)*0.25)))
 	}
 	return out
 }

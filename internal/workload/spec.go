@@ -35,19 +35,22 @@ const specKinds = `"cbr", "vbr", "video" or "trace"`
 // trace covering its full duration.
 const MaxTraceHorizon = units.Hour
 
-// Pattern samples piecewise-constant stream demand and announces its own
-// rate changes, so event-driven integrators can step exactly from change to
-// change. RatePattern, VideoRatePattern and TracePattern all implement it.
+// Pattern is piecewise-constant stream demand, read one constant segment at
+// a time, so event-driven integrators step exactly from change to change.
+// RatePattern, VideoRatePattern and TracePattern all implement it.
 type Pattern interface {
-	// RateAt returns the demand in effect at time t.
-	RateAt(t units.Duration) units.BitRate
 	// PeakRate returns the largest demand the pattern can produce.
 	PeakRate() units.BitRate
 	// AverageRate returns the long-run average demand.
 	AverageRate() units.BitRate
-	// NextRateChange returns the earliest time strictly after t at which
-	// RateAt may return a different value.
-	NextRateChange(t units.Duration) units.Duration
+	// Segment returns the demand in effect at time t ≥ 0, the end of the
+	// constant-demand segment holding t (strictly after t; +Inf for a
+	// constant pattern) and the cursor to pass with the next call. The
+	// cursor is only a hint: NoCursor makes the pattern search from
+	// scratch, and the returned cursor makes a call within the next
+	// segment O(1), so a clock that advances segment by segment never
+	// searches.
+	Segment(t units.Duration, cursor int) (rate units.BitRate, end units.Duration, next int)
 }
 
 // StreamSpec is the one stream description shared by every layer: the

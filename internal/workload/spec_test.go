@@ -143,11 +143,12 @@ func TestSpecPatternKinds(t *testing.T) {
 		if got := p.AverageRate().BitsPerSecond(); math.Abs(got-rate.BitsPerSecond())/rate.BitsPerSecond() > 0.05 {
 			t.Errorf("%s average = %v, want near nominal %v", spec.Kind, p.AverageRate(), rate)
 		}
-		if !p.RateAt(units.Second).Positive() {
+		rate, next, _ := p.Segment(units.Second, NoCursor)
+		if !rate.Positive() {
 			t.Errorf("%s rate at 1 s not positive", spec.Kind)
 		}
-		if next := p.NextRateChange(units.Second); next <= units.Second && spec.Kind != SpecCBR {
-			t.Errorf("%s next rate change %v does not advance", spec.Kind, next)
+		if next <= units.Second {
+			t.Errorf("%s segment end %v does not advance", spec.Kind, next)
 		}
 	}
 	if _, err := (StreamSpec{Kind: "chaos"}).Pattern(units.Second); err == nil {
@@ -198,18 +199,18 @@ func TestVideoRatePatternWrapAround(t *testing.T) {
 	for _, at := range []units.Duration{0, units.Duration(3.7), units.Duration(9.96)} {
 		for cycle := 1; cycle <= 3; cycle++ {
 			wrapped := at.Add(horizon.Scale(float64(cycle)))
-			if got, want := p.RateAt(wrapped), p.RateAt(at); got != want {
+			if got, want := rateAt(p, wrapped), rateAt(p, at); got != want {
 				t.Errorf("rate at %v = %v, want the first-cycle value %v", wrapped, got, want)
 			}
 		}
 	}
 	// Rate changes stay strictly advancing across the wrap itself.
-	at := horizon.Sub(units.Millisecond)
+	at, cursor := horizon.Sub(units.Millisecond), NoCursor
 	for i := 0; i < 5; i++ {
-		next := p.NextRateChange(at)
+		_, next, nextCursor := p.Segment(at, cursor)
 		if next <= at {
-			t.Fatalf("next rate change %v did not advance past %v", next, at)
+			t.Fatalf("segment end %v did not advance past %v", next, at)
 		}
-		at = next
+		at, cursor = next, nextCursor
 	}
 }

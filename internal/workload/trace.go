@@ -149,7 +149,8 @@ func ValidateFrames(frames []Frame) error {
 // over the interval. The last frame's interval repeats the one before it
 // (DefaultFrameInterval for a single-frame trace). Beyond the trace horizon
 // the pattern wraps around and replays from the start, so simulations longer
-// than the trace remain well defined.
+// than the trace remain well defined. The pattern is read-only after
+// construction: every replica and worker replaying a TraceSpec shares it.
 type TracePattern struct {
 	frames  []Frame
 	starts  []float64 // frame start times in seconds, starts[0] == 0
@@ -157,6 +158,9 @@ type TracePattern struct {
 	horizon float64
 	peak    units.BitRate
 	average units.BitRate
+	// maxPass bounds the passes (trace replays) the cursor counts, so an
+	// absolute frame index pass·n + i + 1 never overflows int.
+	maxPass int
 }
 
 // NewTracePattern builds a demand sampler over the given frames (in
@@ -167,9 +171,10 @@ func NewTracePattern(frames []Frame) (*TracePattern, error) {
 	}
 	n := len(frames)
 	p := &TracePattern{
-		frames: frames,
-		starts: make([]float64, n),
-		rates:  make([]units.BitRate, n),
+		frames:  frames,
+		starts:  make([]float64, n),
+		rates:   make([]units.BitRate, n),
+		maxPass: min(maxFrameIndex, math.MaxInt/n-2),
 	}
 	lastInterval := DefaultFrameInterval.Seconds()
 	if n > 1 {
@@ -196,52 +201,65 @@ func NewTracePattern(frames []Frame) (*TracePattern, error) {
 // Frames exposes the trace (for reports and round-trips).
 func (p *TracePattern) Frames() []Frame { return p.frames }
 
-// frameIndex returns the frame in effect at the wrapped time w.
-func (p *TracePattern) frameIndex(w float64) int {
-	// First start strictly greater than w, minus one.
-	i := sort.SearchFloat64s(p.starts, w)
-	if i == len(p.starts) || p.starts[i] > w {
-		i--
-	}
-	if i < 0 {
-		i = 0
-	}
-	return i
-}
-
-// RateAt returns the demand in effect at time t.
-func (p *TracePattern) RateAt(t units.Duration) units.BitRate {
-	if t < 0 {
-		t = 0
-	}
-	return p.rates[p.frameIndex(mod(t.Seconds(), p.horizon))]
-}
-
 // PeakRate returns the largest instantaneous demand of the trace.
 func (p *TracePattern) PeakRate() units.BitRate { return p.peak }
 
 // AverageRate returns the trace's long-run average demand.
 func (p *TracePattern) AverageRate() units.BitRate { return p.average }
 
-// NextRateChange returns the earliest time strictly after t at which RateAt
-// may return a different value: the next frame boundary, or the wrap-around
-// itself. A boundary that fails to advance t (a sub-ulp sliver at large t)
-// falls through to the boundary after it, mirroring NextBoundary's guard;
-// integrators treat a non-advancing result as "no change", so the final
-// fallback of one full cycle is safe even at absurd magnitudes.
-func (p *TracePattern) NextRateChange(t units.Duration) units.Duration {
-	if t < 0 {
-		t = 0
-	}
-	w := mod(t.Seconds(), p.horizon)
-	i := sort.SearchFloat64s(p.starts, w)
-	for i < len(p.starts) && p.starts[i] <= w {
-		i++
-	}
-	for ; i < len(p.starts); i++ {
-		if next := t.Add(units.Second.Scale(p.starts[i] - w)); next > t {
-			return next
+// Segment returns the demand of the frame playing at t, the end of that
+// frame and the cursor for the next call. Absolute frame j = pass·n + i
+// covers [pass·horizon + starts[i], pass·horizon + starts[i+1]), and the
+// last frame of a pass ends where the next pass starts, at
+// (pass+1)·horizon. The returned cursor is j+1, the absolute index of the
+// frame expected next.
+func (p *TracePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
+	if n := len(p.starts); cursor >= 0 && cursor/n < p.maxPass {
+		s := t.Seconds()
+		if start, end := p.bounds(cursor/n, cursor%n); start <= s && s < end {
+			return p.rates[cursor%n], units.Second.Scale(end), cursor + 1
 		}
 	}
-	return t.Add(units.Second.Scale(p.horizon - w))
+	return p.search(t)
+}
+
+// bounds returns the start and end, in seconds, of frame i in the given
+// pass.
+func (p *TracePattern) bounds(pass, i int) (start, end float64) {
+	base := p.horizon * float64(pass)
+	start = base + p.starts[i]
+	if i+1 < len(p.starts) {
+		return start, base + p.starts[i+1]
+	}
+	return start, p.horizon * float64(pass+1)
+}
+
+// search is Segment without a usable cursor: the pass from the quotient
+// (within one either way), then the frame by binary search on the same sums
+// bounds computes. Beyond maxPass, or where a pass is shorter than t's
+// precision, the frame comes from the exact remainder of t over the horizon
+// and no cursor is kept.
+func (p *TracePattern) search(t units.Duration) (units.BitRate, units.Duration, int) {
+	s, n := max(t.Seconds(), 0), len(p.starts)
+	if q := s / p.horizon; q < float64(p.maxPass) {
+		pass := int(q)
+		for pass > 0 && p.horizon*float64(pass) > s {
+			pass--
+		}
+		for p.horizon*float64(pass+1) <= s && pass < p.maxPass {
+			pass++
+		}
+		base := p.horizon * float64(pass)
+		i := sort.Search(n, func(k int) bool { return base+p.starts[k] > s }) - 1
+		if _, end := p.bounds(pass, i); end > s {
+			return p.rates[i], units.Second.Scale(end), pass*n + i + 1
+		}
+	}
+	w := math.Mod(s, p.horizon)
+	i := sort.Search(n, func(k int) bool { return p.starts[k] > w }) - 1
+	frameEnd := p.horizon
+	if i+1 < n {
+		frameEnd = p.starts[i+1]
+	}
+	return p.rates[i], farEnd(t, w, frameEnd), NoCursor
 }

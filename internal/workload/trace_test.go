@@ -117,7 +117,7 @@ func TestTracePatternRates(t *testing.T) {
 		{units.Duration(1.5), 8000}, {units.Duration(2.0), 2000}, {units.Duration(3.1), 8000}, {units.Duration(4.0), 4000},
 	}
 	for _, c := range checks {
-		if got := p.RateAt(c.at); math.Abs(got.BitsPerSecond()-c.want.BitsPerSecond()) > 1e-6 {
+		if got := rateAt(p, c.at); math.Abs(got.BitsPerSecond()-c.want.BitsPerSecond()) > 1e-6 {
 			t.Errorf("rate at %v = %v, want %v", c.at, got, c.want)
 		}
 	}
@@ -147,18 +147,18 @@ func TestTracePatternNextRateChange(t *testing.T) {
 		{units.Duration(1.5), units.Duration(2.0)}, // second cycle
 	}
 	for _, c := range checks {
-		if got := p.NextRateChange(c.at); math.Abs(got.Seconds()-c.want.Seconds()) > 1e-9 {
+		if _, got, _ := p.Segment(c.at, NoCursor); math.Abs(got.Seconds()-c.want.Seconds()) > 1e-9 {
 			t.Errorf("next change after %v = %v, want %v", c.at, got, c.want)
 		}
 	}
 	// Walking change to change always advances.
-	at := units.Duration(0)
+	at, cursor := units.Duration(0), NoCursor
 	for i := 0; i < 20; i++ {
-		next := p.NextRateChange(at)
+		_, next, nextCursor := p.Segment(at, cursor)
 		if next <= at {
 			t.Fatalf("change %d: %v does not advance past %v", i, next, at)
 		}
-		at = next
+		at, cursor = next, nextCursor
 	}
 }
 
@@ -171,7 +171,7 @@ func TestTracePatternSingleFrame(t *testing.T) {
 		t.Errorf("single-frame horizon = %v, want the default interval %v", got, DefaultFrameInterval)
 	}
 	want := 400 / DefaultFrameInterval.Seconds()
-	if got := p.RateAt(units.Second).BitsPerSecond(); math.Abs(got-want) > 1e-9 {
+	if got := rateAt(p, units.Second).BitsPerSecond(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("rate = %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"memstream/internal/units"
 )
@@ -92,13 +93,13 @@ func (s StreamSpec) videoPeak() units.BitRate {
 }
 
 // appendTrace appends the frame sequence of the defaulted, validated video
-// spec covering [0, horizon) to dst and returns the extended slice. Passing
-// a previous trace's slice truncated to zero length reuses its capacity, so
-// seed-varied replicas regenerate their traces without steady-state
-// allocations.
-func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, error) {
+// spec covering [0, horizon) to dst and returns the extended slice with its
+// largest frame size. Passing a previous trace's slice truncated to zero
+// length reuses its capacity, so seed-varied replicas regenerate their
+// traces without steady-state allocations.
+func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, units.Size, error) {
 	if !horizon.Positive() {
-		return nil, errors.New("workload: horizon must be positive")
+		return nil, 0, errors.New("workload: horizon must be positive")
 	}
 	means := s.meanFrameSizes()
 	rng := NewRng(s.Seed ^ 0x9e3779b97f4a7c15)
@@ -108,20 +109,35 @@ func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, e
 	// the process down), so fail loudly instead.
 	const maxFrames = 100_000_000
 	if n := horizon.Seconds() * s.FrameRate; n > maxFrames {
-		return nil, fmt.Errorf("workload: trace of %.3g frames exceeds the %d-frame generation bound", n, maxFrames)
+		return nil, 0, fmt.Errorf("workload: trace of %.3g frames exceeds the %d-frame generation bound", n, maxFrames)
 	}
 	total := int(horizon.Seconds() * s.FrameRate)
 	frames := dst
 	if frames == nil {
 		frames = make([]Frame, 0, total)
 	}
+	// k is the position in the GOP and m the position since its last anchor
+	// (k mod IPDistance), so the loop classifies frames as classOf does
+	// without a modulo per frame.
+	gop, anchor, jitter := s.GOPLength, s.IPDistance, s.Jitter
+	k, m := 0, 0
+	var largest units.Size
 	for idx := 0; idx < total; idx++ {
-		class := s.classOf(idx % s.GOPLength)
+		class := FrameB
+		switch {
+		case k == 0:
+			class = FrameI
+		case m == 0:
+			class = FrameP
+		}
 		// Symmetric jitter keeps the long-run mean on target.
-		factor := 1 + s.Jitter*(2*rng.Float64()-1)
+		factor := 1 + jitter*(2*rng.Float64()-1)
 		size := means[class].Scale(factor)
 		if size < 8 {
 			size = 8
+		}
+		if size > largest {
+			largest = size
 		}
 		frames = append(frames, Frame{
 			Index:     idx,
@@ -129,8 +145,13 @@ func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, e
 			Class:     class,
 			Size:      size,
 		})
+		if k++; k == gop {
+			k, m = 0, 0
+		} else if m++; m == anchor {
+			m = 0
+		}
 	}
-	return frames, nil
+	return frames, largest, nil
 }
 
 // VideoRatePattern samples the instantaneous demand of a generated video
@@ -152,36 +173,33 @@ type VideoRatePattern struct {
 // beyond the horizon, so simulations longer than the generated trace remain
 // well defined.
 func newVideoRatePattern(s StreamSpec, horizon units.Duration) (*VideoRatePattern, error) {
-	frames, err := s.appendTrace(nil, horizon)
-	if err != nil {
-		return nil, err
-	}
-	if len(frames) == 0 {
-		return nil, errors.New("workload: horizon too short for a single frame")
-	}
 	p := &VideoRatePattern{
 		spec:          s,
-		frames:        frames,
 		frameInterval: units.Second.Scale(1 / s.FrameRate),
-		horizon:       units.Second.Scale(float64(len(frames)) / s.FrameRate),
 		genHorizon:    horizon,
 	}
-	p.rescanPeak()
+	if err := p.generate(nil); err != nil {
+		return nil, err
+	}
+	if len(p.frames) == 0 {
+		return nil, errors.New("workload: horizon too short for a single frame")
+	}
 	return p, nil
 }
 
-// rescanPeak recomputes the realized peak demand over the current trace.
-func (p *VideoRatePattern) rescanPeak() {
-	p.peak = 0
-	for _, f := range p.frames {
-		if !p.frameInterval.Positive() {
-			continue
-		}
-		r := units.BitPerSecond.Scale(f.Size.Bits() / p.frameInterval.Seconds())
-		if r > p.peak {
-			p.peak = r
-		}
+// generate (re)builds the trace of the pattern's spec into dst, with its
+// realized horizon and peak. The peak is the largest frame over one frame
+// interval: division by the positive interval is monotone, so it equals the
+// largest per-frame rate.
+func (p *VideoRatePattern) generate(dst []Frame) error {
+	frames, largest, err := p.spec.appendTrace(dst, p.genHorizon)
+	if err != nil {
+		return err
 	}
+	p.frames = frames
+	p.horizon = units.Second.Scale(float64(len(frames)) / p.spec.FrameRate)
+	p.peak = units.BitPerSecond.Scale(largest.Bits() / p.frameInterval.Seconds())
+	return nil
 }
 
 // Reset regenerates the trace in place for the spec re-seeded with seed,
@@ -190,42 +208,75 @@ func (p *VideoRatePattern) rescanPeak() {
 // exists so batch replicas can reuse one pattern across seed-varied runs.
 func (p *VideoRatePattern) Reset(seed uint64) error {
 	p.spec.Seed = seed
-	frames, err := p.spec.appendTrace(p.frames[:0], p.genHorizon)
-	if err != nil {
-		return err
-	}
-	p.frames = frames
-	p.horizon = units.Second.Scale(float64(len(frames)) / p.spec.FrameRate)
-	p.rescanPeak()
-	return nil
+	return p.generate(p.frames[:0])
 }
 
-// RateAt returns the demand in effect at time t.
-func (p *VideoRatePattern) RateAt(t units.Duration) units.BitRate {
-	if t < 0 {
-		t = 0
+// Segment returns the demand of the frame playing at t, the end of that
+// frame and the cursor for the next call. Absolute frame j covers
+// [j·fi, (j+1)·fi) for the frame interval fi — the product Frame.Timestamp
+// uses, so a dumped trace replays to the same boundaries — and plays
+// frames[j mod n], so the trace wraps around beyond its horizon. The
+// returned cursor is j+1, the absolute index of the frame expected next.
+func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
+	fi := p.frameInterval
+	j := cursor
+	if j < 0 || j >= maxFrameIndex || fi.Scale(float64(j)) > t || fi.Scale(float64(j+1)) <= t {
+		// The hinted frame does not hold t: the quotient is within one
+		// frame either way.
+		q := t.Seconds() / fi.Seconds()
+		if !(q < maxFrameIndex) {
+			return p.farSegment(t)
+		}
+		j = int(math.Max(q, 0))
+		for j > 0 && fi.Scale(float64(j)) > t {
+			j--
+		}
+		for fi.Scale(float64(j+1)) <= t {
+			j++
+		}
 	}
-	wrapped := units.Second.Scale(mod(t.Seconds(), p.horizon.Seconds()))
-	idx := int(wrapped.Seconds() / p.frameInterval.Seconds())
-	if idx >= len(p.frames) {
-		idx = len(p.frames) - 1
+	size := p.frames[j%len(p.frames)].Size
+	return units.BitPerSecond.Scale(size.Bits() / fi.Seconds()), fi.Scale(float64(j + 1)), j + 1
+}
+
+// farSegment answers Segment beyond maxFrameIndex frames: the frame comes
+// from the exact remainder of t over the horizon, and no cursor is kept.
+func (p *VideoRatePattern) farSegment(t units.Duration) (units.BitRate, units.Duration, int) {
+	fi := p.frameInterval.Seconds()
+	w := math.Mod(t.Seconds(), p.horizon.Seconds())
+	i := 0
+	if x := w / fi; x > 0 {
+		i = min(int(x), len(p.frames)-1)
 	}
-	return units.BitPerSecond.Scale(p.frames[idx].Size.Bits() / p.frameInterval.Seconds())
+	for i > 0 && fi*float64(i) > w {
+		i--
+	}
+	rate := units.BitPerSecond.Scale(p.frames[i].Size.Bits() / fi)
+	return rate, farEnd(t, w, fi*float64(i+1)), NoCursor
+}
+
+// maxFrameIndex bounds the absolute frame indices patterns compute: below
+// it, products j·interval stay strictly increasing in j and j·n does not
+// overflow int. Times beyond it (hundreds of thousands of years of 25 fps
+// video) fall back to a lookup from the remainder over the horizon.
+const maxFrameIndex = 1 << 50
+
+// farEnd returns where the frame holding t ends, given t's offset w into
+// the wrapped trace and the frame's end frameEnd on the same scale. Where
+// float arithmetic cannot place that end after t (the frame is shorter than
+// t's precision), it is the next representable time, so an integrator
+// always advances.
+func farEnd(t units.Duration, w, frameEnd float64) units.Duration {
+	s := t.Seconds()
+	end := s + (frameEnd - w)
+	if !(end > s) {
+		end = math.Nextafter(s, math.Inf(1))
+	}
+	return units.Second.Scale(end)
 }
 
 // PeakRate returns the largest instantaneous demand of the trace.
 func (p *VideoRatePattern) PeakRate() units.BitRate { return p.peak }
-
-// NextRateChange returns the earliest time strictly after t at which RateAt
-// may return a different value: the next frame boundary. Boundaries are
-// multiples of the frame interval even across the wrap-around, so
-// event-driven integrators can step frame by frame.
-func (p *VideoRatePattern) NextRateChange(t units.Duration) units.Duration {
-	if t < 0 {
-		t = 0
-	}
-	return NextBoundary(t, p.frameInterval.Seconds())
-}
 
 // AverageRate returns the long-run average demand of the trace.
 func (p *VideoRatePattern) AverageRate() units.BitRate {
@@ -238,14 +289,3 @@ func (p *VideoRatePattern) AverageRate() units.BitRate {
 
 // Frames exposes the generated trace (for analyses and reports).
 func (p *VideoRatePattern) Frames() []Frame { return p.frames }
-
-func mod(a, b float64) float64 {
-	if b <= 0 {
-		return 0
-	}
-	m := a - b*float64(int(a/b))
-	if m < 0 {
-		m += b
-	}
-	return m
-}

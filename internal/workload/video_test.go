@@ -104,7 +104,7 @@ func TestGenerateTraceAveragesToNominalRate(t *testing.T) {
 
 func TestGenerateTraceErrors(t *testing.T) {
 	v := VideoSpec(1024*units.Kbps, 1)
-	if _, err := v.appendTrace(nil, 0); err == nil {
+	if _, _, err := v.appendTrace(nil, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
 	v.IPDistance = v.GOPLength + 1
@@ -135,7 +135,7 @@ func TestVideoRatePattern(t *testing.T) {
 	// Sampling at any time returns a positive rate bounded by the peak, and
 	// times beyond the horizon wrap around rather than failing.
 	for _, at := range []units.Duration{0, units.Second, 29 * units.Second, 45 * units.Second, 300 * units.Second, -1} {
-		r := p.RateAt(at)
+		r := rateAt(p, at)
 		if !r.Positive() || r > p.PeakRate() {
 			t.Errorf("rate at %v = %v outside (0, peak]", at, r)
 		}

@@ -64,20 +64,28 @@ func (r *Rng) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
+// NoCursor is the Segment cursor that carries no hint: the pattern finds the
+// segment holding t from scratch.
+const NoCursor = -1
+
 // RatePattern samples the instantaneous demand of a CBR or VBR spec: the
 // nominal rate throughout for CBR, and for VBR one rate per segment, uniform
-// in the variability band. StreamSpec.Pattern builds it. It is safe to call
-// with monotonically non-decreasing times.
+// in the variability band. StreamSpec.Pattern builds it. VBR segments are
+// drawn lazily in order, so Segment must be called with monotonically
+// non-decreasing times.
 type RatePattern struct {
-	spec       StreamSpec // defaulted
-	vbr        bool
-	rng        *Rng
+	spec StreamSpec // defaulted
+	vbr  bool
+	rng  *Rng
+	// drawn counts the VBR segments drawn so far; current is the last draw,
+	// which holds until segmentEnd = drawn·SegmentLength.
+	drawn      int
 	segmentEnd units.Duration
 	current    units.BitRate
 }
 
 // newRatePattern builds a sampler for a defaulted, validated CBR or VBR
-// spec. The first RateAt call draws the first VBR segment.
+// spec. The first Segment call draws the first VBR segment.
 func newRatePattern(s StreamSpec) *RatePattern {
 	return &RatePattern{spec: s, vbr: s.Kind == SpecVBR, rng: NewRng(s.Seed ^ 0xa5a5a5a5a5a5a5a5), current: s.Rate}
 }
@@ -88,6 +96,7 @@ func newRatePattern(s StreamSpec) *RatePattern {
 // so batch replicas can reuse one sampler across seed-varied runs.
 func (p *RatePattern) Reset(seed uint64) {
 	p.rng.Seed(seed ^ 0xa5a5a5a5a5a5a5a5)
+	p.drawn = 0
 	p.segmentEnd = 0 // force a draw on first use, as a fresh pattern does
 	p.current = p.spec.Rate
 }
@@ -95,46 +104,26 @@ func (p *RatePattern) Reset(seed uint64) {
 // PeakRate returns the highest rate the pattern can produce.
 func (p *RatePattern) PeakRate() units.BitRate { return p.spec.PeakRate() }
 
-// RateAt returns the stream rate in effect at time t.
-func (p *RatePattern) RateAt(t units.Duration) units.BitRate {
+// Segment returns the rate in effect at time t and the end of its segment:
+// the nominal rate until +Inf for CBR; for VBR the draw of segment k, which
+// covers [k·SegmentLength, (k+1)·SegmentLength). The pattern keeps its own
+// draw state, so the cursor passes through unused.
+func (p *RatePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if !p.vbr {
-		return p.spec.Rate
+		return p.spec.Rate, units.Duration(math.Inf(1)), cursor
 	}
 	for t >= p.segmentEnd {
 		spread := p.spec.Variability
 		factor := 1 - spread + 2*spread*p.rng.Float64()
 		p.current = p.spec.Rate.Scale(factor)
-		p.segmentEnd = p.segmentEnd.Add(p.spec.SegmentLength)
+		p.drawn++
+		p.segmentEnd = p.spec.SegmentLength.Scale(float64(p.drawn))
 	}
-	return p.current
+	return p.current, p.segmentEnd, cursor
 }
 
 // AverageRate returns the long-run average rate of the stream.
 func (p *RatePattern) AverageRate() units.BitRate { return p.spec.Rate }
-
-// NextRateChange returns the earliest time strictly after t at which RateAt
-// may return a different value: the next segment boundary for VBR, never for
-// CBR. It lets event-driven integrators step exactly from segment to segment
-// instead of slicing time.
-func (p *RatePattern) NextRateChange(t units.Duration) units.Duration {
-	if !p.vbr {
-		return units.Duration(math.Inf(1))
-	}
-	return NextBoundary(t, p.spec.SegmentLength.Seconds())
-}
-
-// NextBoundary returns the first multiple of interval strictly after t. The
-// strictness guard matters: k*interval can round to a float at or below t,
-// and a "next" change that does not advance time would make event-driven
-// integrators skip the boundary entirely.
-func NextBoundary(t units.Duration, interval float64) units.Duration {
-	k := math.Floor(t.Seconds()/interval) + 1
-	next := units.Second.Scale(k * interval)
-	if next <= t {
-		next = units.Second.Scale((k + 1) * interval)
-	}
-	return next
-}
 
 // BestEffortRequest is one non-streaming (OS / file-system) request.
 type BestEffortRequest struct {

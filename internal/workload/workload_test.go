@@ -103,7 +103,7 @@ func TestCBRPatternIsConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, at := range []units.Duration{0, units.Second, units.Hour} {
-		if got := p.RateAt(at); got != 1024*units.Kbps {
+		if got := rateAt(p, at); got != 1024*units.Kbps {
 			t.Errorf("CBR rate at %v = %v", at, got)
 		}
 	}
@@ -125,7 +125,7 @@ func TestVBRPatternBoundedAndVarying(t *testing.T) {
 	const samples = 500
 	for i := 0; i < samples; i++ {
 		at := units.Duration(i) * spec.SegmentLength
-		rate := p.RateAt(at)
+		rate := rateAt(p, at)
 		if rate < lo-1 || rate > hi+1 {
 			t.Fatalf("VBR rate %v outside [%v, %v]", rate, lo, hi)
 		}
@@ -146,7 +146,7 @@ func TestVBRPatternDeterministicPerSeed(t *testing.T) {
 	b, _ := VBRSpec(1024*units.Kbps, 7).Pattern(units.Minute)
 	for i := 0; i < 50; i++ {
 		at := units.Duration(i) * units.Second
-		if a.RateAt(at) != b.RateAt(at) {
+		if rateAt(a, at) != rateAt(b, at) {
 			t.Fatal("same seed produced different VBR patterns")
 		}
 	}
@@ -319,7 +319,7 @@ func TestQuickVBRBounds(t *testing.T) {
 		}
 		s = s.withDefaults()
 		for i := 0; i < 50; i++ {
-			rate := p.RateAt(units.Duration(i) * units.Second)
+			rate := rateAt(p, units.Duration(i)*units.Second)
 			lo := s.Rate.Scale(1 - s.Variability)
 			hi := s.Rate.Scale(1 + s.Variability)
 			if rate < lo-1 || rate > hi+1 {
