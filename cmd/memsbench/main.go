@@ -7,9 +7,9 @@
 // Usage:
 //
 //	memsbench [-scenario all|name,name,...] [-warmup N] [-reps N]
-//	          [-format table|json|csv] [-out BENCH_18.json]
-//	memsbench -check BENCH_18.json [-warmup N] [-reps N]
-//	memsbench -compare BENCH_15.json BENCH_18.json
+//	          [-format table|json|csv] [-out BENCH_19.json]
+//	memsbench -check BENCH_19.json [-warmup N] [-reps N]
+//	memsbench -compare BENCH_18.json BENCH_19.json
 //
 // The scenarios:
 //

@@ -41,9 +41,9 @@
 //   - SimulateBatch and SimulateMultiBatch run many discrete-event
 //     simulations at once. Each worker keeps one simulator: an entry that
 //     differs from it only in seeds — the shape every replicated study
-//     produces — resets its engine core, demand pattern and request trace
-//     in place instead of rebuilding them, and any other entry builds a
-//     fresh simulator. Either way the results are bit-identical.
+//     produces — resets its engine core and demand pattern in place instead
+//     of rebuilding them, and any other entry builds a fresh simulator.
+//     Either way the results are bit-identical.
 //
 // Every parallel path is deterministic: results are returned in input order
 // and are identical — byte-identical for the rendered figures — to the
@@ -196,14 +196,16 @@
 //
 // The engine's steady state is allocation-free: once a simulator is warm, a
 // reset-and-rerun iteration — a full simulated hour of CBR or VBR streaming,
-// including regenerating the demand pattern and best-effort trace for the
-// next seed — performs zero heap allocations, and a shared-device iteration
-// allocates only its two output records. TestSteadyStateAllocs in
-// internal/sim guards this with testing.AllocsPerRun, and the batch and
-// replica APIs exploit it through per-worker simulator reuse (see
-// Concurrency above) — the service layer's /v1/simulate and /v1/multisim
-// replica loops validate one prototype configuration and rewind a pooled
-// simulator per worker instead of building one per replica.
+// including regenerating the demand pattern for the next seed — performs
+// zero heap allocations, and a shared-device iteration allocates only its
+// two output records. TestSteadyStateAllocs in internal/sim guards this
+// with testing.AllocsPerRun, and the batch and replica APIs exploit it
+// through per-worker simulator reuse (see Concurrency above) — the service
+// layer's /v1/simulate and /v1/multisim replica loops validate one
+// prototype configuration and rewind a pooled simulator per worker instead
+// of building one per replica. A simulator's memory does not depend on
+// Duration or the best-effort share: it draws each best-effort request when
+// the run reaches it, and a video pattern keeps 8 B per frame (its size).
 //
 // The analytical layer follows the same validate-once rule. Inverting the
 // Eq. 1 saving curve for one Fig. 3 point takes a golden-section search for
@@ -221,9 +223,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_18.json
-//	go run ./cmd/memsbench -check BENCH_18.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_15.json BENCH_18.json
+//	go run ./cmd/memsbench -format json -out BENCH_19.json
+//	go run ./cmd/memsbench -check BENCH_19.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_18.json BENCH_19.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

@@ -398,12 +398,8 @@ func (m Model) BreakEvenBuffer() (units.Size, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	return BreakEvenBuffer(breakEvenDevice{
-		overheadEnergy: m.Device.OverheadEnergy(),
-		overheadTime:   m.Device.OverheadTime(),
-		idlePower:      m.Device.IdlePower,
-		standbyPower:   m.Device.StandbyPower,
-	}, m.StreamRate)
+	d := m.Device
+	return breakEvenBuffer(d.OverheadEnergy(), d.OverheadTime(), d.IdlePower, d.StandbyPower, m.StreamRate)
 }
 
 // MechanicalDevice is the minimal view of a mechanical storage device needed
@@ -413,19 +409,6 @@ type MechanicalDevice interface {
 	OverheadEnergy() units.Energy
 	OverheadTime() units.Duration
 	IdleStandbyPowers() (idle, standby units.Power)
-}
-
-type breakEvenDevice struct {
-	overheadEnergy units.Energy
-	overheadTime   units.Duration
-	idlePower      units.Power
-	standbyPower   units.Power
-}
-
-func (d breakEvenDevice) OverheadEnergy() units.Energy { return d.overheadEnergy }
-func (d breakEvenDevice) OverheadTime() units.Duration { return d.overheadTime }
-func (d breakEvenDevice) IdleStandbyPowers() (units.Power, units.Power) {
-	return d.idlePower, d.standbyPower
 }
 
 // DiskBreakEvenAdapter adapts a Disk to the MechanicalDevice view so that the
@@ -460,15 +443,21 @@ func (a MEMSBreakEvenAdapter) IdleStandbyPowers() (units.Power, units.Power) {
 // BreakEvenBuffer computes the break-even streaming buffer of any mechanical
 // storage device at the given stream rate.
 func BreakEvenBuffer(dev MechanicalDevice, rate units.BitRate) (units.Size, error) {
+	idle, standby := dev.IdleStandbyPowers()
+	return breakEvenBuffer(dev.OverheadEnergy(), dev.OverheadTime(), idle, standby, rate)
+}
+
+// breakEvenBuffer is the break-even formula on the device's shutdown
+// overhead, its idle and standby powers and the stream rate.
+func breakEvenBuffer(overheadEnergy units.Energy, overheadTime units.Duration, idle, standby units.Power, rate units.BitRate) (units.Size, error) {
 	if !rate.Positive() {
 		return 0, errors.New("energy: stream rate must be positive")
 	}
-	idle, standby := dev.IdleStandbyPowers()
 	gap := idle.Sub(standby)
 	if gap <= 0 {
 		return 0, errors.New("energy: idle power must exceed standby power")
 	}
-	surplus := dev.OverheadEnergy().Sub(standby.Times(dev.OverheadTime()))
+	surplus := overheadEnergy.Sub(standby.Times(overheadTime))
 	if surplus < 0 {
 		surplus = 0
 	}

@@ -31,8 +31,7 @@ type slicedSimulator struct {
 	// live state
 	now      units.Duration
 	level    units.Size
-	requests []workload.BestEffortRequest
-	nextReq  int
+	arrivals workload.BestEffortArrivals
 	stats    Stats
 }
 
@@ -45,11 +44,9 @@ func newSliced(cfg Config) (*slicedSimulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var requests []workload.BestEffortRequest
+	var arrivals workload.BestEffortArrivals
 	if cfg.BestEffort.TargetFraction > 0 {
-		var err error
-		requests, err = cfg.BestEffort.Generate(cfg.Duration)
-		if err != nil {
+		if arrivals, err = cfg.BestEffort.Arrivals(cfg.Duration); err != nil {
 			return nil, err
 		}
 	}
@@ -63,7 +60,7 @@ func newSliced(cfg Config) (*slicedSimulator, error) {
 		variableRate: cfg.Spec.Kind != workload.SpecCBR,
 		rng:          workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d),
 		level:        cfg.Buffer,
-		requests:     requests,
+		arrivals:     arrivals,
 	}
 	s.stats.MinBufferLevel = cfg.Buffer
 	return s, nil
@@ -166,9 +163,7 @@ func (s *slicedSimulator) creditWrites(transferred units.Size, fraction float64)
 
 // serveBestEffort serves every queued request that has arrived by now.
 func (s *slicedSimulator) serveBestEffort() {
-	for s.nextReq < len(s.requests) && s.requests[s.nextReq].Arrival <= s.now {
-		req := s.requests[s.nextReq]
-		s.nextReq++
+	for req, ok := s.arrivals.Next(s.now); ok; req, ok = s.arrivals.Next(s.now) {
 		serviceTime := s.cfg.BestEffort.ServiceTime(req.Size)
 		s.account(device.StateBestEffort, serviceTime)
 		s.stats.BestEffortBits = s.stats.BestEffortBits.Add(req.Size)

@@ -229,39 +229,33 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 		}
 		patterns[i] = pattern
 	}
-	var requests []workload.BestEffortRequest
-	if cfg.BestEffort.TargetFraction > 0 {
-		var err error
-		requests, err = cfg.BestEffort.Generate(cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-	}
 	backend := cfg.backend()
 	core := engine.NewMultiCore(backend, streams)
-	return &MultiSimulator{
+	s := &MultiSimulator{
 		cfg:      cfg,
 		backend:  backend,
 		core:     core,
 		patterns: patterns,
 		run: runner{
-			core:       core,
-			policy:     cfg.policy(),
-			dram:       cfg.DRAM,
-			duration:   cfg.Duration,
-			bestEffort: cfg.BestEffort,
-			requests:   requests,
+			core:     core,
+			policy:   cfg.policy(),
+			dram:     cfg.DRAM,
+			duration: cfg.Duration,
 		},
-	}, nil
+	}
+	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // ResetFor rewinds the simulator so its next Run replays cfg from scratch,
-// reusing the engine core, every stream's demand pattern storage and the
-// best-effort request trace: after a ResetFor, Run produces bit-identical
-// statistics to a fresh NewMulti(cfg) run. cfg must be reset-compatible with
-// the configuration the simulator was built from — identical except for the
-// seeds (Seed, each stream's Spec.Seed, BestEffort.Seed); ResetFor reports
-// an error otherwise.
+// reusing the engine core and every stream's demand pattern storage and
+// restarting the best-effort request sequence: after a ResetFor, Run
+// produces bit-identical statistics to a fresh NewMulti(cfg) run. cfg must
+// be reset-compatible with the configuration the simulator was built from —
+// identical except for the seeds (Seed, each stream's Spec.Seed,
+// BestEffort.Seed); ResetFor reports an error otherwise.
 func (s *MultiSimulator) ResetFor(cfg MultiConfig) error {
 	if !s.compatible(cfg) {
 		return errors.New("sim: ResetFor needs a reset-compatible configuration (identical up to seeds)")

@@ -62,8 +62,8 @@ func runCopy(s *Simulator) (*Stats, error) {
 //
 // Each worker keeps one simulator. An entry that is reset-compatible with the
 // worker's simulator — identical up to its seed fields — rewinds it instead
-// of rebuilding pattern, engine core and request trace; any other entry
-// builds and validates a fresh simulator. A batch of seed-varied replicas
+// of rebuilding pattern and engine core; any other entry builds and
+// validates a fresh simulator. A batch of seed-varied replicas
 // therefore reaches the allocation-free steady state: after the first entry
 // on each worker, a simulated hour costs zero heap allocations beyond the
 // returned Stats value.

@@ -26,8 +26,8 @@ type runner struct {
 	duration units.Duration
 
 	bestEffort workload.BestEffortProcess
-	requests   []workload.BestEffortRequest
-	nextReq    int
+	// arrivals draws the background requests as the clock reaches them.
+	arrivals workload.BestEffortArrivals
 
 	// topOff refills stream 0 again after the best-effort backlog, restoring
 	// what drained during background service before the shutdown — the
@@ -98,12 +98,12 @@ func (r *runner) run() {
 	dev.DRAMEnergy = dev.DRAMEnergy.Add(r.dram.AccessEnergy(dev.BestEffortBits.Scale(2)))
 }
 
-// serveBestEffort serves every queued request that has arrived by now.
+// serveBestEffort serves every queued request that has arrived by now. The
+// clock advances while each request is served, so the next one is asked for
+// at the new time.
 func (r *runner) serveBestEffort() {
 	dev := r.core.DeviceStats()
-	for r.nextReq < len(r.requests) && r.requests[r.nextReq].Arrival <= r.core.Now() {
-		req := r.requests[r.nextReq]
-		r.nextReq++
+	for req, ok := r.arrivals.Next(r.core.Now()); ok; req, ok = r.arrivals.Next(r.core.Now()) {
 		r.core.Account(device.StateBestEffort, r.bestEffort.ServiceTime(req.Size), -1)
 		dev.BestEffortBits = dev.BestEffortBits.Add(req.Size)
 		dev.BestEffortRequests++
@@ -119,20 +119,15 @@ func (r *runner) serveBestEffort() {
 	}
 }
 
-// rewindRequests regenerates the best-effort request trace for the given
-// process into the runner's existing storage and rewinds the queue, the
-// shared tail of both simulators' reset paths.
-func (r *runner) rewindRequests(be workload.BestEffortProcess) error {
-	r.bestEffort = be
+// rewindRequests restarts the best-effort request sequence for the given
+// process, the shared tail of both simulators' build and reset paths. It
+// draws only the first interarrival, so it costs the same whatever the
+// duration or load. A process with no positive share is never consulted, as
+// Config.Validate checks it only when its share is positive.
+func (r *runner) rewindRequests(be workload.BestEffortProcess) (err error) {
+	r.bestEffort, r.arrivals = be, workload.BestEffortArrivals{}
 	if be.TargetFraction > 0 {
-		requests, err := be.AppendRequests(r.requests[:0], r.duration)
-		if err != nil {
-			return err
-		}
-		r.requests = requests
-	} else {
-		r.requests = r.requests[:0]
+		r.arrivals, err = be.Arrivals(r.duration)
 	}
-	r.nextReq = 0
-	return nil
+	return err
 }

@@ -165,14 +165,6 @@ func newValidated(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var requests []workload.BestEffortRequest
-	if cfg.BestEffort.TargetFraction > 0 {
-		var err error
-		requests, err = cfg.BestEffort.Generate(cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-	}
 	cfg = cfg.normalized()
 	backend := cfg.backend()
 	core := engine.NewMultiCore(backend, []engine.StreamConfig{{
@@ -192,12 +184,13 @@ func newValidated(cfg Config) (*Simulator, error) {
 		policy:                  engine.PolicyRoundRobin,
 		dram:                    cfg.DRAM,
 		duration:                cfg.Duration,
-		bestEffort:              cfg.BestEffort,
-		requests:                requests,
 		topOff:                  true,
 		inflateBestEffortWrites: true,
 		fixedCycleAccess:        cfg.Buffer,
 		injectErrors:            s.injectErrors,
+	}
+	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -213,8 +206,8 @@ func (c Config) normalized() Config {
 }
 
 // ResetFor rewinds the simulator so its next Run replays cfg from scratch,
-// reusing the engine core, the demand pattern's storage and the best-effort
-// request trace instead of rebuilding them: after a ResetFor, Run produces
+// reusing the engine core and the demand pattern's storage and restarting
+// the best-effort request sequence: after a ResetFor, Run produces
 // bit-identical statistics to a fresh New(cfg) run. cfg must be reset-
 // compatible with the configuration the simulator was built from — identical
 // except for the seeds (Seed, Spec.Seed, BestEffort.Seed); ResetFor reports
@@ -239,8 +232,8 @@ func (s *Simulator) compatible(cfg Config) bool {
 // rewind is ResetFor without the compatibility check, for callers that know
 // cfg is reset-compatible (Reset derives it from the stored configuration;
 // the pooled runner checks it first). It allocates nothing in steady state:
-// the pattern regenerates into its own storage and the request trace reuses
-// its capacity.
+// the pattern regenerates into its own storage, and the best-effort requests
+// are drawn afresh as the next Run reaches them.
 func (s *Simulator) rewind(cfg Config) error {
 	cfg = cfg.normalized()
 	if err := reseedPattern(s.pattern, cfg.Spec.Seed); err != nil {

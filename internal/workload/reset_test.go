@@ -92,33 +92,38 @@ func TestVideoRatePatternResetDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAppendRequestsMatchesGenerate checks what the simulators' reset path
+// relies on: a rebuilt request sequence replays the first walk exactly, and
+// a zero-fraction process yields nothing.
 func TestAppendRequestsMatchesGenerate(t *testing.T) {
 	proc := NewBestEffortProcess(0.05, 50*units.Mbps, 7)
 	horizon := 2 * units.Minute
-	want, err := proc.Generate(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drawRequests(t, proc, horizon)
 	if len(want) == 0 {
-		t.Fatal("no requests generated; the reuse path is untested")
+		t.Fatal("no requests drawn; the replay is untested")
 	}
 
-	// Appending into a recycled slice must reproduce the fresh trace exactly.
-	buf := make([]BestEffortRequest, 3, len(want)+4)
-	got, err := proc.AppendRequests(buf[:0], horizon)
+	// Walk part of the sequence, then rebuild it over the walked value, as
+	// a simulator's reset does.
+	a, err := proc.Arrivals(horizon)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, ok := a.Next(horizon / 2); ok; _, ok = a.Next(horizon / 2) {
+	}
+	if a, err = proc.Arrivals(horizon); err != nil {
+		t.Fatal(err)
+	}
+	var got []BestEffortRequest
+	for r, ok := a.Next(horizon); ok; r, ok = a.Next(horizon) {
+		got = append(got, r)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("AppendRequests into a recycled slice diverges from Generate")
-	}
-	if &got[0] != &buf[:1][0] {
-		t.Error("AppendRequests did not reuse the recycled slice's storage")
+		t.Error("a rebuilt request sequence diverges from a fresh walk")
 	}
 
-	// A zero-fraction process appends nothing.
 	idle := BestEffortProcess{}
-	if out, err := idle.AppendRequests(got[:0], horizon); err != nil || len(out) != 0 {
+	if out, err := collectArrivals(idle, horizon); err != nil || len(out) != 0 {
 		t.Errorf("zero-fraction process: got (%d requests, %v)", len(out), err)
 	}
 }

@@ -25,10 +25,11 @@ func videoFrames(t *testing.T, spec StreamSpec, horizon units.Duration) framePat
 		t.Fatal(err)
 	}
 	v := p.(*VideoRatePattern)
-	n := len(v.frames)
+	frames := v.Frames()
+	n := len(frames)
 	// Frame i of pass k is absolute frame k·n + i.
 	start := func(k, i int) units.Duration { return v.frameInterval.Scale(float64(k*n + i)) }
-	return framePattern{v, v.frames, v.horizon, start}
+	return framePattern{v, frames, v.horizon, start}
 }
 
 // traceFrames builds the pattern of a user trace.

@@ -92,18 +92,19 @@ func (s StreamSpec) videoPeak() units.BitRate {
 	return units.BitPerSecond.Scale(largest.Scale(1+s.Jitter).Bits() * s.FrameRate)
 }
 
-// appendTrace appends the frame sequence of the defaulted, validated video
+// appendTrace appends the frame sizes of the defaulted, validated video
 // spec covering [0, horizon) to dst and returns the extended slice with its
-// largest frame size. Passing a previous trace's slice truncated to zero
-// length reuses its capacity, so seed-varied replicas regenerate their
-// traces without steady-state allocations.
-func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, units.Size, error) {
+// largest frame size. Frame i plays at i·interval in the class of GOP
+// position i mod GOPLength (see VideoRatePattern.Frames). Passing a previous
+// trace's slice truncated to zero length reuses its capacity, so
+// seed-varied replicas regenerate their traces without steady-state
+// allocations.
+func (s StreamSpec) appendTrace(dst []units.Size, horizon units.Duration) ([]units.Size, units.Size, error) {
 	if !horizon.Positive() {
 		return nil, 0, errors.New("workload: horizon must be positive")
 	}
 	means := s.meanFrameSizes()
 	rng := NewRng(s.Seed ^ 0x9e3779b97f4a7c15)
-	frameInterval := units.Second.Scale(1 / s.FrameRate)
 	// Defence against absurd horizon × frame-rate products: beyond this the
 	// float-to-int conversion would overflow (or the allocation would take
 	// the process down), so fail loudly instead.
@@ -112,9 +113,9 @@ func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, u
 		return nil, 0, fmt.Errorf("workload: trace of %.3g frames exceeds the %d-frame generation bound", n, maxFrames)
 	}
 	total := int(horizon.Seconds() * s.FrameRate)
-	frames := dst
-	if frames == nil {
-		frames = make([]Frame, 0, total)
+	sizes := dst
+	if sizes == nil {
+		sizes = make([]units.Size, 0, total)
 	}
 	// k is the position in the GOP and m the position since its last anchor
 	// (k mod IPDistance), so the loop classifies frames as classOf does
@@ -139,27 +140,22 @@ func (s StreamSpec) appendTrace(dst []Frame, horizon units.Duration) ([]Frame, u
 		if size > largest {
 			largest = size
 		}
-		frames = append(frames, Frame{
-			Index:     idx,
-			Timestamp: frameInterval.Scale(float64(idx)),
-			Class:     class,
-			Size:      size,
-		})
+		sizes = append(sizes, size)
 		if k++; k == gop {
 			k, m = 0, 0
 		} else if m++; m == anchor {
 			m = 0
 		}
 	}
-	return frames, largest, nil
+	return sizes, largest, nil
 }
 
 // VideoRatePattern samples the instantaneous demand of a generated video
 // trace: within each frame interval the rate is the frame size divided by
 // the interval. StreamSpec.Pattern builds it for SpecVideo.
 type VideoRatePattern struct {
-	spec          StreamSpec // defaulted
-	frames        []Frame
+	spec          StreamSpec   // defaulted
+	sizes         []units.Size // each frame's encoded size; Frames rebuilds the rest
 	frameInterval units.Duration
 	horizon       units.Duration
 	// genHorizon is the horizon the trace was requested for (the realized
@@ -181,7 +177,7 @@ func newVideoRatePattern(s StreamSpec, horizon units.Duration) (*VideoRatePatter
 	if err := p.generate(nil); err != nil {
 		return nil, err
 	}
-	if len(p.frames) == 0 {
+	if len(p.sizes) == 0 {
 		return nil, errors.New("workload: horizon too short for a single frame")
 	}
 	return p, nil
@@ -191,13 +187,13 @@ func newVideoRatePattern(s StreamSpec, horizon units.Duration) (*VideoRatePatter
 // realized horizon and peak. The peak is the largest frame over one frame
 // interval: division by the positive interval is monotone, so it equals the
 // largest per-frame rate.
-func (p *VideoRatePattern) generate(dst []Frame) error {
-	frames, largest, err := p.spec.appendTrace(dst, p.genHorizon)
+func (p *VideoRatePattern) generate(dst []units.Size) error {
+	sizes, largest, err := p.spec.appendTrace(dst, p.genHorizon)
 	if err != nil {
 		return err
 	}
-	p.frames = frames
-	p.horizon = units.Second.Scale(float64(len(frames)) / p.spec.FrameRate)
+	p.sizes = sizes
+	p.horizon = units.Second.Scale(float64(len(sizes)) / p.spec.FrameRate)
 	p.peak = units.BitPerSecond.Scale(largest.Bits() / p.frameInterval.Seconds())
 	return nil
 }
@@ -208,14 +204,14 @@ func (p *VideoRatePattern) generate(dst []Frame) error {
 // exists so batch replicas can reuse one pattern across seed-varied runs.
 func (p *VideoRatePattern) Reset(seed uint64) error {
 	p.spec.Seed = seed
-	return p.generate(p.frames[:0])
+	return p.generate(p.sizes[:0])
 }
 
 // Segment returns the demand of the frame playing at t, the end of that
 // frame and the cursor for the next call. Absolute frame j covers
 // [j·fi, (j+1)·fi) for the frame interval fi — the product Frame.Timestamp
 // uses, so a dumped trace replays to the same boundaries — and plays
-// frames[j mod n], so the trace wraps around beyond its horizon. The
+// sizes[j mod n], so the trace wraps around beyond its horizon. The
 // returned cursor is j+1, the absolute index of the frame expected next.
 func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	fi := p.frameInterval
@@ -235,7 +231,7 @@ func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate,
 			j++
 		}
 	}
-	size := p.frames[j%len(p.frames)].Size
+	size := p.sizes[j%len(p.sizes)]
 	return units.BitPerSecond.Scale(size.Bits() / fi.Seconds()), fi.Scale(float64(j + 1)), j + 1
 }
 
@@ -246,12 +242,12 @@ func (p *VideoRatePattern) farSegment(t units.Duration) (units.BitRate, units.Du
 	w := math.Mod(t.Seconds(), p.horizon.Seconds())
 	i := 0
 	if x := w / fi; x > 0 {
-		i = min(int(x), len(p.frames)-1)
+		i = min(int(x), len(p.sizes)-1)
 	}
 	for i > 0 && fi*float64(i) > w {
 		i--
 	}
-	rate := units.BitPerSecond.Scale(p.frames[i].Size.Bits() / fi)
+	rate := units.BitPerSecond.Scale(p.sizes[i].Bits() / fi)
 	return rate, farEnd(t, w, fi*float64(i+1)), NoCursor
 }
 
@@ -281,11 +277,23 @@ func (p *VideoRatePattern) PeakRate() units.BitRate { return p.peak }
 // AverageRate returns the long-run average demand of the trace.
 func (p *VideoRatePattern) AverageRate() units.BitRate {
 	var total units.Size
-	for _, f := range p.frames {
-		total = total.Add(f.Size)
+	for _, size := range p.sizes {
+		total = total.Add(size)
 	}
 	return units.BitPerSecond.Scale(total.Bits() / p.horizon.Seconds())
 }
 
-// Frames exposes the generated trace (for analyses and reports).
-func (p *VideoRatePattern) Frames() []Frame { return p.frames }
+// Frames returns the generated trace (for analyses and reports). The
+// pattern keeps only the frame sizes, so each call allocates a fresh slice.
+func (p *VideoRatePattern) Frames() []Frame {
+	frames := make([]Frame, len(p.sizes))
+	for i, size := range p.sizes {
+		frames[i] = Frame{
+			Index:     i,
+			Timestamp: p.frameInterval.Scale(float64(i)),
+			Class:     p.spec.classOf(i % p.spec.GOPLength),
+			Size:      size,
+		}
+	}
+	return frames
+}

@@ -4,7 +4,8 @@
 // request process standing in for operating-system and file-system activity.
 //
 // All generators are deterministic given a seed, so simulations are exactly
-// reproducible.
+// reproducible. The best-effort process draws each request only when the
+// simulator reaches it, and a video trace keeps 8 B per frame, its size.
 package workload
 
 import (
@@ -215,43 +216,55 @@ func (p BestEffortProcess) MeanInterarrival() (units.Duration, error) {
 	return p.ServiceTime(p.MeanSize).Scale(1 / p.TargetFraction), nil
 }
 
-// Generate produces all requests arriving in [0, horizon).
-func (p BestEffortProcess) Generate(horizon units.Duration) ([]BestEffortRequest, error) {
-	return p.AppendRequests(nil, horizon)
+// Arrivals returns the process's requests arriving in [0, horizon) as an
+// on-demand sequence: each request is drawn only when Next reaches it, so
+// the sequence stays the same small value whatever the horizon or the load.
+// A zero-fraction process, or a non-positive horizon, yields nothing.
+func (p BestEffortProcess) Arrivals(horizon units.Duration) (BestEffortArrivals, error) {
+	mean, err := p.MeanInterarrival()
+	if err != nil || p.TargetFraction == 0 || !horizon.Positive() {
+		return BestEffortArrivals{}, err
+	}
+	a := BestEffortArrivals{
+		rng:           Rng{state: p.Seed ^ 0x5bd1e9955bd1e995},
+		horizon:       horizon,
+		mean:          mean.Seconds(),
+		meanBits:      p.MeanSize.Bits(),
+		writeFraction: p.WriteFraction,
+	}
+	a.next = units.Second.Scale(a.rng.Exp(a.mean))
+	return a, nil
 }
 
-// AppendRequests appends all requests arriving in [0, horizon) to dst and
-// returns the extended slice, exactly as Generate would produce them. Passing
-// a previous trace's slice truncated to zero length reuses its capacity, so
-// reset-and-rerun replicas regenerate their background traffic without
-// steady-state allocations.
-func (p BestEffortProcess) AppendRequests(dst []BestEffortRequest, horizon units.Duration) ([]BestEffortRequest, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// BestEffortArrivals is the request sequence of one best-effort process over
+// a horizon, drawn on demand. Its zero value yields nothing.
+type BestEffortArrivals struct {
+	rng           Rng
+	horizon       units.Duration
+	mean          float64 // mean interarrival, seconds
+	meanBits      float64 // mean request size, bits
+	writeFraction float64
+	// next is the arrival of the pending request, whose size and write flag
+	// are not drawn yet.
+	next units.Duration
+}
+
+// Next returns the pending request if it arrives by now and before the
+// horizon, and draws the one after it; otherwise it reports false and draws
+// nothing. Each request draws its size (exponential, at least 512 bits),
+// then its write flag, then the interarrival to the next request, so the
+// sequence does not depend on when Next is called. Next does not allocate.
+func (a *BestEffortArrivals) Next(now units.Duration) (BestEffortRequest, bool) {
+	if !(a.next < a.horizon) || a.next > now {
+		return BestEffortRequest{}, false
 	}
-	if p.TargetFraction == 0 || !horizon.Positive() {
-		return dst, nil
+	size := units.Bit.Scale(a.rng.Exp(a.meanBits))
+	if size < units.Size(512) {
+		size = units.Size(512)
 	}
-	mean, err := p.MeanInterarrival()
-	if err != nil {
-		return nil, err
-	}
-	rng := NewRng(p.Seed ^ 0x5bd1e9955bd1e995)
-	out := dst
-	t := units.Second.Scale(rng.Exp(mean.Seconds()))
-	for t < horizon {
-		size := units.Bit.Scale(rng.Exp(p.MeanSize.Bits()))
-		if size < units.Size(512) {
-			size = units.Size(512)
-		}
-		out = append(out, BestEffortRequest{
-			Arrival: t,
-			Size:    size,
-			Write:   rng.Float64() < p.WriteFraction,
-		})
-		t = t.Add(units.Second.Scale(rng.Exp(mean.Seconds())))
-	}
-	return out, nil
+	req := BestEffortRequest{Arrival: a.next, Size: size, Write: a.rng.Float64() < a.writeFraction}
+	a.next = a.next.Add(units.Second.Scale(a.rng.Exp(a.mean)))
+	return req, true
 }
 
 // PlaybackCalendar expands a daily usage pattern (hours of streaming per day)

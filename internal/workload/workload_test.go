@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -180,10 +181,36 @@ func TestBestEffortProcessValidation(t *testing.T) {
 	if err := idle.Validate(); err != nil {
 		t.Errorf("zero-fraction process invalid: %v", err)
 	}
-	reqs, err := idle.Generate(units.Hour)
+	reqs, err := collectArrivals(idle, units.Hour)
 	if err != nil || len(reqs) != 0 {
-		t.Errorf("zero-fraction process generated %d requests, err %v", len(reqs), err)
+		t.Errorf("zero-fraction process drew %d requests, err %v", len(reqs), err)
 	}
+}
+
+// collectArrivals walks the process's request sequence over the horizon to
+// its end and returns every request in order.
+func collectArrivals(p BestEffortProcess, horizon units.Duration) ([]BestEffortRequest, error) {
+	a, err := p.Arrivals(horizon)
+	if err != nil {
+		return nil, err
+	}
+	inf := units.Duration(math.Inf(1))
+	var out []BestEffortRequest
+	for r, ok := a.Next(inf); ok; r, ok = a.Next(inf) {
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// drawRequests is collectArrivals for a process the test expects to be
+// valid.
+func drawRequests(t *testing.T, p BestEffortProcess, horizon units.Duration) []BestEffortRequest {
+	t.Helper()
+	out, err := collectArrivals(p, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestBestEffortMeanInterarrival(t *testing.T) {
@@ -212,10 +239,7 @@ func TestBestEffortGenerateMatchesTargetFraction(t *testing.T) {
 	serviceRate := 102.4 * units.Mbps
 	p := NewBestEffortProcess(0.05, serviceRate, 3)
 	horizon := 10 * units.Minute
-	reqs, err := p.Generate(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := drawRequests(t, p, horizon)
 	if len(reqs) == 0 {
 		t.Fatal("no requests generated")
 	}
@@ -252,14 +276,8 @@ func TestBestEffortGenerateMatchesTargetFraction(t *testing.T) {
 
 func TestBestEffortGenerateDeterministic(t *testing.T) {
 	p := NewBestEffortProcess(0.05, 102.4*units.Mbps, 9)
-	a, err := p.Generate(units.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Generate(units.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := drawRequests(t, p, units.Minute)
+	b := drawRequests(t, p, units.Minute)
 	if len(a) != len(b) {
 		t.Fatalf("different request counts: %d vs %d", len(a), len(b))
 	}
@@ -272,7 +290,7 @@ func TestBestEffortGenerateDeterministic(t *testing.T) {
 
 func TestBestEffortGenerateRejectsInvalid(t *testing.T) {
 	p := BestEffortProcess{TargetFraction: 0.5, MeanSize: 0}
-	if _, err := p.Generate(units.Minute); err == nil {
+	if _, err := p.Arrivals(units.Minute); err == nil {
 		t.Error("invalid process accepted")
 	}
 }
@@ -337,7 +355,7 @@ func TestQuickVBRBounds(t *testing.T) {
 func TestQuickBestEffortArrivalsSorted(t *testing.T) {
 	f := func(seed uint64) bool {
 		p := NewBestEffortProcess(0.05, 102.4*units.Mbps, seed)
-		reqs, err := p.Generate(30 * units.Second)
+		reqs, err := collectArrivals(p, 30*units.Second)
 		if err != nil {
 			return false
 		}
@@ -352,5 +370,61 @@ func TestQuickBestEffortArrivalsSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the request sequence does not depend on when it is asked for.
+// Polling Next at any non-decreasing series of clock readings, repeats
+// included, yields exactly the one walk to +Inf, and Next never hands out a
+// request that has not arrived by now or that arrives at or after the
+// horizon.
+func TestQuickBestEffortArrivalsIndependentOfPolling(t *testing.T) {
+	horizon := 10 * units.Second
+	inf := units.Duration(math.Inf(1))
+	f := func(seed uint64, rawFraction uint8, steps []uint16) bool {
+		p := NewBestEffortProcess(float64(rawFraction%99+1)/100, 102.4*units.Mbps, seed)
+		want, err := collectArrivals(p, horizon)
+		if err != nil {
+			return false
+		}
+		a, err := p.Arrivals(horizon)
+		if err != nil {
+			return false
+		}
+		var got []BestEffortRequest
+		now := units.Duration(0)
+		for i := 0; i <= len(steps); i++ {
+			if i == len(steps) {
+				now = inf
+			} else {
+				now = now.Add(units.Millisecond.Scale(float64(steps[i] % 1000)))
+			}
+			for r, ok := a.Next(now); ok; r, ok = a.Next(now) {
+				if r.Arrival > now || r.Arrival >= horizon {
+					return false
+				}
+				got = append(got, r)
+			}
+		}
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestBestEffortArrivalsNextDoesNotAllocate(t *testing.T) {
+	a, err := NewBestEffortProcess(0.5, 102.4*units.Mbps, 1).Arrivals(units.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := units.Duration(math.Inf(1))
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := a.Next(inf); !ok {
+			t.Fatal("sequence ended early")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Next allocates %.1f times per call, want 0", allocs)
 	}
 }
