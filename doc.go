@@ -61,10 +61,13 @@
 // (internal/engine): K stream buffers drain concurrently while the shared
 // device wakes, services them under a scheduling policy and shuts down
 // again. A single-stream run is literally the K=1 case of that core — the
-// single- and multi-stream simulators drive the same wake/refill/shutdown
-// machinery through one cycle loop and differ only in a handful of declared
+// single- and multi-stream simulators share one simulator core that builds
+// the backend, the demand patterns and the engine core, rewinds them between
+// replicas and drives the same wake/refill/shutdown machinery through one
+// cycle loop to the end of a run. They differ only in a handful of declared
 // behavioural knobs (the single-stream top-off refill, its ECC error model,
-// its full-buffer DRAM charge), so the two paths cannot drift apart. Time
+// its full-buffer DRAM charge), their seed conventions and their result
+// shapes, so the two paths cannot drift apart. Time
 // advances by next-event stepping: a drain or refill integration step ends
 // at the earliest of the target buffer level, the run deadline, and the end
 // of a stream's current demand segment. Each stream caches that segment —
@@ -349,7 +352,9 @@
 //     the hot loop stays uninstrumented.
 //   - memsd_sim_replicas_total, memsd_engine_runs_total,
 //     memsd_engine_steps_total, memsd_engine_simulated_hours: simulation
-//     volume, recorded once per completed run.
+//     volume, recorded once per completed run. Every completed replica is
+//     one engine run, so memsd_sim_replicas_total equals
+//     memsd_engine_runs_total.
 //
 // The exposition is deterministic: families and series are emitted in sorted
 // order, scraping does not itself count as traffic, and two scrapes of an

@@ -3,7 +3,6 @@ package energy
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"memstream/internal/device"
 	"memstream/internal/units"
@@ -52,67 +51,69 @@ func (m DiskModel) Validate() error {
 	return errors.Join(errs...)
 }
 
+// curve validates the model and derives the disk's Eq. 1 constants: the
+// overhead toh is spin-down, spin-up and the average seek back to the
+// stream, its energy is theirs net of standby over toh, and the disk's
+// megabyte-scale buffers carry no DRAM term.
+func (m DiskModel) curve() (curve, error) {
+	if err := m.Validate(); err != nil {
+		return curve{}, err
+	}
+	d := m.Disk
+	rm, rs, psb := d.MediaRate, m.StreamRate, d.StandbyPower
+	overhead := d.OverheadTime().Add(d.SeekTime)
+	return curve{
+		rm:             rm,
+		rs:             rs,
+		net:            rm.Sub(rs),
+		periodScale:    rm.BitsPerSecond() / rs.BitsPerSecond(),
+		overhead:       overhead,
+		bestEffort:     m.BestEffortFraction,
+		standbyPower:   psb,
+		overheadEnergy: d.OverheadEnergy().Add(d.SeekPower.Times(d.SeekTime)).Sub(psb.Times(overhead)),
+		activeGap:      d.ReadWritePower.Sub(psb),
+		idlePower:      d.IdlePower,
+		idleGap:        d.ReadWritePower.Sub(d.IdlePower),
+	}, nil
+}
+
 // MinimumBuffer returns the smallest buffer for which a spin-down cycle
 // closes: the slack must cover the spin-down/spin-up overhead, the average
 // seek back to the stream, and the best-effort share of the cycle.
 func (m DiskModel) MinimumBuffer() units.Size {
-	rm := m.Disk.MediaRate.BitsPerSecond()
-	rs := m.StreamRate.BitsPerSecond()
-	toh := m.Disk.OverheadTime().Add(m.Disk.SeekTime).Seconds()
-	numerator := rm*(1-m.BestEffortFraction) - rs
-	if numerator <= 0 {
-		return units.Size(math.Inf(1))
-	}
-	return units.Bit.Scale(toh * (rm - rs) * rs / numerator)
+	toh := m.Disk.OverheadTime().Add(m.Disk.SeekTime)
+	return minimumBuffer(m.Disk.MediaRate, m.StreamRate, toh, m.BestEffortFraction)
 }
 
 // PerBit returns the per-bit energy of the shutdown (spin-down) architecture
 // for buffer size B, in the same decomposition as the MEMS model.
 func (m DiskModel) PerBit(b units.Size) (Breakdown, error) {
-	if err := m.Validate(); err != nil {
+	c, err := m.curve()
+	if err != nil {
 		return Breakdown{}, err
 	}
 	if b < m.MinimumBuffer() {
 		return Breakdown{}, fmt.Errorf("%w: B = %v below the disk cycle minimum %v",
 			ErrBufferTooSmall, b, m.MinimumBuffer())
 	}
-	rm := m.Disk.MediaRate
-	rs := m.StreamRate
-	transfer := rm.Sub(rs).TimeFor(b)
-	period := transfer.Scale(rm.BitsPerSecond() / rs.BitsPerSecond())
-	overhead := m.Disk.OverheadTime().Add(m.Disk.SeekTime)
-	bestEffort := period.Scale(m.BestEffortFraction)
-
-	psb := m.Disk.StandbyPower
-	overheadE := m.Disk.OverheadEnergy().
-		Add(m.Disk.SeekPower.Times(m.Disk.SeekTime)).
-		Sub(psb.Times(overhead))
-	transferE := m.Disk.ReadWritePower.Sub(psb).Times(transfer)
-	standbyE := psb.Times(period)
-	bestEffortE := m.Disk.ReadWritePower.Sub(psb).Times(bestEffort)
-	return Breakdown{
-		Overhead:   overheadE.PerBit(b),
-		Transfer:   transferE.PerBit(b),
-		Standby:    standbyE.PerBit(b),
-		BestEffort: bestEffortE.PerBit(b),
-	}, nil
+	// The disk keeps its cycle-minimum check and message above, so it times
+	// the cycle here instead of through curve.cycle's standby check.
+	transfer, period := c.timing(b)
+	cycle := Cycle{Buffer: b, Period: period, Transfer: transfer, BestEffort: period.Scale(c.bestEffort)}
+	return c.perBit(cycle), nil
 }
 
 // AlwaysOnPerBit returns the per-bit energy of the never-spun-down reference.
 func (m DiskModel) AlwaysOnPerBit(b units.Size) (units.EnergyPerBit, error) {
-	if err := m.Validate(); err != nil {
+	c, err := m.curve()
+	if err != nil {
 		return 0, err
 	}
-	if !b.Positive() {
-		return 0, fmt.Errorf("%w: B = %v", ErrBufferTooSmall, b)
+	if err := checkBuffer(b); err != nil {
+		return 0, err
 	}
-	rm := m.Disk.MediaRate
-	rs := m.StreamRate
-	transfer := rm.Sub(rs).TimeFor(b)
-	period := transfer.Scale(rm.BitsPerSecond() / rs.BitsPerSecond())
-	idle := m.Disk.IdlePower
-	total := m.Disk.ReadWritePower.Sub(idle).Times(transfer).Add(idle.Times(period))
-	return total.PerBit(b), nil
+	transfer, period := c.timing(b)
+	return c.alwaysOnPerBit(b, transfer, period), nil
 }
 
 // Saving returns the relative energy saving of spinning down over staying on.

@@ -1,7 +1,10 @@
 package energy
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"memstream/internal/device"
@@ -172,5 +175,65 @@ func TestDiskBreakEvenConsistentWithAdapter(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("model break-even %v differs from adapter %v", a, b)
+	}
+}
+
+// TestDiskModelOutputsPinned pins every DiskModel output bit for bit, error
+// texts included, over two drives, 12 stream rates from 32 kbps to 50 Mbps,
+// three best-effort shares, nine buffers from half the cycle minimum to
+// 1000 times it, eight saving targets and the break-even buffer. The hash
+// was recorded while the disk still carried its own copy of Eq. 1, so it
+// fails if evaluating the disk through the shared curve moves any result.
+func TestDiskModelOutputsPinned(t *testing.T) {
+	const want = uint64(0x57cef06d1459f882)
+	h := fnv.New64a()
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	putErr := func(err error) {
+		if err != nil {
+			h.Write([]byte(err.Error()))
+		}
+		h.Write([]byte{0})
+	}
+	noSeek := device.Default18InchDisk()
+	noSeek.SeekTime = 0
+	for _, disk := range []device.Disk{device.Default18InchDisk(), noSeek} {
+		for i := 0; i < 12; i++ {
+			rate := units.Kbps.Scale(32 * math.Pow(50000.0/32, float64(i)/11))
+			for _, share := range []float64{0, 0.05, 0.2} {
+				m := DiskModel{Disk: disk, StreamRate: rate, BestEffortFraction: share}
+				minimum := m.MinimumBuffer()
+				put(minimum.Bits())
+				for _, factor := range []float64{0.5, 1, 1.5, 2, 5, 10, 50, 200, 1000} {
+					b := minimum.Scale(factor)
+					bd, err := m.PerBit(b)
+					put(bd.Overhead.JoulesPerBit(), bd.Transfer.JoulesPerBit(), bd.Standby.JoulesPerBit(),
+						bd.BestEffort.JoulesPerBit(), bd.DRAM.JoulesPerBit())
+					putErr(err)
+					on, err := m.AlwaysOnPerBit(b)
+					put(on.JoulesPerBit())
+					putErr(err)
+					saving, err := m.Saving(b)
+					put(saving)
+					putErr(err)
+				}
+				for _, target := range []float64{-0.1, 0, 0.2, 0.5, 0.8, 0.95, 0.999, 1} {
+					b, err := m.BufferForSaving(target)
+					put(b.Bits())
+					putErr(err)
+				}
+				be, err := m.BreakEvenBuffer()
+				put(be.Bits())
+				putErr(err)
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("DiskModel output hash %016x, want %016x", got, want)
 	}
 }

@@ -257,10 +257,14 @@ func (m Model) Cycle(b units.Size) (Cycle, error) {
 // i.e. the slack B/rs covers the mechanical overhead and the best-effort
 // share of the cycle. Below this size the device cannot shut down at all.
 func (m Model) MinimumBuffer() units.Size {
-	rm := m.Device.MediaRate().BitsPerSecond()
-	rs := m.StreamRate.BitsPerSecond()
-	toh := m.Device.OverheadTime().Seconds()
-	fbe := m.BestEffortFraction
+	return minimumBuffer(m.Device.MediaRate(), m.StreamRate, m.Device.OverheadTime(), m.BestEffortFraction)
+}
+
+// minimumBuffer is the smallest buffer whose refill cycle closes at the
+// given media rate, stream rate, overhead time and best-effort fraction, or
+// +Inf when none does.
+func minimumBuffer(media, stream units.BitRate, overhead units.Duration, fbe float64) units.Size {
+	rm, rs, toh := media.BitsPerSecond(), stream.BitsPerSecond(), overhead.Seconds()
 	// Solve Tm - tRW - toh - fbe*Tm >= 0 with Tm = B*rm/((rm-rs)*rs) and
 	// tRW = B/(rm-rs):
 	//   B * [ rm*(1-fbe) - rs ] / ((rm-rs)*rs) >= toh.
@@ -268,8 +272,7 @@ func (m Model) MinimumBuffer() units.Size {
 	if numerator <= 0 {
 		return units.Size(math.Inf(1))
 	}
-	b := toh * (rm - rs) * rs / numerator
-	return units.Bit.Scale(b)
+	return units.Bit.Scale(toh * (rm - rs) * rs / numerator)
 }
 
 // Breakdown is the per-bit energy of one refill cycle split by cause.

@@ -182,13 +182,3 @@ func (l Layout) MinUserBitsForUtilisation(target float64) (units.Size, error) {
 	}
 	return units.Bit.Scale(neededFor(hi)), nil
 }
-
-// SyncBitsDuration returns the time window the synchronisation bits give the
-// read channel at the per-probe data rate; the paper notes 3 bits correspond
-// to 30 us at 100 kbps.
-func SyncBitsDuration(syncBits int, perProbeRate units.BitRate) units.Duration {
-	if !perProbeRate.Positive() {
-		return 0
-	}
-	return perProbeRate.TimeFor(units.Bit.Scale(float64(syncBits)))
-}

@@ -178,18 +178,6 @@ func TestMinUserBitsForUtilisationInvalidLayout(t *testing.T) {
 	}
 }
 
-func TestSyncBitsDuration(t *testing.T) {
-	// The paper: 3 sync bits amount to a period of 30 us at the per-probe
-	// rate of 100 kbps.
-	d := SyncBitsDuration(3, 100*units.Kbps)
-	if got := d.Seconds(); !almostEqual(got, 30e-6, 1e-12) {
-		t.Errorf("sync window = %g s, want 30e-6", got)
-	}
-	if got := SyncBitsDuration(3, 0); got != 0 {
-		t.Errorf("sync window at zero rate = %v, want 0", got)
-	}
-}
-
 func TestSectorString(t *testing.T) {
 	s := defaultLayout().FormatSector(8 * units.KiB)
 	str := s.String()

@@ -25,14 +25,6 @@ type Series struct {
 	Y []float64
 }
 
-// NewSeries builds a series from parallel slices.
-func NewSeries(name string, x, y []float64) (Series, error) {
-	if len(x) != len(y) {
-		return Series{}, fmt.Errorf("report: series %q has %d x values but %d y values", name, len(x), len(y))
-	}
-	return Series{Name: name, X: x, Y: y}, nil
-}
-
 // Len returns the number of points.
 func (s Series) Len() int { return len(s.X) }
 
@@ -120,27 +112,6 @@ func (t *Table) Render(w io.Writer) error {
 	writeRow(separators)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// WriteCSV writes the table as comma-separated values (RFC 4180-style quoting
-// for cells containing commas or quotes).
-func (t *Table) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
-	writeRecord := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString(",")
-			}
-			sb.WriteString(csvEscape(cell))
-		}
-		sb.WriteString("\n")
-	}
-	writeRecord(t.Columns)
-	for _, row := range t.rows {
-		writeRecord(row)
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err

@@ -8,19 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewSeries(t *testing.T) {
-	s, err := NewSeries("energy", []float64{1, 2, 3}, []float64{10, 20, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if _, err := NewSeries("bad", []float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-}
-
 func TestSeriesAppendAndBounds(t *testing.T) {
 	var s Series
 	s.Name = "test"
@@ -71,30 +58,9 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("quoting", "name", "value")
-	if err := tbl.AddRow("plain", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AddRow(`needs "quotes", commas`, "2"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "name,value\n") {
-		t.Errorf("CSV header wrong: %q", out)
-	}
-	if !strings.Contains(out, `"needs ""quotes"", commas",2`) {
-		t.Errorf("CSV quoting wrong: %q", out)
-	}
-}
-
 func TestSeriesCSV(t *testing.T) {
-	a, _ := NewSeries("energy [nJ/b]", []float64{1, 2}, []float64{30, 20})
-	b, _ := NewSeries("capacity [GB]", []float64{1, 2}, []float64{100, 106})
+	a := Series{Name: "energy [nJ/b]", X: []float64{1, 2}, Y: []float64{30, 20}}
+	b := Series{Name: "capacity [GB]", X: []float64{1, 2}, Y: []float64{100, 106}}
 	var buf bytes.Buffer
 	if err := SeriesCSV(&buf, "buffer [kB]", a, b); err != nil {
 		t.Fatal(err)
@@ -107,21 +73,30 @@ func TestSeriesCSV(t *testing.T) {
 	if !strings.Contains(out, "1,30,100\n") || !strings.Contains(out, "2,20,106\n") {
 		t.Errorf("rows wrong: %q", out)
 	}
+	// Names holding commas or quotes are quoted RFC 4180-style.
+	buf.Reset()
+	quoted := Series{Name: `needs "quotes", commas`, X: []float64{1}, Y: []float64{2}}
+	if err := SeriesCSV(&buf, "x", quoted); err != nil {
+		t.Fatal(err)
+	}
+	if out, want := buf.String(), "x,\"needs \"\"quotes\"\", commas\"\n"; !strings.HasPrefix(out, want) {
+		t.Errorf("header = %q, want prefix %q", out, want)
+	}
 }
 
 func TestSeriesCSVErrors(t *testing.T) {
 	if err := SeriesCSV(&bytes.Buffer{}, "x"); err == nil {
 		t.Error("no series accepted")
 	}
-	a, _ := NewSeries("a", []float64{1, 2}, []float64{1, 2})
-	b, _ := NewSeries("b", []float64{1}, []float64{1})
+	a := Series{Name: "a", X: []float64{1, 2}, Y: []float64{1, 2}}
+	b := Series{Name: "b", X: []float64{1}, Y: []float64{1}}
 	if err := SeriesCSV(&bytes.Buffer{}, "x", a, b); err == nil {
 		t.Error("mismatched series lengths accepted")
 	}
 }
 
 func TestPlotLinear(t *testing.T) {
-	s, _ := NewSeries("line", []float64{0, 1, 2, 3, 4}, []float64{0, 1, 2, 3, 4})
+	s := Series{Name: "line", X: []float64{0, 1, 2, 3, 4}, Y: []float64{0, 1, 2, 3, 4}}
 	var buf bytes.Buffer
 	err := Plot(&buf, PlotConfig{Title: "diag", Width: 20, Height: 10, XLabel: "x", YLabel: "y"}, s)
 	if err != nil {
@@ -159,8 +134,8 @@ func TestPlotLogAxes(t *testing.T) {
 }
 
 func TestPlotMultipleSeriesDistinctMarkers(t *testing.T) {
-	a, _ := NewSeries("first", []float64{0, 1, 2}, []float64{0, 1, 2})
-	b, _ := NewSeries("second", []float64{0, 1, 2}, []float64{2, 1, 0})
+	a := Series{Name: "first", X: []float64{0, 1, 2}, Y: []float64{0, 1, 2}}
+	b := Series{Name: "second", X: []float64{0, 1, 2}, Y: []float64{2, 1, 0}}
 	var buf bytes.Buffer
 	if err := Plot(&buf, PlotConfig{Width: 20, Height: 10}, a, b); err != nil {
 		t.Fatal(err)
@@ -179,7 +154,7 @@ func TestPlotErrors(t *testing.T) {
 		t.Error("no series accepted")
 	}
 	// All points invalid on a log axis.
-	s, _ := NewSeries("negative", []float64{-1, -2}, []float64{-3, -4})
+	s := Series{Name: "negative", X: []float64{-1, -2}, Y: []float64{-3, -4}}
 	if err := Plot(&bytes.Buffer{}, PlotConfig{XScale: Log10, YScale: Log10}, s); err == nil {
 		t.Error("log plot of negative data accepted")
 	}
@@ -187,7 +162,7 @@ func TestPlotErrors(t *testing.T) {
 
 func TestPlotConstantSeries(t *testing.T) {
 	// Constant series must not divide by zero.
-	s, _ := NewSeries("flat", []float64{1, 2, 3}, []float64{5, 5, 5})
+	s := Series{Name: "flat", X: []float64{1, 2, 3}, Y: []float64{5, 5, 5}}
 	var buf bytes.Buffer
 	if err := Plot(&buf, PlotConfig{Width: 10, Height: 5}, s); err != nil {
 		t.Fatalf("constant series: %v", err)

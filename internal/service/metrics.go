@@ -46,7 +46,6 @@ import (
 	"memstream/internal/engine"
 	"memstream/internal/metrics"
 	"memstream/internal/parallel"
-	"memstream/internal/sim"
 )
 
 // serviceMetrics bundles the registry and every instrument the service
@@ -182,7 +181,8 @@ func (s *Service) syncMetrics() {
 	m.engineRuns.Store(et.Runs)
 	m.engineSteps.Store(et.Steps)
 	m.simulatedHours.Set(et.SimulatedSeconds / 3600)
-	m.simReplicas.Store(sim.ReplicasRun())
+	// Each completed simulation replica is one engine run.
+	m.simReplicas.Store(et.Runs)
 
 	m.served.Store(s.served.Load())
 	m.failed.Store(s.failed.Load())

@@ -50,9 +50,6 @@ func newSliced(cfg Config) (*slicedSimulator, error) {
 			return nil, err
 		}
 	}
-	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
-		cfg.ECCSampleWords = 8
-	}
 	s := &slicedSimulator{
 		cfg:          cfg,
 		layout:       format.NewLayout(cfg.Device),
@@ -179,11 +176,11 @@ func (s *slicedSimulator) serveBestEffort() {
 // injectErrors exercises the ECC codec with the configured raw bit-error rate
 // on a sample of codewords for this refill.
 func (s *slicedSimulator) injectErrors() {
-	if s.cfg.BitErrorRate <= 0 || s.cfg.ECCSampleWords <= 0 {
+	if s.cfg.BitErrorRate <= 0 {
 		return
 	}
 	expectedFlipsPerWord := s.cfg.BitErrorRate * float64(ecc.CodewordBits)
-	for i := 0; i < s.cfg.ECCSampleWords; i++ {
+	for i := 0; i < eccSampleWords; i++ {
 		word := s.rng.Uint64()
 		cw := ecc.Encode(word)
 		flips := poissonSample(s.rng, expectedFlipsPerWord)

@@ -61,18 +61,9 @@ type MultiConfig struct {
 	Seed uint64
 }
 
-// backend returns the device backend the run drives: Backend when set, the
-// MEMS device otherwise.
-func (c MultiConfig) backend() engine.Backend {
-	if c.Backend != nil {
-		return c.Backend
-	}
-	return engine.NewMEMS(c.Device)
-}
-
 // MediaRate returns the media transfer rate of the simulated device.
 func (c MultiConfig) MediaRate() units.BitRate {
-	return c.backend().MediaRate()
+	return backendOf(c.Backend, c.Device).MediaRate()
 }
 
 // policy returns the effective scheduling policy (round-robin by default).
@@ -96,23 +87,14 @@ func (c MultiConfig) AggregateRate() units.BitRate {
 // admissible stream set (aggregate average demand and every stream's peak
 // demand below the media rate).
 func (c MultiConfig) Validate() error {
-	var errs []error
-	if err := c.backend().Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if c.Backend != nil && !c.Backend.MediaRate().Positive() {
-		errs = append(errs, errors.New("sim: backend media rate must be positive"))
-	}
-	if err := c.DRAM.Validate(); err != nil {
-		errs = append(errs, err)
-	}
+	errs := validateDevice(c.Backend, c.Device, c.DRAM)
 	if err := c.policy().Validate(); err != nil {
 		errs = append(errs, err)
 	}
 	if len(c.Streams) == 0 {
 		errs = append(errs, errors.New("sim: at least one stream is required"))
 	}
-	mediaRate := c.backend().MediaRate()
+	mediaRate := c.MediaRate()
 	for i, s := range c.Streams {
 		if err := s.Spec.Validate(); err != nil {
 			errs = append(errs, fmt.Errorf("sim: stream %d (%s): %w", i, s.Name, err))
@@ -185,18 +167,13 @@ func (m *MultiStats) EnergyShare(i int) float64 {
 	return own.Joules() / total.Joules()
 }
 
-// MultiSimulator runs the shared-device scheduling loop on the unified
-// event-driven scheduling core.
+// MultiSimulator runs the shared-device scheduling loop on the shared
+// simulator core, which builds, rewinds and runs it under the shared-device
+// rules: no top-off, uninflated background writes, refilled-volume DRAM
+// charge.
 type MultiSimulator struct {
-	cfg     MultiConfig
-	backend engine.Backend
-	core    *engine.MultiCore
-	// patterns keeps the per-stream demand patterns in configuration order
-	// so ResetFor can reseed them in place across replicas.
-	patterns []workload.Pattern
-	// run is the shared cycle loop, configured for the shared-device model:
-	// no top-off, uninflated background writes, refilled-volume DRAM charge.
-	run runner
+	runner
+	cfg MultiConfig
 }
 
 // NewMulti builds a multi-stream simulator from a validated configuration.
@@ -214,36 +191,12 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	// The simulator owns its Streams slice: Reset re-seeds the entries in
 	// place, which must never reach through to the caller's slice.
 	cfg.Streams = append([]MultiStream(nil), cfg.Streams...)
-	streams := make([]engine.StreamConfig, len(cfg.Streams))
-	patterns := make([]workload.Pattern, len(cfg.Streams))
-	for i, s := range cfg.Streams {
-		pattern, err := s.Spec.Pattern(cfg.Duration)
-		if err != nil {
-			return nil, fmt.Errorf("sim: stream %d (%s): %w", i, s.Name, err)
-		}
-		streams[i] = engine.StreamConfig{
-			Source:        pattern,
-			Buffer:        s.Buffer,
-			WriteFraction: s.Spec.WriteFraction,
-			Priority:      s.Priority,
-		}
-		patterns[i] = pattern
+	s := &MultiSimulator{cfg: cfg, runner: runner{policy: cfg.policy(), dram: cfg.DRAM, duration: cfg.Duration}}
+	i, err := s.build(backendOf(cfg.Backend, cfg.Device), cfg.Streams, cfg.BestEffort)
+	if i >= 0 {
+		return nil, fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
 	}
-	backend := cfg.backend()
-	core := engine.NewMultiCore(backend, streams)
-	s := &MultiSimulator{
-		cfg:      cfg,
-		backend:  backend,
-		core:     core,
-		patterns: patterns,
-		run: runner{
-			core:     core,
-			policy:   cfg.policy(),
-			dram:     cfg.DRAM,
-			duration: cfg.Duration,
-		},
-	}
-	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -286,25 +239,18 @@ func (s *MultiSimulator) compatible(cfg MultiConfig) bool {
 // cfg is reset-compatible (Reset derives it from the stored configuration;
 // the pooled runner checks it first). cfg's stream entries are copied into
 // the simulator-owned slice, so later in-place reseeds never reach through to
-// the caller's. Patterns are reseeded before the core re-provisions so the
-// recomputed wake levels see the new traces' peaks.
+// the caller's.
 func (s *MultiSimulator) rewind(cfg MultiConfig) error {
 	streams := s.cfg.Streams
 	copy(streams, cfg.Streams)
 	cfg.Streams = streams
-	for i, p := range s.patterns {
-		if err := reseedPattern(p, streams[i].Spec.Seed); err != nil {
-			return fmt.Errorf("sim: stream %d (%s): %w", i, streams[i].Name, err)
+	s.cfg = cfg
+	for i, st := range streams {
+		if err := s.patterns[i].Reset(st.Spec.Seed); err != nil {
+			return fmt.Errorf("sim: stream %d (%s): %w", i, st.Name, err)
 		}
 	}
-	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
-		return err
-	}
-	s.cfg = cfg
-	// Reset re-provisions the wake levels against the reseeded patterns'
-	// realized peaks, so it must follow the pattern resets above.
-	s.core.Reset()
-	return nil
+	return s.restart(cfg.BestEffort)
 }
 
 // Reset is the common-case ResetFor: it derives every stream's pattern seed
@@ -329,19 +275,12 @@ func (s *MultiSimulator) Run() (*MultiStats, error) {
 				i, st.Name, st.Buffer, len(s.cfg.Streams), s.core.WakeLevel(i))
 		}
 	}
-	s.run.run()
-	dev := s.core.DeviceStats()
-
-	out := &MultiStats{Device: *dev, Streams: make([]NamedStats, len(s.cfg.Streams))}
+	out := &MultiStats{Device: *s.run(), Streams: make([]NamedStats, len(s.cfg.Streams))}
 	for i, st := range s.cfg.Streams {
 		stream := *s.core.StreamStats(i)
 		stream.SimulatedTime = s.core.Now()
 		out.Streams[i] = NamedStats{Name: st.Name, Stats: stream}
 	}
-	// Fold the device-level run into the process-wide observability totals,
-	// once, now that the statistics are final.
-	out.Device.RecordRun()
-	replicasRun.Add(1)
 	return out, nil
 }
 

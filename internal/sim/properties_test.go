@@ -102,7 +102,7 @@ func TestConservationProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertConserved(t, cfg.backend(), &stats.Device)
+			assertConserved(t, backendOf(cfg.Backend, cfg.Device), &stats.Device)
 		})
 	}
 }

@@ -9,11 +9,9 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"memstream/internal/parallel"
-	"memstream/internal/workload"
 )
 
 // runPool runs entries [0, n) on at most workers goroutines and returns the
@@ -138,10 +136,12 @@ func RunMultiReplicas(ctx context.Context, workers int, cfg MultiConfig, seed ui
 	}, (*MultiSimulator).Run)
 }
 
-// reseedConfig applies the replica convention to a configuration: every
-// stochastic input — the run's own RNG, the demand pattern and the
-// best-effort process — takes the replica seed. Simulator.Reset and
-// RunReplicas share it, so the two paths cannot drift apart.
+// reseedConfig applies the single-stream replica convention to a
+// configuration: every stochastic input — the run's own RNG, the demand
+// pattern and the best-effort process — takes the replica seed.
+// Simulator.Reset and RunReplicas share it, so the two paths cannot drift
+// apart. The convention is the simulator's own; the shared core only hands
+// each seed on, to the pattern's Reset and to the best-effort restart.
 func reseedConfig(cfg Config, seed uint64) Config {
 	cfg.Seed = seed
 	cfg.Spec.Seed = seed
@@ -152,7 +152,8 @@ func reseedConfig(cfg Config, seed uint64) Config {
 // reseedMultiConfig applies the multi-stream replica convention: stream j
 // draws from seed ^ ((j+1) · golden ratio) so concurrent streams never share
 // a random sequence, and the best-effort process takes the replica seed
-// itself. It seeds cfg.Streams in place — the caller must own the slice.
+// itself. As with reseedConfig, the shared core only hands the seeds on. It
+// seeds cfg.Streams in place — the caller must own the slice.
 func reseedMultiConfig(cfg MultiConfig, seed uint64) MultiConfig {
 	cfg.Seed = seed
 	for j := range cfg.Streams {
@@ -160,20 +161,4 @@ func reseedMultiConfig(cfg MultiConfig, seed uint64) MultiConfig {
 	}
 	cfg.BestEffort.Seed = seed
 	return cfg
-}
-
-// reseedPattern rewinds a pattern built by StreamSpec.Pattern to the state a
-// fresh build for seed would have, in place and without allocating. Trace
-// patterns replay fixed frames and carry no seed.
-func reseedPattern(p workload.Pattern, seed uint64) error {
-	switch p := p.(type) {
-	case *workload.RatePattern:
-		p.Reset(seed)
-	case *workload.VideoRatePattern:
-		return p.Reset(seed)
-	case *workload.TracePattern:
-	default:
-		return errors.New("sim: pattern cannot be reset")
-	}
-	return nil
 }

@@ -61,48 +61,28 @@ type Config struct {
 	// Duration is the simulated streaming time.
 	Duration units.Duration
 	// BitErrorRate is the raw media bit-error rate exercised through the ECC
-	// codec (zero disables the error model).
+	// codec on eccSampleWords codewords per refill (zero disables the error
+	// model).
 	BitErrorRate float64
-	// ECCSampleWords is the number of codewords sampled per refill for the
-	// error model (defaults to 8 when the error model is active).
-	ECCSampleWords int
 	// Seed makes the run reproducible.
 	Seed uint64
 }
 
-// backend returns the device backend the run drives: Config.Backend when
-// set, the MEMS device otherwise.
-func (c Config) backend() engine.Backend {
-	if c.Backend != nil {
-		return c.Backend
-	}
-	return engine.NewMEMS(c.Device)
-}
+// eccSampleWords is the number of codewords the error model samples per
+// refill.
+const eccSampleWords = 8
 
 // MediaRate returns the media transfer rate of the device the configuration
-// simulates — the single place the Backend-or-Device fallback is resolved,
-// so callers sizing best-effort processes against the media rate cannot
-// diverge from the simulator.
+// simulates.
 func (c Config) MediaRate() units.BitRate {
-	return c.backend().MediaRate()
+	return backendOf(c.Backend, c.Device).MediaRate()
 }
 
 // Validate checks the configuration. The device behind the run is always
 // validated: the MEMS Device directly, or the Backend through its Validate
 // method.
 func (c Config) Validate() error {
-	var errs []error
-	if err := c.backend().Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if c.Backend != nil && !c.Backend.MediaRate().Positive() {
-		// Custom backends may validate loosely; the engine still needs a
-		// positive media rate to form a refill cycle at all.
-		errs = append(errs, errors.New("sim: backend media rate must be positive"))
-	}
-	if err := c.DRAM.Validate(); err != nil {
-		errs = append(errs, err)
-	}
+	errs := validateDevice(c.Backend, c.Device, c.DRAM)
 	if err := c.Spec.Validate(); err != nil {
 		errs = append(errs, err)
 	}
@@ -117,7 +97,7 @@ func (c Config) Validate() error {
 	if !c.Duration.Positive() {
 		errs = append(errs, errors.New("sim: duration must be positive"))
 	}
-	if mediaRate := c.backend().MediaRate(); mediaRate.Positive() {
+	if mediaRate := c.MediaRate(); mediaRate.Positive() {
 		// The peak bound covers the average too, but both checks name the
 		// quantity a user would recognise in the error. RateBounds scans a
 		// trace once for both values.
@@ -135,18 +115,15 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Simulator runs the refill-cycle state machine on the unified event-driven
-// scheduling core, as its K=1 case.
+// Simulator runs the refill-cycle state machine on the shared simulator
+// core, as its one-stream case. The core builds, rewinds and runs it under
+// the single-stream rules: top-off refill, inflated background writes,
+// full-buffer DRAM charge and the ECC error model, whose draws come from
+// the simulator's own RNG.
 type Simulator struct {
-	cfg     Config
-	backend engine.Backend
-	core    *engine.MultiCore
-	pattern workload.Pattern
-	rng     *workload.Rng
-	// run is the shared cycle loop, configured for the single-stream model:
-	// top-off refill, inflated background writes, full-buffer DRAM charge
-	// and the ECC error model.
-	run runner
+	runner
+	cfg Config
+	rng *workload.Rng
 }
 
 // New builds a simulator from a validated configuration.
@@ -161,26 +138,8 @@ func New(cfg Config) (*Simulator, error) {
 // batch runners validating a whole batch once do not pay per-replica
 // re-validation.
 func newValidated(cfg Config) (*Simulator, error) {
-	pattern, err := cfg.Spec.Pattern(cfg.Duration)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalized()
-	backend := cfg.backend()
-	core := engine.NewMultiCore(backend, []engine.StreamConfig{{
-		Source:        pattern,
-		Buffer:        cfg.Buffer,
-		WriteFraction: cfg.Spec.WriteFraction,
-	}})
-	s := &Simulator{
-		cfg:     cfg,
-		backend: backend,
-		core:    core,
-		pattern: pattern,
-		rng:     workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d),
-	}
-	s.run = runner{
-		core:                    core,
+	s := &Simulator{cfg: cfg, rng: workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d)}
+	s.runner = runner{
 		policy:                  engine.PolicyRoundRobin,
 		dram:                    cfg.DRAM,
 		duration:                cfg.Duration,
@@ -189,20 +148,11 @@ func newValidated(cfg Config) (*Simulator, error) {
 		fixedCycleAccess:        cfg.Buffer,
 		injectErrors:            s.injectErrors,
 	}
-	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
+	stream := []MultiStream{{Spec: cfg.Spec, Buffer: cfg.Buffer}}
+	if _, err := s.build(backendOf(cfg.Backend, cfg.Device), stream, cfg.BestEffort); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// normalized applies New's defaulting (eight sampled codewords per refill
-// when the error model is on), so a stored configuration compares equal to a
-// caller's un-normalized one.
-func (c Config) normalized() Config {
-	if c.BitErrorRate > 0 && c.ECCSampleWords <= 0 {
-		c.ECCSampleWords = 8
-	}
-	return c
 }
 
 // ResetFor rewinds the simulator so its next Run replays cfg from scratch,
@@ -222,7 +172,7 @@ func (s *Simulator) ResetFor(cfg Config) error {
 // compatible reports whether cfg is identical to the simulator's
 // configuration up to its seed fields, so rewind can replay it.
 func (s *Simulator) compatible(cfg Config) bool {
-	a, b := s.cfg, cfg.normalized()
+	a, b := s.cfg, cfg
 	a.Seed, b.Seed = 0, 0
 	a.Spec.Seed, b.Spec.Seed = 0, 0
 	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
@@ -232,22 +182,14 @@ func (s *Simulator) compatible(cfg Config) bool {
 // rewind is ResetFor without the compatibility check, for callers that know
 // cfg is reset-compatible (Reset derives it from the stored configuration;
 // the pooled runner checks it first). It allocates nothing in steady state:
-// the pattern regenerates into its own storage, and the best-effort requests
-// are drawn afresh as the next Run reaches them.
+// the pattern regenerates into its own storage.
 func (s *Simulator) rewind(cfg Config) error {
-	cfg = cfg.normalized()
-	if err := reseedPattern(s.pattern, cfg.Spec.Seed); err != nil {
-		return err
-	}
-	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
-		return err
-	}
 	s.cfg = cfg
 	s.rng.Seed(cfg.Seed ^ 0xdeadbeefcafef00d)
-	// Reset re-provisions the wake level against the reseeded pattern's
-	// realized peak, so it must follow the pattern reset above.
-	s.core.Reset()
-	return nil
+	if err := s.patterns[0].Reset(cfg.Spec.Seed); err != nil {
+		return err
+	}
+	return s.restart(cfg.BestEffort)
 }
 
 // Reset is the common-case ResetFor: it re-seeds every stochastic input —
@@ -263,12 +205,12 @@ func (s *Simulator) Reset(seed uint64) error {
 // injectErrors exercises the ECC codec with the configured raw bit-error rate
 // on a sample of codewords for this refill.
 func (s *Simulator) injectErrors() {
-	if s.cfg.BitErrorRate <= 0 || s.cfg.ECCSampleWords <= 0 {
+	if s.cfg.BitErrorRate <= 0 {
 		return
 	}
 	stats := s.core.DeviceStats()
 	expectedFlipsPerWord := s.cfg.BitErrorRate * float64(ecc.CodewordBits)
-	for i := 0; i < s.cfg.ECCSampleWords; i++ {
+	for i := 0; i < eccSampleWords; i++ {
 		word := s.rng.Uint64()
 		cw := ecc.Encode(word)
 		flips := poissonSample(s.rng, expectedFlipsPerWord)
@@ -323,13 +265,7 @@ func (s *Simulator) Run() (*Stats, error) {
 		return nil, fmt.Errorf("sim: buffer %v cannot even cover the %v positioning time at peak demand",
 			s.cfg.Buffer, s.backend.PositioningTime())
 	}
-	s.run.run()
-	stats := s.core.DeviceStats()
-	// Fold this run into the process-wide observability totals, once, now
-	// that the statistics are final.
-	stats.RecordRun()
-	replicasRun.Add(1)
-	return stats, nil
+	return s.run(), nil
 }
 
 // RunConfig is a convenience wrapper: build a simulator and run it.

@@ -256,7 +256,6 @@ func TestVBRStreamSimulation(t *testing.T) {
 func TestECCErrorInjection(t *testing.T) {
 	cfg := baseConfig(20*units.KiB, 1024*units.Kbps)
 	cfg.BitErrorRate = 1e-3
-	cfg.ECCSampleWords = 16
 	cfg.Duration = 2 * units.Minute
 	stats, err := RunConfig(cfg)
 	if err != nil {

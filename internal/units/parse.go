@@ -89,25 +89,6 @@ func ParseDuration(s string) (Duration, error) {
 	}
 }
 
-// ParsePower parses a power such as "316 mW", "5mW" or "0.672 W".
-// Bare numbers are interpreted as watts.
-func ParsePower(s string) (Power, error) {
-	value, unit, err := splitQuantity(s)
-	if err != nil {
-		return 0, fmt.Errorf("parse power %q: %w", s, err)
-	}
-	switch strings.ToLower(unit) {
-	case "", "w", "watt", "watts":
-		return Power(value) * Watt, nil
-	case "mw", "milliwatt", "milliwatts":
-		return Power(value) * Milliwatt, nil
-	case "uw", "µw", "microwatt", "microwatts":
-		return Power(value) * Microwatt, nil
-	default:
-		return 0, fmt.Errorf("parse power %q: unknown unit %q", s, unit)
-	}
-}
-
 // splitQuantity splits "12.5 kB" into (12.5, "kB"). The unit may be attached
 // directly to the number. An empty unit is allowed.
 func splitQuantity(s string) (float64, string, error) {

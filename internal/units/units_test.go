@@ -248,31 +248,6 @@ func TestParseDuration(t *testing.T) {
 	}
 }
 
-func TestParsePower(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Power
-	}{
-		{"316 mW", 316 * Milliwatt},
-		{"5mW", 5 * Milliwatt},
-		{"0.672 W", 0.672},
-		{"120", 120},
-	}
-	for _, c := range cases {
-		got, err := ParsePower(c.in)
-		if err != nil {
-			t.Errorf("ParsePower(%q): %v", c.in, err)
-			continue
-		}
-		if !almostEqual(float64(got), float64(c.want), 1e-12) {
-			t.Errorf("ParsePower(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if _, err := ParsePower("3 horsepower"); err == nil {
-		t.Error("ParsePower with bogus unit succeeded, want error")
-	}
-}
-
 func TestParseExponentNotation(t *testing.T) {
 	got, err := ParseSize("1e3 bit")
 	if err != nil {

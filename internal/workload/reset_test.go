@@ -14,37 +14,60 @@ func rateAt(p Pattern, t units.Duration) units.BitRate {
 	return rate
 }
 
-// sampleRates walks the pattern through the first minute at a quarter-second
-// step, driving the lazy segment draws exactly as an integrator would.
-func sampleRates(p Pattern) []units.BitRate {
-	out := make([]units.BitRate, 0, 240)
+// segment is one constant-demand segment a pattern reports.
+type segment struct {
+	rate units.BitRate
+	end  units.Duration
+}
+
+// sampleSegments walks the pattern through the first minute at a
+// quarter-second step, driving the lazy segment draws exactly as an
+// integrator would, and records the segment holding each step.
+func sampleSegments(p Pattern) []segment {
+	out := make([]segment, 0, 240)
 	for i := 0; i < 240; i++ {
-		out = append(out, rateAt(p, units.Second.Scale(float64(i)*0.25)))
+		rate, end, _ := p.Segment(units.Second.Scale(float64(i)*0.25), NoCursor)
+		out = append(out, segment{rate, end})
 	}
 	return out
 }
 
+// TestRatePatternResetMatchesFresh checks that Reset, called through the
+// Pattern interface as the simulators call it, leaves a pattern replaying
+// exactly what a fresh build for the new seed plays: VBR redraws its
+// segments, CBR stays constant, and a trace, which carries no seed, keeps
+// every segment.
 func TestRatePatternResetMatchesFresh(t *testing.T) {
-	spec := VBRSpec(1024*units.Kbps, 1)
-	p, err := spec.Pattern(units.Minute)
+	video, err := VideoSpec(1024*units.Kbps, 3).Pattern(10 * units.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Advance the pattern well into its sequence before resetting, so stale
-	// segment state would be caught.
-	_ = sampleRates(p)
+	frames := video.(*VideoRatePattern).Frames()
+	for _, spec := range []StreamSpec{VBRSpec(1024*units.Kbps, 1), CBRSpec(1024 * units.Kbps), TraceSpec(frames)} {
+		p, err := spec.Pattern(units.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Advance the pattern well into its sequence before resetting, so
+		// stale segment state would be caught.
+		before := sampleSegments(p)
 
-	p.(*RatePattern).Reset(42)
-	got := sampleRates(p)
+		if err := p.Reset(42); err != nil {
+			t.Fatal(err)
+		}
+		got := sampleSegments(p)
 
-	spec.Seed = 42
-	fresh, err := spec.Pattern(units.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleRates(fresh)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("reset VBR pattern diverges from a freshly built one")
+		spec.Seed = 42
+		fresh, err := spec.Pattern(units.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, sampleSegments(fresh)) {
+			t.Errorf("reset %s pattern diverges from a freshly built one", spec.Kind)
+		}
+		if spec.Kind == SpecTrace && !reflect.DeepEqual(got, before) {
+			t.Error("reset changed a trace's segments")
+		}
 	}
 }
 

@@ -51,6 +51,10 @@ type Pattern interface {
 	// segment O(1), so a clock that advances segment by segment never
 	// searches.
 	Segment(t units.Duration, cursor int) (rate units.BitRate, end units.Duration, next int)
+	// Reset rewinds the pattern in place, without allocating, to the state
+	// StreamSpec.Pattern builds for the same spec re-seeded with seed, so
+	// batch replicas can reuse one pattern across seed-varied runs.
+	Reset(seed uint64) error
 }
 
 // StreamSpec is the one stream description shared by every layer: the

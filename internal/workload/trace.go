@@ -207,6 +207,10 @@ func (p *TracePattern) PeakRate() units.BitRate { return p.peak }
 // AverageRate returns the trace's long-run average demand.
 func (p *TracePattern) AverageRate() units.BitRate { return p.average }
 
+// Reset does nothing: a trace carries no seed, so every replica replays the
+// same frames, and the pattern stays read-only for the replicas sharing it.
+func (p *TracePattern) Reset(uint64) error { return nil }
+
 // Segment returns the demand of the frame playing at t, the end of that
 // frame and the cursor for the next call. Absolute frame j = pass·n + i
 // covers [pass·horizon + starts[i], pass·horizon + starts[i+1]), and the

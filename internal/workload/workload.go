@@ -93,13 +93,14 @@ func newRatePattern(s StreamSpec) *RatePattern {
 
 // Reset rewinds the pattern to the state StreamSpec.Pattern would build for
 // the same spec re-seeded with seed, without allocating: a reused pattern
-// replays exactly the segment sequence a fresh one would produce. It exists
-// so batch replicas can reuse one sampler across seed-varied runs.
-func (p *RatePattern) Reset(seed uint64) {
+// replays exactly the segment sequence a fresh one would produce. It never
+// fails.
+func (p *RatePattern) Reset(seed uint64) error {
 	p.rng.Seed(seed ^ 0xa5a5a5a5a5a5a5a5)
 	p.drawn = 0
 	p.segmentEnd = 0 // force a draw on first use, as a fresh pattern does
 	p.current = p.spec.Rate
+	return nil
 }
 
 // PeakRate returns the highest rate the pattern can produce.
