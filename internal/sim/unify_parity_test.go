@@ -6,7 +6,11 @@ package sim
 // separate Core/MultiCore implementations) into testdata/unify_golden.json.
 // The unified scheduling core must reproduce every record byte for byte —
 // K=1 is literally the single-stream engine, and the round-robin and
-// most-urgent service orderings are unchanged by the merge.
+// most-urgent service orderings are unchanged by the merge. Three later
+// records pin the rest of the refill cycle's rules: a single-stream disk run
+// with best effort, a priority run with one stream in a higher class, and a
+// shared-device run with best effort (uninflated background writes and the
+// refilled-volume DRAM charge).
 //
 // Regenerate (only when a deliberate semantic change is being made):
 //
@@ -59,12 +63,38 @@ func goldenRuns(t *testing.T) map[string]json.RawMessage {
 		}
 		out["single/"+name] = marshal(t, stats)
 	}
-	for _, policy := range []engine.Policy{engine.PolicyRoundRobin, engine.PolicyMostUrgent} {
-		stats, err := RunMulti(policyParityConfig(policy))
+	disk := Config{
+		Device:   device.DefaultMEMS(),
+		Backend:  engine.NewDisk(device.Default18InchDisk()),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   4 * units.MB,
+		Spec:     workload.VBRSpec(1024*units.Kbps, 1),
+		Duration: 2 * units.Minute,
+		Seed:     1,
+	}
+	disk.BestEffort = workload.NewBestEffortProcess(0.05, disk.MediaRate(), 1)
+	stats, err := RunConfig(disk)
+	if err != nil {
+		t.Fatalf("disk: %v", err)
+	}
+	out["single/disk"] = marshal(t, stats)
+
+	multi := map[string]MultiConfig{
+		"round-robin": policyParityConfig(engine.PolicyRoundRobin),
+		"most-urgent": policyParityConfig(engine.PolicyMostUrgent),
+		"priority":    policyParityConfig(engine.PolicyPriority),
+		"best-effort": policyParityConfig(engine.PolicyRoundRobin),
+	}
+	multi["priority"].Streams[2].Priority = 1
+	be := multi["best-effort"]
+	be.BestEffort = workload.NewBestEffortProcess(0.05, be.MediaRate(), 7)
+	multi["best-effort"] = be
+	for name, cfg := range multi {
+		stats, err := RunMulti(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		out["multi/"+string(policy)] = marshal(t, stats)
+		out["multi/"+name] = marshal(t, stats)
 	}
 	return out
 }
