@@ -58,32 +58,33 @@
 // # Simulation engine
 //
 // The discrete-event simulator is built on one event-driven scheduling core
-// (internal/engine): K stream buffers drain concurrently while the shared
-// device wakes, services them under a scheduling policy and shuts down
-// again. A single-stream run is literally the K=1 case of that core — the
-// single- and multi-stream simulators share one simulator core that builds
-// the backend, the demand patterns and the engine core, rewinds them between
-// replicas and drives the same wake/refill/shutdown machinery through one
-// cycle loop to the end of a run. They differ only in a handful of declared
-// behavioural knobs (the single-stream top-off refill, its ECC error model,
-// its full-buffer DRAM charge), their seed conventions and their result
-// shapes, so the two paths cannot drift apart. Time
-// advances by next-event stepping: a drain or refill integration step ends
-// at the earliest of the target buffer level, the run deadline, and the end
-// of a stream's current demand segment. Each stream caches that segment —
-// its rate and where it ends — from one Segment query to its demand pattern,
-// answered from a single frame (or VBR segment) index, and reloads it only
-// when the clock reaches the end; the pattern's cursor then advances frame
-// by frame in O(1). The rate a step drains at and the boundary it stops at
-// come from the same frame, so piecewise-constant demand (CBR, VBR segments,
-// per-frame video and user traces) is integrated exactly: a video or trace
-// run without underruns or best-effort traffic (each background request is
-// one step at the demand in effect when it starts) streams the bits its
-// frames play to a relative 1e-12. TestFrameAccurateRunsStreamTheirFrames
-// in internal/sim checks this, and TestSegmentWalkIntegratesFrames in
-// internal/workload checks the patterns over three passes of the
-// wrap-around. VBR/video runs take steps proportional to the number of rate
-// changes instead of fixed 20-millisecond slices.
+// (internal/engine), and that core runs the refill cycle itself: K stream
+// buffers drain concurrently while the shared device wakes, services them
+// under a scheduling policy, serves the best-effort backlog and shuts down
+// again, and each cycle is charged its DRAM energy. A single-stream run is
+// literally the K=1 case of that core. The single- and multi-stream
+// simulators share one simulator core that builds the demand patterns and
+// the engine core and rewinds them between replicas. They differ only in an
+// engine.Cycle value (the single-stream rule — top-off refill, background
+// writes on the stream's own region, full-buffer DRAM charge — and its ECC
+// error hook), their seed conventions and their result shapes, so the two
+// paths cannot drift apart. Time advances by next-event stepping: a drain or
+// refill integration step ends at the earliest of the target buffer level,
+// the run deadline, and the end of a stream's current demand segment. Each
+// stream caches that segment — its rate and where it ends — from one Segment
+// query to its demand pattern, answered from a single frame (or VBR segment)
+// index, and reloads it only when the clock reaches the end; the pattern's
+// cursor then advances frame by frame in O(1). The rate a step drains at and
+// the boundary it stops at come from the same frame, so piecewise-constant
+// demand (CBR, VBR segments, per-frame video and user traces) is integrated
+// exactly: a video or trace run without underruns or best-effort traffic
+// (each background request is one step at the demand in effect when it
+// starts) streams the bits its frames play to a relative 1e-12.
+// TestFrameAccurateRunsStreamTheirFrames in internal/sim checks this, and
+// TestSegmentWalkIntegratesFrames in internal/workload checks the patterns
+// over three passes of the wrap-around. VBR/video runs take steps
+// proportional to the number of rate changes instead of fixed 20-millisecond
+// slices.
 //
 // The engine accounts per-state time and energy against a pluggable device
 // backend (power per cycle state, positioning and shutdown transitions,

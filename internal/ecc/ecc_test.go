@@ -149,26 +149,6 @@ func TestEncodeBlockEmpty(t *testing.T) {
 	}
 }
 
-func TestStorageOverheadBits(t *testing.T) {
-	cases := []struct {
-		userBits int
-		want     int
-	}{
-		{0, 0},
-		{-5, 0},
-		{1, 8},
-		{64, 8},
-		{65, 16},
-		{512, 64},
-		{8 * 4096, 8 * 4096 / 8},
-	}
-	for _, c := range cases {
-		if got := StorageOverheadBits(c.userBits); got != c.want {
-			t.Errorf("StorageOverheadBits(%d) = %d, want %d", c.userBits, got, c.want)
-		}
-	}
-}
-
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(word uint64) bool {
 		got, corrected, err := Decode(Encode(word))

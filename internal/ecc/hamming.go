@@ -194,13 +194,3 @@ func DecodeBlock(words []Codeword) (data []byte, corrected int, err error) {
 	}
 	return data, corrected, nil
 }
-
-// StorageOverheadBits returns the number of check bits added when storing
-// userBits of data with this code, rounding up to whole codewords.
-func StorageOverheadBits(userBits int) int {
-	if userBits <= 0 {
-		return 0
-	}
-	words := (userBits + DataBits - 1) / DataBits
-	return words * ParityBits
-}

@@ -9,7 +9,7 @@ import (
 // baseline of Section III-A.1 can be driven through the same refill cycle as
 // the MEMS device. The positioning transition is the spin-up plus an average
 // seek back to the stream position; its power is the energy-weighted average
-// over that interval, so one Account step charges exactly the spin-up and
+// over that interval, so one accounting step charges exactly the spin-up and
 // seek energies of the closed-form disk model.
 type Disk struct {
 	disk device.Disk

@@ -4,11 +4,14 @@
 // machinery of Fig. 1b, accounting per-state time and energy against a
 // pluggable device Backend.
 //
-// There is one scheduling core, MultiCore: K stream buffers draining
-// concurrently while the device wakes, services them under a Policy and
-// shuts down again. A single-stream run is the K=1 case, so wake
-// provisioning, refill accounting, write-wear inflation and the
-// reset-in-place machinery exist exactly once.
+// There is one scheduling core, MultiCore, and it runs the cycle itself:
+// K stream buffers drain concurrently while the device wakes, services them
+// under a Policy, serves the best-effort backlog and shuts down again, and
+// MultiCore.Run charges each cycle's DRAM energy and closes the run's
+// record. A Cycle value carries the run's rules. A single-stream run is the
+// K=1 case under the single-stream rule, so wake provisioning, refill
+// accounting, write-wear inflation, the cycle loop and the reset-in-place
+// machinery exist exactly once.
 //
 // The engine advances time by next-event stepping, not by fixed slices: a
 // drain or refill integration step ends at the earliest of the target level,
@@ -131,9 +134,9 @@ type Stats struct {
 	ECCCorrected int
 	// ECCUncorrectable counts codewords the codec had to give up on.
 	ECCUncorrectable int
-	// Steps counts accounting steps (Account calls that advanced time): the
-	// event count of the run. It is deterministic for a given configuration
-	// and feeds the engine totals mirrored at /metricsz via RecordRun.
+	// Steps counts the accounting steps that advanced time: the event count
+	// of the run. It is deterministic for a given configuration and feeds
+	// the engine totals mirrored at /metricsz.
 	Steps int
 }
 

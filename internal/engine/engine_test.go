@@ -85,8 +85,8 @@ func TestCoreDrainRefillConservation(t *testing.T) {
 
 	target := c.WakeLevel(0)
 	deadline := units.Duration(3600)
-	if woken := c.DrainToWake(device.StateStandby, deadline); woken != 0 {
-		t.Fatalf("DrainToWake = %d, want stream 0 to force the wake-up", woken)
+	if woken := c.drainToWake(device.StateStandby, deadline); woken != 0 {
+		t.Fatalf("drainToWake = %d, want stream 0 to force the wake-up", woken)
 	}
 	if !almostEqual(c.Level(0).Bits(), target.Bits(), 1e-9) {
 		t.Fatalf("drained to %v, want %v", c.Level(0), target)
@@ -101,7 +101,7 @@ func TestCoreDrainRefillConservation(t *testing.T) {
 		t.Errorf("standby time %v, want %v", c.DeviceStats().StateTime[device.StateStandby], wantTime)
 	}
 
-	c.RefillStream(0)
+	c.refillStream(0)
 	if !almostEqual(c.Level(0).Bits(), buffer.Bits(), 1e-9) {
 		t.Fatalf("refilled to %v, want %v", c.Level(0), buffer)
 	}
@@ -126,7 +126,7 @@ func TestCoreUnderrunAccounting(t *testing.T) {
 	buffer := units.Size(1000)
 	c := newSingleCore(b, cbrSource(t, 4096*units.Kbps), buffer, 0.4)
 	// A one-second accounting step drains far more than the buffer holds.
-	c.Account(device.StateSeek, units.Duration(1), 0)
+	c.account(device.StateSeek, units.Duration(1), 0)
 	if c.DeviceStats().Underruns != 1 {
 		t.Errorf("underruns = %d, want 1", c.DeviceStats().Underruns)
 	}
@@ -177,7 +177,7 @@ func TestStepBoundStopsAtRateChanges(t *testing.T) {
 	// A buffer holding many seconds of stream forces multi-segment drains.
 	buffer := (1024 * units.Kbps).Times(10 * units.Second)
 	c := newSingleCore(b, pattern, buffer, 0.4)
-	c.DrainToWake(device.StateStandby, units.Duration(3600))
+	c.drainToWake(device.StateStandby, units.Duration(3600))
 	// Exactness: the streamed volume equals the drop to the wake level (no
 	// underruns, no overshoot), even though the rate changed every two
 	// seconds.
@@ -230,7 +230,7 @@ func (s *spikeRate) Segment(t units.Duration, cursor int) (units.BitRate, units.
 	return s.lowRate, units.Duration(math.Inf(1)), cursor
 }
 
-// TestRefillStepsOverDemandSpike locks in the RefillStream fix: while demand
+// TestRefillStepsOverDemandSpike locks in the refillStream fix: while demand
 // momentarily outruns the media rate, the engine must step straight to the
 // source's next rate change instead of degrading to fixed 1 ms slices for
 // the whole interval.
@@ -245,14 +245,14 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 	buffer := 64 * units.KiB
 	c := newSingleCore(b, src, buffer, 0.4)
 	// Open a gap so the refill loop engages while the spike is still on.
-	c.Account(device.StateSeek, units.Duration(0.001), 0)
+	c.account(device.StateSeek, units.Duration(0.001), 0)
 	stepsBefore := c.DeviceStats().Steps
-	c.RefillStream(0)
+	c.refillStream(0)
 	if c.Level(0) != buffer {
 		t.Fatalf("refill ended at %v, want full %v", c.Level(0), buffer)
 	}
-	if c.Now() < src.switchAt {
-		t.Fatalf("refill finished at %v, before the spike ended at %v", c.Now(), src.switchAt)
+	if c.now < src.switchAt {
+		t.Fatalf("refill finished at %v, before the spike ended at %v", c.now, src.switchAt)
 	}
 	// One step to the spike boundary plus a handful of refill steps — the
 	// 1 ms fallback would have taken hundreds of steps.
@@ -277,8 +277,8 @@ func TestRebufferEpisodesCollapseConsecutiveDrySteps(t *testing.T) {
 	}
 
 	// Two consecutive dry one-second steps: two underruns, one episode.
-	c.Account(device.StateSeek, units.Duration(1), 0)
-	c.Account(device.StateSeek, units.Duration(1), 0)
+	c.account(device.StateSeek, units.Duration(1), 0)
+	c.account(device.StateSeek, units.Duration(1), 0)
 	st := c.DeviceStats()
 	if st.Underruns != 2 || st.RebufferEpisodes != 1 {
 		t.Errorf("underruns = %d, episodes = %d; want 2 dry steps in 1 episode", st.Underruns, st.RebufferEpisodes)
@@ -287,9 +287,9 @@ func TestRebufferEpisodesCollapseConsecutiveDrySteps(t *testing.T) {
 		t.Error("rebuffer time missing")
 	}
 	// Recover, then stall again: a second episode.
-	c.RefillStream(0)
-	c.Account(device.StateSeek, units.Duration(0.0001), 0) // drains 410 bits: no stall
-	c.Account(device.StateSeek, units.Duration(1), 0)
+	c.refillStream(0)
+	c.account(device.StateSeek, units.Duration(0.0001), 0) // drains 410 bits: no stall
+	c.account(device.StateSeek, units.Duration(1), 0)
 	st = c.DeviceStats()
 	if st.RebufferEpisodes != 2 {
 		t.Errorf("episodes = %d after a recovery and a new stall, want 2", st.RebufferEpisodes)
@@ -304,7 +304,7 @@ func TestCreditWriteCarriesInflation(t *testing.T) {
 	buffer := 20 * units.KiB
 	c := newSingleCore(b, cbrSource(t, 1024*units.Kbps), buffer, 0.4)
 	size := 4 * units.KiB
-	c.CreditStreamWrite(0, size)
+	c.creditWrites(c.streams[0], size)
 	st := c.DeviceStats()
 	if st.WrittenUserBits != size {
 		t.Errorf("user bits = %v, want %v", st.WrittenUserBits, size)
@@ -327,10 +327,10 @@ func TestTransitionDrainsAcrossRateChanges(t *testing.T) {
 	b := NewDisk(d)
 	src := stepRate{switchAt: units.Duration(1), lowRate: 512 * units.Kbps, highRate: 2048 * units.Kbps}
 	c := newSingleCore(b, src, 8*units.MB, 0.4)
-	c.Positioning(0) // spin-up + seek: 2.515 s from t = 0
+	c.positioning(0) // spin-up + seek: 2.515 s from t = 0
 	pos := b.PositioningTime()
-	if !almostEqual(c.Now().Seconds(), pos.Seconds(), 1e-12) {
-		t.Fatalf("transition advanced %v, want %v", c.Now(), pos)
+	if !almostEqual(c.now.Seconds(), pos.Seconds(), 1e-12) {
+		t.Fatalf("transition advanced %v, want %v", c.now, pos)
 	}
 	want := src.lowRate.Times(units.Duration(1)).
 		Add(src.highRate.Times(pos.Sub(units.Duration(1))))

@@ -7,10 +7,10 @@ import (
 
 // Package-level run totals, mirrored into memsd's /metricsz by the service
 // layer. The engine never touches them on the hot path: a run accumulates
-// its Steps and simulated time in its own Stats, and the driver folds them
-// in with one RecordRun call at run completion — so the per-step accounting
-// stays allocation-free and atomic-free, and the totals stay consistent at
-// any worker count.
+// its Steps and simulated time in its own Stats, and Run folds them in with
+// one recordRun call at run completion — so the per-step accounting stays
+// allocation-free and atomic-free, and the totals stay consistent at any
+// worker count.
 var (
 	totalRuns  atomic.Uint64
 	totalSteps atomic.Uint64
@@ -38,10 +38,10 @@ func Totals() RunTotals {
 	}
 }
 
-// RecordRun folds one completed run's statistics into the package totals.
-// Drivers call it exactly once per finished run, after SimulatedTime and
-// Steps are final.
-func (s *Stats) RecordRun() {
+// recordRun folds one completed run's statistics into the package totals.
+// Run calls it exactly once per finished run, after SimulatedTime and Steps
+// are final.
+func (s *Stats) recordRun() {
 	totalRuns.Add(1)
 	totalSteps.Add(uint64(s.Steps))
 	addFloat(&totalSimSecondsBits, s.SimulatedTime.Seconds())

@@ -81,7 +81,7 @@ func TestMultiCoreWakeLevelsAreRateProportional(t *testing.T) {
 
 func TestMultiCoreDrainToWake(t *testing.T) {
 	m := newTestMultiCore(t)
-	idx := m.DrainToWake(device.StateStandby, units.Hour)
+	idx := m.drainToWake(device.StateStandby, units.Hour)
 	if idx < 0 {
 		t.Fatal("no stream reached its wake level")
 	}
@@ -94,7 +94,7 @@ func TestMultiCoreDrainToWake(t *testing.T) {
 		t.Errorf("woken stream still above its wake level: %v > %v", m.Level(idx), m.WakeLevel(idx))
 	}
 	// Both streams drained for the whole standby interval.
-	elapsed := m.Now()
+	elapsed := m.now
 	if !elapsed.Positive() {
 		t.Fatal("time did not advance")
 	}
@@ -106,21 +106,21 @@ func TestMultiCoreDrainToWake(t *testing.T) {
 
 func TestMultiCoreServiceOrder(t *testing.T) {
 	m := newTestMultiCore(t)
-	if got := m.ServiceOrder(PolicyRoundRobin); got[0] != 0 || got[1] != 1 {
+	if got := m.serviceOrder(PolicyRoundRobin); got[0] != 0 || got[1] != 1 {
 		t.Errorf("round-robin order = %v, want [0 1]", got)
 	}
 	// Drain the recording stream harder: with rate-proportional levels both
 	// streams run dry at the same time, so force an imbalance by draining
 	// only until stream 0 is just above its wake level, then refill stream 0.
-	m.DrainToWake(device.StateStandby, units.Hour)
-	m.Positioning(0)
-	m.RefillStream(0)
+	m.drainToWake(device.StateStandby, units.Hour)
+	m.positioning(0)
+	m.refillStream(0)
 	// Stream 0 is full again; stream 1 is nearly empty, so most-urgent must
 	// service it first while round-robin sticks to declaration order.
-	if got := m.ServiceOrder(PolicyMostUrgent); got[0] != 1 {
+	if got := m.serviceOrder(PolicyMostUrgent); got[0] != 1 {
 		t.Errorf("most-urgent order = %v, want stream 1 first", got)
 	}
-	if got := m.ServiceOrder(PolicyRoundRobin); got[0] != 0 {
+	if got := m.serviceOrder(PolicyRoundRobin); got[0] != 0 {
 		t.Errorf("round-robin order = %v, want stream 0 first", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestServiceOrderPriority(t *testing.T) {
 		{Source: cbrSource(t, 512*units.Kbps), Buffer: 64 * units.KB, Priority: 2},
 		{Source: cbrSource(t, 512*units.Kbps), Buffer: 64 * units.KB, Priority: 0},
 	})
-	got := m.ServiceOrder(PolicyPriority)
+	got := m.serviceOrder(PolicyPriority)
 	if got[0] != 1 || got[1] != 0 || got[2] != 2 {
 		t.Errorf("priority order = %v, want [1 0 2]", got)
 	}
@@ -143,18 +143,18 @@ func TestServiceOrderPriority(t *testing.T) {
 func TestServiceOrderPriorityBreaksTiesByUrgency(t *testing.T) {
 	// Equal priorities everywhere: the policy must degrade to most-urgent.
 	m := newTestMultiCore(t)
-	m.DrainToWake(device.StateStandby, units.Hour)
-	m.Positioning(0)
-	m.RefillStream(0)
+	m.drainToWake(device.StateStandby, units.Hour)
+	m.positioning(0)
+	m.refillStream(0)
 	// Stream 0 is full again and stream 1 nearly empty, exactly as in the
 	// most-urgent case above.
-	if got := m.ServiceOrder(PolicyPriority); got[0] != 1 {
+	if got := m.serviceOrder(PolicyPriority); got[0] != 1 {
 		t.Errorf("priority order with equal classes = %v, want stream 1 first", got)
 	}
-	// ServiceOrder reuses its scratch slice, so copy the first order out
+	// serviceOrder reuses its scratch slice, so copy the first order out
 	// before asking for the second.
-	want := append([]int(nil), m.ServiceOrder(PolicyMostUrgent)...)
-	got := m.ServiceOrder(PolicyPriority)
+	want := append([]int(nil), m.serviceOrder(PolicyMostUrgent)...)
+	got := m.serviceOrder(PolicyPriority)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("equal-priority order %v must match most-urgent %v", got, want)
@@ -167,14 +167,14 @@ func TestMultiCoreInterStreamSeekAccounting(t *testing.T) {
 	m := newTestMultiCore(t)
 	const cycles = 5
 	for c := 0; c < cycles; c++ {
-		if m.DrainToWake(device.StateStandby, units.Hour) < 0 {
+		if m.drainToWake(device.StateStandby, units.Hour) < 0 {
 			t.Fatal("no wake-up")
 		}
-		for _, idx := range m.ServiceOrder(PolicyRoundRobin) {
-			m.Positioning(idx)
-			m.RefillStream(idx)
+		for _, idx := range m.serviceOrder(PolicyRoundRobin) {
+			m.positioning(idx)
+			m.refillStream(idx)
 		}
-		m.Shutdown()
+		m.shutdown()
 	}
 	// Two streams cost two positioning transitions per wake-up.
 	wantSeek := dev.SeekTime.Scale(2 * cycles)
@@ -189,9 +189,9 @@ func TestMultiCoreInterStreamSeekAccounting(t *testing.T) {
 
 func TestMultiCoreRefillCreditsFocusedStreamOnly(t *testing.T) {
 	m := newTestMultiCore(t)
-	m.DrainToWake(device.StateStandby, units.Hour)
-	m.Positioning(0)
-	m.RefillStream(0)
+	m.drainToWake(device.StateStandby, units.Hour)
+	m.positioning(0)
+	m.refillStream(0)
 	if m.Level(0) != 128*units.KB {
 		t.Errorf("stream 0 not full after refill: %v", m.Level(0))
 	}
@@ -207,8 +207,8 @@ func TestMultiCoreRefillCreditsFocusedStreamOnly(t *testing.T) {
 	if s0.WrittenUserBits.Positive() || m.DeviceStats().WrittenUserBits.Positive() {
 		t.Error("playback refill credited write wear")
 	}
-	m.Positioning(1)
-	m.RefillStream(1)
+	m.positioning(1)
+	m.refillStream(1)
 	if !s1.WrittenUserBits.Positive() {
 		t.Error("recording refill credited no write wear")
 	}
@@ -223,10 +223,10 @@ func TestMultiCoreUnderrunIsPerStream(t *testing.T) {
 	// dry (128 KB at 1024 kbps and 64 KB at 512 kbps both last one second),
 	// refill stream 0 alone, and keep draining until stream 1 runs out.
 	m := newTestMultiCore(t)
-	m.Account(device.StateStandby, units.Duration(0.9), -1)
-	m.Positioning(0)
-	m.RefillStream(0) // stream 1 is never refilled
-	m.Account(device.StateStandby, units.Duration(0.5), -1)
+	m.account(device.StateStandby, units.Duration(0.9), -1)
+	m.positioning(0)
+	m.refillStream(0) // stream 1 is never refilled
+	m.account(device.StateStandby, units.Duration(0.5), -1)
 	s0, s1 := m.StreamStats(0), m.StreamStats(1)
 	if s1.Underruns == 0 || s1.RebufferEpisodes == 0 {
 		t.Errorf("starved stream recorded no underruns (%d) or rebuffers (%d)", s1.Underruns, s1.RebufferEpisodes)

@@ -58,13 +58,13 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// ServiceOrder returns the order in which the given policy services the
+// serviceOrder returns the order in which the given policy services the
 // streams at the current moment: declaration order for round-robin, ascending
 // time-to-empty for most-urgent (ties keep declaration order), descending
 // priority class with most-urgent tie-breaks for priority. The returned slice
-// is scratch owned by the core — valid until the next ServiceOrder call — so
+// is scratch owned by the core — valid until the next serviceOrder call — so
 // the per-round scheduling decision allocates nothing.
-func (m *MultiCore) ServiceOrder(p Policy) []int {
+func (m *MultiCore) serviceOrder(p Policy) []int {
 	order := m.order
 	for i := range order {
 		order[i] = i

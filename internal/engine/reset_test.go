@@ -12,10 +12,10 @@ import (
 // simulator's wake/position/refill/shutdown loop.
 func runCycles(m *MultiCore, n int) {
 	for i := 0; i < n; i++ {
-		m.DrainToWake(device.StateStandby, units.Hour)
-		m.Positioning(0)
-		m.RefillStream(0)
-		m.Shutdown()
+		m.drainToWake(device.StateStandby, units.Hour)
+		m.positioning(0)
+		m.refillStream(0)
+		m.shutdown()
 	}
 }
 
@@ -25,18 +25,18 @@ func TestCoreResetReplaysIdentically(t *testing.T) {
 	})
 	runCycles(m, 5)
 	first := *m.DeviceStats()
-	firstEnd := m.Now()
+	firstEnd := m.now
 
 	m.Reset()
-	if m.Now() != 0 {
-		t.Fatalf("Now = %v after Reset, want 0", m.Now())
+	if m.now != 0 {
+		t.Fatalf("now = %v after Reset, want 0", m.now)
 	}
 	runCycles(m, 5)
 	if got := *m.DeviceStats(); !reflect.DeepEqual(got, first) {
 		t.Error("statistics after Reset diverge from the first run")
 	}
-	if m.Now() != firstEnd {
-		t.Errorf("replay ended at %v, first run at %v", m.Now(), firstEnd)
+	if m.now != firstEnd {
+		t.Errorf("replay ended at %v, first run at %v", m.now, firstEnd)
 	}
 }
 
@@ -44,22 +44,22 @@ func TestMultiCoreResetReplaysIdentically(t *testing.T) {
 	m := newTestMultiCore(t)
 	runSuperCycles := func() {
 		for i := 0; i < 4; i++ {
-			m.DrainToWake(device.StateStandby, units.Hour)
-			for _, idx := range m.ServiceOrder(PolicyMostUrgent) {
-				m.Positioning(idx)
-				m.RefillStream(idx)
+			m.drainToWake(device.StateStandby, units.Hour)
+			for _, idx := range m.serviceOrder(PolicyMostUrgent) {
+				m.positioning(idx)
+				m.refillStream(idx)
 			}
-			m.Shutdown()
+			m.shutdown()
 		}
 	}
 	runSuperCycles()
 	device1 := *m.DeviceStats()
 	stream1 := [...]Stats{*m.StreamStats(0), *m.StreamStats(1)}
-	end1 := m.Now()
+	end1 := m.now
 
 	m.Reset()
-	if m.Now() != 0 {
-		t.Fatalf("Now = %v after Reset, want 0", m.Now())
+	if m.now != 0 {
+		t.Fatalf("now = %v after Reset, want 0", m.now)
 	}
 	runSuperCycles()
 	if got := *m.DeviceStats(); !reflect.DeepEqual(got, device1) {
@@ -70,21 +70,21 @@ func TestMultiCoreResetReplaysIdentically(t *testing.T) {
 			t.Errorf("stream %d statistics after Reset diverge from the first run", i)
 		}
 	}
-	if m.Now() != end1 {
-		t.Errorf("replay ended at %v, first run at %v", m.Now(), end1)
+	if m.now != end1 {
+		t.Errorf("replay ended at %v, first run at %v", m.now, end1)
 	}
 }
 
 func TestServiceOrderReusesScratch(t *testing.T) {
 	m := newTestMultiCore(t)
-	first := m.ServiceOrder(PolicyRoundRobin)
-	second := m.ServiceOrder(PolicyMostUrgent)
+	first := m.serviceOrder(PolicyRoundRobin)
+	second := m.serviceOrder(PolicyMostUrgent)
 	if &first[0] != &second[0] {
-		t.Error("ServiceOrder returned distinct backing arrays; the scratch is not reused")
+		t.Error("serviceOrder returned distinct backing arrays; the scratch is not reused")
 	}
 	for _, policy := range []Policy{PolicyRoundRobin, PolicyMostUrgent} {
-		if allocs := testing.AllocsPerRun(50, func() { m.ServiceOrder(policy) }); allocs != 0 {
-			t.Errorf("ServiceOrder(%v) allocates %.1f times per call, want 0", policy, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { m.serviceOrder(policy) }); allocs != 0 {
+			t.Errorf("serviceOrder(%v) allocates %.1f times per call, want 0", policy, allocs)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestServiceOrderMostUrgentIsStable(t *testing.T) {
 	}
 	m := NewMultiCore(NewMEMS(device.DefaultMEMS()), streams)
 	// All four streams are full with identical demand, so every urgency ties.
-	got := m.ServiceOrder(PolicyMostUrgent)
+	got := m.serviceOrder(PolicyMostUrgent)
 	for i, idx := range got {
 		if idx != i {
 			t.Fatalf("order = %v, want declaration order for tied urgencies", got)

@@ -1,0 +1,139 @@
+package engine
+
+import (
+	"testing"
+
+	"memstream/internal/device"
+	"memstream/internal/units"
+	"memstream/internal/workload"
+)
+
+// accessOnlyDRAM charges access energy only, so a run's DRAM total is the
+// sum of its access charges.
+func accessOnlyDRAM() device.DRAM {
+	d := device.DefaultDRAM()
+	d.DieBackgroundPower, d.FloorPower = 0, 0
+	return d
+}
+
+// TestRunClosesEveryRecordOnce drives a two-stream core through Run under
+// the shared-device rule: the records close consistently, background writes
+// wear the device uninflated, each cycle is charged the volume it refilled,
+// and the run is recorded once. A second Run returns the same record, and a
+// Reset replays the run bit for bit, best-effort draws included.
+func TestRunClosesEveryRecordOnce(t *testing.T) {
+	m := newTestMultiCore(t)
+	c := &Cycle{
+		Policy:     PolicyRoundRobin,
+		DRAM:       accessOnlyDRAM(),
+		BestEffort: workload.NewBestEffortProcess(0.05, m.mediaRate, 1),
+	}
+	end := 2 * units.Minute
+	before := Totals()
+	dev, err := m.Run(c, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := *dev
+	after := Totals()
+
+	if dev.SimulatedTime < end || dev.RefillCycles == 0 || dev.BestEffortRequests == 0 {
+		t.Fatalf("run ended at %v after %d cycles and %d best-effort requests",
+			dev.SimulatedTime, dev.RefillCycles, dev.BestEffortRequests)
+	}
+	var inStates units.Duration
+	for _, d := range dev.StateTime {
+		inStates = inStates.Add(d)
+	}
+	if !almostEqual(inStates.Seconds(), dev.SimulatedTime.Seconds(), 1e-12) {
+		t.Errorf("state times sum to %v over a %v run", inStates, dev.SimulatedTime)
+	}
+	var streamUser, streamPhysical units.Size
+	for i := 0; i < 2; i++ {
+		st := m.StreamStats(i)
+		if st.RefillCycles != dev.RefillCycles || st.SimulatedTime != dev.SimulatedTime {
+			t.Errorf("stream %d: %d refills over %v, want %d over %v",
+				i, st.RefillCycles, st.SimulatedTime, dev.RefillCycles, dev.SimulatedTime)
+		}
+		streamUser = streamUser.Add(st.WrittenUserBits)
+		streamPhysical = streamPhysical.Add(st.WrittenPhysicalBits)
+	}
+	background := dev.WrittenUserBits.Sub(streamUser)
+	if !background.Positive() || !almostEqual(dev.WrittenPhysicalBits.Sub(streamPhysical).Bits(), background.Bits(), 1e-9) {
+		t.Errorf("background writes: %v user, %v physical; want equal and positive",
+			background, dev.WrittenPhysicalBits.Sub(streamPhysical))
+	}
+	want := c.DRAM.AccessEnergy(dev.MediaBits.Scale(2)).Add(c.DRAM.AccessEnergy(dev.BestEffortBits.Scale(2)))
+	if !almostEqual(dev.DRAMEnergy.Joules(), want.Joules(), 1e-9) {
+		t.Errorf("DRAM energy = %v, want %v for the refilled and best-effort volumes", dev.DRAMEnergy, want)
+	}
+	if after.Runs-before.Runs != 1 || after.Steps-before.Steps != uint64(dev.Steps) {
+		t.Errorf("totals moved by %d runs and %d steps, want 1 and %d",
+			after.Runs-before.Runs, after.Steps-before.Steps, dev.Steps)
+	}
+
+	again, err := m.Run(c, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != dev || *again != first || Totals() != after {
+		t.Error("a second Run on a finished core changed the record or the totals")
+	}
+	m.Reset()
+	replay, err := m.Run(c, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *replay != first {
+		t.Errorf("replay after Reset diverged:\n got %+v\nwant %+v", *replay, first)
+	}
+}
+
+// TestRunSingleStreamRule checks what Cycle.Single changes: background
+// writes wear stream 0's formatted region, every cycle is charged one full
+// buffer pass in and out, and the AfterRefills hook runs once per cycle.
+func TestRunSingleStreamRule(t *testing.T) {
+	b := NewMEMS(device.DefaultMEMS())
+	buffer := 64 * units.KiB
+	m := newSingleCore(b, cbrSource(t, 1024*units.Kbps), buffer, 0)
+	hooks := 0
+	c := &Cycle{
+		Policy:       PolicyRoundRobin,
+		DRAM:         accessOnlyDRAM(),
+		BestEffort:   workload.NewBestEffortProcess(0.05, b.MediaRate(), 1),
+		Single:       true,
+		AfterRefills: func() { hooks++ },
+	}
+	dev, err := m.Run(c, units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.RefillCycles == 0 || hooks != dev.RefillCycles {
+		t.Errorf("AfterRefills ran %d times over %d cycles", hooks, dev.RefillCycles)
+	}
+	st := m.StreamStats(0)
+	if !dev.WrittenUserBits.Positive() || st.WrittenUserBits != dev.WrittenUserBits ||
+		st.WrittenPhysicalBits != dev.WrittenPhysicalBits {
+		t.Errorf("background writes %v/%v not credited to stream 0 (%v/%v)",
+			dev.WrittenUserBits, dev.WrittenPhysicalBits, st.WrittenUserBits, st.WrittenPhysicalBits)
+	}
+	if want := dev.WrittenUserBits.Scale(b.WriteInflation(buffer)); !almostEqual(dev.WrittenPhysicalBits.Bits(), want.Bits(), 1e-9) {
+		t.Errorf("physical writes = %v, want %v with the stream's inflation", dev.WrittenPhysicalBits, want)
+	}
+	want := c.DRAM.AccessEnergy(buffer.Scale(2)).Scale(float64(dev.RefillCycles)).
+		Add(c.DRAM.AccessEnergy(dev.BestEffortBits.Scale(2)))
+	if !almostEqual(dev.DRAMEnergy.Joules(), want.Joules(), 1e-9) {
+		t.Errorf("DRAM energy = %v, want %v for one buffer pass per cycle", dev.DRAMEnergy, want)
+	}
+}
+
+// TestRunRejectsInvalidBestEffort checks that a best-effort process Run
+// cannot draw from is an error, not a silent run without background work.
+func TestRunRejectsInvalidBestEffort(t *testing.T) {
+	m := newTestMultiCore(t)
+	c := &Cycle{Policy: PolicyRoundRobin, DRAM: device.DefaultDRAM(),
+		BestEffort: workload.BestEffortProcess{TargetFraction: 0.05}}
+	if _, err := m.Run(c, units.Minute); err == nil {
+		t.Error("Run accepted a best-effort process without a size or service rate")
+	}
+}

@@ -6,10 +6,11 @@ package engine
 // falls to its wake level, services the streams under a scheduling Policy —
 // paying the backend's positioning transition before each stream, so
 // inter-stream repositioning is accounted exactly like the closed form's
-// (n-1) extra seeks — and shuts down again. MultiCore carries per-stream
-// Stats (streamed bits, underruns, playback metrics, attributed seek/transfer
-// energy) alongside the aggregate device Stats the drivers report; for K=1
-// the aggregate record is the single-stream statistics.
+// (n-1) extra seeks — serves the best-effort backlog and shuts down again.
+// MultiCore runs that cycle itself (Run) and carries per-stream Stats
+// (streamed bits, underruns, playback metrics, attributed seek/transfer
+// energy) alongside the aggregate device Stats; for K=1 the aggregate record
+// is the single-stream statistics.
 
 import (
 	"math"
@@ -88,28 +89,31 @@ func (st *streamState) drain(rate units.BitRate, dt units.Duration, dev *Stats) 
 	}
 }
 
-// MultiCore is the accounting heart of one simulated device: N stream buffers
-// draining concurrently, one backend servicing them. It only does the
-// bookkeeping; a driver (internal/sim's cycle loop) walks it through
-// wake-ups, per-stream refills and shutdowns; a single-stream run is the K=1
-// case.
+// MultiCore is one simulated device: N stream buffers draining concurrently,
+// one backend servicing them through the refill cycle that Run drives from
+// wake-up to shutdown. A single-stream run is the K=1 case.
 type MultiCore struct {
-	backend Backend
 	streams []*streamState
 
-	statePower  [device.NumStates]units.Power
-	mediaRate   units.BitRate
-	positioning units.Duration
-	shutdown    units.Duration
+	statePower      [device.NumStates]units.Power
+	mediaRate       units.BitRate
+	positioningTime units.Duration
+	shutdownTime    units.Duration
 
 	now    units.Duration
 	device Stats
 	// totalBuffer is the summed buffer capacity, the device-level occupancy
 	// ceiling MinBufferLevel starts from.
 	totalBuffer units.Size
-	// order is the ServiceOrder scratch, allocated once per core so the
+	// order is the serviceOrder scratch, allocated once per core so the
 	// per-round scheduling decision stays off the steady-state heap.
 	order []int
+	// arrivals draws the run's background requests as the clock reaches
+	// them.
+	arrivals workload.BestEffortArrivals
+	// finished is set when Run completes and cleared by Reset, so a second
+	// Run returns the same record instead of charging the run again.
+	finished bool
 }
 
 // NewMultiCore builds a scheduling core: every buffer starts full. Wake
@@ -119,10 +123,9 @@ type MultiCore struct {
 // transition, the paper's single-stream wake rule.
 func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 	m := &MultiCore{
-		backend:     b,
-		mediaRate:   b.MediaRate(),
-		positioning: b.PositioningTime(),
-		shutdown:    b.ShutdownTime(),
+		mediaRate:       b.MediaRate(),
+		positioningTime: b.PositioningTime(),
+		shutdownTime:    b.ShutdownTime(),
 	}
 	for s := 0; s < device.NumStates; s++ {
 		m.statePower[s] = b.StatePower(device.PowerState(s))
@@ -156,9 +159,9 @@ func (m *MultiCore) provision() {
 	// several streams the round is one positioning per stream plus each
 	// refill at the slowest net rate (media minus peak demand), so even the
 	// last-serviced buffer holds out.
-	serviceBound := m.positioning
+	serviceBound := m.positioningTime
 	if len(m.streams) > 1 {
-		serviceBound = m.positioning.Scale(float64(len(m.streams)))
+		serviceBound = m.positioningTime.Scale(float64(len(m.streams)))
 		for _, st := range m.streams {
 			if peak := st.source.PeakRate(); peak < m.mediaRate {
 				serviceBound = serviceBound.Add(m.mediaRate.Sub(peak).TimeFor(st.buffer))
@@ -167,6 +170,7 @@ func (m *MultiCore) provision() {
 	}
 
 	m.now = 0
+	m.finished = false
 	startup := units.Duration(0)
 	for _, st := range m.streams {
 		st.level = st.buffer
@@ -179,7 +183,7 @@ func (m *MultiCore) provision() {
 		// the media rate before any stream may start draining; stream i can
 		// start once its own fill completes.
 		if m.mediaRate.Positive() {
-			startup = startup.Add(m.positioning).Add(m.mediaRate.TimeFor(st.buffer))
+			startup = startup.Add(m.positioningTime).Add(m.mediaRate.TimeFor(st.buffer))
 			st.stats.StartupDelay = startup
 		}
 	}
@@ -192,14 +196,128 @@ func (m *MultiCore) provision() {
 // backend and streams — time zero, full buffers, zeroed statistics, wake
 // levels re-provisioned against the sources' current peak demands, segments
 // reloaded at time zero — without allocating. The sources themselves are not
-// reset: a driver re-seeding stochastic sources resets them before calling
+// reset: a caller re-seeding stochastic sources resets them before calling
 // Reset, so the re-provisioned wake levels and segments see the new traces.
 func (m *MultiCore) Reset() {
 	m.provision()
 }
 
-// Now returns the current simulated time.
-func (m *MultiCore) Now() units.Duration { return m.now }
+// Cycle is the rule set Run applies to every refill cycle.
+type Cycle struct {
+	// Policy selects the service order within a wake-up.
+	Policy Policy
+	// DRAM is the buffer memory: every cycle is charged its retention for
+	// the summed buffer capacity and one pass in and out for its data.
+	DRAM device.DRAM
+	// BestEffort is the background request process served after the
+	// refills. A process with no positive share is never consulted.
+	BestEffort workload.BestEffortProcess
+	// Single selects the single-stream cycle: stream 0 is topped off again
+	// after the best-effort backlog, background writes wear stream 0's
+	// formatted region (its write inflation), and the DRAM access charge is
+	// one full buffer pass in and out per cycle. Otherwise background writes
+	// count uninflated against the device and each cycle is charged the
+	// volume it actually refilled.
+	Single bool
+	// AfterRefills, when non-nil, runs once per cycle just before the
+	// shutdown (the single-stream ECC error model).
+	AfterRefills func()
+}
+
+// Run drives the refill cycle of Fig. 1b from time zero to end: standby
+// until some stream's buffer falls to its wake level, position to and refill
+// every stream in policy order, serve the best-effort backlog, shut down,
+// and charge the cycle's DRAM energy. It then closes the records — every
+// SimulatedTime and the best-effort DRAM charge — folds the run into the
+// process-wide totals once and returns the device record, which the next
+// Reset wipes. A core that has finished since its last Reset returns the same
+// record unchanged. Run allocates nothing.
+func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
+	dev := &m.device
+	if m.finished {
+		return dev, nil
+	}
+	m.arrivals = workload.BestEffortArrivals{}
+	if c.BestEffort.TargetFraction > 0 {
+		var err error
+		if m.arrivals, err = c.BestEffort.Arrivals(end); err != nil {
+			return nil, err
+		}
+	}
+	lastCycleEnd := units.Duration(0)
+	lastMediaBits := units.Size(0)
+	for m.now < end {
+		// Standby until some stream's buffer falls to its wake level.
+		if m.drainToWake(device.StateStandby, end) < 0 {
+			break
+		}
+
+		// One super-cycle: position to each stream region in policy order,
+		// refill that stream to full, then serve queued best-effort work and
+		// shut down.
+		for _, idx := range m.serviceOrder(c.Policy) {
+			m.positioning(idx)
+			m.refillStream(idx)
+			m.streams[idx].stats.RefillCycles++
+		}
+		m.serveBestEffort(c)
+		if c.Single {
+			m.refillStream(0)
+		}
+		if c.AfterRefills != nil {
+			c.AfterRefills()
+		}
+		m.shutdown()
+		dev.RefillCycles++
+
+		// DRAM energy for this cycle: retention for every buffer over the
+		// cycle plus one pass in and one pass out for the cycle's data.
+		cycleTime := m.now.Sub(lastCycleEnd)
+		access := dev.MediaBits.Sub(lastMediaBits)
+		if c.Single {
+			access = m.totalBuffer
+		}
+		dev.DRAMEnergy = dev.DRAMEnergy.
+			Add(c.DRAM.BackgroundPower(m.totalBuffer).Times(cycleTime)).
+			Add(c.DRAM.AccessEnergy(access.Scale(2)))
+		lastCycleEnd = m.now
+		lastMediaBits = dev.MediaBits
+	}
+	dev.SimulatedTime = m.now
+	for _, st := range m.streams {
+		st.stats.SimulatedTime = m.now
+	}
+	// Best-effort data passes through the buffer once in and once out.
+	dev.DRAMEnergy = dev.DRAMEnergy.Add(c.DRAM.AccessEnergy(dev.BestEffortBits.Scale(2)))
+	dev.recordRun()
+	m.finished = true
+	return dev, nil
+}
+
+// serveBestEffort serves every queued request that has arrived by now. The
+// clock advances while each request is served, so the next one is asked for
+// at the new time.
+func (m *MultiCore) serveBestEffort(c *Cycle) {
+	for req, ok := m.arrivals.Next(m.now); ok; req, ok = m.arrivals.Next(m.now) {
+		m.account(device.StateBestEffort, c.BestEffort.ServiceTime(req.Size), -1)
+		m.device.BestEffortBits = m.device.BestEffortBits.Add(req.Size)
+		m.device.BestEffortRequests++
+		if !req.Write {
+			continue
+		}
+		// Route background writes through the wear accounting so
+		// probe-lifetime projections count them consistently.
+		if c.Single {
+			m.creditWrites(m.streams[0], req.Size)
+			continue
+		}
+		// The background region's formatting overhead is not modelled for
+		// the shared device (its volume is tiny next to the streams), so the
+		// physical volume equals the user volume.
+		m.device.WrittenUserBits = m.device.WrittenUserBits.Add(req.Size)
+		m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(req.Size)
+	}
+}
 
 // Level returns stream i's current buffer fill level.
 func (m *MultiCore) Level(i int) units.Size { return m.streams[i].level }
@@ -207,12 +325,9 @@ func (m *MultiCore) Level(i int) units.Size { return m.streams[i].level }
 // WakeLevel returns the buffer level at which stream i forces a wake-up.
 func (m *MultiCore) WakeLevel(i int) units.Size { return m.streams[i].wakeLevel }
 
-// TotalBuffer returns the summed buffer capacity of all streams — for K=1,
-// the stream's own buffer.
-func (m *MultiCore) TotalBuffer() units.Size { return m.totalBuffer }
-
-// DeviceStats exposes the aggregate statistics; drivers add their own
-// counters (best-effort traffic, ECC events, DRAM energy) to it directly.
+// DeviceStats exposes the aggregate statistics. Run fills every field but
+// the ECC counters, which the single-stream error model (Cycle.AfterRefills)
+// adds directly.
 func (m *MultiCore) DeviceStats() *Stats { return &m.device }
 
 // StreamStats exposes stream i's statistics. Seek and transfer time spent
@@ -221,14 +336,14 @@ func (m *MultiCore) DeviceStats() *Stats { return &m.device }
 // the aggregate.
 func (m *MultiCore) StreamStats(i int) *Stats { return &m.streams[i].stats }
 
-// Account records dt seconds in the given device state while every stream
+// account records dt seconds in the given device state while every stream
 // drains its buffer at its own demand. focus names the stream being serviced
 // (its statistics receive the state time and energy too); pass -1 for shared
 // states. Each stream drains at the rate of the segment holding the step's
 // start (left-endpoint sampling, exact for steps bounded by stepBound); a
 // stream whose segment ended by the step's end reloads it, skipping any
 // segments a longer step (a best-effort request's service time) crossed.
-func (m *MultiCore) Account(state device.PowerState, dt units.Duration, focus int) {
+func (m *MultiCore) account(state device.PowerState, dt units.Duration, focus int) {
 	if dt <= 0 {
 		return
 	}
@@ -280,13 +395,13 @@ func (m *MultiCore) wokenStream() int {
 	return -1
 }
 
-// DrainToWake stays in the given state until some stream's buffer falls to
+// drainToWake stays in the given state until some stream's buffer falls to
 // its wake level or the deadline passes, stepping exactly from rate change to
 // rate change. It returns the index of the stream that forced the wake-up, or
 // -1 when the deadline arrived first. A stream whose demand is momentarily
 // zero holds its level and cannot shorten the step; the device idles until a
 // demand resumes or the deadline arrives.
-func (m *MultiCore) DrainToWake(state device.PowerState, deadline units.Duration) int {
+func (m *MultiCore) drainToWake(state device.PowerState, deadline units.Duration) int {
 	for m.now < deadline {
 		if i := m.wokenStream(); i >= 0 {
 			return i
@@ -301,7 +416,7 @@ func (m *MultiCore) DrainToWake(state device.PowerState, deadline units.Duration
 			}
 		}
 		dt = m.stepBound(dt)
-		m.Account(state, dt, -1)
+		m.account(state, dt, -1)
 	}
 	return -1
 }
@@ -315,33 +430,33 @@ func (m *MultiCore) transition(state device.PowerState, total units.Duration, fo
 	for total.Positive() {
 		dt := m.stepBound(total)
 		if remaining := total.Sub(dt); remaining < total {
-			m.Account(state, dt, focus)
+			m.account(state, dt, focus)
 			total = remaining
 			continue
 		}
 		// dt vanished against total (a sub-ulp boundary sliver); finish in
 		// one step rather than loop without advancing.
-		m.Account(state, total, focus)
+		m.account(state, total, focus)
 		return
 	}
 }
 
-// Positioning runs the standby-to-active transition (or the inter-stream
+// positioning runs the standby-to-active transition (or the inter-stream
 // repositioning — the backend models both with the same transition) towards
 // the given stream's region, draining every buffer along the way.
-func (m *MultiCore) Positioning(focus int) {
-	m.transition(device.StateSeek, m.positioning, focus)
+func (m *MultiCore) positioning(focus int) {
+	m.transition(device.StateSeek, m.positioningTime, focus)
 }
 
-// Shutdown runs the active-to-standby transition.
-func (m *MultiCore) Shutdown() {
-	m.transition(device.StateShutdown, m.shutdown, -1)
+// shutdown runs the active-to-standby transition.
+func (m *MultiCore) shutdown() {
+	m.transition(device.StateShutdown, m.shutdownTime, -1)
 }
 
-// RefillStream runs the device in the read/write state until stream focus's
+// refillStream runs the device in the read/write state until stream focus's
 // buffer is full, crediting its media bits and the write wear implied by its
 // configured write fraction while every other stream keeps draining.
-func (m *MultiCore) RefillStream(focus int) {
+func (m *MultiCore) refillStream(focus int) {
 	st := m.streams[focus]
 	media := m.mediaRate
 	for st.level < st.buffer {
@@ -355,7 +470,7 @@ func (m *MultiCore) RefillStream(focus int) {
 			if bound := m.stepBound(units.Duration(math.Inf(1))); bound.Positive() && !math.IsInf(bound.Seconds(), 0) {
 				dt = bound
 			}
-			m.Account(device.StateReadWrite, dt, focus)
+			m.account(device.StateReadWrite, dt, focus)
 		} else {
 			dt := net.TimeFor(st.buffer.Sub(st.level))
 			dt = m.stepBound(dt)
@@ -366,10 +481,10 @@ func (m *MultiCore) RefillStream(focus int) {
 			// The refill and the drain happen concurrently: credit the
 			// incoming data before accounting the drain so the net fill never
 			// reads as an artificial underrun. The true occupancy minimum of a
-			// cycle occurs at the end of the positioning, which Account has
+			// cycle occurs at the end of the positioning, which account has
 			// already tracked.
 			st.level = st.level.Add(transferred)
-			m.Account(device.StateReadWrite, dt, focus)
+			m.account(device.StateReadWrite, dt, focus)
 			if st.level > st.buffer {
 				st.level = st.buffer
 			}
@@ -387,7 +502,8 @@ func (m *MultiCore) RefillStream(focus int) {
 
 // creditWrites attributes user bits written for one stream to device wear,
 // inflated by that stream's region formatting overhead (sectors sized to its
-// own buffer, as in the closed-form shared-device model).
+// own buffer, as in the closed-form shared-device model). Under the
+// single-stream rule, background writes wear stream 0's region the same way.
 func (m *MultiCore) creditWrites(st *streamState, user units.Size) {
 	if !user.Positive() {
 		return
@@ -397,22 +513,4 @@ func (m *MultiCore) creditWrites(st *streamState, user units.Size) {
 	phys := user.Scale(st.inflation)
 	st.stats.WrittenPhysicalBits = st.stats.WrittenPhysicalBits.Add(phys)
 	m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(phys)
-}
-
-// CreditStreamWrite routes a non-streaming (best-effort) write through stream
-// i's wear accounting: the data counts as user bits and the physical volume
-// carries that stream's formatting inflation, exactly like its refill writes.
-// The single-stream simulator uses it so probe-lifetime projections see
-// background writes and stream writes identically.
-func (m *MultiCore) CreditStreamWrite(i int, size units.Size) {
-	m.creditWrites(m.streams[i], size)
-}
-
-// CreditBestEffortWrite counts a background write against device wear. The
-// background region's formatting overhead is not modelled for the shared
-// device (its volume is tiny next to the streams), so the physical volume
-// equals the user volume.
-func (m *MultiCore) CreditBestEffortWrite(size units.Size) {
-	m.device.WrittenUserBits = m.device.WrittenUserBits.Add(size)
-	m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(size)
 }

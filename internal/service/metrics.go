@@ -156,8 +156,8 @@ func (m *serviceMetrics) rateLimitedTotal() uint64 {
 	return m.rateLimited.With(keyKindAPIKey).Value() + m.rateLimited.With(keyKindIP).Value()
 }
 
-// sync mirrors the externally maintained counters (cache, pool, sim,
-// engine, service aggregates) into the registry; it runs once per scrape.
+// syncMetrics mirrors the externally maintained counters (cache, pool, sim
+// and engine) into the registry; it runs once per scrape.
 // The pool, sim and engine totals are process-global, so two Services in
 // one process report the same values for those families.
 func (s *Service) syncMetrics() {
@@ -183,10 +183,6 @@ func (s *Service) syncMetrics() {
 	m.simulatedHours.Set(et.SimulatedSeconds / 3600)
 	// Each completed simulation replica is one engine run.
 	m.simReplicas.Store(et.Runs)
-
-	m.served.Store(s.served.Load())
-	m.failed.Store(s.failed.Load())
-	m.computeInFlight.Set(float64(s.inflight.Load()))
 }
 
 // MetricsHandler serves the Prometheus text exposition of the service

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"memstream/internal/cache"
@@ -92,15 +91,12 @@ type Config struct {
 // is safe for concurrent use; the HTTP handlers and the exported typed
 // methods share the same cache, counters and metric registry.
 type Service struct {
-	cfg      Config
-	cache    *cache.Cache
-	met      *serviceMetrics
-	admit    *admission
-	limiter  *rateLimiter
-	start    time.Time
-	inflight atomic.Int64
-	served   atomic.Uint64
-	failed   atomic.Uint64
+	cfg     Config
+	cache   *cache.Cache
+	met     *serviceMetrics
+	admit   *admission
+	limiter *rateLimiter
+	start   time.Time
 }
 
 // New builds a Service.
@@ -160,9 +156,9 @@ func (s *Service) Stats() Stats {
 	return Stats{
 		Cache:            cs,
 		CacheHitRate:     cs.HitRate(),
-		InFlight:         s.inflight.Load(),
-		Served:           s.served.Load(),
-		Failed:           s.failed.Load(),
+		InFlight:         int64(s.met.computeInFlight.Value()),
+		Served:           s.met.served.Value(),
+		Failed:           s.met.failed.Value(),
 		Shed:             s.met.shed.Value(),
 		RateLimited:      s.met.rateLimitedTotal(),
 		BodyTooLarge:     s.met.bodyTooLarge.Value(),
@@ -221,17 +217,17 @@ func (s *Service) begin(ctx context.Context) (context.Context, func(err error)) 
 	if s.cfg.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 	}
-	s.inflight.Add(1)
+	s.met.computeInFlight.Inc()
 	return ctx, func(err error) {
-		s.inflight.Add(-1)
+		s.met.computeInFlight.Dec()
 		cancel()
 		if err != nil {
-			s.failed.Add(1)
+			s.met.failed.Inc()
 			if errors.Is(err, context.DeadlineExceeded) {
 				s.met.deadlineAborts.Inc()
 			}
 		} else {
-			s.served.Add(1)
+			s.met.served.Inc()
 		}
 	}
 }

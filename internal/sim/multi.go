@@ -168,9 +168,8 @@ func (m *MultiStats) EnergyShare(i int) float64 {
 }
 
 // MultiSimulator runs the shared-device scheduling loop on the shared
-// simulator core, which builds, rewinds and runs it under the shared-device
-// rules: no top-off, uninflated background writes, refilled-volume DRAM
-// charge.
+// simulator core under the shared-device rules: no top-off, uninflated
+// background writes, refilled-volume DRAM charge.
 type MultiSimulator struct {
 	runner
 	cfg MultiConfig
@@ -191,13 +190,12 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	// The simulator owns its Streams slice: Reset re-seeds the entries in
 	// place, which must never reach through to the caller's slice.
 	cfg.Streams = append([]MultiStream(nil), cfg.Streams...)
-	s := &MultiSimulator{cfg: cfg, runner: runner{policy: cfg.policy(), dram: cfg.DRAM, duration: cfg.Duration}}
-	i, err := s.build(backendOf(cfg.Backend, cfg.Device), cfg.Streams, cfg.BestEffort)
-	if i >= 0 {
+	s := &MultiSimulator{cfg: cfg, runner: runner{
+		cycle:    engine.Cycle{Policy: cfg.policy(), DRAM: cfg.DRAM, BestEffort: cfg.BestEffort},
+		duration: cfg.Duration,
+	}}
+	if i, err := s.build(backendOf(cfg.Backend, cfg.Device), cfg.Streams); err != nil {
 		return nil, fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
-	}
-	if err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -250,7 +248,8 @@ func (s *MultiSimulator) rewind(cfg MultiConfig) error {
 			return fmt.Errorf("sim: stream %d (%s): %w", i, st.Name, err)
 		}
 	}
-	return s.restart(cfg.BestEffort)
+	s.restart(cfg.BestEffort)
+	return nil
 }
 
 // Reset is the common-case ResetFor: it derives every stream's pattern seed
@@ -266,7 +265,9 @@ func (s *MultiSimulator) Reset(seed uint64) error {
 	return s.rewind(reseedMultiConfig(s.cfg, seed))
 }
 
-// Run executes the simulation and returns the collected statistics.
+// Run executes the simulation and returns the collected statistics. A
+// second Run without a reset returns the same statistics and counts nothing
+// twice.
 func (s *MultiSimulator) Run() (*MultiStats, error) {
 	for i, st := range s.cfg.Streams {
 		if s.core.WakeLevel(i) >= st.Buffer {
@@ -275,11 +276,13 @@ func (s *MultiSimulator) Run() (*MultiStats, error) {
 				i, st.Name, st.Buffer, len(s.cfg.Streams), s.core.WakeLevel(i))
 		}
 	}
-	out := &MultiStats{Device: *s.run(), Streams: make([]NamedStats, len(s.cfg.Streams))}
+	dev, err := s.core.Run(&s.cycle, s.duration)
+	if err != nil {
+		return nil, err
+	}
+	out := &MultiStats{Device: *dev, Streams: make([]NamedStats, len(s.cfg.Streams))}
 	for i, st := range s.cfg.Streams {
-		stream := *s.core.StreamStats(i)
-		stream.SimulatedTime = s.core.Now()
-		out.Streams[i] = NamedStats{Name: st.Name, Stats: stream}
+		out.Streams[i] = NamedStats{Name: st.Name, Stats: *s.core.StreamStats(i)}
 	}
 	return out, nil
 }

@@ -116,10 +116,9 @@ func (c Config) Validate() error {
 }
 
 // Simulator runs the refill-cycle state machine on the shared simulator
-// core, as its one-stream case. The core builds, rewinds and runs it under
-// the single-stream rules: top-off refill, inflated background writes,
-// full-buffer DRAM charge and the ECC error model, whose draws come from
-// the simulator's own RNG.
+// core, as its one-stream case, under the single-stream rule (top-off
+// refill, inflated background writes, full-buffer DRAM charge) and the ECC
+// error model, whose draws come from the simulator's own RNG.
 type Simulator struct {
 	runner
 	cfg Config
@@ -140,16 +139,17 @@ func New(cfg Config) (*Simulator, error) {
 func newValidated(cfg Config) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, rng: workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d)}
 	s.runner = runner{
-		policy:                  engine.PolicyRoundRobin,
-		dram:                    cfg.DRAM,
-		duration:                cfg.Duration,
-		topOff:                  true,
-		inflateBestEffortWrites: true,
-		fixedCycleAccess:        cfg.Buffer,
-		injectErrors:            s.injectErrors,
+		cycle: engine.Cycle{
+			Policy:       engine.PolicyRoundRobin,
+			DRAM:         cfg.DRAM,
+			BestEffort:   cfg.BestEffort,
+			Single:       true,
+			AfterRefills: s.injectErrors,
+		},
+		duration: cfg.Duration,
 	}
 	stream := []MultiStream{{Spec: cfg.Spec, Buffer: cfg.Buffer}}
-	if _, err := s.build(backendOf(cfg.Backend, cfg.Device), stream, cfg.BestEffort); err != nil {
+	if _, err := s.build(backendOf(cfg.Backend, cfg.Device), stream); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -189,7 +189,8 @@ func (s *Simulator) rewind(cfg Config) error {
 	if err := s.patterns[0].Reset(cfg.Spec.Seed); err != nil {
 		return err
 	}
-	return s.restart(cfg.BestEffort)
+	s.restart(cfg.BestEffort)
+	return nil
 }
 
 // Reset is the common-case ResetFor: it re-seeds every stochastic input —
@@ -257,15 +258,17 @@ func poissonSample(rng *workload.Rng, mean float64) int {
 	}
 }
 
-// Run executes the simulation and returns the collected statistics.
+// Run executes the simulation and returns the collected statistics. A
+// second Run without a reset returns the same statistics and counts nothing
+// twice.
 func (s *Simulator) Run() (*Stats, error) {
 	// Wake the device early enough that the buffer survives the positioning
 	// transition at the stream's peak demand, with a small safety margin.
 	if s.core.WakeLevel(0) >= s.cfg.Buffer {
 		return nil, fmt.Errorf("sim: buffer %v cannot even cover the %v positioning time at peak demand",
-			s.cfg.Buffer, s.backend.PositioningTime())
+			s.cfg.Buffer, backendOf(s.cfg.Backend, s.cfg.Device).PositioningTime())
 	}
-	return s.run(), nil
+	return s.core.Run(&s.cycle, s.duration)
 }
 
 // RunConfig is a convenience wrapper: build a simulator and run it.

@@ -1,8 +1,8 @@
 // Package solve provides the small set of numerical routines the inverse
 // buffer-dimensioning functions need: bracketed bisection on continuous
-// monotone functions, exponential bracket growing, and binary search on
-// integer-valued step functions (sector sizes are whole bits, so capacity
-// utilisation is a step function of the buffer size).
+// monotone functions, exponential bracket growing, the smallest point where
+// a monotone predicate holds, and golden-section search on unimodal
+// functions.
 //
 // Only monotone problems arise in the model, so the routines are deliberately
 // simple and fully deterministic.
@@ -124,30 +124,6 @@ func MinimumWhere(pred func(float64) bool, lo, hi, tol float64) (float64, error)
 		if hi-lo <= tol*math.Max(1, math.Abs(mid)) {
 			return hi, nil
 		}
-		if pred(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
-// MinimumIntWhere returns the smallest integer n in [lo, hi] with pred(n)
-// true, assuming pred is monotone in n. If pred is false on the whole range,
-// ErrNoRoot is returned.
-func MinimumIntWhere(pred func(int64) bool, lo, hi int64) (int64, error) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if pred(lo) {
-		return lo, nil
-	}
-	if !pred(hi) {
-		return 0, ErrNoRoot
-	}
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
 		if pred(mid) {
 			hi = mid
 		} else {

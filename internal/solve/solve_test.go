@@ -123,30 +123,6 @@ func TestMinimumWhereNeverTrue(t *testing.T) {
 	}
 }
 
-func TestMinimumIntWhere(t *testing.T) {
-	threshold := int64(12345)
-	pred := func(n int64) bool { return n >= threshold }
-	n, err := MinimumIntWhere(pred, 1, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != threshold {
-		t.Errorf("n = %d, want %d", n, threshold)
-	}
-}
-
-func TestMinimumIntWhereBounds(t *testing.T) {
-	if n, err := MinimumIntWhere(func(n int64) bool { return true }, 5, 10); err != nil || n != 5 {
-		t.Errorf("always-true: n = %d, err = %v, want 5", n, err)
-	}
-	if _, err := MinimumIntWhere(func(n int64) bool { return false }, 5, 10); !errors.Is(err, ErrNoRoot) {
-		t.Errorf("never-true: err = %v, want ErrNoRoot", err)
-	}
-	if n, err := MinimumIntWhere(func(n int64) bool { return n >= 7 }, 10, 5); err != nil || n != 7 {
-		t.Errorf("swapped bounds: n = %d, err = %v, want 7", n, err)
-	}
-}
-
 func TestMaximizeUnimodal(t *testing.T) {
 	// Peak at x = 3.
 	f := func(x float64) float64 { return -(x - 3) * (x - 3) }
@@ -178,18 +154,6 @@ func TestQuickBisectLinear(t *testing.T) {
 		want := -b / a
 		root, err := Bisect(fn, want-500, want+500, 1e-12)
 		return err == nil && math.Abs(root-want) < 1e-5
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: MinimumIntWhere returns exactly the threshold of a step predicate.
-func TestQuickMinimumIntWhere(t *testing.T) {
-	f := func(raw uint32) bool {
-		threshold := int64(raw%1_000_000) + 1
-		n, err := MinimumIntWhere(func(x int64) bool { return x >= threshold }, 1, 2_000_000)
-		return err == nil && n == threshold
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
