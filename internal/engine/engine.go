@@ -1,8 +1,10 @@
-// Package engine is the event-driven simulation core shared by the
-// simulators (internal/sim), the shared-device study (internal/multistream)
-// and, through them, the service layer: the wake/seek/refill/shutdown cycle
-// machinery of Fig. 1b, accounting per-state time and energy against a
-// pluggable device Backend.
+// Package engine is the event-driven simulation core behind the simulators
+// (internal/sim) and, through them, the service layer: the
+// wake/seek/refill/shutdown cycle machinery of Fig. 1b, accounting per-state
+// time and energy against a pluggable device Backend. It only simulates: the
+// closed forms of the model live in internal/energy, internal/lifetime and
+// internal/multistream, and the wear projections of a run's Stats evaluate
+// Eqs. 5 and 6 through internal/lifetime.
 //
 // There is one scheduling core, MultiCore, and it runs the cycle itself:
 // K stream buffers drain concurrently while the device wakes, services them
@@ -17,7 +19,7 @@
 // drain or refill integration step ends at the earliest of the target level,
 // the deadline, and the end of every stream's current demand segment. Each
 // stream caches its segment — the rate and where it ends, read from its
-// RateSource with one Segment call — and reloads it only once the clock
+// workload.Pattern with one Segment call — and reloads it only once the clock
 // reaches that end. Drain, refill and transition steps therefore never
 // straddle a rate change, and the rate a step drains at and the boundary it
 // stops at come from the same frame index of the source, so
@@ -34,27 +36,11 @@
 package engine
 
 import (
-	"math"
-
 	"memstream/internal/device"
+	"memstream/internal/lifetime"
 	"memstream/internal/units"
 	"memstream/internal/workload"
 )
-
-// RateSource is the piecewise-constant demand of a stream, read one
-// constant segment at a time. Every workload.Pattern (RatePattern,
-// VideoRatePattern, TracePattern) implements it.
-type RateSource interface {
-	// PeakRate returns the largest demand the source can produce; the
-	// engine provisions its wake-up threshold against it.
-	PeakRate() units.BitRate
-	// Segment returns the demand in effect at time t, the end of the
-	// constant-demand segment holding t (strictly after t; +Inf for a
-	// constant source) and the cursor for the next call.
-	// workload.NoCursor carries no hint; the returned cursor lets the
-	// source answer for the next segment in O(1).
-	Segment(t units.Duration, cursor int) (rate units.BitRate, end units.Duration, next int)
-}
 
 // Backend is the device model driven through the refill cycle: power per
 // state, the two mechanical transitions of a cycle, the media rate, and the
@@ -183,67 +169,17 @@ func (s *Stats) DutyCycle() float64 {
 }
 
 // ProjectedSpringsLifetime extrapolates the observed seek/shutdown frequency
-// to the springs duty-cycle rating under the given playback calendar.
+// to the springs duty-cycle rating (Eq. 5) under the given playback calendar.
 func (s *Stats) ProjectedSpringsLifetime(dev device.MEMS, cal workload.PlaybackCalendar) units.Duration {
-	perYear := s.RefillsPerSecond() * cal.SecondsPerYear().Seconds()
-	if perYear <= 0 {
-		return units.Duration(math.Inf(1))
-	}
-	return units.Year.Scale(dev.SpringDutyCycles / perYear)
+	return lifetime.Springs(dev, s.RefillsPerSecond()*cal.SecondsPerYear().Seconds())
 }
 
 // ProjectedProbesLifetime extrapolates the observed physical write volume to
-// the probes write-cycle rating under the given playback calendar.
+// the probes write-cycle rating (Eq. 6) under the given playback calendar.
 func (s *Stats) ProjectedProbesLifetime(dev device.MEMS, cal workload.PlaybackCalendar) units.Duration {
 	if !s.SimulatedTime.Positive() {
 		return 0
 	}
 	writtenPerSecond := s.WrittenPhysicalBits.Bits() / s.SimulatedTime.Seconds()
-	writtenPerYear := writtenPerSecond * cal.SecondsPerYear().Seconds()
-	if writtenPerYear <= 0 {
-		return units.Duration(math.Inf(1))
-	}
-	endurance := dev.Capacity.Scale(dev.ProbeWriteCycles)
-	return units.Year.Scale(endurance.Bits() / writtenPerYear)
-}
-
-// CycleTimes is the steady-state composition of one refill cycle, used by
-// the closed-form (non-simulated) accounting of internal/multistream.
-type CycleTimes struct {
-	// Positioning is the standby-to-active transition time (all seeks of the
-	// cycle for a shared device).
-	Positioning units.Duration
-	// Transfer is the media refill time.
-	Transfer units.Duration
-	// BestEffort is the active time spent on non-streaming requests.
-	BestEffort units.Duration
-	// Shutdown is the active-to-standby transition time.
-	Shutdown units.Duration
-	// Standby is the remaining shut-down time.
-	Standby units.Duration
-}
-
-// Period returns the full cycle length.
-func (t CycleTimes) Period() units.Duration {
-	return t.Positioning.Add(t.Transfer).Add(t.BestEffort).Add(t.Shutdown).Add(t.Standby)
-}
-
-// CycleEnergy charges each state's residency at the backend's state powers —
-// the same accounting the simulated MultiCore performs step by step,
-// collapsed to one steady-state cycle. A simulated run and a closed-form plan
-// that agree on the per-state times therefore agree on the energy by
-// construction.
-func CycleEnergy(b Backend, t CycleTimes) units.Energy {
-	return b.StatePower(device.StateSeek).Times(t.Positioning).
-		Add(b.StatePower(device.StateReadWrite).Times(t.Transfer)).
-		Add(b.StatePower(device.StateBestEffort).Times(t.BestEffort)).
-		Add(b.StatePower(device.StateShutdown).Times(t.Shutdown)).
-		Add(b.StatePower(device.StateStandby).Times(t.Standby))
-}
-
-// AlwaysOnEnergy is the never-shut-down reference over one cycle: the device
-// transfers for the given time and idles for the rest of the period.
-func AlwaysOnEnergy(b Backend, transfer, period units.Duration) units.Energy {
-	idle := b.StatePower(device.StateIdle).Times(period.Sub(transfer))
-	return idle.Add(b.StatePower(device.StateReadWrite).Times(transfer))
+	return lifetime.Probes(dev, units.Bit.Scale(writtenPerSecond*cal.SecondsPerYear().Seconds()))
 }

@@ -22,7 +22,7 @@ func almostEqual(a, b, tol float64) bool {
 }
 
 // newSingleCore builds the one-stream core a single-stream simulation drives.
-func newSingleCore(b Backend, src RateSource, buffer units.Size, writeFraction float64) *MultiCore {
+func newSingleCore(b Backend, src workload.Pattern, buffer units.Size, writeFraction float64) *MultiCore {
 	return NewMultiCore(b, []StreamConfig{{Source: src, Buffer: buffer, WriteFraction: writeFraction}})
 }
 
@@ -139,30 +139,36 @@ func TestCoreUnderrunAccounting(t *testing.T) {
 }
 
 func TestCycleEnergyMatchesStepwiseAccounting(t *testing.T) {
-	b := NewMEMS(device.DefaultMEMS())
-	times := CycleTimes{
-		Positioning: 2 * units.Millisecond,
-		Transfer:    5 * units.Millisecond,
-		BestEffort:  1 * units.Millisecond,
-		Shutdown:    1 * units.Millisecond,
-		Standby:     150 * units.Millisecond,
-	}
-	if got, want := times.Period().Seconds(), 0.159; !almostEqual(got, want, 1e-12) {
-		t.Errorf("period = %g s, want %g", got, want)
-	}
+	// One refill cycle, state by state: each step's energy is its state's
+	// power times its residency, so the device energy is Σ power × time.
 	dev := device.DefaultMEMS()
-	want := dev.SeekPower.Times(times.Positioning).
-		Add(dev.ReadWritePower.Times(times.Transfer.Add(times.BestEffort))).
-		Add(dev.ShutdownPower.Times(times.Shutdown)).
-		Add(dev.StandbyPower.Times(times.Standby))
-	if got := CycleEnergy(b, times); !almostEqual(got.Joules(), want.Joules(), 1e-12) {
-		t.Errorf("CycleEnergy = %v, want %v", got, want)
+	c := newSingleCore(NewMEMS(dev), cbrSource(t, 1024*units.Kbps), 128*units.KB, 0.4)
+	steps := []struct {
+		state device.PowerState
+		dt    units.Duration
+	}{
+		{device.StateSeek, 2 * units.Millisecond},
+		{device.StateReadWrite, 5 * units.Millisecond},
+		{device.StateBestEffort, 1 * units.Millisecond},
+		{device.StateShutdown, 1 * units.Millisecond},
+		{device.StateStandby, 150 * units.Millisecond},
 	}
-	on := AlwaysOnEnergy(b, times.Transfer, times.Period())
-	wantOn := dev.ReadWritePower.Times(times.Transfer).
-		Add(dev.IdlePower.Times(times.Period().Sub(times.Transfer)))
-	if !almostEqual(on.Joules(), wantOn.Joules(), 1e-12) {
-		t.Errorf("AlwaysOnEnergy = %v, want %v", on, wantOn)
+	var want units.Energy
+	for _, st := range steps {
+		c.account(st.state, st.dt, 0)
+		want = want.Add(dev.StatePower(st.state).Times(st.dt))
+	}
+	stats := c.DeviceStats()
+	if got := stats.DeviceEnergy(); !almostEqual(got.Joules(), want.Joules(), 1e-12) {
+		t.Errorf("DeviceEnergy = %v, want Σ power × residency = %v", got, want)
+	}
+	for _, st := range steps {
+		if got := stats.StateTime[st.state]; got != st.dt {
+			t.Errorf("%v residency = %v, want %v", st.state, got, st.dt)
+		}
+	}
+	if got, want := c.StreamStats(0).DeviceEnergy(), stats.DeviceEnergy(); got != want {
+		t.Errorf("focused stream energy = %v, want the device's %v", got, want)
 	}
 }
 
@@ -207,7 +213,9 @@ type stepRate struct {
 	lowRate, highRate units.BitRate
 }
 
-func (s stepRate) PeakRate() units.BitRate { return s.highRate }
+func (s stepRate) PeakRate() units.BitRate    { return s.highRate }
+func (s stepRate) AverageRate() units.BitRate { return s.highRate }
+func (s stepRate) Reset(uint64) error         { return nil }
 func (s stepRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if t < s.switchAt {
 		return s.lowRate, s.switchAt, cursor
@@ -222,7 +230,9 @@ type spikeRate struct {
 	highRate, lowRate units.BitRate
 }
 
-func (s *spikeRate) PeakRate() units.BitRate { return s.highRate }
+func (s *spikeRate) PeakRate() units.BitRate    { return s.highRate }
+func (s *spikeRate) AverageRate() units.BitRate { return s.lowRate }
+func (s *spikeRate) Reset(uint64) error         { return nil }
 func (s *spikeRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if t < s.switchAt {
 		return s.highRate, s.switchAt, cursor

@@ -43,10 +43,4 @@ func (m MEMS) StatePower(s device.PowerState) units.Power { return m.dev.StatePo
 
 // WriteInflation returns the physical-to-user write amplification of the
 // formatted layout with sectors sized to the given buffer.
-func (m MEMS) WriteInflation(buffer units.Size) float64 {
-	sector := m.layout.FormatSector(buffer)
-	if !sector.UserBits.Positive() {
-		return 1
-	}
-	return sector.EffectiveBits.DivideBy(sector.UserBits)
-}
+func (m MEMS) WriteInflation(buffer units.Size) float64 { return m.layout.WriteInflation(buffer) }

@@ -10,7 +10,7 @@ import (
 )
 
 // cbrSource builds a CBR demand pattern for multi-core tests.
-func cbrSource(t *testing.T, rate units.BitRate) RateSource {
+func cbrSource(t *testing.T, rate units.BitRate) workload.Pattern {
 	t.Helper()
 	p, err := workload.CBRSpec(rate).Pattern(units.Hour)
 	if err != nil {

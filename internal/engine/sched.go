@@ -2,11 +2,12 @@ package engine
 
 // The unified scheduling core: one device servicing K concurrent streams,
 // with the single-stream simulation as literally the K=1 case. Each stream
-// owns a buffer fed by its own RateSource; the device wakes when any buffer
-// falls to its wake level, services the streams under a scheduling Policy —
-// paying the backend's positioning transition before each stream, so
-// inter-stream repositioning is accounted exactly like the closed form's
-// (n-1) extra seeks — serves the best-effort backlog and shuts down again.
+// owns a buffer drained by its own workload.Pattern; the device wakes when
+// any buffer falls to its wake level, services the streams under a
+// scheduling Policy — paying the backend's positioning transition before
+// each stream, so inter-stream repositioning costs one seek per stream as in
+// internal/multistream's plan — serves the best-effort backlog and shuts
+// down again.
 // MultiCore runs that cycle itself (Run) and carries per-stream Stats
 // (streamed bits, underruns, playback metrics, attributed seek/transfer
 // energy) alongside the aggregate device Stats; for K=1 the aggregate record
@@ -22,8 +23,9 @@ import (
 
 // StreamConfig describes one stream driven through a shared device.
 type StreamConfig struct {
-	// Source samples the stream's demand.
-	Source RateSource
+	// Source is the stream's demand, read one constant segment at a time;
+	// the wake level is provisioned against its peak rate.
+	Source workload.Pattern
 	// Buffer is the stream's dedicated buffer capacity.
 	Buffer units.Size
 	// WriteFraction is the share of the stream's traffic written to the
@@ -36,7 +38,7 @@ type StreamConfig struct {
 
 // streamState is the per-stream accounting of the core.
 type streamState struct {
-	source RateSource
+	source workload.Pattern
 	// rate is the source's demand over its current segment, which ends at
 	// segEnd (always after the core's clock); cursor is the source's hint
 	// for the next segment.

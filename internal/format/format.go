@@ -83,9 +83,6 @@ func (s Sector) Utilisation() float64 {
 	return s.UserBits.DivideBy(s.EffectiveBits)
 }
 
-// Overhead returns the fraction of media bits that are not user data.
-func (s Sector) Overhead() float64 { return 1 - s.Utilisation() }
-
 // String summarises the sector formatting.
 func (s Sector) String() string {
 	return fmt.Sprintf("sector: %v user + %v ECC + %v sync -> %v on media (u = %.1f%%)",
@@ -114,6 +111,18 @@ func (l Layout) FormatSector(userBits units.Size) Sector {
 // payload (Eq. 4).
 func (l Layout) Utilisation(userBits units.Size) float64 {
 	return l.FormatSector(userBits).Utilisation()
+}
+
+// WriteInflation returns S/Su, the media bits written per user bit when
+// sectors hold the given payload: the ECC and sync bits are written with the
+// data and wear the tips too. A sector holding no user bits (a payload below
+// one bit) counts as 1.
+func (l Layout) WriteInflation(userBits units.Size) float64 {
+	sector := l.FormatSector(userBits)
+	if !sector.UserBits.Positive() {
+		return 1
+	}
+	return sector.EffectiveBits.DivideBy(sector.UserBits)
 }
 
 // UserCapacity returns the effective user capacity of the device when

@@ -62,8 +62,11 @@ func TestFormatSectorHandComputed(t *testing.T) {
 	if got := s.Utilisation(); !almostEqual(got, 100.0/128.0, 1e-12) {
 		t.Errorf("Utilisation = %g, want %g", got, 100.0/128.0)
 	}
-	if got := s.Overhead(); !almostEqual(got, 28.0/128.0, 1e-12) {
-		t.Errorf("Overhead = %g, want %g", got, 28.0/128.0)
+	if got := 1 - s.Utilisation(); !almostEqual(got, 28.0/128.0, 1e-12) {
+		t.Errorf("overhead = %g, want %g", got, 28.0/128.0)
+	}
+	if got := l.WriteInflation(100); got != 128.0/100.0 {
+		t.Errorf("WriteInflation = %g, want S/Su = %g", got, 128.0/100.0)
 	}
 }
 
@@ -79,6 +82,10 @@ func TestFormatSectorZeroPayload(t *testing.T) {
 	// Sync bits are still paid per subsector.
 	if s.EffectiveBits != units.Size(1024*3) {
 		t.Errorf("EffectiveBits = %v, want %d", s.EffectiveBits.Bits(), 1024*3)
+	}
+	// A sector with no user bits inflates no user write.
+	if got := l.WriteInflation(0.5); got != 1 {
+		t.Errorf("WriteInflation below one bit = %g, want 1", got)
 	}
 }
 

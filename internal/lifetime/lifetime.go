@@ -3,6 +3,12 @@
 // seek/shutdown duty cycles the suspension sustains (Eq. 5), and the probes
 // lifetime, limited by the number of times the tips can overwrite the device
 // (Eq. 6). The device lifetime is whichever fails first.
+//
+// Each equation is written once, in its forward form: Springs of the duty
+// cycles per year and Probes of the physical bits written per year. Model
+// evaluates them for one stream and buffer size; the shared-device plan
+// (internal/multistream) and the simulator's wear projections
+// (internal/engine) call them with their own rates.
 package lifetime
 
 import (
@@ -107,43 +113,55 @@ func (m Model) RefillsPerYear(b units.Size) float64 {
 	return streamedBits.DivideBy(b)
 }
 
+// Springs is Eq. 5 in its forward form: the springs rating Dsp over the
+// seek/shutdown duty cycles the suspension goes through per year. A
+// non-positive rate never wears the springs, so the lifetime is unbounded
+// (+Inf).
+func Springs(dev device.MEMS, cyclesPerYear float64) units.Duration {
+	if !(cyclesPerYear > 0) {
+		return units.Duration(math.Inf(1))
+	}
+	return units.Year.Scale(dev.SpringDutyCycles / cyclesPerYear)
+}
+
+// Probes is Eq. 6 in its forward form: the tips' write endurance C * Dpb,
+// in physical bits, over the physical bits written per year (the user writes
+// inflated by the sector format, whose ECC and sync bits are written too).
+// Perfect write balancing across probes is assumed, as in the paper. With
+// nothing written the probes never wear and the lifetime is unbounded (+Inf).
+func Probes(dev device.MEMS, writtenPerYear units.Size) units.Duration {
+	if !writtenPerYear.Positive() {
+		return units.Duration(math.Inf(1))
+	}
+	return units.Year.Scale(endurance(dev).DivideBy(writtenPerYear))
+}
+
+// endurance is C * Dpb, the physical bits the tips can write before wearing
+// out.
+func endurance(dev device.MEMS) units.Size {
+	return dev.Capacity.Scale(dev.ProbeWriteCycles)
+}
+
+// writtenPerYear is w * T * rs, the user bits the stream writes per year.
+func (m Model) writtenPerYear() units.Size {
+	return m.StreamRate.Times(m.Workload.StreamedSecondsPerYear()).Scale(m.Workload.WriteFraction)
+}
+
 // Springs returns the springs lifetime in years for buffer size B (Eq. 5):
 // Lsp = Dsp * B / (T * rs).
 func (m Model) Springs(b units.Size) units.Duration {
-	refills := m.RefillsPerYear(b)
-	if math.IsInf(refills, 1) || refills <= 0 {
-		return 0
-	}
-	return units.Year.Scale(m.Device.SpringDutyCycles / refills)
+	return Springs(m.Device, m.RefillsPerYear(b))
 }
 
 // Probes returns the probes lifetime in years for buffer size B (Eq. 6):
 // Lpb = C * Dpb * B / (w * S * T * rs), with S the effective sector size of a
-// sector holding B user bits (Su = B). Perfect write balancing across probes
-// is assumed, as in the paper. With no write traffic the probes never wear
-// and the lifetime is unbounded (+Inf).
+// sector holding B user bits (Su = B). With no write traffic the probes never
+// wear and the lifetime is unbounded (+Inf).
 func (m Model) Probes(b units.Size) units.Duration {
 	if !b.Positive() {
 		return 0
 	}
-	if m.Workload.WriteFraction == 0 {
-		return units.Duration(math.Inf(1))
-	}
-	sector := m.Layout.FormatSector(b)
-	if !sector.EffectiveBits.Positive() {
-		return 0
-	}
-	// Physical bits written per year: the written share of the stream,
-	// inflated by the formatting overhead (ECC + sync bits are written too).
-	streamedBits := m.StreamRate.Times(m.Workload.StreamedSecondsPerYear())
-	writtenUserBits := streamedBits.Scale(m.Workload.WriteFraction)
-	inflation := sector.EffectiveBits.DivideBy(sector.UserBits)
-	physicalWrittenPerYear := writtenUserBits.Scale(inflation)
-
-	// Total physical bits the tips can write before wearing out.
-	endurance := m.Device.Capacity.Scale(m.Device.ProbeWriteCycles)
-	years := endurance.DivideBy(physicalWrittenPerYear)
-	return units.Year.Scale(years)
+	return Probes(m.Device, m.writtenPerYear().Scale(m.Layout.WriteInflation(b)))
 }
 
 // Combined returns the device lifetime min(Lsp, Lpb) for buffer size B.
@@ -207,15 +225,7 @@ func (m Model) BufferForSprings(target units.Duration) (units.Size, error) {
 // streaming rate at which even this ceiling falls short of a target, no
 // buffer size can save the probes.
 func (m Model) MaxProbesLifetime() units.Duration {
-	if m.Workload.WriteFraction == 0 {
-		return units.Duration(math.Inf(1))
-	}
-	streamedBits := m.StreamRate.Times(m.Workload.StreamedSecondsPerYear())
-	writtenUserBits := streamedBits.Scale(m.Workload.WriteFraction)
-	inflation := 1 / m.Layout.MaxUtilisation()
-	physicalWrittenPerYear := writtenUserBits.Scale(inflation)
-	endurance := m.Device.Capacity.Scale(m.Device.ProbeWriteCycles)
-	return units.Year.Scale(endurance.DivideBy(physicalWrittenPerYear))
+	return Probes(m.Device, m.writtenPerYear().Scale(1/m.Layout.MaxUtilisation()))
 }
 
 // BufferForProbes returns the smallest buffer size whose probes lifetime
@@ -238,10 +248,7 @@ func (m Model) BufferForProbes(target units.Duration) (units.Size, error) {
 			target, m.StreamRate, max)
 	}
 	// Required utilisation: u >= target / (lifetime at u = 1).
-	streamedBits := m.StreamRate.Times(m.Workload.StreamedSecondsPerYear())
-	writtenUserBits := streamedBits.Scale(m.Workload.WriteFraction)
-	endurance := m.Device.Capacity.Scale(m.Device.ProbeWriteCycles)
-	lifetimeAtFullUtilisation := endurance.DivideBy(writtenUserBits) // years
+	lifetimeAtFullUtilisation := endurance(m.Device).DivideBy(m.writtenPerYear()) // years
 	required := target.Years() / lifetimeAtFullUtilisation
 	su, err := m.Layout.MinUserBitsForUtilisation(required)
 	if err != nil {

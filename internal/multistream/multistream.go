@@ -12,6 +12,11 @@
 // Springs wear once per wake-up, plus (optionally, conservatively) once per
 // inter-stream repositioning.
 //
+// A plan prices its cycle at the device's state powers, charges the buffers
+// through device.DRAM.CycleEnergy, takes the springs and probes lifetimes
+// from internal/lifetime (Eqs. 5 and 6) and each region's write inflation
+// from internal/format, so no model equation is written here a second time.
+//
 // The package answers the same design question as internal/core, but for the
 // shared device: what super-cycle period — and therefore which set of
 // per-stream buffers — meets a system-wide goal (E, C, L), and which
@@ -223,13 +228,11 @@ func (s *System) At(t units.Duration) (Plan, error) {
 
 	plan := Plan{Period: t}
 	var active units.Duration
-	var streamedPerCycle units.Size
 	worstU := 1.0
 	for _, st := range s.Streams {
 		buffer := st.Rate.Times(t)
 		plan.Buffers = append(plan.Buffers, buffer)
 		plan.TotalBuffer = plan.TotalBuffer.Add(buffer)
-		streamedPerCycle = streamedPerCycle.Add(buffer)
 		active = active.Add(rm.Sub(st.Rate).TimeFor(buffer))
 		if u := s.layout.Utilisation(buffer); u < worstU {
 			worstU = u
@@ -244,65 +247,42 @@ func (s *System) At(t units.Duration) (Plan, error) {
 	}
 	plan.Utilisation = worstU
 
-	// Energy: every state's residency charged at the backend's state powers
-	// through the shared engine accounting — the same per-state charging the
-	// simulated Core performs step by step, so a single-stream System and a
-	// sim run that agree on the cycle composition agree on the energy by
-	// construction. The positioning share covers the wake-up seek plus the
-	// (n-1) inter-stream repositionings of overheadPerCycle.
-	times := engine.CycleTimes{
-		Positioning: dev.SeekTime.Scale(float64(len(s.Streams))),
-		Transfer:    active,
-		BestEffort:  plan.BestEffortTime,
-		Shutdown:    dev.ShutdownTime,
-		Standby:     plan.Standby,
-	}
-	// Built from the live Device field (cheap), so callers who adjust the
+	// Energy: every state's residency charged at the device's state powers,
+	// as the simulator charges them step by step. The positioning share
+	// covers the wake-up seek plus the (n-1) inter-stream repositionings of
+	// overheadPerCycle. The device is read live, so callers who adjust the
 	// exported fields after NewSystem keep times and powers consistent.
-	backend := engine.NewMEMS(dev)
-	energy := engine.CycleEnergy(backend, times)
-	dram := s.Buffer.BackgroundPower(plan.TotalBuffer).Times(t).
-		Add(s.Buffer.AccessEnergy(streamedPerCycle.Scale(2)))
-	total := energy.Add(dram)
-	plan.EnergyPerBit = total.PerBit(streamedPerCycle)
+	energy := dev.SeekPower.Times(dev.SeekTime.Scale(float64(len(s.Streams)))).
+		Add(dev.ReadWritePower.Times(active)).
+		Add(dev.ReadWritePower.Times(plan.BestEffortTime)).
+		Add(dev.ShutdownPower.Times(dev.ShutdownTime)).
+		Add(dev.StandbyPower.Times(plan.Standby))
+	total := energy.Add(s.Buffer.CycleEnergy(plan.TotalBuffer, t, 0))
+	plan.EnergyPerBit = total.PerBit(plan.TotalBuffer)
 
 	// Always-on reference: the device never shuts down, refills every stream
 	// each cycle and idles in between (best-effort charged to the shutdown
 	// architecture only, as in the single-stream model).
-	alwaysOn := engine.AlwaysOnEnergy(backend, active, t)
+	alwaysOn := dev.IdlePower.Times(t.Sub(active)).Add(dev.ReadWritePower.Times(active))
 	if alwaysOn.Joules() > 0 {
 		plan.EnergySaving = 1 - total.Joules()/alwaysOn.Joules()
 	}
 
-	// Springs: duty cycles per year at this wake-up frequency.
+	// Springs: duty cycles per year at this wake-up frequency (Eq. 5).
 	secondsPerYear := s.Workload.StreamedSecondsPerYear().Seconds()
-	cyclesPerYear := secondsPerYear / t.Seconds() * s.seeksPerCycle()
-	if cyclesPerYear > 0 {
-		plan.SpringsLifetime = units.Year.Scale(dev.SpringDutyCycles / cyclesPerYear)
-	} else {
-		plan.SpringsLifetime = units.Duration(math.Inf(1))
-	}
+	plan.SpringsLifetime = lifetime.Springs(dev, secondsPerYear/t.Seconds()*s.seeksPerCycle())
 
 	// Probes: physical bits written per year across all streams, each
-	// inflated by its own region's formatting overhead.
+	// inflated by its own region's formatting overhead (Eq. 6).
 	writtenPerYear := 0.0
 	for i, st := range s.Streams {
 		if st.WriteFraction == 0 {
 			continue
 		}
-		sector := s.layout.FormatSector(plan.Buffers[i])
-		inflation := 1.0
-		if sector.UserBits.Positive() {
-			inflation = sector.EffectiveBits.DivideBy(sector.UserBits)
-		}
+		inflation := s.layout.WriteInflation(plan.Buffers[i])
 		writtenPerYear += st.WriteFraction * st.Rate.BitsPerSecond() * secondsPerYear * inflation
 	}
-	if writtenPerYear > 0 {
-		endurance := dev.Capacity.Scale(dev.ProbeWriteCycles)
-		plan.ProbesLifetime = units.Year.Scale(endurance.Bits() / writtenPerYear)
-	} else {
-		plan.ProbesLifetime = units.Duration(math.Inf(1))
-	}
+	plan.ProbesLifetime = lifetime.Probes(dev, units.Bit.Scale(writtenPerYear))
 	plan.Lifetime = plan.SpringsLifetime
 	if plan.ProbesLifetime < plan.Lifetime {
 		plan.Lifetime = plan.ProbesLifetime
