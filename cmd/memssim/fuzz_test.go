@@ -40,7 +40,7 @@ func FuzzParseStreamSpec(f *testing.F) {
 			}
 		}
 		value = strings.Join(fields, ",")
-		stream, err := parseStreamSpec(value, index, seed)
+		stream, err := parseStreamSpec(value, index)
 		if err != nil {
 			if prefix := fmt.Sprintf("-streams %q: ", value); !strings.HasPrefix(err.Error(), prefix) {
 				t.Fatalf("rejection %q does not start with %q", err, prefix)

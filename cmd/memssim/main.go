@@ -27,6 +27,7 @@
 // share), prio (service class) and
 // trace (frame file, kind trace only). The single-stream flags -stream,
 // -trace, -dump-trace, -validate, -ber and -replicas do not combine with it.
+// The streams are seeded from -seed exactly as /v1/multisim seeds them.
 //
 // -stream selects the workload: constant bit rate ("cbr", the default), the
 // segment-wise variable-bit-rate model ("vbr"), an MPEG-like frame-accurate
@@ -51,6 +52,7 @@ import (
 	"strings"
 
 	"memstream"
+	"memstream/internal/sim"
 	"memstream/internal/units"
 )
 
@@ -169,7 +171,7 @@ func resolvePolicy(s string) (memstream.SchedulingPolicy, error) {
 
 // parseStreamSpec parses one -streams value: a comma-separated k=v list with
 // the keys name, kind, rate, buffer, write, prio and trace.
-func parseStreamSpec(value string, index int, defaultSeed uint64) (memstream.SimMultiStream, error) {
+func parseStreamSpec(value string, index int) (memstream.SimMultiStream, error) {
 	var (
 		name      = fmt.Sprintf("stream%d", index)
 		kind      = "cbr"
@@ -233,9 +235,9 @@ func parseStreamSpec(value string, index int, defaultSeed uint64) (memstream.Sim
 	case "cbr":
 		spec = memstream.CBRSpec(rate)
 	case "vbr":
-		spec = memstream.VBRSpec(rate, defaultSeed+uint64(index))
+		spec = memstream.VBRSpec(rate, 0)
 	case "video":
-		spec = memstream.VideoSpec(rate, defaultSeed+uint64(index))
+		spec = memstream.VideoSpec(rate, 0)
 	case "trace":
 		if traceFile == "" {
 			return errf("kind trace needs a trace=<file> field")
@@ -313,10 +315,9 @@ func runMulti(w io.Writer, o options) error {
 		DRAM:     memstream.DefaultDRAM(),
 		Policy:   policy,
 		Duration: duration,
-		Seed:     o.seed,
 	}
 	for i, value := range o.streams {
-		stream, err := parseStreamSpec(value, i, o.seed)
+		stream, err := parseStreamSpec(value, i)
 		if err != nil {
 			return err
 		}
@@ -325,7 +326,16 @@ func runMulti(w io.Writer, o options) error {
 	if o.bestEffort > 0 {
 		cfg.BestEffort = memstream.NewBestEffortProcess(o.bestEffort, cfg.MediaRate(), o.seed)
 	}
-	stats, err := memstream.SimulateMulti(cfg)
+	// Reset seeds every stream from -seed by the library's multi-stream
+	// convention, as /v1/multisim does, so both answer a question alike.
+	s, err := sim.NewMulti(cfg)
+	if err != nil {
+		return err
+	}
+	if err := s.Reset(o.seed); err != nil {
+		return err
+	}
+	stats, err := s.Run()
 	if err != nil {
 		return err
 	}

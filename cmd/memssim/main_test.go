@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"memstream"
 )
 
 // opts returns the flag defaults, overridden by mutate.
@@ -502,5 +505,49 @@ func TestRunMultiStreamsDeterministic(t *testing.T) {
 	}
 	if render() != render() {
 		t.Error("identical -streams invocations produced different reports")
+	}
+}
+
+// TestRunMultiStreamsMatchesService asks memssim -streams and /v1/multisim
+// the same shared-device question: both must seed the streams alike and so
+// report the same per-bit energy and the same per-stream energy shares.
+func TestRunMultiStreamsMatchesService(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(&buf, opts(func(o *options) {
+		o.seed = 5
+		o.streams = streamFlags{
+			"name=a,kind=vbr,rate=1024kbps,buffer=128KiB",
+			"name=b,kind=video,rate=512kbps,buffer=128KiB",
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := memstream.NewService(memstream.ServiceConfig{}).MultiSim(context.Background(), memstream.MultiSimRequest{
+		Streams: []memstream.MultiSimStreamSpec{
+			{Name: "a", Stream: "vbr", Rate: "1024kbps", Buffer: "128KiB"},
+			{Name: "b", Stream: "video", Rate: "512kbps", Buffer: "128KiB"},
+		},
+		Duration: "30s",
+		Seed:     5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, want := buf.String(), resp.Runs[0]
+	if !strings.Contains(out, "per-bit "+want.EnergyPerBit+"\n") {
+		t.Errorf("memssim per-bit energy differs from the service's %s:\n%s", want.EnergyPerBit, out)
+	}
+	for _, st := range want.Streams {
+		share := fmt.Sprintf("%.1f%%", 100*st.EnergyShare)
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == st.Name && f[len(f)-1] == share {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("memssim reports no %s energy share for stream %s:\n%s", share, st.Name, out)
+		}
 	}
 }
