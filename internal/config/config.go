@@ -118,8 +118,8 @@ func (s Study) MEMS() device.MEMS {
 		ProbeArrayRows:       d.ProbeArrayRows,
 		ProbeArrayCols:       d.ProbeArrayCols,
 		ActiveProbes:         d.ActiveProbes,
-		ProbeFieldWidth:      d.ProbeFieldMicrons * 1e-6,
-		ProbeFieldHeight:     d.ProbeFieldMicrons * 1e-6,
+		ProbeFieldWidth:      d.ProbeFieldMicrons / 1e6,
+		ProbeFieldHeight:     d.ProbeFieldMicrons / 1e6,
 		Capacity:             units.GB.Scale(d.CapacityGB),
 		PerProbeRate:         units.Kbps.Scale(d.PerProbeRateKbps),
 		SeekTime:             units.Millisecond.Scale(d.SeekTimeMs),

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"memstream/internal/core"
+	"memstream/internal/device"
+	"memstream/internal/lifetime"
 	"memstream/internal/units"
 )
 
@@ -43,6 +45,21 @@ func TestTableIMatchesPaper(t *testing.T) {
 	min, max, n := s.Rates()
 	if min != 32*units.Kbps || max != 4096*units.Kbps || n != 25 {
 		t.Errorf("rate range = %v %v %d", min, max, n)
+	}
+}
+
+// TestTableIMatchesLibraryDefaults holds the two copies of Table I to each
+// other: the study file's device and workload convert to exactly the
+// library's defaults, field for field (the device name aside).
+func TestTableIMatchesLibraryDefaults(t *testing.T) {
+	s := TableI()
+	dev, want := s.MEMS(), device.DefaultMEMS()
+	dev.Name = want.Name
+	if dev != want {
+		t.Errorf("TableI().MEMS() = %#v\nwant device.DefaultMEMS() = %#v", dev, want)
+	}
+	if got, want := s.Lifetime(), lifetime.DefaultWorkload(); got != want {
+		t.Errorf("TableI().Lifetime() = %+v, want lifetime.DefaultWorkload() = %+v", got, want)
 	}
 }
 
