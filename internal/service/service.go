@@ -729,22 +729,18 @@ func (r BreakEvenRequest) resolve(*Service) (j breakEvenJob, err error) {
 	return j, err
 }
 
-// The MEMS and disk inversions fan out on exactly two workers.
-func (breakEvenJob) workers() int { return 2 }
+// The two break-even inversions are O(1) closed forms, computed in place.
+func (breakEvenJob) workers() int { return 1 }
 
-func (j breakEvenJob) run(ctx context.Context) (any, error) {
-	// The MEMS and disk inversions are independent; fan them out on the
-	// shared pool so the request honours cancellation between them.
-	buffers, err := parallel.Map(ctx, 2, 2, func(_ context.Context, i int) (units.Size, error) {
-		if i == 0 {
-			return energy.BreakEvenBuffer(energy.MEMSBreakEvenAdapter{Device: j.Device}, j.Rate)
-		}
-		return energy.BreakEvenBuffer(energy.DiskBreakEvenAdapter{Disk: device.Default18InchDisk()}, j.Rate)
-	})
+func (j breakEvenJob) run(context.Context) (any, error) {
+	mems, err := energy.BreakEvenBuffer(energy.MEMSBreakEvenAdapter{Device: j.Device}, j.Rate)
 	if err != nil {
 		return nil, err
 	}
-	mems, disk := buffers[0], buffers[1]
+	disk, err := energy.BreakEvenBuffer(energy.DiskBreakEvenAdapter{Disk: device.Default18InchDisk()}, j.Rate)
+	if err != nil {
+		return nil, err
+	}
 	resp := &BreakEvenResponse{
 		Rate:     j.Rate.String(),
 		MEMSBits: mems.Bits(),
