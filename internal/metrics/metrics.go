@@ -327,12 +327,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.newFamily(name, help, kindGauge, nil, nil).get(nil).g
 }
 
-// Histogram registers and returns an unlabeled histogram with the given
-// ascending bucket upper bounds (+Inf is implicit).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	return r.newFamily(name, help, kindHistogram, nil, bounds).get(nil).h
-}
-
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 
@@ -360,8 +354,9 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.get(labelValu
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
-// HistogramVec registers a labeled histogram family with shared bucket
-// bounds.
+// HistogramVec registers a labeled histogram family with shared, ascending
+// bucket upper bounds (+Inf is implicit). With no labels, With() is the
+// family's one unlabeled histogram.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{f: r.newFamily(name, help, kindHistogram, labels, bounds)}
 }

@@ -27,7 +27,7 @@ func populated() *Registry {
 	gv.With("0").Set(5)
 	gv.With("10").Set(2)
 	gv.With("2").Set(0.5)
-	h := r.Histogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1}).With()
 	h.Observe(0.005)
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -135,7 +135,7 @@ func TestConcurrentScrapeAndIncrement(t *testing.T) {
 	c := r.Counter("test_total", "t")
 	g := r.Gauge("test_gauge", "t")
 	cv := r.CounterVec("test_by_label", "t", "l")
-	h := r.Histogram("test_hist", "t", []float64{0.5, 1, 2})
+	h := r.HistogramVec("test_hist", "t", []float64{0.5, 1, 2}).With()
 
 	const (
 		writers    = 8
@@ -191,7 +191,7 @@ func TestConcurrentScrapeAndIncrement(t *testing.T) {
 
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_q", "t", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("test_q", "t", []float64{0.01, 0.1, 1}).With()
 	if q := h.Quantile(0.5); !math.IsNaN(q) {
 		t.Errorf("empty histogram quantile = %v; want NaN", q)
 	}
@@ -246,8 +246,8 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	mustPanic("duplicate name", func() { r.Gauge("test_dup", "t") })
 	mustPanic("bad metric name", func() { r.Counter("0bad", "t") })
 	mustPanic("bad label name", func() { r.CounterVec("test_lbl", "t", "bad-label") })
-	mustPanic("unsorted bounds", func() { r.Histogram("test_h", "t", []float64{1, 0.5}) })
-	mustPanic("no bounds", func() { r.Histogram("test_h2", "t", nil) })
+	mustPanic("unsorted bounds", func() { r.HistogramVec("test_h", "t", []float64{1, 0.5}).With() })
+	mustPanic("no bounds", func() { r.HistogramVec("test_h2", "t", nil).With() })
 	cv := r.CounterVec("test_arity", "t", "a", "b")
 	mustPanic("label arity", func() { cv.With("only-one") })
 }
