@@ -23,8 +23,7 @@ import (
 
 // StreamConfig describes one stream driven through a shared device.
 type StreamConfig struct {
-	// Source is the stream's demand, read one constant segment at a time;
-	// the wake level is provisioned against its peak rate.
+	// Source is the stream's demand.
 	Source workload.Pattern
 	// Buffer is the stream's dedicated buffer capacity.
 	Buffer units.Size

@@ -136,8 +136,7 @@ func Probes(dev device.MEMS, writtenPerYear units.Size) units.Duration {
 	return units.Year.Scale(endurance(dev).DivideBy(writtenPerYear))
 }
 
-// endurance is C * Dpb, the physical bits the tips can write before wearing
-// out.
+// endurance is C * Dpb, the physical bits the tips can write in a lifetime.
 func endurance(dev device.MEMS) units.Size {
 	return dev.Capacity.Scale(dev.ProbeWriteCycles)
 }

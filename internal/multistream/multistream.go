@@ -279,8 +279,8 @@ func (s *System) At(t units.Duration) (Plan, error) {
 		if st.WriteFraction == 0 {
 			continue
 		}
-		inflation := s.layout.WriteInflation(plan.Buffers[i])
-		writtenPerYear += st.WriteFraction * st.Rate.BitsPerSecond() * secondsPerYear * inflation
+		writtenPerYear += st.WriteFraction * st.Rate.BitsPerSecond() * secondsPerYear *
+			s.layout.WriteInflation(plan.Buffers[i])
 	}
 	plan.ProbesLifetime = lifetime.Probes(dev, units.Bit.Scale(writtenPerYear))
 	plan.Lifetime = plan.SpringsLifetime

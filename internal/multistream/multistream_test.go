@@ -365,12 +365,12 @@ func TestQuickSpringsLinearInPeriod(t *testing.T) {
 	}
 }
 
-// TestSingleStreamMatchesSimEngine is the degenerate-case cross-check the
-// shared engine accounting makes possible: a single-stream System evaluated
-// at super-cycle period T must agree with a discrete-event simulation of the
-// same device streaming through a buffer of rate*T. The closed form and the
-// simulator now charge state power over state time through the same
-// internal/engine mapping, so only the structural differences remain — the
+// TestSingleStreamMatchesSimEngine is the degenerate-case cross-check: a
+// single-stream System evaluated at super-cycle period T must agree with a
+// discrete-event simulation of the same device streaming through a buffer of
+// rate*T. The closed form and the simulator both charge state time at the
+// device's state powers and project wear through internal/lifetime's
+// Eqs. 5 and 6, so only the structural differences remain — the
 // simulator's wake-level margin and the refill overlap — which stay within a
 // few percent at these operating points.
 func TestSingleStreamMatchesSimEngine(t *testing.T) {
