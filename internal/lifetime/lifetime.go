@@ -141,8 +141,8 @@ func endurance(dev device.MEMS) units.Size {
 	return dev.Capacity.Scale(dev.ProbeWriteCycles)
 }
 
-// writtenPerYear is w * T * rs, the user bits the stream writes per year.
-func (m Model) writtenPerYear() units.Size {
+// userWritesPerYear is w * T * rs, the user bits the stream writes per year.
+func (m Model) userWritesPerYear() units.Size {
 	return m.StreamRate.Times(m.Workload.StreamedSecondsPerYear()).Scale(m.Workload.WriteFraction)
 }
 
@@ -160,7 +160,7 @@ func (m Model) Probes(b units.Size) units.Duration {
 	if !b.Positive() {
 		return 0
 	}
-	return Probes(m.Device, m.writtenPerYear().Scale(m.Layout.WriteInflation(b)))
+	return Probes(m.Device, m.userWritesPerYear().Scale(m.Layout.WriteInflation(b)))
 }
 
 // Combined returns the device lifetime min(Lsp, Lpb) for buffer size B.
@@ -224,7 +224,7 @@ func (m Model) BufferForSprings(target units.Duration) (units.Size, error) {
 // streaming rate at which even this ceiling falls short of a target, no
 // buffer size can save the probes.
 func (m Model) MaxProbesLifetime() units.Duration {
-	return Probes(m.Device, m.writtenPerYear().Scale(1/m.Layout.MaxUtilisation()))
+	return Probes(m.Device, m.userWritesPerYear().Scale(1/m.Layout.MaxUtilisation()))
 }
 
 // BufferForProbes returns the smallest buffer size whose probes lifetime
@@ -247,7 +247,7 @@ func (m Model) BufferForProbes(target units.Duration) (units.Size, error) {
 			target, m.StreamRate, max)
 	}
 	// Required utilisation: u >= target / (lifetime at u = 1).
-	lifetimeAtFullUtilisation := endurance(m.Device).DivideBy(m.writtenPerYear()) // years
+	lifetimeAtFullUtilisation := endurance(m.Device).DivideBy(m.userWritesPerYear()) // years
 	required := target.Years() / lifetimeAtFullUtilisation
 	su, err := m.Layout.MinUserBitsForUtilisation(required)
 	if err != nil {
