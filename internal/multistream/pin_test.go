@@ -16,12 +16,17 @@ import (
 	"memstream/internal/workload"
 )
 
-// pinnedEquationsDigest is the SHA-256 of every value
-// TestModelEquationsArePinned prints. The shared-device plan, the simulator's
-// wear projections and the lifetime model write Eqs. 5 and 6 and the sector
-// write inflation; a refactor that moves where they live must leave every
-// bit of their outputs, and every error text, where it was.
-const pinnedEquationsDigest = "1114c49f9b27555a05990c652e1c98f8fbd72d3cca9efc2d9e7dc76c308ba480"
+// The SHA-256 digests of every value TestModelEquationsArePinned prints, one
+// per model part. The shared-device plan, the simulator's wear projections
+// and the lifetime model write Eqs. 5 and 6 and the sector write inflation;
+// a refactor that moves where they live must leave every bit of their
+// outputs, and every error text, where it was. A simulator change moves the
+// projections alone, and the other two digests show that it did.
+const (
+	pinnedPlansDigest       = "f9ed80ef63cd0efdd66c4da377afaf04f787e0e5559c59ad9c9b94f3a41fd2a0"
+	pinnedProjectionsDigest = "8e0fc9b4e1d9159f80d64719ee1f67aaf79e4acf8590451b7708b1832ec5b7a4"
+	pinnedLifetimeDigest    = "3db9bf5e2e293e75d52be7c0707ecfda56a63abd50771281db549ab9841fdfe7"
+)
 
 // pinf writes one value in Go syntax, which prints floats in their shortest
 // round-tripping form, so the digest sees every bit.
@@ -39,14 +44,22 @@ func pinErr(err error) string {
 // TestModelEquationsArePinned hashes System.At and System.Dimension over a
 // grid of shared-device systems, the two Stats wear projections of a few
 // simulated runs, and the lifetime model's Springs, Probes and
-// MaxProbesLifetime from 1 bit to 1 Gbit of buffer.
+// MaxProbesLifetime from 1 bit to 1 Gbit of buffer, each part on its own.
 func TestModelEquationsArePinned(t *testing.T) {
-	h := sha256.New()
-	pinSharedDevicePlans(t, h)
-	pinWearProjections(t, h)
-	pinLifetimeModel(t, h)
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinnedEquationsDigest {
-		t.Errorf("model equation outputs moved: digest %s, pinned %s", got, pinnedEquationsDigest)
+	for _, part := range []struct {
+		name   string
+		pin    func(*testing.T, hash.Hash)
+		digest string
+	}{
+		{"shared-device plans", pinSharedDevicePlans, pinnedPlansDigest},
+		{"wear projections", pinWearProjections, pinnedProjectionsDigest},
+		{"lifetime model", pinLifetimeModel, pinnedLifetimeDigest},
+	} {
+		h := sha256.New()
+		part.pin(t, h)
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != part.digest {
+			t.Errorf("%s moved: digest %s, pinned %s", part.name, got, part.digest)
+		}
 	}
 }
 
