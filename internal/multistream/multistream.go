@@ -80,8 +80,6 @@ type System struct {
 	// regions within one wake-up against the springs duty-cycle rating
 	// (conservative; the default charges only the wake-up itself).
 	CountInterStreamSeeks bool
-
-	layout format.Layout
 }
 
 // NewSystem builds and validates a shared-device system.
@@ -91,7 +89,6 @@ func NewSystem(dev device.MEMS, dram device.DRAM, wl lifetime.Workload, streams 
 		Buffer:   dram,
 		Workload: wl,
 		Streams:  streams,
-		layout:   format.NewLayout(dev),
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -225,6 +222,7 @@ func (s *System) At(t units.Duration) (Plan, error) {
 	}
 	dev := s.Device
 	rm := dev.MediaRate()
+	layout := format.NewLayout(dev)
 
 	plan := Plan{Period: t}
 	var active units.Duration
@@ -234,7 +232,7 @@ func (s *System) At(t units.Duration) (Plan, error) {
 		plan.Buffers = append(plan.Buffers, buffer)
 		plan.TotalBuffer = plan.TotalBuffer.Add(buffer)
 		active = active.Add(rm.Sub(st.Rate).TimeFor(buffer))
-		if u := s.layout.Utilisation(buffer); u < worstU {
+		if u := layout.Utilisation(buffer); u < worstU {
 			worstU = u
 		}
 	}
@@ -280,7 +278,7 @@ func (s *System) At(t units.Duration) (Plan, error) {
 			continue
 		}
 		writtenPerYear += st.WriteFraction * st.Rate.BitsPerSecond() * secondsPerYear *
-			s.layout.WriteInflation(plan.Buffers[i])
+			layout.WriteInflation(plan.Buffers[i])
 	}
 	plan.ProbesLifetime = lifetime.Probes(dev, units.Bit.Scale(writtenPerYear))
 	plan.Lifetime = plan.SpringsLifetime
@@ -379,7 +377,7 @@ func (s *System) Dimension(goal core.Goal) (Dimensioning, error) {
 	// the slowest stream binds.
 	capPeriod := 0.0
 	if goal.CapacityUtilisation > 0 {
-		su, err := s.layout.MinUserBitsForUtilisation(goal.CapacityUtilisation)
+		su, err := format.NewLayout(s.Device).MinUserBitsForUtilisation(goal.CapacityUtilisation)
 		if err != nil {
 			d.PeriodFor[core.ConstraintCapacity] = units.Duration(math.Inf(1))
 			d.Reasons[core.ConstraintCapacity] = err.Error()

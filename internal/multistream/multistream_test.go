@@ -2,6 +2,7 @@ package multistream
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,6 +201,43 @@ func TestInterStreamSeekAccounting(t *testing.T) {
 	want := plain.SpringsLifetime.Years() / 2
 	if got := conservative.SpringsLifetime.Years(); math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("conservative springs lifetime = %g years, want %g", got, want)
+	}
+}
+
+// TestEditedDeviceIsRead checks that At and Dimension read the exported
+// Device as it is when they run: a System whose device is edited after
+// NewSystem answers as one built fresh from the edited device, format layout
+// included.
+func TestEditedDeviceIsRead(t *testing.T) {
+	edited := singleStream(t, 1024*units.Kbps, 0.4)
+	edited.Device.Capacity = edited.Device.Capacity.Scale(2)
+	edited.Device.ECCFraction = 0.5
+	fresh, err := NewSystem(edited.Device, edited.Buffer, edited.Workload, edited.Streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := edited.At(units.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.At(units.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("edited System.At = %+v\nfresh System.At = %+v", got, want)
+	}
+	goal := core.Goal{EnergySaving: 0.70, CapacityUtilisation: 0.6, Lifetime: 7 * units.Year}
+	gotDim, err := edited.Dimension(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDim, err := fresh.Dimension(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotDim, wantDim) {
+		t.Errorf("edited System.Dimension = %+v\nfresh System.Dimension = %+v", gotDim, wantDim)
 	}
 }
 
