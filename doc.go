@@ -77,9 +77,8 @@
 // cursor then advances frame by frame in O(1). The rate a step drains at and
 // the boundary it stops at come from the same frame, so piecewise-constant
 // demand (CBR, VBR segments, per-frame video and user traces) is integrated
-// exactly: a video or trace run without underruns or best-effort traffic
-// (each background request is one step at the demand in effect when it
-// starts) streams the bits its frames play to a relative 1e-12.
+// exactly: a video or trace run without underruns streams the bits its frames
+// play to a relative 1e-12, with or without best-effort traffic.
 // TestFrameAccurateRunsStreamTheirFrames in internal/sim checks this, and
 // TestSegmentWalkIntegratesFrames in internal/workload checks the patterns
 // over three passes of the wrap-around. VBR/video runs take steps

@@ -24,10 +24,9 @@
 // straddle a rate change, and the rate a step drains at and the boundary it
 // stops at come from the same frame index of the source, so
 // piecewise-constant demand — CBR, VBR segments, per-frame video and user
-// traces — is integrated exactly. (A best-effort request is accounted as one
-// step, at the demand in effect when it starts.) The step count is
-// proportional to the number of rate changes instead of the simulated time
-// divided by a slice width.
+// traces — is integrated exactly, also while the device serves best-effort
+// traffic. The step count is proportional to the number of rate changes
+// instead of the simulated time divided by a slice width.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so

@@ -300,7 +300,7 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 // at the new time.
 func (m *MultiCore) serveBestEffort(c *Cycle) {
 	for req, ok := m.arrivals.Next(m.now); ok; req, ok = m.arrivals.Next(m.now) {
-		m.account(device.StateBestEffort, c.BestEffort.ServiceTime(req.Size), -1)
+		m.transition(device.StateBestEffort, c.BestEffort.ServiceTime(req.Size), -1)
 		m.device.BestEffortBits = m.device.BestEffortBits.Add(req.Size)
 		m.device.BestEffortRequests++
 		if !req.Write {
@@ -341,9 +341,8 @@ func (m *MultiCore) StreamStats(i int) *Stats { return &m.streams[i].stats }
 // drains its buffer at its own demand. focus names the stream being serviced
 // (its statistics receive the state time and energy too); pass -1 for shared
 // states. Each stream drains at the rate of the segment holding the step's
-// start (left-endpoint sampling, exact for steps bounded by stepBound); a
-// stream whose segment ended by the step's end reloads it, skipping any
-// segments a longer step (a best-effort request's service time) crossed.
+// start, which is exact because every caller bounds its step by stepBound; a
+// stream whose segment ends with the step reloads the next one.
 func (m *MultiCore) account(state device.PowerState, dt units.Duration, focus int) {
 	if dt <= 0 {
 		return

@@ -24,7 +24,7 @@ import (
 // projections alone, and the other two digests show that it did.
 const (
 	pinnedPlansDigest       = "f9ed80ef63cd0efdd66c4da377afaf04f787e0e5559c59ad9c9b94f3a41fd2a0"
-	pinnedProjectionsDigest = "8e0fc9b4e1d9159f80d64719ee1f67aaf79e4acf8590451b7708b1832ec5b7a4"
+	pinnedProjectionsDigest = "580a4160894a1f1eb5fe8a89ba833356ddce6df99093657b1b24224f250fed37"
 	pinnedLifetimeDigest    = "3db9bf5e2e293e75d52be7c0707ecfda56a63abd50771281db549ab9841fdfe7"
 )
 

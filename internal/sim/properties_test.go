@@ -199,11 +199,12 @@ func framePlayback(frames []workload.Frame, horizon, end units.Duration) float64
 }
 
 // TestFrameAccurateRunsStreamTheirFrames checks that the engine integrates
-// frame-accurate demand exactly: a video or trace run without underruns or
-// best-effort traffic streams the bits its frames play over the simulated
-// time, to a relative 1e-12. The runs are an hour of 1024 kbps video at
-// three seeds and five minutes replaying a 60 s trace (five passes and the
-// overrun of the last cycle).
+// frame-accurate demand exactly, also while the device serves best-effort
+// traffic: a video or trace run without underruns streams the bits its
+// frames play over the simulated time, to a relative 1e-12. The runs are an
+// hour of 1024 kbps video at three seeds and five minutes replaying a 60 s
+// trace (five passes and the overrun of the last cycle), each without best
+// effort and at 5 % and 20 %.
 func TestFrameAccurateRunsStreamTheirFrames(t *testing.T) {
 	rate := 1024 * units.Kbps
 	type run struct {
@@ -232,17 +233,76 @@ func TestFrameAccurateRunsStreamTheirFrames(t *testing.T) {
 	runs["trace/60s-for-5min"] = run{specConfig(workload.TraceSpec(frames), 64*units.KiB, 5*units.Minute), frames, horizon}
 
 	for name, r := range runs {
-		st, err := RunConfig(r.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		for _, be := range []float64{0, 0.05, 0.2} {
+			cfg := r.cfg
+			if be > 0 {
+				cfg.BestEffort = workload.NewBestEffortProcess(be, cfg.Device.MediaRate(), cfg.Seed)
+			}
+			st, err := RunConfig(cfg)
+			if err != nil {
+				t.Fatalf("%s at %g best effort: %v", name, be, err)
+			}
+			if st.Underruns != 0 {
+				t.Fatalf("%s at %g best effort: %d underruns; the property needs a run that never starves",
+					name, be, st.Underruns)
+			}
+			if be > 0 && st.BestEffortRequests == 0 {
+				t.Fatalf("%s at %g best effort: no request was served", name, be)
+			}
+			want := framePlayback(r.frames, r.horizon, st.SimulatedTime)
+			if d := relDiff(st.StreamedBits.Bits(), want); d > 1e-12 {
+				t.Errorf("%s at %g best effort: streamed %.17g bits over %v, the frames play %.17g (rel %.2e)",
+					name, be, st.StreamedBits.Bits(), st.SimulatedTime, want, d)
+			}
 		}
-		if st.Underruns != 0 {
-			t.Fatalf("%s: %d underruns; the property needs a run that never starves", name, st.Underruns)
+	}
+}
+
+// TestStarvingRunsKeepTheirRebuffering pins what a player sees of two runs
+// that starve while the device serves 20 % best effort: ten minutes of
+// 1024 kbps video through a 2 KiB buffer, and three streams (1024 kbps video,
+// 768 kbps VBR, 512 kbps CBR) through 4 KiB buffers each. The rebuffer
+// episodes and the served requests are pinned exactly and the stalled time
+// to a relative tolerance. Underruns count dry accounting steps, so how the
+// engine groups its steps may lower them but never raise them.
+func TestStarvingRunsKeepTheirRebuffering(t *testing.T) {
+	dev := device.DefaultMEMS()
+	be := workload.NewBestEffortProcess(0.2, dev.MediaRate(), 1)
+	single := specConfig(workload.VideoSpec(1024*units.Kbps, 1), 2*units.KiB, 10*units.Minute)
+	single.BestEffort = be
+	multi := MultiConfig{Device: dev, DRAM: device.DefaultDRAM(), BestEffort: be, Duration: 10 * units.Minute, Seed: 1,
+		Streams: []MultiStream{
+			{Name: "video", Spec: workload.VideoSpec(1024*units.Kbps, 1), Buffer: 4 * units.KiB},
+			{Name: "vbr", Spec: workload.VBRSpec(768*units.Kbps, 1), Buffer: 4 * units.KiB},
+			{Name: "cbr", Spec: workload.CBRSpec(512 * units.Kbps), Buffer: 4 * units.KiB},
+		}}
+	singleStats, err := RunConfig(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multiStats, err := RunMulti(multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name                 string
+		st                   *Stats
+		episodes, requests   int
+		maxUnderruns         int
+		rebufferSeconds, tol float64
+	}{
+		{"single 2 KiB", singleStats, 948, 51751, 1707, 2.6881039024295421, 1e-9},
+		{"three streams 4 KiB", &multiStats.Device, 828, 51752, 1747, 2.2826678737567279, 1e-6},
+	} {
+		if c.st.RebufferEpisodes != c.episodes || c.st.BestEffortRequests != c.requests {
+			t.Errorf("%s: %d rebuffer episodes and %d best-effort requests, pinned %d and %d",
+				c.name, c.st.RebufferEpisodes, c.st.BestEffortRequests, c.episodes, c.requests)
 		}
-		want := framePlayback(r.frames, r.horizon, st.SimulatedTime)
-		if d := relDiff(st.StreamedBits.Bits(), want); d > 1e-12 {
-			t.Errorf("%s: streamed %.17g bits over %v, the frames play %.17g (rel %.2e)",
-				name, st.StreamedBits.Bits(), st.SimulatedTime, want, d)
+		if d := relDiff(c.st.RebufferTime.Seconds(), c.rebufferSeconds); d > c.tol {
+			t.Errorf("%s: stalled %.13g s, pinned %.13g s (rel %.2e)", c.name, c.st.RebufferTime.Seconds(), c.rebufferSeconds, d)
+		}
+		if c.st.Underruns > c.maxUnderruns {
+			t.Errorf("%s: %d underruns, more than the pinned %d", c.name, c.st.Underruns, c.maxUnderruns)
 		}
 	}
 }
