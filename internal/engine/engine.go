@@ -25,7 +25,8 @@
 // stops at come from the same frame index of the source, so
 // piecewise-constant demand — CBR, VBR segments, per-frame video and user
 // traces — is integrated exactly, also while the device serves best-effort
-// traffic. The step count is proportional to the number of rate changes
+// traffic: a cycle's whole best-effort backlog is one such step. The step
+// count is proportional to the number of rate changes and refill cycles
 // instead of the simulated time divided by a slice width.
 //
 // Two device backends are provided: the MEMS probe store of Table I
@@ -98,7 +99,9 @@ type Stats struct {
 	// Underruns counts accounting steps in which the buffer ran dry while
 	// the stream drained — an integration-granularity diagnostic, not a
 	// user-visible event count (several consecutive dry steps are one
-	// playback stall; see RebufferEpisodes).
+	// playback stall; see RebufferEpisodes). A best-effort backlog is one
+	// step, split only at demand-segment ends, so a stream that starves
+	// across a backlog counts one underrun per segment it crosses.
 	Underruns int
 	// RebufferEpisodes counts distinct playback stalls: maximal runs of dry
 	// accounting steps, the paper-relevant "rebuffering events per run"

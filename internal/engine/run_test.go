@@ -137,3 +137,67 @@ func TestRunRejectsInvalidBestEffort(t *testing.T) {
 		t.Error("Run accepted a best-effort process without a size or service rate")
 	}
 }
+
+// TestBestEffortBacklogIsOneStep checks that a single 1024 kbps CBR stream
+// through 64 KiB at 5 % best effort takes a handful of accounting steps per
+// refill cycle: the standby drain, the positioning, the refill, the backlog,
+// the top-off and the shutdown. Charging each background request as its own
+// step took about 17.
+func TestBestEffortBacklogIsOneStep(t *testing.T) {
+	b := NewMEMS(device.DefaultMEMS())
+	m := newSingleCore(b, cbrSource(t, 1024*units.Kbps), 64*units.KiB, 0)
+	c := &Cycle{
+		Policy:     PolicyRoundRobin,
+		DRAM:       device.DefaultDRAM(),
+		BestEffort: workload.NewBestEffortProcess(0.05, b.MediaRate(), 1),
+		Single:     true,
+	}
+	dev, err := m.Run(c, 10*units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.RefillCycles == 0 || dev.BestEffortRequests < dev.RefillCycles {
+		t.Fatalf("%d refill cycles served %d best-effort requests; want a backlog in most cycles",
+			dev.RefillCycles, dev.BestEffortRequests)
+	}
+	if perCycle := float64(dev.Steps) / float64(dev.RefillCycles); perCycle > 7 {
+		t.Errorf("%d steps over %d refill cycles (%.2f per cycle), want at most 7",
+			dev.Steps, dev.RefillCycles, perCycle)
+	}
+}
+
+// TestBestEffortBacklogDrainsAcrossRateChanges checks that a backlog spanning
+// a rate change drains each side at its own rate, in one step split only at
+// the segment end.
+func TestBestEffortBacklogDrainsAcrossRateChanges(t *testing.T) {
+	b := NewMEMS(device.DefaultMEMS())
+	src := stepRate{switchAt: units.Duration(1), lowRate: 512 * units.Kbps, highRate: 2048 * units.Kbps}
+	m := newSingleCore(b, src, 8*units.MB, 0)
+	c := &Cycle{BestEffort: workload.NewBestEffortProcess(0.5, b.MediaRate(), 1)}
+	var err error
+	if m.arrivals, err = c.BestEffort.Arrivals(units.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Let requests queue for 0.9 s. At a 50 % share the backlog keeps
+	// growing while it is served, so it starts before the switch and ends
+	// well after it.
+	start := units.Duration(0.9)
+	m.account(device.StateStandby, start, -1)
+	before := *m.DeviceStats()
+	m.serveBestEffort(c)
+	dev := m.DeviceStats()
+	if m.now <= src.switchAt {
+		t.Fatalf("backlog of %d requests ended at %v, before the rate change at %v",
+			dev.BestEffortRequests, m.now, src.switchAt)
+	}
+	if steps := dev.Steps - before.Steps; steps != 2 {
+		t.Errorf("backlog took %d steps, want 2: one step split at the segment end", steps)
+	}
+	if got, want := dev.StateTime[device.StateBestEffort], m.now.Sub(start); !almostEqual(got.Seconds(), want.Seconds(), 1e-12) {
+		t.Errorf("best-effort residency %v, want the backlog's %v", got, want)
+	}
+	want := src.lowRate.Times(src.switchAt.Sub(start)).Add(src.highRate.Times(m.now.Sub(src.switchAt)))
+	if got := dev.StreamedBits.Sub(before.StreamedBits); !almostEqual(got.Bits(), want.Bits(), 1e-12) {
+		t.Errorf("drained %.17g bits during the backlog, want the piecewise-exact %.17g", got.Bits(), want.Bits())
+	}
+}

@@ -295,12 +295,16 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 	return dev, nil
 }
 
-// serveBestEffort serves every queued request that has arrived by now. The
-// clock advances while each request is served, so the next one is asked for
-// at the new time.
+// serveBestEffort serves the backlog: every queued request that has arrived
+// by the time the device is free for it. A local clock advances by each
+// request's service time, so each next request is asked for at the time its
+// predecessor ends, and every request is credited as it is drawn. The whole
+// backlog is then charged as one best-effort transition, a single step that
+// splits only at demand-segment ends; an empty backlog takes no step.
 func (m *MultiCore) serveBestEffort(c *Cycle) {
-	for req, ok := m.arrivals.Next(m.now); ok; req, ok = m.arrivals.Next(m.now) {
-		m.transition(device.StateBestEffort, c.BestEffort.ServiceTime(req.Size), -1)
+	t := m.now
+	for req, ok := m.arrivals.Next(t); ok; req, ok = m.arrivals.Next(t) {
+		t = t.Add(c.BestEffort.ServiceTime(req.Size))
 		m.device.BestEffortBits = m.device.BestEffortBits.Add(req.Size)
 		m.device.BestEffortRequests++
 		if !req.Write {
@@ -318,6 +322,7 @@ func (m *MultiCore) serveBestEffort(c *Cycle) {
 		m.device.WrittenUserBits = m.device.WrittenUserBits.Add(req.Size)
 		m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(req.Size)
 	}
+	m.transition(device.StateBestEffort, t.Sub(m.now), -1)
 }
 
 // Level returns stream i's current buffer fill level.

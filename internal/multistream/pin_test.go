@@ -24,7 +24,7 @@ import (
 // projections alone, and the other two digests show that it did.
 const (
 	pinnedPlansDigest       = "f9ed80ef63cd0efdd66c4da377afaf04f787e0e5559c59ad9c9b94f3a41fd2a0"
-	pinnedProjectionsDigest = "580a4160894a1f1eb5fe8a89ba833356ddce6df99093657b1b24224f250fed37"
+	pinnedProjectionsDigest = "cd2c5516ebdc326cf3297750412b475172bfef8439945b7e16c285cd3f3f1b63"
 	pinnedLifetimeDigest    = "3db9bf5e2e293e75d52be7c0707ecfda56a63abd50771281db549ab9841fdfe7"
 )
 
