@@ -141,8 +141,8 @@ func TestRunRejectsInvalidBestEffort(t *testing.T) {
 // TestBestEffortBacklogIsOneStep checks that a single 1024 kbps CBR stream
 // through 64 KiB at 5 % best effort takes a handful of accounting steps per
 // refill cycle: the standby drain, the positioning, the refill, the backlog,
-// the top-off and the shutdown. Charging each background request as its own
-// step took about 17.
+// the top-off and the shutdown. A step per background request would take
+// about 17.
 func TestBestEffortBacklogIsOneStep(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
 	m := newSingleCore(b, cbrSource(t, 1024*units.Kbps), 64*units.KiB, 0)
