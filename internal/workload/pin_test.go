@@ -99,3 +99,44 @@ func TestVideoFramesPinned(t *testing.T) {
 		t.Errorf("video frames hash %016x, want %016x", got, want)
 	}
 }
+
+// TestVBRSegmentsPinned pins every VBR segment — its rate and its end, bit
+// for bit — over seeds at both ends of the range, three variability
+// settings and two segment lengths, walked in order over ten simulated
+// minutes, then walked again after a Reset to another seed. The hash was
+// recorded when the pattern still drew its segments in order from a
+// stateful generator.
+func TestVBRSegmentsPinned(t *testing.T) {
+	const want = uint64(0x1c1eb3b5498a41d7)
+	h := fnv.New64a()
+	walk := func(p Pattern) {
+		at, cursor := units.Duration(0), NoCursor
+		for at < 10*units.Minute {
+			rate, end, next := p.Segment(at, cursor)
+			putFloat(h, rate.BitsPerSecond())
+			putFloat(h, end.Seconds())
+			at, cursor = end, next
+		}
+	}
+	for _, seed := range []uint64{0, 1, 7, 1 << 63} {
+		for _, variability := range []float64{0, 0.3, 0.9} {
+			for _, length := range []units.Duration{500 * units.Millisecond, 2 * units.Second} {
+				spec := VBRSpec(768*units.Kbps, seed)
+				spec.Variability = variability
+				spec.SegmentLength = length
+				p, err := spec.Pattern(units.Hour)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walk(p)
+				if err := p.Reset(seed ^ 0x5555); err != nil {
+					t.Fatal(err)
+				}
+				walk(p)
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("VBR segments hash %016x, want %016x", got, want)
+	}
+}
