@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -126,8 +127,7 @@ func TestSegmentWalkIntegratesFrames(t *testing.T) {
 // zero to 1e300 s: it never panics, the segment ends strictly after t, and
 // the cursor is only a hint — any cursor gives the answer of a lookup
 // without one wherever the frame index is exact (the far path beyond it
-// keeps no cursor). VBR draws its segments in order, so it is walked
-// forward instead, in random steps of up to 22 minutes.
+// keeps no cursor).
 func TestQuickSegmentEndsAfterT(t *testing.T) {
 	patterns := map[string]Pattern{}
 	for name, fp := range exactnessPatterns(t) {
@@ -148,6 +148,11 @@ func TestQuickSegmentEndsAfterT(t *testing.T) {
 		t.Fatal(err)
 	}
 	patterns["cbr"] = cbr
+	vbr, err := VBRSpec(1024*units.Kbps, 9).Pattern(units.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns["vbr"] = vbr
 	f := func(mantissa uint32, exponent uint16, cursor int) bool {
 		// t spans 1e-30 s to 4.3e300 s, and zero.
 		at := units.Duration(float64(mantissa) * math.Pow(10, float64(exponent%331)-39))
@@ -172,25 +177,50 @@ func TestQuickSegmentEndsAfterT(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
 
-	vbr := func(seed uint64, steps []uint16) bool {
-		p, err := VBRSpec(1024*units.Kbps, seed).Pattern(units.Hour)
+// TestQuickVBRSegmentsInAnyOrder checks that a VBR pattern answers any time
+// in any order: a lookup without a cursor, at shuffled times inside the
+// segments of an in-order walk over two minutes, returns the rate and end
+// the walk saw there.
+func TestQuickVBRSegmentsInAnyOrder(t *testing.T) {
+	type seg struct {
+		start, end units.Duration
+		rate       units.BitRate
+	}
+	f := func(seed uint64, variability uint8, fractions []uint16, shuffle int64) bool {
+		spec := VBRSpec(1024*units.Kbps, seed)
+		spec.Variability = float64(variability%99) / 100
+		spec.SegmentLength = units.Second.Scale(0.25 + float64(variability%7))
+		walked, err := spec.Pattern(units.Hour)
 		if err != nil {
 			return false
 		}
+		var segs []seg
 		at, cursor := units.Duration(0), NoCursor
-		for _, step := range steps {
-			at = at.Add(units.Second.Scale(float64(step) / 50))
-			_, end, next := p.Segment(at, cursor)
-			if !(end > at) {
-				t.Logf("vbr seed %d at %v: end %v", seed, at, end)
+		for at < 2*units.Minute {
+			rate, end, next := walked.Segment(at, cursor)
+			segs = append(segs, seg{at, end, rate})
+			at, cursor = end, next
+		}
+		asked, err := spec.Pattern(units.Hour)
+		if err != nil {
+			return false
+		}
+		for n, i := range rand.New(rand.NewSource(shuffle)).Perm(len(segs)) {
+			s, frac := segs[i], 0.5
+			if len(fractions) > 0 {
+				frac = float64(fractions[n%len(fractions)]) / (1 << 16)
+			}
+			at := s.start.Add(s.end.Sub(s.start).Scale(frac))
+			if rate, end, _ := asked.Segment(at, NoCursor); rate != s.rate || end != s.end {
+				t.Logf("seed %d: segment %d at %v plays (%v, %v), the walk (%v, %v)", seed, i, at, rate, end, s.rate, s.end)
 				return false
 			}
-			cursor = next
 		}
 		return true
 	}
-	if err := quick.Check(vbr, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -103,8 +103,9 @@ type StreamSpec struct {
 	// trace memoizes the pattern over Frames. The TraceSpec constructor
 	// fills it so validation, rate bounds and the simulator share one
 	// O(frames) construction (the pattern is read-only after construction
-	// and safe to share, unlike the stateful VBR sampler); hand-built specs
-	// leave it nil and fall back to building per use.
+	// and safe to share, unlike the VBR and video patterns, which Reset
+	// re-seeds in place); hand-built specs leave it nil and fall back to
+	// building per use.
 	trace *TracePattern
 }
 

@@ -215,24 +215,35 @@ func (p *VideoRatePattern) Reset(seed uint64) error {
 // returned cursor is j+1, the absolute index of the frame expected next.
 func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	fi := p.frameInterval
-	j := cursor
-	if j < 0 || j >= maxFrameIndex || fi.Scale(float64(j)) > t || fi.Scale(float64(j+1)) <= t {
-		// The hinted frame does not hold t: the quotient is within one
-		// frame either way.
-		q := t.Seconds() / fi.Seconds()
-		if !(q < maxFrameIndex) {
-			return p.farSegment(t)
-		}
-		j = int(math.Max(q, 0))
-		for j > 0 && fi.Scale(float64(j)) > t {
-			j--
-		}
-		for fi.Scale(float64(j+1)) <= t {
-			j++
-		}
+	j := segmentIndex(t, fi, cursor)
+	if j < 0 {
+		return p.farSegment(t)
 	}
 	size := p.sizes[j%len(p.sizes)]
 	return units.BitPerSecond.Scale(size.Bits() / fi.Seconds()), fi.Scale(float64(j + 1)), j + 1
+}
+
+// segmentIndex returns the index j of the segment [j·width, (j+1)·width)
+// holding t, trying hint first, or -1 beyond maxFrameIndex segments.
+func segmentIndex(t, width units.Duration, hint int) int {
+	j := hint
+	if j >= 0 && j < maxFrameIndex && width.Scale(float64(j)) <= t && t < width.Scale(float64(j+1)) {
+		return j
+	}
+	// The hinted segment does not hold t: the quotient is within one segment
+	// either way.
+	q := t.Seconds() / width.Seconds()
+	if !(q < maxFrameIndex) {
+		return -1
+	}
+	j = int(math.Max(q, 0))
+	for j > 0 && width.Scale(float64(j)) > t {
+		j--
+	}
+	for width.Scale(float64(j+1)) <= t {
+		j++
+	}
+	return j
 }
 
 // farSegment answers Segment beyond maxFrameIndex frames: the frame comes

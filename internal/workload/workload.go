@@ -49,12 +49,9 @@ func (r *Rng) Float64() float64 {
 }
 
 // Exp returns an exponentially distributed value with the given mean.
+// Float64 stays below 1, so the logarithm's argument stays positive.
 func (r *Rng) Exp(mean float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -mean * math.Log(1-u)
+	return -mean * math.Log(1-r.Float64())
 }
 
 // Intn returns a uniform integer in [0, n).
@@ -71,35 +68,26 @@ const NoCursor = -1
 
 // RatePattern samples the instantaneous demand of a CBR or VBR spec: the
 // nominal rate throughout for CBR, and for VBR one rate per segment, uniform
-// in the variability band. StreamSpec.Pattern builds it. VBR segments are
-// drawn lazily in order, so Segment must be called with monotonically
-// non-decreasing times.
+// in the variability band. StreamSpec.Pattern builds it. Segment k of a VBR
+// stream plays draw k of the SplitMix64 sequence its seed starts, computed
+// straight from the seed, so the pattern answers any time in any order and
+// keeps no draw state.
 type RatePattern struct {
-	spec StreamSpec // defaulted
+	spec StreamSpec // defaulted; Reset re-seeds it
 	vbr  bool
-	rng  *Rng
-	// drawn counts the VBR segments drawn so far; current is the last draw,
-	// which holds until segmentEnd = drawn·SegmentLength.
-	drawn      int
-	segmentEnd units.Duration
-	current    units.BitRate
 }
 
 // newRatePattern builds a sampler for a defaulted, validated CBR or VBR
-// spec. The first Segment call draws the first VBR segment.
+// spec.
 func newRatePattern(s StreamSpec) *RatePattern {
-	return &RatePattern{spec: s, vbr: s.Kind == SpecVBR, rng: NewRng(s.Seed ^ 0xa5a5a5a5a5a5a5a5), current: s.Rate}
+	return &RatePattern{spec: s, vbr: s.Kind == SpecVBR}
 }
 
-// Reset rewinds the pattern to the state StreamSpec.Pattern would build for
-// the same spec re-seeded with seed, without allocating: a reused pattern
-// replays exactly the segment sequence a fresh one would produce. It never
-// fails.
+// Reset re-seeds the pattern, so it plays exactly the segments
+// StreamSpec.Pattern would build for the same spec with that seed. It never
+// fails and does not allocate.
 func (p *RatePattern) Reset(seed uint64) error {
-	p.rng.Seed(seed ^ 0xa5a5a5a5a5a5a5a5)
-	p.drawn = 0
-	p.segmentEnd = 0 // force a draw on first use, as a fresh pattern does
-	p.current = p.spec.Rate
+	p.spec.Seed = seed
 	return nil
 }
 
@@ -107,21 +95,30 @@ func (p *RatePattern) Reset(seed uint64) error {
 func (p *RatePattern) PeakRate() units.BitRate { return p.spec.PeakRate() }
 
 // Segment returns the rate in effect at time t and the end of its segment:
-// the nominal rate until +Inf for CBR; for VBR the draw of segment k, which
-// covers [k·SegmentLength, (k+1)·SegmentLength). The pattern keeps its own
-// draw state, so the cursor passes through unused.
+// the nominal rate until +Inf for CBR, whose cursor passes through unused;
+// for VBR segment k, which covers [k·SegmentLength, (k+1)·SegmentLength),
+// with k+1 as the cursor, as the video pattern does.
 func (p *RatePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if !p.vbr {
 		return p.spec.Rate, units.Duration(math.Inf(1)), cursor
 	}
-	for t >= p.segmentEnd {
-		spread := p.spec.Variability
-		factor := 1 - spread + 2*spread*p.rng.Float64()
-		p.current = p.spec.Rate.Scale(factor)
-		p.drawn++
-		p.segmentEnd = p.spec.SegmentLength.Scale(float64(p.drawn))
+	length := p.spec.SegmentLength
+	k := segmentIndex(t, length, cursor)
+	if k < 0 {
+		// Beyond maxFrameIndex segments: the index as exact as t allows.
+		w := math.Mod(t.Seconds(), length.Seconds())
+		return p.segmentRate(uint64(math.Mod(t.Seconds()/length.Seconds(), 1<<64))), farEnd(t, w, length.Seconds()), NoCursor
 	}
-	return p.current, p.segmentEnd, cursor
+	return p.segmentRate(uint64(k)), length.Scale(float64(k + 1)), k + 1
+}
+
+// segmentRate returns the rate of VBR segment k. A SplitMix64 generator's
+// state after k draws is its seed plus k increments, so draw k of the
+// sequence the seed starts is one step from that state.
+func (p *RatePattern) segmentRate(k uint64) units.BitRate {
+	r := Rng{state: (p.spec.Seed ^ 0xa5a5a5a5a5a5a5a5) + k*0x9e3779b97f4a7c15}
+	spread := p.spec.Variability
+	return p.spec.Rate.Scale(1 - spread + 2*spread*r.Float64())
 }
 
 // AverageRate returns the long-run average rate of the stream.
