@@ -173,8 +173,9 @@ func TestCycleEnergyMatchesStepwiseAccounting(t *testing.T) {
 }
 
 func TestStepBoundStopsAtRateChanges(t *testing.T) {
-	// A VBR pattern announces its segment boundaries; the drain must step
-	// exactly to each boundary instead of integrating across it.
+	// A VBR pattern announces its segment boundaries; the standby drain
+	// integrates across them exactly, each segment at its own rate, in one
+	// step.
 	pattern, err := workload.VBRSpec(1024*units.Kbps, 42).Pattern(units.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -194,12 +195,12 @@ func TestStepBoundStopsAtRateChanges(t *testing.T) {
 	if !almostEqual(c.DeviceStats().StreamedBits.Bits(), want.Bits(), 1e-9) {
 		t.Errorf("streamed %v, want exactly %v", c.DeviceStats().StreamedBits, want)
 	}
-	if c.DeviceStats().Steps < 4 {
-		t.Errorf("drain took %d steps, want one per crossed two-second segment", c.DeviceStats().Steps)
+	if c.DeviceStats().Steps != 1 {
+		t.Errorf("drain took %d steps, want one standby step across the two-second segments", c.DeviceStats().Steps)
 	}
-	// The drain crossed several segments, so it took several steps; the
-	// total time must equal the sum of per-segment drain times, which for a
-	// ±30% pattern differs measurably from the constant-rate time.
+	// The drain crossed several segments; the total time must equal the sum
+	// of per-segment drain times, which for a ±30% pattern differs
+	// measurably from the constant-rate time.
 	drainTime := c.DeviceStats().StateTime[device.StateStandby]
 	if drainTime.Seconds() < 5 || drainTime.Seconds() > 20 {
 		t.Errorf("drain time %v outside the plausible VBR range", drainTime)
@@ -223,6 +224,32 @@ func (s stepRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Du
 	return s.highRate, units.Duration(math.Inf(1)), cursor
 }
 
+func (s stepRate) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	elapsed, bits := advanceTwoPhase(s.switchAt, s.lowRate, s.highRate, t, span, budget)
+	return elapsed, bits, cursor
+}
+
+// advanceTwoPhase is Advance for a source playing before until switchAt and
+// after from then on.
+func advanceTwoPhase(switchAt units.Duration, before, after units.BitRate, t, span units.Duration, budget units.Size) (units.Duration, units.Size) {
+	// stopIn ends the walk in a segment of the given rate entered after
+	// elapsed with bits drained: at the budget or at the span's end.
+	stopIn := func(rate units.BitRate, elapsed units.Duration, bits units.Size) (units.Duration, units.Size) {
+		if need := rate.TimeFor(budget.Sub(bits)); elapsed.Add(need) < span {
+			return elapsed.Add(need), bits.Add(rate.Times(need))
+		}
+		return span, bits.Add(rate.Times(span.Sub(elapsed)))
+	}
+	if t >= switchAt {
+		return stopIn(after, 0, 0)
+	}
+	first := switchAt.Sub(t)
+	if bits := before.Times(first); first < span && bits < budget {
+		return stopIn(after, first, bits)
+	}
+	return stopIn(before, 0, 0)
+}
+
 // spikeRate models one oversized video frame: demand above the media rate
 // until switchAt, modest afterwards, with the boundary as a segment end.
 type spikeRate struct {
@@ -238,6 +265,10 @@ func (s *spikeRate) Segment(t units.Duration, cursor int) (units.BitRate, units.
 		return s.highRate, s.switchAt, cursor
 	}
 	return s.lowRate, units.Duration(math.Inf(1)), cursor
+}
+func (s *spikeRate) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	elapsed, bits := advanceTwoPhase(s.switchAt, s.highRate, s.lowRate, t, span, budget)
+	return elapsed, bits, cursor
 }
 
 // TestRefillStepsOverDemandSpike locks in the refillStream fix: while demand

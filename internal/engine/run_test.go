@@ -201,3 +201,73 @@ func TestBestEffortBacklogDrainsAcrossRateChanges(t *testing.T) {
 		t.Errorf("drained %.17g bits during the backlog, want the piecewise-exact %.17g", got.Bits(), want.Bits())
 	}
 }
+
+// TestStandbyIsOneStep checks that a standby is one engine step however many
+// demand segments it spans. Ten minutes of 1024 kbps video through 128 KiB,
+// one frame every 40 ms, take at most 7 steps per refill cycle (a step per
+// frame took about 30). A three-stream core, two step sources and a VBR
+// stream with quarter-second segments, wakes at the wake-up time of its
+// earliest stream computed by hand, segment by segment, after crossing
+// seven rate changes in one step (and at most one more for the rounding
+// sliver the woken stream can keep above its wake level).
+func TestStandbyIsOneStep(t *testing.T) {
+	b := NewMEMS(device.DefaultMEMS())
+	video, err := workload.VideoSpec(1024*units.Kbps, 1).Pattern(10 * units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newSingleCore(b, video, 128*units.KiB, 0.4)
+	dev, err := m.Run(&Cycle{Policy: PolicyRoundRobin, DRAM: device.DefaultDRAM(), Single: true}, 10*units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perCycle := float64(dev.Steps) / float64(dev.RefillCycles); dev.RefillCycles == 0 || perCycle > 7 {
+		t.Errorf("%d steps over %d refill cycles (%.2f per cycle), want at most 7", dev.Steps, dev.RefillCycles, perCycle)
+	}
+
+	vbrSpec := workload.VBRSpec(1536*units.Kbps, 3)
+	vbrSpec.SegmentLength = 250 * units.Millisecond
+	vbr, err := vbrSpec.Pattern(units.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []stepRate{
+		{switchAt: units.Duration(0.3), lowRate: 256 * units.Kbps, highRate: 1024 * units.Kbps},
+		{switchAt: units.Duration(0.7), lowRate: 128 * units.Kbps, highRate: 512 * units.Kbps},
+	}
+	buffer := 256 * units.KiB
+	c := NewMultiCore(b, []StreamConfig{{Source: steps[0], Buffer: buffer}, {Source: steps[1], Buffer: buffer}, {Source: vbr, Buffer: buffer}})
+	// Each stream's wake-up: the time its demand drains buffer − wake level.
+	wakeAt := make([]float64, 3)
+	for i, s := range steps {
+		budget := buffer.Sub(c.WakeLevel(i)).Bits()
+		if low := s.lowRate.Times(s.switchAt).Bits(); budget <= low {
+			wakeAt[i] = budget / s.lowRate.BitsPerSecond()
+		} else {
+			wakeAt[i] = s.switchAt.Seconds() + (budget-low)/s.highRate.BitsPerSecond()
+		}
+	}
+	budget, crossed := buffer.Sub(c.WakeLevel(2)).Bits(), 0
+	for at, cursor := units.Duration(0), workload.NoCursor; ; crossed++ {
+		rate, end, next := vbr.Segment(at, cursor)
+		if whole := rate.Times(end.Sub(at)).Bits(); whole < budget {
+			budget -= whole
+			at, cursor = end, next
+			continue
+		}
+		wakeAt[2] = at.Seconds() + budget/rate.BitsPerSecond()
+		break
+	}
+	if wakeAt[2] >= wakeAt[0] || wakeAt[2] <= steps[1].switchAt.Seconds() || crossed < 5 {
+		t.Fatalf("wake-ups at %v s after %d VBR segment ends; the VBR stream must wake first after both switches", wakeAt, crossed)
+	}
+	if woken := c.drainToWake(device.StateStandby, units.Hour); woken != 2 {
+		t.Errorf("stream %d woke the device, want the VBR stream 2 (wake-ups at %v s)", woken, wakeAt)
+	}
+	if !almostEqual(c.now.Seconds(), wakeAt[2], 1e-12) {
+		t.Errorf("woke at %.17g s, want %.17g s", c.now.Seconds(), wakeAt[2])
+	}
+	if got := c.DeviceStats().Steps; got > 2 {
+		t.Errorf("standby took %d steps across %d rate changes, want one", got, crossed+2)
+	}
+}

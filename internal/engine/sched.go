@@ -52,6 +52,11 @@ type streamState struct {
 	priority      int
 	inRebuffer    bool
 	stats         Stats
+	// walked, drained and next hold the source's Advance over the standby
+	// step drainToWake is taking.
+	walked  units.Duration
+	drained units.Size
+	next    int
 }
 
 // loadSegment caches the source's segment holding time t.
@@ -59,11 +64,11 @@ func (st *streamState) loadSegment(t units.Duration) {
 	st.rate, st.segEnd, st.cursor = st.source.Segment(t, st.cursor)
 }
 
-// drain removes dt's worth of demand from the stream buffer, tracking
+// drain removes drained bits of demand from the stream buffer, tracking
 // underruns, rebuffer episodes and the minimum level in both the stream's own
-// statistics and the aggregate device statistics.
-func (st *streamState) drain(rate units.BitRate, dt units.Duration, dev *Stats) {
-	drained := rate.Times(dt)
+// statistics and the aggregate device statistics. A stall is timed at the
+// given demand rate.
+func (st *streamState) drain(drained units.Size, rate units.BitRate, dev *Stats) {
 	st.level = st.level.Sub(drained)
 	if st.level < 0 {
 		st.stats.Underruns++
@@ -245,6 +250,7 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 			return nil, err
 		}
 	}
+	background := c.DRAM.BackgroundPower(m.totalBuffer)
 	lastCycleEnd := units.Duration(0)
 	lastMediaBits := units.Size(0)
 	for m.now < end {
@@ -279,7 +285,7 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 			access = m.totalBuffer
 		}
 		dev.DRAMEnergy = dev.DRAMEnergy.
-			Add(c.DRAM.BackgroundPower(m.totalBuffer).Times(cycleTime)).
+			Add(background.Times(cycleTime)).
 			Add(c.DRAM.AccessEnergy(access.Scale(2)))
 		lastCycleEnd = m.now
 		lastMediaBits = dev.MediaBits
@@ -346,15 +352,23 @@ func (m *MultiCore) StreamStats(i int) *Stats { return &m.streams[i].stats }
 // drains its buffer at its own demand. focus names the stream being serviced
 // (its statistics receive the state time and energy too); pass -1 for shared
 // states. Each stream drains at the rate of the segment holding the step's
-// start, which is exact because every caller bounds its step by stepBound; a
-// stream whose segment ends with the step reloads the next one.
+// start, which is exact because every caller bounds its step by stepBound.
 func (m *MultiCore) account(state device.PowerState, dt units.Duration, focus int) {
 	if dt <= 0 {
 		return
 	}
 	for _, st := range m.streams {
-		st.drain(st.rate, dt, &m.device)
+		st.drain(st.rate.Times(dt), st.rate, &m.device)
 	}
+	m.charge(state, dt, focus)
+}
+
+// charge closes a step of dt in the given state once every stream has
+// drained over it: it advances the clock, books the state's time and energy
+// (to the focused stream too), reloads the segment of every stream whose
+// segment the step reached the end of, and tracks the device-level minimum
+// occupancy.
+func (m *MultiCore) charge(state device.PowerState, dt units.Duration, focus int) {
 	m.now = m.now.Add(dt)
 	m.device.Steps++
 	energy := m.statePower[state].Times(dt)
@@ -401,27 +415,32 @@ func (m *MultiCore) wokenStream() int {
 }
 
 // drainToWake stays in the given state until some stream's buffer falls to
-// its wake level or the deadline passes, stepping exactly from rate change to
-// rate change. It returns the index of the stream that forced the wake-up, or
-// -1 when the deadline arrived first. A stream whose demand is momentarily
-// zero holds its level and cannot shorten the step; the device idles until a
-// demand resumes or the deadline arrives.
+// its wake level or the deadline passes. It returns the index of the stream
+// that forced the wake-up, or -1 when the deadline arrived first. Each pass
+// is one step however many rate changes it spans: every stream's pattern
+// integrates its own demand across whole segments (workload.Pattern's
+// Advance), the step ends at the earliest wake-up or at the deadline, and
+// every stream drains to it. A zero-demand segment never ends the step.
 func (m *MultiCore) drainToWake(state device.PowerState, deadline units.Duration) int {
 	for m.now < deadline {
 		if i := m.wokenStream(); i >= 0 {
 			return i
 		}
-		dt := deadline.Sub(m.now)
+		span := deadline.Sub(m.now)
 		for _, st := range m.streams {
-			if !st.rate.Positive() {
-				continue
-			}
-			if need := st.rate.TimeFor(st.level.Sub(st.wakeLevel)); need < dt {
-				dt = need
-			}
+			st.walked, st.drained, st.next = st.source.Advance(m.now, st.cursor, span, st.level.Sub(st.wakeLevel))
+			span = min(span, st.walked)
 		}
-		dt = m.stepBound(dt)
-		m.account(state, dt, -1)
+		// A stream whose walk ended at the step's end has drained it already;
+		// the others walk again to that end with no budget.
+		for _, st := range m.streams {
+			if st.walked != span {
+				st.walked, st.drained, st.next = st.source.Advance(m.now, st.cursor, span, units.Size(math.Inf(1)))
+			}
+			st.drain(st.drained, st.rate, &m.device)
+			st.cursor = st.next
+		}
+		m.charge(state, span, -1)
 	}
 	return -1
 }

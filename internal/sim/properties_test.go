@@ -202,9 +202,11 @@ func framePlayback(frames []workload.Frame, horizon, end units.Duration) float64
 // frame-accurate demand exactly, also while the device serves best-effort
 // traffic: a video or trace run without underruns streams the bits its
 // frames play over the simulated time, to a relative 1e-12. The runs are an
-// hour of 1024 kbps video at three seeds and five minutes replaying a 60 s
-// trace (five passes and the overrun of the last cycle), each without best
-// effort and at 5 % and 20 %.
+// hour of 1024 kbps video at three seeds, five minutes replaying a 60 s
+// trace (five passes and the overrun of the last cycle), and ten minutes of
+// three streams sharing the device (1024 kbps video, 768 kbps VBR and
+// 512 kbps CBR), whose video stream must stream its own frames; each runs
+// without best effort and at 5 % and 20 %.
 func TestFrameAccurateRunsStreamTheirFrames(t *testing.T) {
 	rate := 1024 * units.Kbps
 	type run struct {
@@ -254,6 +256,38 @@ func TestFrameAccurateRunsStreamTheirFrames(t *testing.T) {
 				t.Errorf("%s at %g best effort: streamed %.17g bits over %v, the frames play %.17g (rel %.2e)",
 					name, be, st.StreamedBits.Bits(), st.SimulatedTime, want, d)
 			}
+		}
+	}
+
+	video := workload.VideoSpec(rate, 1)
+	frames, err = video.TraceFrames(10 * units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon = units.Second.Scale(float64(len(frames)) / video.FrameRate)
+	for _, be := range []float64{0, 0.05, 0.2} {
+		cfg := MultiConfig{Device: device.DefaultMEMS(), DRAM: device.DefaultDRAM(), Duration: 10 * units.Minute, Seed: 1,
+			Streams: []MultiStream{
+				{Name: "video", Spec: video, Buffer: 128 * units.KiB},
+				{Name: "vbr", Spec: workload.VBRSpec(768*units.Kbps, 1), Buffer: 128 * units.KiB},
+				{Name: "cbr", Spec: workload.CBRSpec(512 * units.Kbps), Buffer: 128 * units.KiB},
+			}}
+		if be > 0 {
+			cfg.BestEffort = workload.NewBestEffortProcess(be, cfg.MediaRate(), 1)
+		}
+		ms, err := RunMulti(cfg)
+		if err != nil {
+			t.Fatalf("three streams at %g best effort: %v", be, err)
+		}
+		st := ms.Streams[0]
+		if ms.Device.Underruns != 0 || (be > 0 && ms.Device.BestEffortRequests == 0) {
+			t.Fatalf("three streams at %g best effort: %d underruns, %d best-effort requests",
+				be, ms.Device.Underruns, ms.Device.BestEffortRequests)
+		}
+		want := framePlayback(frames, horizon, st.SimulatedTime)
+		if d := relDiff(st.StreamedBits.Bits(), want); d > 1e-12 {
+			t.Errorf("three streams at %g best effort: the video stream streamed %.17g bits over %v, its frames play %.17g (rel %.2e)",
+				be, st.StreamedBits.Bits(), st.SimulatedTime, want, d)
 		}
 	}
 }

@@ -127,7 +127,8 @@ func TestSegmentWalkIntegratesFrames(t *testing.T) {
 // zero to 1e300 s: it never panics, the segment ends strictly after t, and
 // the cursor is only a hint — any cursor gives the answer of a lookup
 // without one wherever the frame index is exact (the far path beyond it
-// keeps no cursor).
+// keeps no cursor). Advance over one second from the same times covers at
+// most that second and hands back the cursor Segment returns where it stops.
 func TestQuickSegmentEndsAfterT(t *testing.T) {
 	patterns := map[string]Pattern{}
 	for name, fp := range exactnessPatterns(t) {
@@ -169,6 +170,11 @@ func TestQuickSegmentEndsAfterT(t *testing.T) {
 			}
 			if at < 1e9 && (hinted != rate || hintedEnd != end) {
 				t.Logf("%s at %v: cursor %d gives (%v, %v), no cursor (%v, %v)", name, at, cursor, hinted, hintedEnd, rate, end)
+				return false
+			}
+			elapsed, bits, next := p.Advance(at, cursor, units.Second, units.Size(1e5))
+			if _, _, want := p.Segment(at.Add(elapsed), cursor); !(elapsed > 0 && elapsed <= units.Second && bits > 0) || next != want {
+				t.Logf("%s at %v with cursor %d: Advance covers %v with %v, cursor %d where Segment gives %d", name, at, cursor, elapsed, bits, next, want)
 				return false
 			}
 		}

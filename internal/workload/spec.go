@@ -36,8 +36,10 @@ const specKinds = `"cbr", "vbr", "video" or "trace"`
 const MaxTraceHorizon = units.Hour
 
 // Pattern is piecewise-constant stream demand, read one constant segment at
-// a time, so event-driven integrators step exactly from change to change.
-// RatePattern, VideoRatePattern and TracePattern all implement it.
+// a time, so event-driven integrators step exactly from change to change, or
+// integrated across whole segments at once, so an integrator that only needs
+// the total over a span takes one step. RatePattern, VideoRatePattern and
+// TracePattern all implement it.
 type Pattern interface {
 	// PeakRate returns the largest demand the pattern can produce.
 	PeakRate() units.BitRate
@@ -47,10 +49,21 @@ type Pattern interface {
 	// constant-demand segment holding t (strictly after t; +Inf for a
 	// constant pattern) and the cursor to pass with the next call. The
 	// cursor is only a hint: NoCursor makes the pattern search from
-	// scratch, and the returned cursor makes a call within the next
-	// segment O(1), so a clock that advances segment by segment never
-	// searches.
+	// scratch, and the returned cursor makes a later call within the same
+	// segment or the next one O(1), so a clock that advances segment by
+	// segment never searches.
 	Segment(t units.Duration, cursor int) (rate units.BitRate, end units.Duration, next int)
+	// Advance integrates the demand forward from t ≥ 0 across whole
+	// segments. It stops after span, or inside the segment where the
+	// drained bits reach budget, solved at that segment's rate; a
+	// zero-demand segment never stops it. It returns the time covered
+	// (never more than span, and exactly span when span stops it), the
+	// bits drained and the cursor Segment(t+elapsed, cursor) returns.
+	// cursor is the one Segment returned for t, or NoCursor, and is only a
+	// hint. A walk that stops in t's own segment covers exactly
+	// min(span, budget/rate) and drains rate × elapsed, the arithmetic of a
+	// single integration step. span and budget must be positive.
+	Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (elapsed units.Duration, bits units.Size, next int)
 	// Reset rewinds the pattern in place, without allocating, to the state
 	// StreamSpec.Pattern builds for the same spec re-seeded with seed, so
 	// batch replicas can reuse one pattern across seed-varied runs.

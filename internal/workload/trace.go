@@ -216,15 +216,45 @@ func (p *TracePattern) Reset(uint64) error { return nil }
 // covers [pass·horizon + starts[i], pass·horizon + starts[i+1]), and the
 // last frame of a pass ends where the next pass starts, at
 // (pass+1)·horizon. The returned cursor is j+1, the absolute index of the
-// frame expected next.
+// frame expected next; the frame it names and the one before it are tried
+// before a search.
 func (p *TracePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
-	if n := len(p.starts); cursor >= 0 && cursor/n < p.maxPass {
-		s := t.Seconds()
-		if start, end := p.bounds(cursor/n, cursor%n); start <= s && s < end {
-			return p.rates[cursor%n], units.Second.Scale(end), cursor + 1
+	s, n := t.Seconds(), len(p.starts)
+	for j := cursor; j >= max(cursor-1, 0) && j/n < p.maxPass; j-- {
+		if start, end := p.bounds(j/n, j%n); start <= s && s < end {
+			return p.rates[j%n], units.Second.Scale(end), j + 1
 		}
 	}
 	return p.search(t)
+}
+
+// Advance walks the frames from the one playing at t, as the video pattern
+// does: that frame drains at its rate to its end, each whole frame after it
+// drains its size in one add, and the frame the walk stops in drains at its
+// rate. Beyond maxPass passes, and where t's precision loses the frame, it
+// falls back to a walk by Segment.
+func (p *TracePattern) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	rate, end, next := p.Segment(t, cursor)
+	if next == NoCursor || !(t.Add(span).Seconds() < p.horizon*float64(p.maxPass)) {
+		return walkSegments(p, t, cursor, span, budget)
+	}
+	n := len(p.starts)
+	pass, i := (next-1)/n, (next-1)%n
+	e := end.Sub(t) // the walk's elapsed time at the current frame's end
+	drained := rate.Times(e)
+	var elapsed units.Duration
+	var bits units.Size
+	for e < span && bits.Add(drained) < budget {
+		elapsed, bits = e, bits.Add(drained)
+		if i++; i == n {
+			i, pass = 0, pass+1
+		}
+		_, stop := p.bounds(pass, i)
+		e, drained = units.Second.Scale(stop).Sub(t), p.frames[i].Size
+	}
+	elapsed, bits = stopIn(p.rates[i], elapsed, span, bits, budget)
+	_, _, next = p.Segment(t.Add(elapsed), pass*n+i)
+	return elapsed, bits, next
 }
 
 // bounds returns the start and end, in seconds, of frame i in the given

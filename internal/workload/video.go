@@ -219,24 +219,57 @@ func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate,
 	if j < 0 {
 		return p.farSegment(t)
 	}
-	size := p.sizes[j%len(p.sizes)]
-	return units.BitPerSecond.Scale(size.Bits() / fi.Seconds()), fi.Scale(float64(j + 1)), j + 1
+	return p.rate(j % len(p.sizes)), fi.Scale(float64(j + 1)), j + 1
+}
+
+// rate returns the demand of trace frame i: its size over the frame
+// interval.
+func (p *VideoRatePattern) rate(i int) units.BitRate {
+	return units.BitPerSecond.Scale(p.sizes[i].Bits() / p.frameInterval.Seconds())
+}
+
+// Advance walks the frames from the one playing at t: that frame drains at
+// its rate to its end, each whole frame after it drains its size in one add,
+// and the frame the walk stops in drains at its rate.
+func (p *VideoRatePattern) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	fi, n := p.frameInterval, len(p.sizes)
+	j := segmentIndex(t, fi, cursor)
+	if j < 0 || !(t.Add(span) < fi.Scale(maxFrameIndex)) {
+		return walkSegments(p, t, cursor, span, budget)
+	}
+	i := j % n
+	end := fi.Scale(float64(j + 1)).Sub(t) // the walk's elapsed time at frame j's end
+	drained := p.rate(i).Times(end)
+	var elapsed units.Duration
+	var bits units.Size
+	for end < span && bits.Add(drained) < budget {
+		elapsed, bits = end, bits.Add(drained)
+		j++
+		if i++; i == n {
+			i = 0
+		}
+		end, drained = fi.Scale(float64(j+1)).Sub(t), p.sizes[i]
+	}
+	elapsed, bits = stopIn(p.rate(i), elapsed, span, bits, budget)
+	return elapsed, bits, segmentIndex(t.Add(elapsed), fi, j) + 1
 }
 
 // segmentIndex returns the index j of the segment [j·width, (j+1)·width)
-// holding t, trying hint first, or -1 beyond maxFrameIndex segments.
+// holding t, or -1 beyond maxFrameIndex segments. A cursor names the segment
+// after the one it was returned for, so the segment hint names and the one
+// before it are tried first.
 func segmentIndex(t, width units.Duration, hint int) int {
-	j := hint
-	if j >= 0 && j < maxFrameIndex && width.Scale(float64(j)) <= t && t < width.Scale(float64(j+1)) {
-		return j
+	for j := hint; j >= max(hint-1, 0); j-- {
+		if j < maxFrameIndex && width.Scale(float64(j)) <= t && t < width.Scale(float64(j+1)) {
+			return j
+		}
 	}
-	// The hinted segment does not hold t: the quotient is within one segment
-	// either way.
+	// Neither holds t: the quotient is within one segment either way.
 	q := t.Seconds() / width.Seconds()
 	if !(q < maxFrameIndex) {
 		return -1
 	}
-	j = int(math.Max(q, 0))
+	j := int(math.Max(q, 0))
 	for j > 0 && width.Scale(float64(j)) > t {
 		j--
 	}

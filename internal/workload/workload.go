@@ -66,6 +66,35 @@ func (r *Rng) Intn(n int) int {
 // segment holding t from scratch.
 const NoCursor = -1
 
+// stopIn ends a walk inside a segment of the given rate, entered after
+// elapsed of its span with bits of its budget drained: where the bits reach
+// the budget, or at the end of the span.
+func stopIn(rate units.BitRate, elapsed, span units.Duration, bits, budget units.Size) (units.Duration, units.Size) {
+	if need := rate.TimeFor(budget.Sub(bits)); elapsed.Add(need) < span {
+		return elapsed.Add(need), bits.Add(rate.Times(need))
+	}
+	return span, bits.Add(rate.Times(span.Sub(elapsed)))
+}
+
+// walkSegments is Advance by one Segment call per segment, each drained at
+// its rate over its extent. Patterns fall back to it where their own walk
+// has no exact segment index, beyond maxFrameIndex segments.
+func walkSegments(p Pattern, t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	rate, end, next := p.Segment(t, cursor)
+	drained := rate.Times(end.Sub(t))
+	var elapsed units.Duration
+	var bits units.Size
+	for end.Sub(t) < span && bits.Add(drained) < budget {
+		elapsed, bits = end.Sub(t), bits.Add(drained)
+		start := end
+		rate, end, next = p.Segment(start, next)
+		drained = rate.Times(end.Sub(start))
+	}
+	elapsed, bits = stopIn(rate, elapsed, span, bits, budget)
+	_, _, next = p.Segment(t.Add(elapsed), next)
+	return elapsed, bits, next
+}
+
 // RatePattern samples the instantaneous demand of a CBR or VBR spec: the
 // nominal rate throughout for CBR, and for VBR one rate per segment, uniform
 // in the variability band. StreamSpec.Pattern builds it. Segment k of a VBR
@@ -110,6 +139,37 @@ func (p *RatePattern) Segment(t units.Duration, cursor int) (units.BitRate, unit
 		return p.segmentRate(uint64(math.Mod(t.Seconds()/length.Seconds(), 1<<64))), farEnd(t, w, length.Seconds()), NoCursor
 	}
 	return p.segmentRate(uint64(k)), length.Scale(float64(k + 1)), k + 1
+}
+
+// Advance integrates the demand from t: in closed form for CBR, whose cursor
+// passes through, and for VBR segment by segment, each whole segment drained
+// at its rate over its extent.
+func (p *RatePattern) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	if !p.vbr {
+		rate := p.spec.Rate
+		if need := rate.TimeFor(budget); need < span {
+			return need, rate.Times(need), cursor
+		}
+		return span, rate.Times(span), cursor
+	}
+	length := p.spec.SegmentLength
+	k := segmentIndex(t, length, cursor)
+	if k < 0 || !(t.Add(span) < length.Scale(maxFrameIndex)) {
+		return walkSegments(p, t, cursor, span, budget)
+	}
+	rate, end := p.segmentRate(uint64(k)), length.Scale(float64(k+1))
+	drained := rate.Times(end.Sub(t))
+	var elapsed units.Duration
+	var bits units.Size
+	for end.Sub(t) < span && bits.Add(drained) < budget {
+		elapsed, bits = end.Sub(t), bits.Add(drained)
+		k++
+		start := end
+		rate, end = p.segmentRate(uint64(k)), length.Scale(float64(k+1))
+		drained = rate.Times(end.Sub(start))
+	}
+	elapsed, bits = stopIn(rate, elapsed, span, bits, budget)
+	return elapsed, bits, segmentIndex(t.Add(elapsed), length, k) + 1
 }
 
 // segmentRate returns the rate of VBR segment k. A SplitMix64 generator's
