@@ -68,9 +68,13 @@
 // engine.Cycle value (the single-stream rule — top-off refill, background
 // writes on the stream's own region, full-buffer DRAM charge — and its ECC
 // error hook), their seed conventions and their result shapes, so the two
-// paths cannot drift apart. Time advances by next-event stepping: a drain or
-// refill integration step ends at the earliest of the target buffer level,
-// the run deadline, and the end of a stream's current demand segment. Each
+// paths cannot drift apart. Time advances by next-event stepping. A standby
+// is one step: each stream's demand pattern integrates its own demand across
+// whole segments (a video or trace frame drains its size, a VBR segment its
+// rate times its length, CBR in closed form), the step ends at the earliest
+// stream's wake-up or the run deadline, and every stream drains to it. The
+// other steps of a cycle end at the earliest of the target buffer level, the
+// run deadline, and the end of a stream's current demand segment. Each
 // stream caches that segment — its rate and where it ends — from one Segment
 // query to its demand pattern, answered from a single frame (or VBR segment)
 // index, and reloads it only when the clock reaches the end; the pattern's
@@ -78,12 +82,14 @@
 // the boundary it stops at come from the same frame, so piecewise-constant
 // demand (CBR, VBR segments, per-frame video and user traces) is integrated
 // exactly: a video or trace run without underruns streams the bits its frames
-// play to a relative 1e-12, with or without best-effort traffic.
-// TestFrameAccurateRunsStreamTheirFrames in internal/sim checks this, and
-// TestSegmentWalkIntegratesFrames in internal/workload checks the patterns
-// over three passes of the wrap-around. VBR/video runs take steps
-// proportional to the number of rate changes instead of fixed 20-millisecond
-// slices.
+// play to a relative 1e-12, with or without best-effort traffic and beside
+// other streams. TestFrameAccurateRunsStreamTheirFrames in internal/sim
+// checks this, TestSegmentWalkIntegratesFrames in internal/workload checks
+// the patterns over three passes of the wrap-around, and
+// FuzzAdvanceMatchesSegments checks a pattern's whole-segment integration
+// against its segment walk. A run takes a few steps per refill cycle plus
+// one per rate change met outside standby: an hour of 25 fps video takes
+// about 5 steps per cycle, where a step per frame took about 30.
 //
 // The engine accounts per-state time and energy against a pluggable device
 // backend (power per cycle state, positioning and shutdown transitions,
@@ -209,6 +215,10 @@
 // of building one per replica. A simulator's memory does not depend on
 // Duration or the best-effort share: it draws each best-effort request when
 // the run reaches it, and a video pattern keeps 8 B per frame (its size).
+// A standby costs one engine step however many frames or VBR segments it
+// spans (see Simulation engine above), so a frame-accurate video hour takes
+// about half the time a step per frame took, and regenerating its trace for
+// the next seed is now about a third of a replica's cost.
 //
 // The analytical layer follows the same validate-once rule. Inverting the
 // Eq. 1 saving curve for one Fig. 3 point takes a golden-section search for
@@ -226,9 +236,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_19.json
-//	go run ./cmd/memsbench -check BENCH_19.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_18.json BENCH_19.json
+//	go run ./cmd/memsbench -format json -out BENCH_25.json
+//	go run ./cmd/memsbench -check BENCH_25.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_23.json BENCH_25.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

@@ -15,19 +15,21 @@
 // accounting, write-wear inflation, the cycle loop and the reset-in-place
 // machinery exist exactly once.
 //
-// The engine advances time by next-event stepping, not by fixed slices: a
-// drain or refill integration step ends at the earliest of the target level,
-// the deadline, and the end of every stream's current demand segment. Each
-// stream caches its segment — the rate and where it ends, read from its
-// workload.Pattern with one Segment call — and reloads it only once the clock
-// reaches that end. Drain, refill and transition steps therefore never
-// straddle a rate change, and the rate a step drains at and the boundary it
-// stops at come from the same frame index of the source, so
-// piecewise-constant demand — CBR, VBR segments, per-frame video and user
-// traces — is integrated exactly, also while the device serves best-effort
-// traffic: a cycle's whole best-effort backlog is one such step. The step
-// count is proportional to the number of rate changes and refill cycles
-// instead of the simulated time divided by a slice width.
+// The engine advances time by next-event stepping, not by fixed slices. A
+// standby is one step however many rate changes it spans: each stream's
+// workload.Pattern integrates its own demand across whole segments
+// (Advance), the step ends at the earliest stream's wake-up or at the
+// deadline, and every stream drains to it. The other steps — positioning,
+// refill, the best-effort backlog and shutdown — end at the earliest of the
+// target level, the deadline, and the end of every stream's current demand
+// segment: each stream caches its segment (the rate and where it ends, read
+// with one Segment call) and reloads it once the clock reaches that end, so
+// these steps never straddle a rate change. Either way piecewise-constant
+// demand — CBR, VBR segments, per-frame video and user traces — is
+// integrated exactly, also while the device serves best-effort traffic: a
+// cycle's whole best-effort backlog is one such step. The step count is
+// proportional to the number of refill cycles plus the rate changes met
+// outside standby, instead of the simulated time divided by a slice width.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so
@@ -123,8 +125,9 @@ type Stats struct {
 	// ECCUncorrectable counts codewords the codec had to give up on.
 	ECCUncorrectable int
 	// Steps counts the accounting steps that advanced time: the event count
-	// of the run. It is deterministic for a given configuration and feeds
-	// the engine totals mirrored at /metricsz.
+	// of the run, one per standby and one per demand segment the other
+	// states of a cycle cross. It is deterministic for a given configuration
+	// and feeds the engine totals mirrored at /metricsz.
 	Steps int
 }
 

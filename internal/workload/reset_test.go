@@ -21,8 +21,7 @@ type segment struct {
 }
 
 // sampleSegments walks the pattern through the first minute at a
-// quarter-second step, driving the lazy segment draws exactly as an
-// integrator would, and records the segment holding each step.
+// quarter-second step and records the segment holding each step.
 func sampleSegments(p Pattern) []segment {
 	out := make([]segment, 0, 240)
 	for i := 0; i < 240; i++ {

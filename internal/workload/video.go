@@ -238,17 +238,17 @@ func (p *VideoRatePattern) Advance(t units.Duration, cursor int, span units.Dura
 		return walkSegments(p, t, cursor, span, budget)
 	}
 	i := j % n
-	end := fi.Scale(float64(j + 1)).Sub(t) // the walk's elapsed time at frame j's end
-	drained := p.rate(i).Times(end)
+	e := fi.Scale(float64(j + 1)).Sub(t) // the walk's elapsed time at frame j's end
+	drained := p.rate(i).Times(e)
 	var elapsed units.Duration
 	var bits units.Size
-	for end < span && bits.Add(drained) < budget {
-		elapsed, bits = end, bits.Add(drained)
+	for e < span && bits.Add(drained) < budget {
+		elapsed, bits = e, bits.Add(drained)
 		j++
 		if i++; i == n {
 			i = 0
 		}
-		end, drained = fi.Scale(float64(j+1)).Sub(t), p.sizes[i]
+		e, drained = fi.Scale(float64(j+1)).Sub(t), p.sizes[i]
 	}
 	elapsed, bits = stopIn(p.rate(i), elapsed, span, bits, budget)
 	return elapsed, bits, segmentIndex(t.Add(elapsed), fi, j) + 1
@@ -291,8 +291,7 @@ func (p *VideoRatePattern) farSegment(t units.Duration) (units.BitRate, units.Du
 	for i > 0 && fi*float64(i) > w {
 		i--
 	}
-	rate := units.BitPerSecond.Scale(p.sizes[i].Bits() / fi)
-	return rate, farEnd(t, w, fi*float64(i+1)), NoCursor
+	return p.rate(i), farEnd(t, w, fi*float64(i+1)), NoCursor
 }
 
 // maxFrameIndex bounds the absolute frame indices patterns compute: below
