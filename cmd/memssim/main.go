@@ -323,7 +323,9 @@ func runMulti(w io.Writer, o options) error {
 		}
 		cfg.Streams = append(cfg.Streams, stream)
 	}
-	if o.bestEffort > 0 {
+	// A zero share leaves the disabled zero process; any other value,
+	// negative or NaN included, goes to the simulator's validation.
+	if o.bestEffort != 0 {
 		cfg.BestEffort = memstream.NewBestEffortProcess(o.bestEffort, cfg.MediaRate(), o.seed)
 	}
 	// Reset seeds every stream from -seed by the library's multi-stream
@@ -447,7 +449,7 @@ func run(w io.Writer, o options) error {
 			BitErrorRate: o.ber,
 			Seed:         s,
 		}
-		if o.bestEffort > 0 {
+		if o.bestEffort != 0 {
 			cfg.BestEffort = memstream.NewBestEffortProcess(o.bestEffort, mediaRate, s)
 		}
 		return cfg

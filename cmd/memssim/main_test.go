@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +101,8 @@ func TestRunBadInputs(t *testing.T) {
 		func(o *options) { o.rate = "oops" },
 		func(o *options) { o.buffer = "oops" },
 		func(o *options) { o.duration = "oops" },
+		func(o *options) { o.bestEffort = -0.2 },
+		func(o *options) { o.bestEffort = math.NaN() },
 	}
 	for i, mutate := range cases {
 		if err := run(&bytes.Buffer{}, opts(mutate)); err == nil {
@@ -477,6 +480,7 @@ func TestRunMultiStreamsRejections(t *testing.T) {
 		{"bad write", func(o *options) { o.streams = streamFlags{"name=a,rate=1kbps,buffer=1KiB,write=2"} }, "write must be"},
 		{"NaN write", func(o *options) { o.streams = streamFlags{"name=a,rate=1024kbps,buffer=64KiB,write=NaN"} }, "write fraction must be in [0, 1]"},
 		{"trace on cbr", func(o *options) { o.streams = streamFlags{"name=a,rate=1kbps,buffer=1KiB,trace=x"} }, "trace only applies"},
+		{"negative best effort", func(o *options) { o.streams = streams; o.bestEffort = -0.2 }, "best-effort fraction must be in [0, 1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

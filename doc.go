@@ -60,15 +60,21 @@
 // The discrete-event simulator is built on one event-driven scheduling core
 // (internal/engine), and that core runs the refill cycle itself: K stream
 // buffers drain concurrently while the shared device wakes, services them
-// under a scheduling policy, serves the best-effort backlog and shuts down
-// again, and each cycle is charged its DRAM energy. A single-stream run is
-// literally the K=1 case of that core. The single- and multi-stream
-// simulators share one simulator core that builds the demand patterns and
-// the engine core and rewinds them between replicas. They differ only in an
-// engine.Cycle value (the single-stream rule — top-off refill, background
-// writes on the stream's own region, full-buffer DRAM charge — and its ECC
-// error hook), their seed conventions and their result shapes, so the two
-// paths cannot drift apart. Time advances by next-event stepping. A standby
+// under a scheduling policy, serves the best-effort backlog, tops off the
+// stream it serviced last (with no new positioning) and shuts down again.
+// The rule is one for every K: each cycle is charged one pass of the summed
+// buffer in and out of the DRAM, as Eq. 1 and the shared-device plan price
+// a cycle, and background writes wear the region of the stream serviced
+// last, on the device record only. So a single-stream run is the one-stream
+// shared device, bit for bit: with the same spec, buffer, best effort and
+// seeds, SimulateMulti's device record equals Simulate's in every field but
+// the ECC counters, which only Simulate's error model fills
+// (FuzzOneStreamSharedDeviceIsSingle in internal/sim). The two simulators
+// share one simulator core that builds the demand patterns, the engine core
+// and the cycle rule, and rewinds them between replicas; left to differ are
+// their seed conventions, validation texts, result shapes and the
+// single-stream ECC error model, which samples each refill cycle once after
+// the run. Time advances by next-event stepping. A standby
 // is one step: each stream's demand pattern integrates its own demand across
 // whole segments (a video or trace frame drains its size, a VBR segment its
 // rate times its length, CBR in closed form), the step ends at the earliest
@@ -161,9 +167,9 @@
 //
 // The multi-stream analysis (SharedSystem, the generalised Fig. 1 cycle in
 // internal/multistream) has a simulated counterpart: SimulateMulti runs
-// several concurrent streams on one device through the same unified
-// scheduling core the single-stream simulator drives at K=1. Each stream is
-// a SimMultiStream — any workload spec (CBR, VBR, video, trace) plus its own
+// several concurrent streams on one device through the scheduling core and
+// the refill-cycle rule Simulate runs one stream through. Each stream is a
+// SimMultiStream — any workload spec (CBR, VBR, video, trace) plus its own
 // dedicated buffer and an optional Priority class — and all buffers drain
 // concurrently while the shared device sleeps. The device wakes when any
 // buffer falls to its wake level (provisioned to survive a full service
@@ -171,7 +177,10 @@
 // positioning rule), repositions to each stream's region in turn — paying
 // the backend's positioning transition per stream, exactly like the closed
 // form's inter-stream seeks — refills that stream at the media rate, serves
-// the best-effort backlog and shuts down again.
+// the best-effort backlog, tops off the stream it serviced last and shuts
+// down again. Each cycle is charged one DRAM pass of the summed buffer, as
+// the plan's At charges it, and background writes wear the region of the
+// stream serviced last; the stream records carry only their own traffic.
 //
 // Three scheduling policies order the service round (SchedulingPolicy,
 // SimMultiConfig.Policy):

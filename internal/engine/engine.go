@@ -8,12 +8,16 @@
 //
 // There is one scheduling core, MultiCore, and it runs the cycle itself:
 // K stream buffers drain concurrently while the device wakes, services them
-// under a Policy, serves the best-effort backlog and shuts down again, and
-// MultiCore.Run charges each cycle's DRAM energy and closes the run's
-// record. A Cycle value carries the run's rules. A single-stream run is the
-// K=1 case under the single-stream rule, so wake provisioning, refill
-// accounting, write-wear inflation, the cycle loop and the reset-in-place
-// machinery exist exactly once.
+// under a Policy, serves the best-effort backlog, tops off the stream it
+// serviced last and shuts down again, and MultiCore.Run charges each cycle's
+// DRAM energy and closes the run's record. A Cycle value carries the run's
+// policy, DRAM and best-effort process. The cycle rule is the same for every
+// K, so a single-stream run is exactly the K=1 case, and wake provisioning,
+// refill accounting, write-wear inflation, the cycle loop and the
+// reset-in-place machinery exist once. Nothing in the engine depends on
+// which simulator drives it; the one place the stream count matters is the
+// wake provisioning's service round, which for one stream is the
+// positioning transition alone.
 //
 // The engine advances time by next-event stepping, not by fixed slices. A
 // standby is one step however many rate changes it spans: each stream's

@@ -16,13 +16,77 @@ func accessOnlyDRAM() device.DRAM {
 	return d
 }
 
-// TestRunClosesEveryRecordOnce drives a two-stream core through Run under
-// the shared-device rule: the records close consistently, background writes
-// wear the device uninflated, each cycle is charged the volume it refilled,
-// and the run is recorded once. A second Run returns the same record, and a
-// Reset replays the run bit for bit, best-effort draws included.
+// levelProbe wraps a demand pattern and records the budget of the engine's
+// first standby walk after each refill cycle: the stream's level above its
+// wake level as the standby opens. A walk that starts where the previous one
+// ended continues a standby (the first, or one another stream's rounding
+// split) and is not recorded.
+type levelProbe struct {
+	workload.Pattern
+	walkedTo units.Duration
+	opened   []units.Size
+}
+
+func (p *levelProbe) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
+	if t > p.walkedTo {
+		p.opened = append(p.opened, budget)
+	}
+	elapsed, bits, next := p.Pattern.Advance(t, cursor, span, budget)
+	p.walkedTo = t.Add(elapsed)
+	return elapsed, bits, next
+}
+
+// checkCycleRule checks a finished round-robin run against the one
+// refill-cycle rule, whatever the stream count. The stream serviced last is
+// the last one, whose source is probe:
+//   - background writes wear its region: the device's writes beyond the
+//     streams' own are inflated by its write inflation;
+//   - every cycle is charged one pass of the summed buffer in and out, and
+//     the best-effort data one more (c.DRAM must charge access energy only);
+//   - it ends every cycle full, so it opens every standby after a cycle at
+//     its buffer less what the shutdown drained.
+func checkCycleRule(t *testing.T, m *MultiCore, c *Cycle, dev *Stats, probe *levelProbe) {
+	t.Helper()
+	var user, physical units.Size
+	for i := range m.streams {
+		user = user.Add(m.StreamStats(i).WrittenUserBits)
+		physical = physical.Add(m.StreamStats(i).WrittenPhysicalBits)
+	}
+	last := m.streams[len(m.streams)-1]
+	background := dev.WrittenUserBits.Sub(user)
+	if want := background.Scale(last.inflation); !background.Positive() ||
+		!almostEqual(dev.WrittenPhysicalBits.Sub(physical).Bits(), want.Bits(), 1e-9) {
+		t.Errorf("background writes: %v user, %v physical; want positive and %v physical with the last stream's inflation",
+			background, dev.WrittenPhysicalBits.Sub(physical), want)
+	}
+	want := c.DRAM.AccessEnergy(m.totalBuffer.Scale(2)).Scale(float64(dev.RefillCycles)).
+		Add(c.DRAM.AccessEnergy(dev.BestEffortBits.Scale(2)))
+	if !almostEqual(dev.DRAMEnergy.Joules(), want.Joules(), 1e-9) {
+		t.Errorf("DRAM energy = %v, want %v for one summed-buffer pass per cycle", dev.DRAMEnergy, want)
+	}
+	full := last.buffer.Sub(last.rate.Times(m.shutdownTime)).Sub(last.wakeLevel)
+	for i, budget := range probe.opened {
+		if !almostEqual(budget.Bits(), full.Bits(), 1e-12) {
+			t.Errorf("the last stream opened standby %d at %v above its wake level, want %v: it did not end cycle %d full",
+				i+1, budget, full, i+1)
+		}
+	}
+	if n := len(probe.opened); n < dev.RefillCycles-1 || n > dev.RefillCycles {
+		t.Errorf("the last stream opened %d standbys after %d cycles", n, dev.RefillCycles)
+	}
+}
+
+// TestRunClosesEveryRecordOnce drives a two-stream core through Run: the
+// records close consistently, the cycles follow the one refill-cycle rule
+// (checkCycleRule), and the run is recorded once. A second Run returns the
+// same record, and a Reset replays the run bit for bit, best-effort draws
+// included.
 func TestRunClosesEveryRecordOnce(t *testing.T) {
-	m := newTestMultiCore(t)
+	probe := &levelProbe{Pattern: cbrSource(t, 512*units.Kbps)}
+	m := NewMultiCore(NewMEMS(device.DefaultMEMS()), []StreamConfig{
+		{Source: cbrSource(t, 1024*units.Kbps), Buffer: 128 * units.KB},
+		{Source: probe, Buffer: 64 * units.KB, WriteFraction: 1},
+	})
 	c := &Cycle{
 		Policy:     PolicyRoundRobin,
 		DRAM:       accessOnlyDRAM(),
@@ -48,25 +112,14 @@ func TestRunClosesEveryRecordOnce(t *testing.T) {
 	if !almostEqual(inStates.Seconds(), dev.SimulatedTime.Seconds(), 1e-12) {
 		t.Errorf("state times sum to %v over a %v run", inStates, dev.SimulatedTime)
 	}
-	var streamUser, streamPhysical units.Size
 	for i := 0; i < 2; i++ {
 		st := m.StreamStats(i)
 		if st.RefillCycles != dev.RefillCycles || st.SimulatedTime != dev.SimulatedTime {
 			t.Errorf("stream %d: %d refills over %v, want %d over %v",
 				i, st.RefillCycles, st.SimulatedTime, dev.RefillCycles, dev.SimulatedTime)
 		}
-		streamUser = streamUser.Add(st.WrittenUserBits)
-		streamPhysical = streamPhysical.Add(st.WrittenPhysicalBits)
 	}
-	background := dev.WrittenUserBits.Sub(streamUser)
-	if !background.Positive() || !almostEqual(dev.WrittenPhysicalBits.Sub(streamPhysical).Bits(), background.Bits(), 1e-9) {
-		t.Errorf("background writes: %v user, %v physical; want equal and positive",
-			background, dev.WrittenPhysicalBits.Sub(streamPhysical))
-	}
-	want := c.DRAM.AccessEnergy(dev.MediaBits.Scale(2)).Add(c.DRAM.AccessEnergy(dev.BestEffortBits.Scale(2)))
-	if !almostEqual(dev.DRAMEnergy.Joules(), want.Joules(), 1e-9) {
-		t.Errorf("DRAM energy = %v, want %v for the refilled and best-effort volumes", dev.DRAMEnergy, want)
-	}
+	checkCycleRule(t, m, c, dev, probe)
 	if after.Runs-before.Runs != 1 || after.Steps-before.Steps != uint64(dev.Steps) {
 		t.Errorf("totals moved by %d runs and %d steps, want 1 and %d",
 			after.Runs-before.Runs, after.Steps-before.Steps, dev.Steps)
@@ -89,42 +142,32 @@ func TestRunClosesEveryRecordOnce(t *testing.T) {
 	}
 }
 
-// TestRunSingleStreamRule checks what Cycle.Single changes: background
-// writes wear stream 0's formatted region, every cycle is charged one full
-// buffer pass in and out, and the AfterRefills hook runs once per cycle.
+// TestRunSingleStreamRule checks the one refill-cycle rule at K=1, where it
+// is the single-stream rule: background writes wear the stream's own region
+// but count on the device record only, every cycle is charged one full
+// buffer pass in and out, and the stream is topped off after the backlog.
 func TestRunSingleStreamRule(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
-	buffer := 64 * units.KiB
-	m := newSingleCore(b, cbrSource(t, 1024*units.Kbps), buffer, 0)
-	hooks := 0
+	probe := &levelProbe{Pattern: cbrSource(t, 1024*units.Kbps)}
+	m := newSingleCore(b, probe, 64*units.KiB, 0.4)
 	c := &Cycle{
-		Policy:       PolicyRoundRobin,
-		DRAM:         accessOnlyDRAM(),
-		BestEffort:   workload.NewBestEffortProcess(0.05, b.MediaRate(), 1),
-		Single:       true,
-		AfterRefills: func() { hooks++ },
+		Policy:     PolicyRoundRobin,
+		DRAM:       accessOnlyDRAM(),
+		BestEffort: workload.NewBestEffortProcess(0.05, b.MediaRate(), 1),
 	}
 	dev, err := m.Run(c, units.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev.RefillCycles == 0 || hooks != dev.RefillCycles {
-		t.Errorf("AfterRefills ran %d times over %d cycles", hooks, dev.RefillCycles)
+	if dev.RefillCycles == 0 || dev.BestEffortRequests < dev.RefillCycles {
+		t.Fatalf("%d refill cycles served %d best-effort requests; want a backlog in most cycles",
+			dev.RefillCycles, dev.BestEffortRequests)
 	}
 	st := m.StreamStats(0)
-	if !dev.WrittenUserBits.Positive() || st.WrittenUserBits != dev.WrittenUserBits ||
-		st.WrittenPhysicalBits != dev.WrittenPhysicalBits {
-		t.Errorf("background writes %v/%v not credited to stream 0 (%v/%v)",
-			dev.WrittenUserBits, dev.WrittenPhysicalBits, st.WrittenUserBits, st.WrittenPhysicalBits)
+	if want := st.MediaBits.Scale(0.4); !almostEqual(st.WrittenUserBits.Bits(), want.Bits(), 1e-12) {
+		t.Errorf("the stream record wrote %v, want only its own %v", st.WrittenUserBits, want)
 	}
-	if want := dev.WrittenUserBits.Scale(b.WriteInflation(buffer)); !almostEqual(dev.WrittenPhysicalBits.Bits(), want.Bits(), 1e-9) {
-		t.Errorf("physical writes = %v, want %v with the stream's inflation", dev.WrittenPhysicalBits, want)
-	}
-	want := c.DRAM.AccessEnergy(buffer.Scale(2)).Scale(float64(dev.RefillCycles)).
-		Add(c.DRAM.AccessEnergy(dev.BestEffortBits.Scale(2)))
-	if !almostEqual(dev.DRAMEnergy.Joules(), want.Joules(), 1e-9) {
-		t.Errorf("DRAM energy = %v, want %v for one buffer pass per cycle", dev.DRAMEnergy, want)
-	}
+	checkCycleRule(t, m, c, dev, probe)
 }
 
 // TestRunRejectsInvalidBestEffort checks that a best-effort process Run
@@ -150,7 +193,6 @@ func TestBestEffortBacklogIsOneStep(t *testing.T) {
 		Policy:     PolicyRoundRobin,
 		DRAM:       device.DefaultDRAM(),
 		BestEffort: workload.NewBestEffortProcess(0.05, b.MediaRate(), 1),
-		Single:     true,
 	}
 	dev, err := m.Run(c, 10*units.Minute)
 	if err != nil {
@@ -184,7 +226,7 @@ func TestBestEffortBacklogDrainsAcrossRateChanges(t *testing.T) {
 	start := units.Duration(0.9)
 	m.account(device.StateStandby, start, -1)
 	before := *m.DeviceStats()
-	m.serveBestEffort(c)
+	m.serveBestEffort(c, 0)
 	dev := m.DeviceStats()
 	if m.now <= src.switchAt {
 		t.Fatalf("backlog of %d requests ended at %v, before the rate change at %v",
@@ -217,7 +259,7 @@ func TestStandbyIsOneStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newSingleCore(b, video, 128*units.KiB, 0.4)
-	dev, err := m.Run(&Cycle{Policy: PolicyRoundRobin, DRAM: device.DefaultDRAM(), Single: true}, 10*units.Minute)
+	dev, err := m.Run(&Cycle{Policy: PolicyRoundRobin, DRAM: device.DefaultDRAM()}, 10*units.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ package engine
 // any buffer falls to its wake level, services the streams under a
 // scheduling Policy — paying the backend's positioning transition before
 // each stream, so inter-stream repositioning costs one seek per stream as in
-// internal/multistream's plan — serves the best-effort backlog and shuts
-// down again.
+// internal/multistream's plan — serves the best-effort backlog, tops off the
+// stream it serviced last and shuts down again.
 // MultiCore runs that cycle itself (Run) and carries per-stream Stats
 // (streamed bits, underruns, playback metrics, attributed seek/transfer
 // energy) alongside the aggregate device Stats; for K=1 the aggregate record
@@ -208,36 +208,30 @@ func (m *MultiCore) Reset() {
 	m.provision()
 }
 
-// Cycle is the rule set Run applies to every refill cycle.
+// Cycle is the rule set Run applies to every refill cycle, whatever the
+// number of streams.
 type Cycle struct {
 	// Policy selects the service order within a wake-up.
 	Policy Policy
-	// DRAM is the buffer memory: every cycle is charged its retention for
-	// the summed buffer capacity and one pass in and out for its data.
+	// DRAM is the buffer memory. Every cycle is charged its retention for
+	// the summed buffer capacity over the cycle and one pass of that summed
+	// buffer in and out, as Eq. 1 and the shared-device plan
+	// (multistream.System.At's CycleEnergy(plan.TotalBuffer, t, 0)) price a
+	// cycle.
 	DRAM device.DRAM
 	// BestEffort is the background request process served after the
 	// refills. A process with no positive share is never consulted.
 	BestEffort workload.BestEffortProcess
-	// Single selects the single-stream cycle: stream 0 is topped off again
-	// after the best-effort backlog, background writes wear stream 0's
-	// formatted region (its write inflation), and the DRAM access charge is
-	// one full buffer pass in and out per cycle. Otherwise background writes
-	// count uninflated against the device and each cycle is charged the
-	// volume it actually refilled.
-	Single bool
-	// AfterRefills, when non-nil, runs once per cycle just before the
-	// shutdown (the single-stream ECC error model).
-	AfterRefills func()
 }
 
 // Run drives the refill cycle of Fig. 1b from time zero to end: standby
 // until some stream's buffer falls to its wake level, position to and refill
-// every stream in policy order, serve the best-effort backlog, shut down,
-// and charge the cycle's DRAM energy. It then closes the records — every
-// SimulatedTime and the best-effort DRAM charge — folds the run into the
-// process-wide totals once and returns the device record, which the next
-// Reset wipes. A core that has finished since its last Reset returns the same
-// record unchanged. Run allocates nothing.
+// every stream in policy order, serve the best-effort backlog, top off the
+// stream serviced last, shut down, and charge the cycle's DRAM energy. It
+// then closes the records — every SimulatedTime and the best-effort DRAM
+// charge — folds the run into the process-wide totals once and returns the
+// device record, which the next Reset wipes. A core that has finished since
+// its last Reset returns the same record unchanged. Run allocates nothing.
 func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 	dev := &m.device
 	if m.finished {
@@ -251,44 +245,34 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 		}
 	}
 	background := c.DRAM.BackgroundPower(m.totalBuffer)
+	access := c.DRAM.AccessEnergy(m.totalBuffer.Scale(2))
 	lastCycleEnd := units.Duration(0)
-	lastMediaBits := units.Size(0)
 	for m.now < end {
 		// Standby until some stream's buffer falls to its wake level.
 		if m.drainToWake(device.StateStandby, end) < 0 {
 			break
 		}
 
-		// One super-cycle: position to each stream region in policy order,
-		// refill that stream to full, then serve queued best-effort work and
-		// shut down.
-		for _, idx := range m.serviceOrder(c.Policy) {
+		// One super-cycle: position to each stream region in policy order and
+		// refill that stream to full, then serve queued best-effort work, top
+		// off the stream serviced last (the device still stands on its region,
+		// so no positioning), and shut down.
+		order := m.serviceOrder(c.Policy)
+		last := order[len(order)-1]
+		for _, idx := range order {
 			m.positioning(idx)
 			m.refillStream(idx)
 			m.streams[idx].stats.RefillCycles++
 		}
-		m.serveBestEffort(c)
-		if c.Single {
-			m.refillStream(0)
-		}
-		if c.AfterRefills != nil {
-			c.AfterRefills()
-		}
+		m.serveBestEffort(c, last)
+		m.refillStream(last)
 		m.shutdown()
 		dev.RefillCycles++
 
 		// DRAM energy for this cycle: retention for every buffer over the
-		// cycle plus one pass in and one pass out for the cycle's data.
-		cycleTime := m.now.Sub(lastCycleEnd)
-		access := dev.MediaBits.Sub(lastMediaBits)
-		if c.Single {
-			access = m.totalBuffer
-		}
-		dev.DRAMEnergy = dev.DRAMEnergy.
-			Add(background.Times(cycleTime)).
-			Add(c.DRAM.AccessEnergy(access.Scale(2)))
+		// cycle plus one pass of the summed buffer in and out.
+		dev.DRAMEnergy = dev.DRAMEnergy.Add(background.Times(m.now.Sub(lastCycleEnd))).Add(access)
 		lastCycleEnd = m.now
-		lastMediaBits = dev.MediaBits
 	}
 	dev.SimulatedTime = m.now
 	for _, st := range m.streams {
@@ -307,26 +291,20 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 // predecessor ends, and every request is credited as it is drawn. The whole
 // backlog is then charged as one best-effort transition, a single step that
 // splits only at demand-segment ends; an empty backlog takes no step.
-func (m *MultiCore) serveBestEffort(c *Cycle) {
+// Background writes wear the region of stream last, where the device stands,
+// inflated by that region's formatting overhead. Like the other shared
+// states they count on the device record only.
+func (m *MultiCore) serveBestEffort(c *Cycle, last int) {
 	t := m.now
+	inflation := m.streams[last].inflation
 	for req, ok := m.arrivals.Next(t); ok; req, ok = m.arrivals.Next(t) {
 		t = t.Add(c.BestEffort.ServiceTime(req.Size))
 		m.device.BestEffortBits = m.device.BestEffortBits.Add(req.Size)
 		m.device.BestEffortRequests++
-		if !req.Write {
-			continue
+		if req.Write {
+			m.device.WrittenUserBits = m.device.WrittenUserBits.Add(req.Size)
+			m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(req.Size.Scale(inflation))
 		}
-		// Route background writes through the wear accounting so
-		// probe-lifetime projections count them consistently.
-		if c.Single {
-			m.creditWrites(m.streams[0], req.Size)
-			continue
-		}
-		// The background region's formatting overhead is not modelled for
-		// the shared device (its volume is tiny next to the streams), so the
-		// physical volume equals the user volume.
-		m.device.WrittenUserBits = m.device.WrittenUserBits.Add(req.Size)
-		m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(req.Size)
 	}
 	m.transition(device.StateBestEffort, t.Sub(m.now), -1)
 }
@@ -338,14 +316,13 @@ func (m *MultiCore) Level(i int) units.Size { return m.streams[i].level }
 func (m *MultiCore) WakeLevel(i int) units.Size { return m.streams[i].wakeLevel }
 
 // DeviceStats exposes the aggregate statistics. Run fills every field but
-// the ECC counters, which the single-stream error model (Cycle.AfterRefills)
-// adds directly.
+// the ECC counters, which only a caller's error model writes.
 func (m *MultiCore) DeviceStats() *Stats { return &m.device }
 
-// StreamStats exposes stream i's statistics. Seek and transfer time spent
-// servicing the stream's buffer is attributed here as well as to the device
-// aggregate; shared states (standby, shutdown, best-effort) appear only in
-// the aggregate.
+// StreamStats exposes stream i's statistics: its own traffic and wear, and
+// the seek and transfer time spent servicing its buffer, which the device
+// aggregate counts too. Shared states (standby, shutdown, best effort and
+// the background writes it makes) appear only in the aggregate.
 func (m *MultiCore) StreamStats(i int) *Stats { return &m.streams[i].stats }
 
 // account records dt seconds in the given device state while every stream
@@ -524,10 +501,10 @@ func (m *MultiCore) refillStream(focus int) {
 	}
 }
 
-// creditWrites attributes user bits written for one stream to device wear,
-// inflated by that stream's region formatting overhead (sectors sized to its
-// own buffer, as in the closed-form shared-device model). Under the
-// single-stream rule, background writes wear stream 0's region the same way.
+// creditWrites attributes user bits a stream writes during its refill to its
+// own and the device's wear, inflated by the stream region's formatting
+// overhead (sectors sized to its own buffer, as in the closed-form
+// shared-device model).
 func (m *MultiCore) creditWrites(st *streamState, user units.Size) {
 	if !user.Positive() {
 		return

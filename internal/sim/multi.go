@@ -7,7 +7,8 @@ package sim
 // falls to its wake level, repositions to each stream region in turn (paying
 // the backend's positioning transition per stream, exactly like the closed
 // form's inter-stream seeks), refills that stream at the media rate, serves
-// the best-effort backlog and shuts down again.
+// the best-effort backlog, tops off the stream it serviced last and shuts
+// down again.
 
 import (
 	"errors"
@@ -112,10 +113,8 @@ func (c MultiConfig) Validate() error {
 		errs = append(errs, fmt.Errorf("sim: aggregate stream rate %v must be below the media rate %v",
 			c.AggregateRate(), mediaRate))
 	}
-	if c.BestEffort.TargetFraction > 0 {
-		if err := c.BestEffort.Validate(); err != nil {
-			errs = append(errs, err)
-		}
+	if err := c.BestEffort.Validate(); err != nil {
+		errs = append(errs, err)
 	}
 	if !c.Duration.Positive() {
 		errs = append(errs, errors.New("sim: duration must be positive"))
@@ -137,7 +136,8 @@ type NamedStats struct {
 // accounting plus one statistics record per stream.
 type MultiStats struct {
 	// Device is the aggregate accounting: all state residencies and energy,
-	// the summed stream traffic, best-effort service and DRAM energy.
+	// the summed stream traffic, best-effort service and the background
+	// writes it makes, and DRAM energy.
 	// RefillCycles counts device wake-ups (super-cycles), not per-stream
 	// refills.
 	Device Stats
@@ -167,9 +167,9 @@ func (m *MultiStats) EnergyShare(i int) float64 {
 	return own.Joules() / total.Joules()
 }
 
-// MultiSimulator runs the shared-device scheduling loop on the shared
-// simulator core under the shared-device rules: no top-off, uninflated
-// background writes, refilled-volume DRAM charge.
+// MultiSimulator runs several streams through the refill cycle on the shared
+// simulator core, under the one cycle rule Simulator follows for its one
+// stream.
 type MultiSimulator struct {
 	runner
 	cfg MultiConfig
@@ -190,11 +190,8 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	// The simulator owns its Streams slice: Reset re-seeds the entries in
 	// place, which must never reach through to the caller's slice.
 	cfg.Streams = append([]MultiStream(nil), cfg.Streams...)
-	s := &MultiSimulator{cfg: cfg, runner: runner{
-		cycle:    engine.Cycle{Policy: cfg.policy(), DRAM: cfg.DRAM, BestEffort: cfg.BestEffort},
-		duration: cfg.Duration,
-	}}
-	if i, err := s.build(backendOf(cfg.Backend, cfg.Device), cfg.Streams); err != nil {
+	s := &MultiSimulator{cfg: cfg}
+	if i, err := s.build(cfg); err != nil {
 		return nil, fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
 	}
 	return s, nil

@@ -79,6 +79,14 @@ func TestMultiConfigValidate(t *testing.T) {
 	if err := noDuration.Validate(); err == nil {
 		t.Error("zero duration accepted")
 	}
+
+	for _, share := range []float64{-0.2, math.NaN()} {
+		badShare := good
+		badShare.BestEffort = workload.NewBestEffortProcess(share, good.MediaRate(), 1)
+		if err := badShare.Validate(); err == nil {
+			t.Errorf("best-effort share %v accepted", share)
+		}
+	}
 }
 
 func TestRunMultiBasic(t *testing.T) {
@@ -235,45 +243,123 @@ func TestRunMultiMixedWorkloadKinds(t *testing.T) {
 	}
 }
 
-// TestRunMultiSingleStreamMatchesSingleSimulator: a one-stream shared device
-// is the single-stream architecture with a slightly more conservative wake
-// level, so its per-bit energy must land within a couple of percent of the
-// single-stream simulator at the same operating point.
-func TestRunMultiSingleStreamMatchesSingleSimulator(t *testing.T) {
-	rate := 1024 * units.Kbps
-	buffer := (1024 * units.Kbps).Times(units.Second)
-	spec := workload.CBRSpec(rate)
+// oneStreamCase is one point of the K=1 property: a workload kind (0 CBR,
+// 1 VBR, 2 video, 3 trace), its rate, a buffer (MEMS KiB; the disk's buffer
+// is 64 times larger), a best-effort share in percent (below 50), the
+// backend and a seed.
+type oneStreamCase struct {
+	kind      uint8
+	rateKbps  uint16
+	bufferKiB uint16
+	bePercent uint8
+	disk      bool
+	seed      uint64
+}
 
-	multi, err := RunMulti(MultiConfig{
-		Device:   device.DefaultMEMS(),
-		DRAM:     device.DefaultDRAM(),
-		Streams:  []MultiStream{{Name: "only", Spec: spec, Buffer: buffer}},
-		Duration: 10 * units.Minute,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// oneStreamGrid covers CBR, VBR, video and trace demand at 0, 5 and 20 %
+// best effort, through a small and a large MEMS buffer and an 8 MiB disk
+// buffer.
+func oneStreamGrid() []oneStreamCase {
+	var grid []oneStreamCase
+	for kind := uint8(0); kind < 4; kind++ {
+		for _, be := range []uint8{0, 5, 20} {
+			for _, buf := range []struct {
+				kib  uint16
+				disk bool
+			}{{16, false}, {128, false}, {128, true}} {
+				grid = append(grid, oneStreamCase{kind, 1024, buf.kib, be, buf.disk, uint64(kind) + 1})
+			}
+		}
 	}
-	single, err := RunConfig(Config{
+	return grid
+}
+
+// config builds the case's single-stream configuration: ten simulated
+// minutes, so a disk buffer refills several times. The rate is clamped to
+// 32 kbps – 8 Mbps.
+func (c oneStreamCase) config(t *testing.T) Config {
+	rate := units.Kbps.Scale(math.Min(math.Max(float64(c.rateKbps), 32), 8192))
+	var spec workload.StreamSpec
+	switch c.kind % 4 {
+	case 0:
+		spec = workload.CBRSpec(rate)
+	case 1:
+		spec = workload.VBRSpec(rate, c.seed)
+	case 2:
+		spec = workload.VideoSpec(rate, c.seed)
+	default:
+		frames, err := workload.VideoSpec(rate, c.seed).TraceFrames(20 * units.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec = workload.TraceSpec(frames)
+	}
+	cfg := Config{
 		Device:   device.DefaultMEMS(),
 		DRAM:     device.DefaultDRAM(),
-		Buffer:   buffer,
+		Buffer:   units.KiB.Scale(float64(c.bufferKiB)),
 		Spec:     spec,
 		Duration: 10 * units.Minute,
-		Seed:     1,
+		Seed:     c.seed,
+	}
+	if c.disk {
+		cfg.Backend = engine.NewDisk(device.Default18InchDisk())
+		cfg.Buffer = cfg.Buffer.Scale(64)
+	}
+	cfg.BestEffort = workload.NewBestEffortProcess(float64(c.bePercent%50)/100, cfg.MediaRate(), c.seed)
+	return cfg
+}
+
+// checkOneStreamIsSingle runs cfg through the single-stream simulator and as
+// a one-stream shared device. Both must reject it, or both must return the
+// same device record in every Stats field, bit for bit. It reports whether
+// both ran.
+func checkOneStreamIsSingle(t *testing.T, cfg Config) bool {
+	t.Helper()
+	single, err := RunConfig(cfg)
+	multi, merr := RunMulti(MultiConfig{
+		Device:     cfg.Device,
+		Backend:    cfg.Backend,
+		DRAM:       cfg.DRAM,
+		Streams:    []MultiStream{{Name: "only", Spec: cfg.Spec, Buffer: cfg.Buffer}},
+		BestEffort: cfg.BestEffort,
+		Duration:   cfg.Duration,
+		Seed:       cfg.Seed,
 	})
+	if (err == nil) != (merr == nil) {
+		t.Fatalf("single-stream error %v, one-stream shared-device error %v", err, merr)
+	}
 	if err != nil {
-		t.Fatal(err)
+		return false
 	}
-	multiPerBit := multi.Device.PerBitEnergy().NanojoulesPerBit()
-	singlePerBit := single.PerBitEnergy().NanojoulesPerBit()
-	if rel := math.Abs(multiPerBit-singlePerBit) / singlePerBit; rel > 0.02 {
-		t.Errorf("per-bit energy: multi %.3f vs single %.3f nJ/b (rel %.3f)",
-			multiPerBit, singlePerBit, rel)
+	if !reflect.DeepEqual(*single, multi.Device) {
+		t.Errorf("one-stream shared device diverged from the single-stream simulator:\n got %+v\nwant %+v", multi.Device, *single)
 	}
-	if multi.Device.Underruns != 0 {
-		t.Errorf("%d underruns", multi.Device.Underruns)
+	return true
+}
+
+// TestRunMultiSingleStreamMatchesSingleSimulator: a one-stream shared device
+// is the single-stream simulator. Over CBR, VBR, video and trace demand, 0,
+// 5 and 20 % best effort, MEMS and disk, and several buffers, its device
+// record equals RunConfig's in every field.
+func TestRunMultiSingleStreamMatchesSingleSimulator(t *testing.T) {
+	for _, c := range oneStreamGrid() {
+		if !checkOneStreamIsSingle(t, c.config(t)) {
+			t.Errorf("%+v: rejected", c)
+		}
 	}
+}
+
+// FuzzOneStreamSharedDeviceIsSingle checks the K=1 property on generated
+// configurations, seeded with TestRunMultiSingleStreamMatchesSingleSimulator's
+// grid.
+func FuzzOneStreamSharedDeviceIsSingle(f *testing.F) {
+	for _, c := range oneStreamGrid() {
+		f.Add(c.kind, c.rateKbps, c.bufferKiB, c.bePercent, c.disk, c.seed)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, rateKbps, bufferKiB uint16, bePercent uint8, disk bool, seed uint64) {
+		checkOneStreamIsSingle(t, oneStreamCase{kind, rateKbps, bufferKiB, bePercent, disk, seed}.config(t))
+	})
 }
 
 func TestRunMultiRejectsBufferBelowServiceRound(t *testing.T) {

@@ -1,14 +1,14 @@
 package sim
 
 // The one simulator core behind Simulator and MultiSimulator. Both embed a
-// runner: it builds the per-stream demand patterns and the unified
-// scheduling core (internal/engine.MultiCore) over the run's backend and
-// rewinds them between replicas. The core runs the refill cycle itself,
-// under the runner's engine.Cycle rules. The few genuine behavioural
-// differences of the single-stream model — the post-best-effort top-off
-// refill, background writes wearing the stream's own formatted region and
-// the full-buffer DRAM access charge per cycle — are one rule
-// (Cycle.Single), and its ECC error model is the Cycle.AfterRefills hook.
+// runner: it builds the per-stream demand patterns, the unified scheduling
+// core (internal/engine.MultiCore) and the engine.Cycle the core runs every
+// refill cycle under, and rewinds them between replicas. A single-stream
+// run is built as the one-stream shared device, so the two simulators run
+// the same cycle rule. What is left to differ is their surface: the seed
+// conventions (reseedConfig, reseedMultiConfig), the validation and
+// wake-check texts, the result shapes, and the single-stream ECC error
+// model, which Simulator.Run samples once per refill cycle after the run.
 
 import (
 	"errors"
@@ -51,7 +51,7 @@ func validateDevice(backend engine.Backend, dev device.MEMS, dram device.DRAM) [
 
 // runner is the simulator core. It owns the per-stream demand patterns, the
 // engine core that runs the refill cycle over them, and the Cycle rules the
-// core runs under. Both simulators embed one and differ only in those rules.
+// core runs under. Both simulators embed one, built the same way.
 type runner struct {
 	// patterns are the per-stream demand patterns in configuration order,
 	// kept so a rewind can reseed them in place.
@@ -61,14 +61,17 @@ type runner struct {
 	duration units.Duration
 }
 
-// build makes each stream's demand pattern for the run's duration, which
-// must be set first, and the engine core over them. When a pattern fails,
-// failed is its stream's index, so each simulator can name the stream its
-// own way; otherwise it is -1.
-func (r *runner) build(backend engine.Backend, streams []MultiStream) (failed int, err error) {
-	configs := make([]engine.StreamConfig, len(streams))
-	r.patterns = make([]workload.Pattern, len(streams))
-	for i, s := range streams {
+// build makes the run's engine core from the shared-device configuration it
+// amounts to — a single-stream Config is its one stream — with each stream's
+// demand pattern over the run's duration and the one Cycle every run
+// follows. When a pattern fails, failed is its stream's index, so each
+// simulator can name the stream its own way; otherwise it is -1.
+func (r *runner) build(cfg MultiConfig) (failed int, err error) {
+	r.duration = cfg.Duration
+	r.cycle = engine.Cycle{Policy: cfg.policy(), DRAM: cfg.DRAM, BestEffort: cfg.BestEffort}
+	configs := make([]engine.StreamConfig, len(cfg.Streams))
+	r.patterns = make([]workload.Pattern, len(cfg.Streams))
+	for i, s := range cfg.Streams {
 		if r.patterns[i], err = s.Spec.Pattern(r.duration); err != nil {
 			return i, err
 		}
@@ -79,7 +82,7 @@ func (r *runner) build(backend engine.Backend, streams []MultiStream) (failed in
 			Priority:      s.Priority,
 		}
 	}
-	r.core = engine.NewMultiCore(backend, configs)
+	r.core = engine.NewMultiCore(backendOf(cfg.Backend, cfg.Device), configs)
 	return -1, nil
 }
 

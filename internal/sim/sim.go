@@ -86,10 +86,8 @@ func (c Config) Validate() error {
 	if err := c.Spec.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if c.BestEffort.TargetFraction > 0 {
-		if err := c.BestEffort.Validate(); err != nil {
-			errs = append(errs, err)
-		}
+	if err := c.BestEffort.Validate(); err != nil {
+		errs = append(errs, err)
 	}
 	if !c.Buffer.Positive() {
 		errs = append(errs, errors.New("sim: buffer must be positive"))
@@ -109,20 +107,22 @@ func (c Config) Validate() error {
 			errs = append(errs, errors.New("sim: the stream's peak demand must be below the media rate"))
 		}
 	}
-	if c.BitErrorRate < 0 || c.BitErrorRate >= 1 {
+	if !(c.BitErrorRate >= 0 && c.BitErrorRate < 1) {
 		errs = append(errs, errors.New("sim: bit-error rate must be in [0, 1)"))
 	}
 	return errors.Join(errs...)
 }
 
-// Simulator runs the refill-cycle state machine on the shared simulator
-// core, as its one-stream case, under the single-stream rule (top-off
-// refill, inflated background writes, full-buffer DRAM charge) and the ECC
-// error model, whose draws come from the simulator's own RNG.
+// Simulator runs one stream through the refill cycle: it is the one-stream
+// MultiSimulator, bit for bit, plus the ECC error model, whose draws come
+// from the simulator's own RNG.
 type Simulator struct {
 	runner
 	cfg Config
 	rng *workload.Rng
+	// sampled counts the refill cycles the error model has sampled since the
+	// last rewind, so a second Run samples none again.
+	sampled int
 }
 
 // New builds a simulator from a validated configuration.
@@ -138,18 +138,15 @@ func New(cfg Config) (*Simulator, error) {
 // re-validation.
 func newValidated(cfg Config) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, rng: workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d)}
-	s.runner = runner{
-		cycle: engine.Cycle{
-			Policy:       engine.PolicyRoundRobin,
-			DRAM:         cfg.DRAM,
-			BestEffort:   cfg.BestEffort,
-			Single:       true,
-			AfterRefills: s.injectErrors,
-		},
-		duration: cfg.Duration,
-	}
-	stream := []MultiStream{{Spec: cfg.Spec, Buffer: cfg.Buffer}}
-	if _, err := s.build(backendOf(cfg.Backend, cfg.Device), stream); err != nil {
+	if _, err := s.build(MultiConfig{
+		Device:     cfg.Device,
+		Backend:    cfg.Backend,
+		DRAM:       cfg.DRAM,
+		Streams:    []MultiStream{{Spec: cfg.Spec, Buffer: cfg.Buffer}},
+		Policy:     engine.PolicyRoundRobin,
+		BestEffort: cfg.BestEffort,
+		Duration:   cfg.Duration,
+	}); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -186,6 +183,7 @@ func (s *Simulator) compatible(cfg Config) bool {
 func (s *Simulator) rewind(cfg Config) error {
 	s.cfg = cfg
 	s.rng.Seed(cfg.Seed ^ 0xdeadbeefcafef00d)
+	s.sampled = 0
 	if err := s.patterns[0].Reset(cfg.Spec.Seed); err != nil {
 		return err
 	}
@@ -204,14 +202,15 @@ func (s *Simulator) Reset(seed uint64) error {
 }
 
 // injectErrors exercises the ECC codec with the configured raw bit-error rate
-// on a sample of codewords for this refill.
-func (s *Simulator) injectErrors() {
+// on a sample of codewords for every refill cycle of the run not sampled yet.
+// Nothing else draws from the simulator's RNG, so sampling after the run
+// draws what sampling each cycle as it ends would.
+func (s *Simulator) injectErrors(stats *Stats) {
 	if s.cfg.BitErrorRate <= 0 {
 		return
 	}
-	stats := s.core.DeviceStats()
 	expectedFlipsPerWord := s.cfg.BitErrorRate * float64(ecc.CodewordBits)
-	for i := 0; i < eccSampleWords; i++ {
+	for words := (stats.RefillCycles - s.sampled) * eccSampleWords; words > 0; words-- {
 		word := s.rng.Uint64()
 		cw := ecc.Encode(word)
 		flips := poissonSample(s.rng, expectedFlipsPerWord)
@@ -235,6 +234,7 @@ func (s *Simulator) injectErrors() {
 			stats.ECCUncorrectable++
 		}
 	}
+	s.sampled = stats.RefillCycles
 }
 
 // poissonSample draws a Poisson-distributed count with the given mean using
@@ -268,7 +268,12 @@ func (s *Simulator) Run() (*Stats, error) {
 		return nil, fmt.Errorf("sim: buffer %v cannot even cover the %v positioning time at peak demand",
 			s.cfg.Buffer, backendOf(s.cfg.Backend, s.cfg.Device).PositioningTime())
 	}
-	return s.core.Run(&s.cycle, s.duration)
+	stats, err := s.core.Run(&s.cycle, s.duration)
+	if err != nil {
+		return nil, err
+	}
+	s.injectErrors(stats)
+	return stats, nil
 }
 
 // RunConfig is a convenience wrapper: build a simulator and run it.

@@ -48,7 +48,14 @@ func TestConfigValidation(t *testing.T) {
 		{"broken best effort", func(c *Config) {
 			c.BestEffort = workload.BestEffortProcess{TargetFraction: 0.05}
 		}},
+		{"negative best-effort share", func(c *Config) {
+			c.BestEffort = workload.NewBestEffortProcess(-0.2, c.MediaRate(), 1)
+		}},
+		{"NaN best-effort share", func(c *Config) {
+			c.BestEffort = workload.NewBestEffortProcess(math.NaN(), c.MediaRate(), 1)
+		}},
 		{"negative BER", func(c *Config) { c.BitErrorRate = -1 }},
+		{"NaN BER", func(c *Config) { c.BitErrorRate = math.NaN() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -253,13 +260,39 @@ func TestVBRStreamSimulation(t *testing.T) {
 	}
 }
 
+// TestECCErrorInjection checks the error model at a 1e-3 raw bit-error
+// rate. It samples each refill cycle once: a second Run returns the same
+// counters, and Reset replays them.
 func TestECCErrorInjection(t *testing.T) {
 	cfg := baseConfig(20*units.KiB, 1024*units.Kbps)
 	cfg.BitErrorRate = 1e-3
 	cfg.Duration = 2 * units.Minute
-	stats, err := RunConfig(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	stats, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := *stats
+	again, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ECCCorrected != first.ECCCorrected || again.ECCUncorrectable != first.ECCUncorrectable {
+		t.Errorf("a second Run moved the ECC counters from %d/%d to %d/%d",
+			first.ECCCorrected, first.ECCUncorrectable, again.ECCCorrected, again.ECCUncorrectable)
+	}
+	if err := s.Reset(cfg.Seed); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *replay != first {
+		t.Errorf("Reset and Run did not replay the run:\n got %+v\nwant %+v", *replay, first)
 	}
 	if stats.ECCCorrected == 0 {
 		t.Error("no ECC corrections observed at a 1e-3 raw bit-error rate")

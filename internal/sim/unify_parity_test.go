@@ -4,13 +4,16 @@ package sim
 // single-stream config families and of a mixed three-stream run under each
 // scheduling policy were captured from the pre-unification engine (the
 // separate Core/MultiCore implementations) into testdata/unify_golden.json.
-// The unified scheduling core must reproduce every record byte for byte —
-// K=1 is literally the single-stream engine, and the round-robin and
-// most-urgent service orderings are unchanged by the merge. Three later
+// The unified scheduling core must reproduce every single-stream record
+// byte for byte — K=1 is literally the single-stream engine. Three later
 // records pin the rest of the refill cycle's rules: a single-stream disk run
 // with best effort, a priority run with one stream in a higher class, and a
-// shared-device run with best effort (uninflated background writes and the
-// refilled-volume DRAM charge).
+// shared-device run with best effort. The multi-stream records were
+// regenerated once, when every stream count came to follow the
+// single-stream cycle rule: one summed-buffer DRAM pass per cycle, a top-off
+// of the stream serviced last after the backlog, and background writes worn
+// into that stream's region. Round-robin and most-urgent still order the
+// service rounds as the pre-unification engine did.
 //
 // Regenerate (only when a deliberate semantic change is being made):
 //

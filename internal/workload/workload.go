@@ -241,22 +241,23 @@ func (p BestEffortProcess) ServiceTime(size units.Size) units.Duration {
 	return p.PositioningTime.Add(p.ServiceRate.TimeFor(size))
 }
 
-// Validate checks the process parameters.
+// Validate checks the process parameters. The zero value, which serves
+// nothing, is valid; a NaN fails every range check.
 func (p BestEffortProcess) Validate() error {
 	var errs []error
-	if p.TargetFraction < 0 || p.TargetFraction >= 1 {
+	if !(p.TargetFraction >= 0 && p.TargetFraction < 1) {
 		errs = append(errs, errors.New("workload: best-effort fraction must be in [0, 1)"))
 	}
 	if p.TargetFraction > 0 && !p.MeanSize.Positive() {
 		errs = append(errs, errors.New("workload: best-effort requests need a positive mean size"))
 	}
-	if p.WriteFraction < 0 || p.WriteFraction > 1 {
+	if !(p.WriteFraction >= 0 && p.WriteFraction <= 1) {
 		errs = append(errs, errors.New("workload: best-effort write fraction must be in [0, 1]"))
 	}
 	if p.TargetFraction > 0 && !p.ServiceRate.Positive() {
 		errs = append(errs, errors.New("workload: best-effort service rate must be positive"))
 	}
-	if p.PositioningTime < 0 {
+	if !(p.PositioningTime >= 0) {
 		errs = append(errs, errors.New("workload: best-effort positioning time must be non-negative"))
 	}
 	return errors.Join(errs...)

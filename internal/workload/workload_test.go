@@ -170,6 +170,10 @@ func TestBestEffortProcessValidation(t *testing.T) {
 		{TargetFraction: 0.05, MeanSize: 0, ServiceRate: units.Mbps},
 		{TargetFraction: 0.05, MeanSize: units.KiB, WriteFraction: 2, ServiceRate: units.Mbps},
 		{TargetFraction: 0.05, MeanSize: units.KiB, ServiceRate: 0},
+		{TargetFraction: math.NaN()},
+		{TargetFraction: 0.05, MeanSize: units.KiB, WriteFraction: math.NaN(), ServiceRate: units.Mbps},
+		{TargetFraction: 0.05, MeanSize: units.KiB, ServiceRate: units.Mbps, PositioningTime: units.Duration(math.NaN())},
+		{WriteFraction: -0.5},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
