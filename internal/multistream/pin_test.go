@@ -24,7 +24,7 @@ import (
 // projections alone, and the other two digests show that it did.
 const (
 	pinnedPlansDigest       = "f9ed80ef63cd0efdd66c4da377afaf04f787e0e5559c59ad9c9b94f3a41fd2a0"
-	pinnedProjectionsDigest = "753cb391a926b9c58937e6f2e3281c46c9bc778cebc11dd23c34859a4165bc18"
+	pinnedProjectionsDigest = "5e90d153c7bada6e42ba31ba6f681315436a94cbe431105ece2753ce21791fb1"
 	pinnedLifetimeDigest    = "3db9bf5e2e293e75d52be7c0707ecfda56a63abd50771281db549ab9841fdfe7"
 )
 

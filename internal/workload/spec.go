@@ -182,33 +182,32 @@ func (s StreamSpec) tracePattern() (*TracePattern, error) {
 }
 
 // withDefaults fills the zero-valued VBR and video parameters from the
-// VBRSpec and VideoSpec defaults. Jitter is taken verbatim (see StreamSpec).
+// VBRSpec and VideoSpec defaults. Any other value, negative or NaN included,
+// is kept for Validate to judge. Jitter is taken verbatim (see StreamSpec).
 func (s StreamSpec) withDefaults() StreamSpec {
 	switch s.Kind {
 	case SpecVBR:
 		d := VBRSpec(s.Rate, s.Seed)
-		s.SegmentLength = positiveOr(s.SegmentLength, d.SegmentLength)
-		if s.Variability == 0 {
-			s.Variability = d.Variability
-		}
+		s.SegmentLength = zeroOr(s.SegmentLength, d.SegmentLength)
+		s.Variability = zeroOr(s.Variability, d.Variability)
 	case SpecVideo:
 		d := VideoSpec(s.Rate, s.Seed)
-		s.FrameRate = positiveOr(s.FrameRate, d.FrameRate)
-		s.GOPLength = positiveOr(s.GOPLength, d.GOPLength)
-		s.IPDistance = positiveOr(s.IPDistance, d.IPDistance)
-		s.WeightI = positiveOr(s.WeightI, d.WeightI)
-		s.WeightP = positiveOr(s.WeightP, d.WeightP)
-		s.WeightB = positiveOr(s.WeightB, d.WeightB)
+		s.FrameRate = zeroOr(s.FrameRate, d.FrameRate)
+		s.GOPLength = zeroOr(s.GOPLength, d.GOPLength)
+		s.IPDistance = zeroOr(s.IPDistance, d.IPDistance)
+		s.WeightI = zeroOr(s.WeightI, d.WeightI)
+		s.WeightP = zeroOr(s.WeightP, d.WeightP)
+		s.WeightB = zeroOr(s.WeightB, d.WeightB)
 	}
 	return s
 }
 
-// positiveOr returns v if it is positive and def otherwise (NaN included).
-func positiveOr[T ~int | ~float64](v, def T) T {
-	if v > 0 {
-		return v
+// zeroOr returns def if v is zero and v otherwise.
+func zeroOr[T ~int | ~float64](v, def T) T {
+	if v == 0 {
+		return def
 	}
-	return def
+	return v
 }
 
 // errWriteFraction reports a write share outside [0, 1] for every kind.
@@ -241,7 +240,7 @@ func (s StreamSpec) Validate() error {
 		if !s.Rate.Positive() {
 			errs = append(errs, errors.New("workload: video nominal rate must be positive"))
 		}
-		if s.FrameRate <= 0 {
+		if !(s.FrameRate > 0) {
 			errs = append(errs, errors.New("workload: frame rate must be positive"))
 		}
 		if s.GOPLength < 1 {
@@ -250,7 +249,7 @@ func (s StreamSpec) Validate() error {
 		if s.IPDistance < 1 || s.IPDistance > s.GOPLength {
 			errs = append(errs, errors.New("workload: anchor distance must be in [1, GOP length]"))
 		}
-		if s.WeightI <= 0 || s.WeightP <= 0 || s.WeightB <= 0 {
+		if !(s.WeightI > 0 && s.WeightP > 0 && s.WeightB > 0) {
 			errs = append(errs, errors.New("workload: frame weights must be positive"))
 		}
 		if !(s.Jitter >= 0 && s.Jitter < 1) {

@@ -44,6 +44,17 @@ func TestSpecValidate(t *testing.T) {
 		{with(TraceSpec(frames), func(s *StreamSpec) { s.WriteFraction = nan }), "write fraction must be in [0, 1]"},
 		{with(VBRSpec(units.Kbps, 1), func(s *StreamSpec) { s.Variability = nan }), "variability must be in [0, 1)"},
 		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.Jitter = nan }), "jitter must be in [0, 1)"},
+		// Only zero takes a default: a negative or NaN parameter is an
+		// error, not a silent stand-in for the default.
+		{with(VBRSpec(units.Kbps, 1), func(s *StreamSpec) { s.SegmentLength = -units.Second }), "positive segment length"},
+		{with(VBRSpec(units.Kbps, 1), func(s *StreamSpec) { s.SegmentLength = units.Duration(nan) }), "positive segment length"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.FrameRate = -1 }), "frame rate must be positive"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.FrameRate = nan }), "frame rate must be positive"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.GOPLength = -1 }), "GOP length must be at least 1"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.IPDistance = -1 }), "anchor distance must be in [1, GOP length]"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightI = nan }), "frame weights must be positive"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightP = -1 }), "frame weights must be positive"},
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightB = nan }), "frame weights must be positive"},
 	}
 	for i, c := range bad {
 		err := c.spec.Validate()

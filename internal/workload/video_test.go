@@ -23,6 +23,14 @@ func TestVideoStreamValidation(t *testing.T) {
 		func(s *StreamSpec) { s.Jitter = 1 },
 		func(s *StreamSpec) { s.Jitter = -0.1 },
 		func(s *StreamSpec) { s.WriteFraction = -0.1 },
+		// Negative and NaN parameters fail instead of taking the defaults.
+		func(s *StreamSpec) { s.FrameRate = -1 },
+		func(s *StreamSpec) { s.FrameRate = math.NaN() },
+		func(s *StreamSpec) { s.GOPLength = -12 },
+		func(s *StreamSpec) { s.IPDistance = -3 },
+		func(s *StreamSpec) { s.WeightI = -5 },
+		func(s *StreamSpec) { s.WeightP = math.NaN() },
+		func(s *StreamSpec) { s.WeightB = -1 },
 	}
 	for i, mutate := range mutations {
 		s := VideoSpec(1024*units.Kbps, 1)

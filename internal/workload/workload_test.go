@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,15 +46,68 @@ func TestRngFloat64Range(t *testing.T) {
 	}
 }
 
+// TestRngExpMean checks that Exp draws the exponential distribution. For
+// each of four seeds, a million unit draws must lie within a
+// Kolmogorov–Smirnov distance of 1.95/√n of 1 − e^-x (the 0.1 % critical
+// value), their mean and variance within five standard errors of 1 (√(1/n)
+// and √(8/n)), and their share beyond the right edge r, which only the tail
+// branch reaches, within five standard deviations of e^-r. A sampler that
+// accepts every wedge draw without its e^-x test fails on every seed, its
+// variance 10–11 standard errors high. Seed replays the draws, a mean
+// scales them exactly, and Exp does not allocate.
 func TestRngExpMean(t *testing.T) {
-	r := NewRng(11)
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(3.0)
+	const n = 1_000_000
+	xs := make([]float64, n)
+	for _, seed := range []uint64{1, 11, 0x5bd1e9955bd1e995, 1 << 63} {
+		r := NewRng(seed)
+		for i := range xs {
+			xs[i] = r.Exp(1)
+		}
+		r.Seed(seed)
+		for i := range 1000 {
+			if got := r.Exp(3); got != 3*xs[i] {
+				t.Fatalf("seed %#x: draw %d replays as %g, want 3 × %g", seed, i, got, xs[i])
+			}
+		}
+
+		var sum float64
+		tail := 0
+		for _, x := range xs {
+			sum += x
+			if x >= expZigR {
+				tail++
+			}
+		}
+		mean := sum / n
+		var squares float64
+		for _, x := range xs {
+			squares += (x - mean) * (x - mean)
+		}
+		variance := squares / (n - 1)
+		if z := (mean - 1) / math.Sqrt(1.0/n); math.Abs(z) > 5 {
+			t.Errorf("seed %#x: mean %.6f is %.1f standard errors from 1", seed, mean, z)
+		}
+		if z := (variance - 1) / math.Sqrt(8.0/n); math.Abs(z) > 5 {
+			t.Errorf("seed %#x: variance %.6f is %.1f standard errors from 1", seed, variance, z)
+		}
+		p := math.Exp(-expZigR)
+		if z := (float64(tail)/n - p) / math.Sqrt(p*(1-p)/n); math.Abs(z) > 5 {
+			t.Errorf("seed %#x: %d of %d draws beyond r, %.1f standard deviations from e^-r", seed, tail, n, z)
+		}
+
+		slices.Sort(xs)
+		var d float64
+		for i, x := range xs {
+			f := -math.Expm1(-x)
+			d = max(d, f-float64(i)/n, float64(i+1)/n-f)
+		}
+		if limit := 1.95 / math.Sqrt(n); d > limit {
+			t.Errorf("seed %#x: Kolmogorov–Smirnov distance %.5f, want below %.5f", seed, d, limit)
+		}
 	}
-	if mean := sum / n; mean < 2.8 || mean > 3.2 {
-		t.Errorf("Exp mean = %g, want about 3", mean)
+	r := NewRng(1)
+	if allocs := testing.AllocsPerRun(1000, func() { r.Exp(1) }); allocs != 0 {
+		t.Errorf("Exp allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -174,6 +228,13 @@ func TestBestEffortProcessValidation(t *testing.T) {
 		{TargetFraction: 0.05, MeanSize: units.KiB, WriteFraction: math.NaN(), ServiceRate: units.Mbps},
 		{TargetFraction: 0.05, MeanSize: units.KiB, ServiceRate: units.Mbps, PositioningTime: units.Duration(math.NaN())},
 		{WriteFraction: -0.5},
+		// An infinite size or positioning time would validate a process
+		// that never serves a request, and an infinite rate one whose
+		// transfers take no time.
+		{TargetFraction: 0.05, MeanSize: units.Size(math.Inf(1)), ServiceRate: units.Mbps},
+		{TargetFraction: 0.05, MeanSize: units.KiB, ServiceRate: units.BitRate(math.Inf(1))},
+		{TargetFraction: 0.05, MeanSize: units.KiB, ServiceRate: units.Mbps, PositioningTime: units.Duration(math.Inf(1))},
+		{PositioningTime: units.Duration(math.Inf(1))},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -430,5 +491,23 @@ func TestBestEffortArrivalsNextDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Next allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkBestEffortArrivals times one best-effort request of the paper's
+// 5 % process, so ns/op is the cost of a request drawn: its size, its
+// write flag and the interarrival to the next. The horizon is infinite, so
+// the sequence never runs out.
+func BenchmarkBestEffortArrivals(b *testing.B) {
+	inf := units.Duration(math.Inf(1))
+	a, err := NewBestEffortProcess(0.05, 102.4*units.Mbps, 1).Arrivals(inf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := a.Next(inf); !ok {
+			b.Fatal("sequence ended early")
+		}
 	}
 }
