@@ -116,6 +116,31 @@ func TestRunBadInputs(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInfiniteQuantities checks that a duration or buffer that
+// parses to +Inf is an error at once: a run loops until its clock reaches
+// the duration, so an infinite one never returns, and an infinite buffer
+// never wakes the device.
+func TestRunRejectsInfiniteQuantities(t *testing.T) {
+	streams := streamFlags{"name=a,rate=1024kbps,buffer=128KiB"}
+	cases := []struct {
+		name   string
+		mutate func(*options)
+		want   string
+	}{
+		{"duration", func(o *options) { o.duration = "1e308y" }, "duration must be finite"},
+		{"duration with streams", func(o *options) { o.duration = "1e308y"; o.streams = streams }, "duration must be finite"},
+		{"buffer", func(o *options) { o.buffer = "1e300GiB" }, "buffer must be finite"},
+		{"stream buffer", func(o *options) { o.streams = streamFlags{"name=a,rate=1024kbps,buffer=1e300GiB"} }, "buffer must be finite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := run(&bytes.Buffer{}, opts(tc.mutate)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestRunVideoTrace(t *testing.T) {
 	var buf bytes.Buffer
 	err := run(&buf, opts(func(o *options) { o.buffer = "64KiB"; o.stream = "video"; o.seed = 3 }))

@@ -93,9 +93,12 @@
 // checks this, TestSegmentWalkIntegratesFrames in internal/workload checks
 // the patterns over three passes of the wrap-around, and
 // FuzzAdvanceMatchesSegments checks a pattern's whole-segment integration
-// against its segment walk. A run takes a few steps per refill cycle plus
-// one per rate change met outside standby: an hour of 25 fps video takes
-// about 5 steps per cycle, where a step per frame took about 30.
+// against its segment walk. Steps end exactly on the boundaries they are
+// solved for, so a CBR cycle is exactly four steps (standby, positioning,
+// refill, shutdown), plus two per non-empty best-effort backlog and one per
+// segment end crossed outside standby; TestCBRRunsRepeatOneCycle checks
+// CBR runs against that cycle in closed form. An hour of 25 fps video takes
+// about 4.3 steps per cycle, where a step per frame took about 30.
 //
 // The engine accounts per-state time and energy against a pluggable device
 // backend (power per cycle state, positioning and shutdown transitions,
@@ -249,9 +252,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_27.json
-//	go run ./cmd/memsbench -check BENCH_27.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_25.json BENCH_27.json
+//	go run ./cmd/memsbench -format json -out BENCH_29.json
+//	go run ./cmd/memsbench -check BENCH_29.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_27.json BENCH_29.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

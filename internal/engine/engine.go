@@ -31,9 +31,11 @@
 // these steps never straddle a rate change. Either way piecewise-constant
 // demand — CBR, VBR segments, per-frame video and user traces — is
 // integrated exactly, also while the device serves best-effort traffic: a
-// cycle's whole best-effort backlog is one such step. The step count is
-// proportional to the number of refill cycles plus the rate changes met
-// outside standby, instead of the simulated time divided by a slice width.
+// cycle's whole best-effort backlog is one such step. Steps end exactly on
+// the boundaries they are solved for (a wake level, a full buffer), so a
+// one-stream CBR cycle is exactly four steps, plus two per non-empty
+// best-effort backlog (with its top-off) and one per segment end crossed
+// outside standby.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so
@@ -129,9 +131,10 @@ type Stats struct {
 	// ECCUncorrectable counts codewords the codec had to give up on.
 	ECCUncorrectable int
 	// Steps counts the accounting steps that advanced time: the event count
-	// of the run, one per standby and one per demand segment the other
-	// states of a cycle cross. It is deterministic for a given configuration
-	// and feeds the engine totals mirrored at /metricsz.
+	// of the run. A one-stream CBR cycle is exactly four, plus two per
+	// non-empty best-effort backlog (with its top-off) and one per segment
+	// end crossed outside standby. It is deterministic for a given
+	// configuration and feeds the engine totals mirrored at /metricsz.
 	Steps int
 }
 

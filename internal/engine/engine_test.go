@@ -214,9 +214,8 @@ type stepRate struct {
 	lowRate, highRate units.BitRate
 }
 
-func (s stepRate) PeakRate() units.BitRate    { return s.highRate }
-func (s stepRate) AverageRate() units.BitRate { return s.highRate }
-func (s stepRate) Reset(uint64) error         { return nil }
+func (s stepRate) PeakRate() units.BitRate { return s.highRate }
+func (s stepRate) Reset(uint64) error      { return nil }
 func (s stepRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if t < s.switchAt {
 		return s.lowRate, s.switchAt, cursor
@@ -257,9 +256,8 @@ type spikeRate struct {
 	highRate, lowRate units.BitRate
 }
 
-func (s *spikeRate) PeakRate() units.BitRate    { return s.highRate }
-func (s *spikeRate) AverageRate() units.BitRate { return s.lowRate }
-func (s *spikeRate) Reset(uint64) error         { return nil }
+func (s *spikeRate) PeakRate() units.BitRate { return s.highRate }
+func (s *spikeRate) Reset(uint64) error      { return nil }
 func (s *spikeRate) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	if t < s.switchAt {
 		return s.highRate, s.switchAt, cursor
@@ -279,7 +277,7 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
 	media := b.MediaRate()
 	src := &spikeRate{
-		switchAt: units.Duration(0.2), // a 200 ms spike = 200 legacy slices
+		switchAt: units.Duration(0.2), // a 200 ms spike = 200 fallback slices of 1 ms
 		highRate: media.Scale(2),
 		lowRate:  media.Scale(0.01),
 	}

@@ -404,9 +404,12 @@ func (m *MultiCore) drainToWake(state device.PowerState, deadline units.Duration
 			return i
 		}
 		span := deadline.Sub(m.now)
+		var woken *streamState
 		for _, st := range m.streams {
 			st.walked, st.drained, st.next = st.source.Advance(m.now, st.cursor, span, st.level.Sub(st.wakeLevel))
-			span = min(span, st.walked)
+			if st.walked < span {
+				span, woken = st.walked, st
+			}
 		}
 		// A stream whose walk ended at the step's end has drained it already;
 		// the others walk again to that end with no budget.
@@ -416,6 +419,10 @@ func (m *MultiCore) drainToWake(state device.PowerState, deadline units.Duration
 			}
 			st.drain(st.drained, st.rate, &m.device)
 			st.cursor = st.next
+		}
+		// The walk that set the span stopped on its budget: at the wake level.
+		if woken != nil {
+			woken.level = woken.wakeLevel
 		}
 		m.charge(state, span, -1)
 	}
@@ -473,8 +480,8 @@ func (m *MultiCore) refillStream(focus int) {
 			}
 			m.account(device.StateReadWrite, dt, focus)
 		} else {
-			dt := net.TimeFor(st.buffer.Sub(st.level))
-			dt = m.stepBound(dt)
+			fill := net.TimeFor(st.buffer.Sub(st.level))
+			dt := m.stepBound(fill)
 			transferred := media.Times(dt)
 			m.device.MediaBits = m.device.MediaBits.Add(transferred)
 			st.stats.MediaBits = st.stats.MediaBits.Add(transferred)
@@ -483,10 +490,10 @@ func (m *MultiCore) refillStream(focus int) {
 			// incoming data before accounting the drain so the net fill never
 			// reads as an artificial underrun. The true occupancy minimum of a
 			// cycle occurs at the end of the positioning, which account has
-			// already tracked.
+			// already tracked. A step no segment end trimmed ends full.
 			st.level = st.level.Add(transferred)
 			m.account(device.StateReadWrite, dt, focus)
-			if st.level > st.buffer {
+			if dt == fill || st.level > st.buffer {
 				st.level = st.buffer
 			}
 		}

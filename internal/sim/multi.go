@@ -13,6 +13,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 
 	"memstream/internal/device"
@@ -103,6 +104,8 @@ func (c MultiConfig) Validate() error {
 		}
 		if !s.Buffer.Positive() {
 			errs = append(errs, fmt.Errorf("sim: stream %d (%s): buffer must be positive", i, s.Name))
+		} else if math.IsInf(s.Buffer.Bits(), 1) {
+			errs = append(errs, fmt.Errorf("sim: stream %d (%s): buffer must be finite", i, s.Name))
 		}
 		if peak := s.Spec.PeakRate(); mediaRate.Positive() && peak >= mediaRate {
 			errs = append(errs, fmt.Errorf("sim: stream %d (%s): peak demand %v must be below the media rate %v",
@@ -118,6 +121,8 @@ func (c MultiConfig) Validate() error {
 	}
 	if !c.Duration.Positive() {
 		errs = append(errs, errors.New("sim: duration must be positive"))
+	} else if math.IsInf(c.Duration.Seconds(), 1) {
+		errs = append(errs, errors.New("sim: duration must be finite"))
 	}
 	return errors.Join(errs...)
 }

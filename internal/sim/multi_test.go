@@ -80,6 +80,20 @@ func TestMultiConfigValidate(t *testing.T) {
 		t.Error("zero duration accepted")
 	}
 
+	// A run loops until its clock reaches the duration, so an infinite one
+	// would never return.
+	endless := good
+	endless.Duration = units.Duration(math.Inf(1))
+	if err := endless.Validate(); err == nil || !strings.Contains(err.Error(), "duration must be finite") {
+		t.Errorf("infinite duration accepted: %v", err)
+	}
+	infBuffer := good
+	infBuffer.Streams = append([]MultiStream{}, good.Streams...)
+	infBuffer.Streams[1].Buffer = units.Size(math.Inf(1))
+	if err := infBuffer.Validate(); err == nil || !strings.Contains(err.Error(), "recording): buffer must be finite") {
+		t.Errorf("infinite buffer accepted or stream not named: %v", err)
+	}
+
 	for _, share := range []float64{-0.2, math.NaN()} {
 		badShare := good
 		badShare.BestEffort = workload.NewBestEffortProcess(share, good.MediaRate(), 1)

@@ -343,3 +343,84 @@ func TestStarvingRunsKeepTheirRebuffering(t *testing.T) {
 		}
 	}
 }
+
+// TestCBRRunsRepeatOneCycle checks the engine against the refill cycle of
+// Fig. 1b in closed form, over 400 generated one-stream CBR runs (32 kbps to
+// 8 Mbps, 2 to 514 KiB, 1 s to 1 h, no best effort). With stream rate r,
+// media rate rm, seek time tsk, shutdown time tsd and buffer B, the device
+// wakes at W = 1.05·r·tsk, first after t1 = (B − W)/r; a refill takes
+// R = (B − W + r·tsk)/(rm − r), a steady standby S = (B − r·tsd − W)/r, and
+// the run repeats the period T = tsk + R + tsd + S. The N cycles that start
+// before the end take four steps each, plus a closing standby when the last
+// shutdown ends before the end. Refill cycles and steps must match exactly,
+// every time, energy and volume to 1e-10. Configs whose standby is not
+// positive (the device wakes as it shuts down) are not generated, and ends
+// within 1e-9 of a cycle boundary are skipped.
+func TestCBRRunsRepeatOneCycle(t *testing.T) {
+	dev, dram := device.DefaultMEMS(), device.DefaultDRAM()
+	backend := engine.NewMEMS(dev)
+	rm, tsk, tsd := dev.MediaRate().BitsPerSecond(), dev.SeekTime.Seconds(), dev.ShutdownTime.Seconds()
+	rng := workload.NewRng(1)
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	for checked := 0; checked < 400; {
+		rate, buffer, end := units.Kbps.Scale(logUniform(32, 8000)), units.KiB.Scale(logUniform(2, 514)), logUniform(1, 3600)
+		r, b := rate.BitsPerSecond(), buffer.Bits()
+		wake := 1.05 * r * tsk
+		refill := (b - wake + r*tsk) / (rm - r)
+		standby := (b - r*tsd - wake) / r
+		active := tsk + refill + tsd
+		period := active + standby
+		// n cycles start before the end; phase is the end's offset from the
+		// last wake-up (negative when the first standby outlasts the run).
+		n, phase := 0, end-(b-wake)/r
+		if phase > 0 {
+			k := math.Floor(phase / period)
+			n, phase = int(k)+1, phase-k*period
+		}
+		eps := 1e-9 * end
+		if standby <= 0 || math.Abs(phase) < eps || math.Abs(phase-active) < eps || period-phase < eps {
+			continue
+		}
+		checked++
+		// The last shutdown ends at lastEnd (time zero before any cycle); a
+		// closing standby runs from there to the end.
+		lastEnd := 0.0
+		if n > 0 {
+			lastEnd = end - phase + active
+		}
+		steps, simulated := 4*n, lastEnd
+		if lastEnd < end {
+			steps, simulated = steps+1, end
+		}
+		var stateTime [device.NumStates]float64
+		stateTime[device.StateSeek] = float64(n) * tsk
+		stateTime[device.StateReadWrite] = float64(n) * refill
+		stateTime[device.StateShutdown] = float64(n) * tsd
+		stateTime[device.StateStandby] = simulated - float64(n)*active
+
+		name := fmt.Sprintf("%v through %v for %.6g s", rate, buffer, end)
+		got, err := RunConfig(Config{Device: dev, DRAM: dram, Buffer: buffer, Spec: workload.CBRSpec(rate),
+			Duration: units.Second.Scale(end), Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.RefillCycles != n || got.Steps != steps {
+			t.Errorf("%s: %d refill cycles in %d steps, the closed form %d in %d", name, got.RefillCycles, got.Steps, n, steps)
+		}
+		rel := func(field string, g, w float64) {
+			if d := relDiff(g, w); d > 1e-10 {
+				t.Errorf("%s: %s %.17g, the closed form %.17g (rel %.2e)", name, field, g, w, d)
+			}
+		}
+		for s := 0; s < device.NumStates; s++ {
+			state := device.PowerState(s)
+			rel(fmt.Sprintf("StateTime[%v]", state), got.StateTime[s].Seconds(), stateTime[s])
+			rel(fmt.Sprintf("StateEnergy[%v]", state), got.StateEnergy[s].Joules(), backend.StatePower(state).Watts()*stateTime[s])
+		}
+		rel("SimulatedTime", got.SimulatedTime.Seconds(), simulated)
+		rel("StreamedBits", got.StreamedBits.Bits(), r*simulated)
+		rel("MediaBits", got.MediaBits.Bits(), rm*float64(n)*refill)
+		rel("DRAMEnergy", got.DRAMEnergy.Joules(),
+			dram.BackgroundPower(buffer).Watts()*lastEnd+float64(n)*dram.AccessEnergy(buffer.Scale(2)).Joules())
+	}
+}

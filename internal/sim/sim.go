@@ -91,9 +91,13 @@ func (c Config) Validate() error {
 	}
 	if !c.Buffer.Positive() {
 		errs = append(errs, errors.New("sim: buffer must be positive"))
+	} else if math.IsInf(c.Buffer.Bits(), 1) {
+		errs = append(errs, errors.New("sim: buffer must be finite"))
 	}
 	if !c.Duration.Positive() {
 		errs = append(errs, errors.New("sim: duration must be positive"))
+	} else if math.IsInf(c.Duration.Seconds(), 1) {
+		errs = append(errs, errors.New("sim: duration must be finite"))
 	}
 	if mediaRate := c.MediaRate(); mediaRate.Positive() {
 		// The peak bound covers the average too, but both checks name the

@@ -41,6 +41,8 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero buffer", func(c *Config) { c.Buffer = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
+		{"infinite buffer", func(c *Config) { c.Buffer = units.Size(math.Inf(1)) }},
+		{"infinite duration", func(c *Config) { c.Duration = units.Duration(math.Inf(1)) }},
 		{"rate above media", func(c *Config) { c.Spec.Rate = 200 * units.Mbps }},
 		{"broken device", func(c *Config) { c.Device.ActiveProbes = 0 }},
 		{"broken dram", func(c *Config) { c.DRAM.DieCapacity = 0 }},

@@ -83,27 +83,10 @@ func TestSpecVideoCoversFullDuration(t *testing.T) {
 	if got := stats.SimulatedTime.Seconds(); math.Abs(got-300) > 1 {
 		t.Errorf("simulated %v, want the full 5 minutes", stats.SimulatedTime)
 	}
-	want := vp.AverageRate().Times(stats.SimulatedTime)
-	if rel := stats.StreamedBits.DivideBy(want); rel < 0.95 || rel > 1.05 {
-		t.Errorf("streamed %v, want within 5%% of the full-trace volume %v", stats.StreamedBits, want)
+	want := framePlayback(vp.Frames(), duration, stats.SimulatedTime)
+	if rel := stats.StreamedBits.Bits() / want; rel < 0.95 || rel > 1.05 {
+		t.Errorf("streamed %v, want within 5%% of the %.0f bits the full trace plays", stats.StreamedBits, want)
 	}
-}
-
-// TestSpecMatchesLegacySlicedVideo extends the parity suite to generated
-// video: the event-driven engine and the fixed-slice oracle must agree on a
-// spec-driven video run within the established variable-rate tolerance.
-func TestSpecMatchesLegacySlicedVideo(t *testing.T) {
-	spec := workload.VideoSpec(1024*units.Kbps, 3)
-	cfg := specConfig(spec, 64*units.KiB, units.Minute)
-	got, err := RunConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runLegacySliced(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertParity(t, got, want, variableTol)
 }
 
 // TestSpecPeakAboveMediaRateRejected locks in the admission check: a video
@@ -119,7 +102,7 @@ func TestSpecPeakAboveMediaRateRejected(t *testing.T) {
 // TestBestEffortWritesCountAsUserBits is the regression test for the wear
 // accounting fix: best-effort writes must appear in WrittenUserBits and
 // carry the formatting inflation in WrittenPhysicalBits, exactly like
-// stream writes, on both integration paths.
+// stream writes.
 func TestBestEffortWritesCountAsUserBits(t *testing.T) {
 	rate := 1024 * units.Kbps
 	base := Config{
@@ -134,30 +117,24 @@ func TestBestEffortWritesCountAsUserBits(t *testing.T) {
 	base.Spec.WriteFraction = 0
 	base.BestEffort = workload.NewBestEffortProcess(0.05, base.Device.MediaRate(), 7)
 
-	for _, path := range []struct {
-		name string
-		run  func(Config) (*Stats, error)
-	}{{"event-driven", RunConfig}, {"legacy-sliced", runLegacySliced}} {
-		stats, err := path.run(base)
-		if err != nil {
-			t.Fatalf("%s: %v", path.name, err)
-		}
-		if stats.BestEffortRequests == 0 {
-			t.Fatalf("%s: no best-effort traffic served", path.name)
-		}
-		if !stats.WrittenUserBits.Positive() {
-			t.Errorf("%s: best-effort writes missing from WrittenUserBits", path.name)
-		}
-		// Physical writes must exceed user writes by the formatting
-		// inflation (sectors at this buffer size pay a real overhead).
-		if stats.WrittenPhysicalBits <= stats.WrittenUserBits {
-			t.Errorf("%s: physical %v not above user %v — inflation lost", path.name,
-				stats.WrittenPhysicalBits, stats.WrittenUserBits)
-		}
-		// And the projections must see them: a finite probes lifetime.
-		life := stats.ProjectedProbesLifetime(base.Device, workload.DefaultCalendar())
-		if math.IsInf(life.Seconds(), 0) {
-			t.Errorf("%s: probes projection ignores best-effort writes", path.name)
-		}
+	stats, err := RunConfig(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BestEffortRequests == 0 {
+		t.Fatal("no best-effort traffic served")
+	}
+	if !stats.WrittenUserBits.Positive() {
+		t.Error("best-effort writes missing from WrittenUserBits")
+	}
+	// Physical writes must exceed user writes by the formatting inflation
+	// (sectors at this buffer size pay a real overhead).
+	if stats.WrittenPhysicalBits <= stats.WrittenUserBits {
+		t.Errorf("physical %v not above user %v — inflation lost", stats.WrittenPhysicalBits, stats.WrittenUserBits)
+	}
+	// And the projections must see them: a finite probes lifetime.
+	life := stats.ProjectedProbesLifetime(base.Device, workload.DefaultCalendar())
+	if math.IsInf(life.Seconds(), 0) {
+		t.Error("probes projection ignores best-effort writes")
 	}
 }

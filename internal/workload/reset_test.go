@@ -92,9 +92,6 @@ func TestVideoRatePatternResetMatchesFresh(t *testing.T) {
 	if p.PeakRate() != fresh.PeakRate() {
 		t.Errorf("reset peak %v, fresh peak %v", p.PeakRate(), fresh.PeakRate())
 	}
-	if p.AverageRate() != fresh.AverageRate() {
-		t.Errorf("reset average %v, fresh average %v", p.AverageRate(), fresh.AverageRate())
-	}
 }
 
 func TestVideoRatePatternResetDoesNotAllocate(t *testing.T) {

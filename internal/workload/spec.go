@@ -43,8 +43,6 @@ const MaxTraceHorizon = units.Hour
 type Pattern interface {
 	// PeakRate returns the largest demand the pattern can produce.
 	PeakRate() units.BitRate
-	// AverageRate returns the long-run average demand.
-	AverageRate() units.BitRate
 	// Segment returns the demand in effect at time t ≥ 0, the end of the
 	// constant-demand segment holding t (strictly after t; +Inf for a
 	// constant pattern) and the cursor to pass with the next call. The

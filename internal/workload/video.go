@@ -317,15 +317,6 @@ func farEnd(t units.Duration, w, frameEnd float64) units.Duration {
 // PeakRate returns the largest instantaneous demand of the trace.
 func (p *VideoRatePattern) PeakRate() units.BitRate { return p.peak }
 
-// AverageRate returns the long-run average demand of the trace.
-func (p *VideoRatePattern) AverageRate() units.BitRate {
-	var total units.Size
-	for _, size := range p.sizes {
-		total = total.Add(size)
-	}
-	return units.BitPerSecond.Scale(total.Bits() / p.horizon.Seconds())
-}
-
 // Frames returns the generated trace (for analyses and reports). The
 // pattern keeps only the frame sizes, so each call allocates a fresh slice.
 func (p *VideoRatePattern) Frames() []Frame {

@@ -241,9 +241,6 @@ func (p *RatePattern) segmentRate(k uint64) units.BitRate {
 	return p.spec.Rate.Scale(1 - spread + 2*spread*r.Float64())
 }
 
-// AverageRate returns the long-run average rate of the stream.
-func (p *RatePattern) AverageRate() units.BitRate { return p.spec.Rate }
-
 // BestEffortRequest is one non-streaming (OS / file-system) request.
 type BestEffortRequest struct {
 	// Arrival is the request arrival time.

@@ -162,9 +162,6 @@ func TestCBRPatternIsConstant(t *testing.T) {
 			t.Errorf("CBR rate at %v = %v", at, got)
 		}
 	}
-	if p.AverageRate() != 1024*units.Kbps {
-		t.Errorf("AverageRate = %v", p.AverageRate())
-	}
 }
 
 func TestVBRPatternBoundedAndVarying(t *testing.T) {

@@ -205,15 +205,7 @@ func Explore(dev Device, goal Goal, minRate, maxRate BitRate, n int) (*Sweep, er
 // workers <= 0 uses one worker per CPU; workers == 1 forces the sequential
 // path. The sweep output is identical at any worker count.
 func ExploreContext(ctx context.Context, workers int, dev Device, goal Goal, minRate, maxRate BitRate, n int) (*Sweep, error) {
-	rates, err := explore.LogSpace(minRate, maxRate, n)
-	if err != nil {
-		return nil, fmt.Errorf("memstream: %w", err)
-	}
-	sweep, err := explore.RunContext(ctx, explore.Config{Device: dev, Goal: goal, Workers: workers}, rates)
-	if err != nil {
-		return nil, fmt.Errorf("memstream: %w", err)
-	}
-	return sweep, nil
+	return ExploreWithOptionsContext(ctx, workers, dev, goal, Options{}, minRate, maxRate, n)
 }
 
 // ExploreWithOptions is Explore with model-construction overrides.
