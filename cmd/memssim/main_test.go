@@ -117,9 +117,9 @@ func TestRunBadInputs(t *testing.T) {
 }
 
 // TestRunRejectsInfiniteQuantities checks that a duration or buffer that
-// parses to +Inf is an error at once: a run loops until its clock reaches
-// the duration, so an infinite one never returns, and an infinite buffer
-// never wakes the device.
+// overflows its unit to +Inf is an error at once, from the parser: a run
+// loops until its clock reaches the duration, so an infinite one never
+// returns, and an infinite buffer never wakes the device.
 func TestRunRejectsInfiniteQuantities(t *testing.T) {
 	streams := streamFlags{"name=a,rate=1024kbps,buffer=128KiB"}
 	cases := []struct {
@@ -127,10 +127,10 @@ func TestRunRejectsInfiniteQuantities(t *testing.T) {
 		mutate func(*options)
 		want   string
 	}{
-		{"duration", func(o *options) { o.duration = "1e308y" }, "duration must be finite"},
-		{"duration with streams", func(o *options) { o.duration = "1e308y"; o.streams = streams }, "duration must be finite"},
-		{"buffer", func(o *options) { o.buffer = "1e300GiB" }, "buffer must be finite"},
-		{"stream buffer", func(o *options) { o.streams = streamFlags{"name=a,rate=1024kbps,buffer=1e300GiB"} }, "buffer must be finite"},
+		{"duration", func(o *options) { o.duration = "1e308y" }, `parse duration "1e308y": value out of range`},
+		{"duration with streams", func(o *options) { o.duration = "1e308y"; o.streams = streams }, `parse duration "1e308y": value out of range`},
+		{"buffer", func(o *options) { o.buffer = "1e300GiB" }, `parse size "1e300GiB": value out of range`},
+		{"stream buffer", func(o *options) { o.streams = streamFlags{"name=a,rate=1024kbps,buffer=1e300GiB"} }, `parse size "1e300GiB": value out of range`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

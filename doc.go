@@ -74,31 +74,31 @@
 // and the cycle rule, and rewinds them between replicas; left to differ are
 // their seed conventions, validation texts, result shapes and the
 // single-stream ECC error model, which samples each refill cycle once after
-// the run. Time advances by next-event stepping. A standby
-// is one step: each stream's demand pattern integrates its own demand across
-// whole segments (a video or trace frame drains its size, a VBR segment its
-// rate times its length, CBR in closed form), the step ends at the earliest
-// stream's wake-up or the run deadline, and every stream drains to it. The
-// other steps of a cycle end at the earliest of the target buffer level, the
-// run deadline, and the end of a stream's current demand segment. Each
-// stream caches that segment — its rate and where it ends — from one Segment
-// query to its demand pattern, answered from a single frame (or VBR segment)
-// index, and reloads it only when the clock reaches the end; the pattern's
-// cursor then advances frame by frame in O(1). The rate a step drains at and
-// the boundary it stops at come from the same frame, so piecewise-constant
-// demand (CBR, VBR segments, per-frame video and user traces) is integrated
-// exactly: a video or trace run without underruns streams the bits its frames
-// play to a relative 1e-12, with or without best-effort traffic and beside
-// other streams. TestFrameAccurateRunsStreamTheirFrames in internal/sim
-// checks this, TestSegmentWalkIntegratesFrames in internal/workload checks
-// the patterns over three passes of the wrap-around, and
-// FuzzAdvanceMatchesSegments checks a pattern's whole-segment integration
-// against its segment walk. Steps end exactly on the boundaries they are
-// solved for, so a CBR cycle is exactly four steps (standby, positioning,
-// refill, shutdown), plus two per non-empty best-effort backlog and one per
-// segment end crossed outside standby; TestCBRRunsRepeatOneCycle checks
-// CBR runs against that cycle in closed form. An hour of 25 fps video takes
-// about 4.3 steps per cycle, where a step per frame took about 30.
+// the run. Time advances by next-event stepping, and no step has to stop at
+// a rate change: each stream's demand pattern integrates its own demand
+// across whole segments (a video or trace frame drains its size, a VBR
+// segment its rate times its length, CBR in closed form). A standby is one
+// step that ends at the earliest stream's wake-up or the run deadline, and
+// the positioning, the best-effort backlog and the shutdown are one step
+// each. Only a refill ends at a segment end, and only at its own stream's,
+// where that stream's net fill rate changes. Each stream caches its current
+// segment — its rate and where it ends — from one Segment query, answered
+// from a single frame (or VBR segment) index, drains at that rate over a
+// step that ends inside it and walks the pattern across one that passes its
+// end. So piecewise-constant demand (CBR, VBR segments, per-frame video and
+// user traces) is integrated exactly: a video or trace run without
+// underruns streams the bits its frames play to a relative 1e-12, with or
+// without best-effort traffic and beside other streams.
+// TestFrameAccurateRunsStreamTheirFrames in internal/sim checks this,
+// TestSegmentWalkIntegratesFrames in internal/workload checks the patterns
+// over three passes of the wrap-around, and FuzzAdvanceMatchesSegments
+// checks a pattern's whole-segment integration against its segment walk.
+// Steps end exactly on the boundaries they are solved for, so a CBR cycle is
+// exactly four steps (standby, positioning, refill, shutdown), plus two per
+// non-empty best-effort backlog; TestCBRRunsRepeatOneCycle checks CBR runs
+// against that cycle in closed form. Other demand adds a step per end of the
+// refilled stream's own segment crossed during its refill: an hour of 25 fps
+// video takes 4.2 to 4.3 steps per cycle; a step per frame took about 30.
 //
 // The engine accounts per-state time and energy against a pluggable device
 // backend (power per cycle state, positioning and shutdown transitions,
@@ -252,9 +252,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_29.json
-//	go run ./cmd/memsbench -check BENCH_29.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_27.json BENCH_29.json
+//	go run ./cmd/memsbench -format json -out BENCH_30.json
+//	go run ./cmd/memsbench -check BENCH_30.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_29.json BENCH_30.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

@@ -1,7 +1,7 @@
 // Package config bundles the parameter sets of the study — the Table I device
 // and workload, the DRAM buffer and the disk baseline — into a single
-// serialisable Study configuration, so that experiments can be described,
-// saved and reloaded as JSON.
+// serialisable Study configuration, so that experiments can be described
+// and saved as JSON.
 package config
 
 import (
@@ -190,36 +190,11 @@ func (s Study) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Read parses a study from JSON and validates it.
-func Read(r io.Reader) (Study, error) {
-	var s Study
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Study{}, fmt.Errorf("config: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Study{}, err
-	}
-	return s, nil
-}
-
-// Load reads a study from a JSON file.
-func Load(path string) (Study, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Study{}, fmt.Errorf("config: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
-}
-
-// Save writes a study to a JSON file.
+// Save writes a study to a JSON file, reporting a failed write or close.
 func (s Study) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	defer f.Close()
-	return s.Write(f)
+	return errors.Join(s.Write(f), f.Close())
 }

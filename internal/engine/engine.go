@@ -19,23 +19,22 @@
 // wake provisioning's service round, which for one stream is the
 // positioning transition alone.
 //
-// The engine advances time by next-event stepping, not by fixed slices. A
-// standby is one step however many rate changes it spans: each stream's
-// workload.Pattern integrates its own demand across whole segments
-// (Advance), the step ends at the earliest stream's wake-up or at the
-// deadline, and every stream drains to it. The other steps — positioning,
-// refill, the best-effort backlog and shutdown — end at the earliest of the
-// target level, the deadline, and the end of every stream's current demand
-// segment: each stream caches its segment (the rate and where it ends, read
-// with one Segment call) and reloads it once the clock reaches that end, so
-// these steps never straddle a rate change. Either way piecewise-constant
-// demand — CBR, VBR segments, per-frame video and user traces — is
-// integrated exactly, also while the device serves best-effort traffic: a
-// cycle's whole best-effort backlog is one such step. Steps end exactly on
-// the boundaries they are solved for (a wake level, a full buffer), so a
-// one-stream CBR cycle is exactly four steps, plus two per non-empty
-// best-effort backlog (with its top-off) and one per segment end crossed
-// outside standby.
+// The engine advances time by next-event stepping, not by fixed slices, and
+// no step has to stop at a rate change. Each stream caches its current
+// demand segment (the rate and where it ends, read with one Segment call):
+// over a step that ends inside that segment it drains at the cached rate,
+// and across a step that passes the segment's end its workload.Pattern
+// integrates the demand over whole segments (Advance). A standby is one step
+// that ends at the earliest stream's wake-up or at the deadline, and the
+// positioning, the best-effort backlog and the shutdown are one step each.
+// Only a refill ends at a segment end, and only at its own stream's, where
+// that stream's net fill rate changes. So piecewise-constant demand — CBR,
+// VBR segments, per-frame video and user traces — is integrated exactly,
+// also while the device serves best-effort traffic. Steps end exactly on the
+// boundaries they are solved for (a wake level, a full buffer), so a
+// one-stream cycle is four steps, plus two per non-empty best-effort backlog
+// (with its top-off) and one per end of the stream's own demand segment
+// crossed during a refill: exactly four or six for CBR.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so
@@ -104,20 +103,20 @@ type Stats struct {
 	RefillCycles int
 	// BestEffortRequests counts served background requests.
 	BestEffortRequests int
-	// Underruns counts accounting steps in which the buffer ran dry while
-	// the stream drained — an integration-granularity diagnostic, not a
+	// Underruns counts the accounting steps in which the buffer ran dry, one
+	// per dry step — an integration-granularity diagnostic, not a
 	// user-visible event count (several consecutive dry steps are one
-	// playback stall; see RebufferEpisodes). A best-effort backlog is one
-	// step, split only at demand-segment ends, so a stream that starves
-	// across a backlog counts one underrun per segment it crosses.
+	// playback stall; see RebufferEpisodes). Only a refill stops at a
+	// demand-segment end, so a stream that starves across a best-effort
+	// backlog counts one underrun for it however many segments it crosses.
 	Underruns int
 	// RebufferEpisodes counts distinct playback stalls: maximal runs of dry
 	// accounting steps, the paper-relevant "rebuffering events per run"
 	// metric a player would surface.
 	RebufferEpisodes int
 	// RebufferTime is the total playback time lost to stalls: for each dry
-	// step, the time the missing bits would have taken at the demand in
-	// effect.
+	// step, the part of the step after the buffer emptied, all of it when
+	// the step starts empty.
 	RebufferTime units.Duration
 	// StartupDelay is the modelled playback start-up latency: the device
 	// positions and fills the buffer once at the media rate before the
@@ -131,10 +130,10 @@ type Stats struct {
 	// ECCUncorrectable counts codewords the codec had to give up on.
 	ECCUncorrectable int
 	// Steps counts the accounting steps that advanced time: the event count
-	// of the run. A one-stream CBR cycle is exactly four, plus two per
-	// non-empty best-effort backlog (with its top-off) and one per segment
-	// end crossed outside standby. It is deterministic for a given
-	// configuration and feeds the engine totals mirrored at /metricsz.
+	// of the run. A one-stream cycle is four, plus two per non-empty
+	// best-effort backlog (with its top-off) and one per end of the stream's
+	// own demand segment crossed during a refill. It is deterministic for a
+	// given configuration and feeds the engine totals mirrored at /metricsz.
 	Steps int
 }
 

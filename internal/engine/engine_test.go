@@ -173,9 +173,8 @@ func TestCycleEnergyMatchesStepwiseAccounting(t *testing.T) {
 }
 
 func TestStepBoundStopsAtRateChanges(t *testing.T) {
-	// A VBR pattern announces its segment boundaries; the standby drain
-	// integrates across them exactly, each segment at its own rate, in one
-	// step.
+	// drainToWake integrates a VBR pattern across its segment ends exactly,
+	// each segment at its own rate, in one standby step.
 	pattern, err := workload.VBRSpec(1024*units.Kbps, 42).Pattern(units.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -357,10 +356,10 @@ func TestCreditWriteCarriesInflation(t *testing.T) {
 	}
 }
 
-// TestTransitionDrainsAcrossRateChanges locks in the fix for seconds-long
-// transitions (the disk's spin-up) spanning demand changes: the drain during
-// Positioning must integrate each phase at its own rate, not left-endpoint
-// sample the whole transition.
+// TestTransitionDrainsAcrossRateChanges checks a seconds-long transition
+// (the disk's spin-up) spanning a demand change: the positioning is one step
+// that drains each phase at its own rate, not the whole transition at the
+// rate it started with.
 func TestTransitionDrainsAcrossRateChanges(t *testing.T) {
 	d := device.Default18InchDisk()
 	b := NewDisk(d)
@@ -378,5 +377,35 @@ func TestTransitionDrainsAcrossRateChanges(t *testing.T) {
 	}
 	if got := c.DeviceStats().StateTime[device.StateSeek]; !almostEqual(got.Seconds(), pos.Seconds(), 1e-12) {
 		t.Errorf("seek residency %v, want %v", got, pos)
+	}
+	if got := c.DeviceStats().Steps; got != 1 {
+		t.Errorf("the spin-up took %d steps, want one across the rate change", got)
+	}
+}
+
+// TestDryStepStallsFromEmpty checks the stall of a step that runs a buffer
+// dry: playback stops when the buffer empties, here after the demand's rate
+// change, so the step stalls for the rest of it; a step that starts empty
+// stalls throughout.
+func TestDryStepStallsFromEmpty(t *testing.T) {
+	src := stepRate{switchAt: units.Duration(1), lowRate: 512 * units.Kbps, highRate: 2048 * units.Kbps}
+	buffer := units.Size(1e6)
+	c := newSingleCore(NewMEMS(device.DefaultMEMS()), src, buffer, 0)
+	// 512,000 bits drain before the switch, the other 488,000 at 2048 kbps:
+	// the buffer empties 61/256 s after it, 1.23828125 s into a 2 s step.
+	dt := units.Duration(2)
+	empty := src.switchAt.Seconds() + (buffer.Bits()-src.lowRate.Times(src.switchAt).Bits())/src.highRate.BitsPerSecond()
+	c.account(device.StateStandby, dt, -1)
+	st := c.DeviceStats()
+	if want := dt.Seconds() - empty; st.Underruns != 1 || st.RebufferTime.Seconds() != want {
+		t.Errorf("%d underruns stalling %.17g s, want 1 stalling %.17g s", st.Underruns, st.RebufferTime.Seconds(), want)
+	}
+	if st.StreamedBits != buffer || c.Level(0) != 0 {
+		t.Errorf("streamed %v leaving %v, want the whole %v and an empty buffer", st.StreamedBits, c.Level(0), buffer)
+	}
+	stalled := st.RebufferTime
+	c.account(device.StateStandby, units.Duration(0.25), -1)
+	if got := st.RebufferTime.Sub(stalled); st.Underruns != 2 || st.RebufferEpisodes != 1 || got != 0.25 {
+		t.Errorf("a step from empty: %d underruns in %d episodes, stalled %v; want 2 in 1 and the whole 0.25 s", st.Underruns, st.RebufferEpisodes, got)
 	}
 }

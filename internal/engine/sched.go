@@ -66,18 +66,16 @@ func (st *streamState) loadSegment(t units.Duration) {
 
 // drain removes drained bits of demand from the stream buffer, tracking
 // underruns, rebuffer episodes and the minimum level in both the stream's own
-// statistics and the aggregate device statistics. A stall is timed at the
-// given demand rate.
-func (st *streamState) drain(drained units.Size, rate units.BitRate, dev *Stats) {
+// statistics and the aggregate device statistics. A step that runs the
+// buffer dry stalls playback for stall, the part of the step after the
+// buffer emptied.
+func (st *streamState) drain(drained units.Size, stall units.Duration, dev *Stats) {
 	st.level = st.level.Sub(drained)
 	if st.level < 0 {
 		st.stats.Underruns++
 		dev.Underruns++
-		if rate.Positive() {
-			stall := rate.TimeFor(st.level.Scale(-1))
-			st.stats.RebufferTime = st.stats.RebufferTime.Add(stall)
-			dev.RebufferTime = dev.RebufferTime.Add(stall)
-		}
+		st.stats.RebufferTime = st.stats.RebufferTime.Add(stall)
+		dev.RebufferTime = dev.RebufferTime.Add(stall)
 		if !st.inRebuffer {
 			st.stats.RebufferEpisodes++
 			dev.RebufferEpisodes++
@@ -289,8 +287,8 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 // by the time the device is free for it. A local clock advances by each
 // request's service time, so each next request is asked for at the time its
 // predecessor ends, and every request is credited as it is drawn. The whole
-// backlog is then charged as one best-effort transition, a single step that
-// splits only at demand-segment ends; an empty backlog takes no step.
+// backlog is then charged as one step, however many demand segments it
+// spans; an empty backlog takes no step.
 // Background writes wear the region of stream last, where the device stands,
 // inflated by that region's formatting overhead. Like the other shared
 // states they count on the device record only.
@@ -306,7 +304,7 @@ func (m *MultiCore) serveBestEffort(c *Cycle, last int) {
 			m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(req.Size.Scale(inflation))
 		}
 	}
-	m.transition(device.StateBestEffort, t.Sub(m.now), -1)
+	m.account(device.StateBestEffort, t.Sub(m.now), -1)
 }
 
 // Level returns stream i's current buffer fill level.
@@ -328,14 +326,28 @@ func (m *MultiCore) StreamStats(i int) *Stats { return &m.streams[i].stats }
 // account records dt seconds in the given device state while every stream
 // drains its buffer at its own demand. focus names the stream being serviced
 // (its statistics receive the state time and energy too); pass -1 for shared
-// states. Each stream drains at the rate of the segment holding the step's
-// start, which is exact because every caller bounds its step by stepBound.
+// states. A stream whose cached segment ends inside the step walks its
+// demand across the segment ends (workload.Pattern's Advance); any other
+// drains at its cached rate, Advance's own arithmetic within one segment. A
+// stream that runs dry stalls from the moment its buffer empties.
 func (m *MultiCore) account(state device.PowerState, dt units.Duration, focus int) {
 	if dt <= 0 {
 		return
 	}
 	for _, st := range m.streams {
-		st.drain(st.rate.Times(dt), st.rate, &m.device)
+		drained, cursor := st.rate.Times(dt), st.cursor
+		if st.segEnd.Sub(m.now) < dt {
+			_, drained, st.cursor = st.source.Advance(m.now, cursor, dt, units.Size(math.Inf(1)))
+		}
+		var stall units.Duration
+		if drained > st.level {
+			stall = dt
+			if st.level.Positive() {
+				empty, _, _ := st.source.Advance(m.now, cursor, dt, st.level)
+				stall = dt.Sub(empty)
+			}
+		}
+		st.drain(drained, stall, &m.device)
 	}
 	m.charge(state, dt, focus)
 }
@@ -366,18 +378,6 @@ func (m *MultiCore) charge(state device.PowerState, dt units.Duration, focus int
 	if total < m.device.MinBufferLevel {
 		m.device.MinBufferLevel = total
 	}
-}
-
-// stepBound trims an integration step so it ends no later than the earliest
-// segment end of any stream, keeping left-endpoint sampling exact for
-// piecewise-constant demand across all sources at once.
-func (m *MultiCore) stepBound(dt units.Duration) units.Duration {
-	for _, st := range m.streams {
-		if remaining := st.segEnd.Sub(m.now); remaining.Positive() && remaining < dt {
-			dt = remaining
-		}
-	}
-	return dt
 }
 
 // wokenStream returns the lowest-indexed stream at or below its wake level,
@@ -412,12 +412,13 @@ func (m *MultiCore) drainToWake(state device.PowerState, deadline units.Duration
 			}
 		}
 		// A stream whose walk ended at the step's end has drained it already;
-		// the others walk again to that end with no budget.
+		// the others walk again to that end with no budget. No stream drains
+		// past its wake level, so none stalls.
 		for _, st := range m.streams {
 			if st.walked != span {
 				st.walked, st.drained, st.next = st.source.Advance(m.now, st.cursor, span, units.Size(math.Inf(1)))
 			}
-			st.drain(st.drained, st.rate, &m.device)
+			st.drain(st.drained, 0, &m.device)
 			st.cursor = st.next
 		}
 		// The walk that set the span stopped on its budget: at the wake level.
@@ -429,59 +430,47 @@ func (m *MultiCore) drainToWake(state device.PowerState, deadline units.Duration
 	return -1
 }
 
-// transition accounts a mechanical transition, stepping through every
-// stream's rate changes so the concurrent drains stay exact even when the
-// transition spans several demand segments (the disk's seconds-long spin-up
-// against two-second VBR segments, for example). MEMS transitions are
-// milliseconds, so they almost always remain a single step.
-func (m *MultiCore) transition(state device.PowerState, total units.Duration, focus int) {
-	for total.Positive() {
-		dt := m.stepBound(total)
-		if remaining := total.Sub(dt); remaining < total {
-			m.account(state, dt, focus)
-			total = remaining
-			continue
-		}
-		// dt vanished against total (a sub-ulp boundary sliver); finish in
-		// one step rather than loop without advancing.
-		m.account(state, total, focus)
-		return
-	}
-}
-
 // positioning runs the standby-to-active transition (or the inter-stream
 // repositioning — the backend models both with the same transition) towards
-// the given stream's region, draining every buffer along the way.
+// the given stream's region as one step, draining every buffer along the
+// way.
 func (m *MultiCore) positioning(focus int) {
-	m.transition(device.StateSeek, m.positioningTime, focus)
+	m.account(device.StateSeek, m.positioningTime, focus)
 }
 
-// shutdown runs the active-to-standby transition.
+// shutdown runs the active-to-standby transition as one step.
 func (m *MultiCore) shutdown() {
-	m.transition(device.StateShutdown, m.shutdownTime, -1)
+	m.account(device.StateShutdown, m.shutdownTime, -1)
 }
 
 // refillStream runs the device in the read/write state until stream focus's
 // buffer is full, crediting its media bits and the write wear implied by its
-// configured write fraction while every other stream keeps draining.
+// configured write fraction while every other stream keeps draining. A step
+// stops only at the end of the focused stream's own demand segment, where
+// its net fill rate changes; the other streams drain across their segment
+// ends inside the step.
 func (m *MultiCore) refillStream(focus int) {
 	st := m.streams[focus]
 	media := m.mediaRate
 	for st.level < st.buffer {
 		level, now := st.level, m.now
+		segment := st.segEnd.Sub(m.now)
 		net := media.Sub(st.rate)
 		if net <= 0 {
 			// The stream momentarily outruns the media rate; step straight to
-			// the next segment end of any stream, falling back to 1 ms slices
-			// only when every source is constant.
+			// its segment end, falling back to 1 ms slices only when its
+			// demand is constant.
 			dt := units.Duration(1e-3)
-			if bound := m.stepBound(units.Duration(math.Inf(1))); bound.Positive() && !math.IsInf(bound.Seconds(), 0) {
-				dt = bound
+			if !math.IsInf(segment.Seconds(), 0) {
+				dt = segment
 			}
 			m.account(device.StateReadWrite, dt, focus)
 		} else {
 			fill := net.TimeFor(st.buffer.Sub(st.level))
-			dt := m.stepBound(fill)
+			dt := fill
+			if segment < dt {
+				dt = segment
+			}
 			transferred := media.Times(dt)
 			m.device.MediaBits = m.device.MediaBits.Add(transferred)
 			st.stats.MediaBits = st.stats.MediaBits.Add(transferred)
@@ -490,7 +479,7 @@ func (m *MultiCore) refillStream(focus int) {
 			// incoming data before accounting the drain so the net fill never
 			// reads as an artificial underrun. The true occupancy minimum of a
 			// cycle occurs at the end of the positioning, which account has
-			// already tracked. A step no segment end trimmed ends full.
+			// already tracked. A step its segment end did not trim ends full.
 			st.level = st.level.Add(transferred)
 			m.account(device.StateReadWrite, dt, focus)
 			if dt == fill || st.level > st.buffer {
@@ -500,8 +489,7 @@ func (m *MultiCore) refillStream(focus int) {
 		// An iteration's step and outcome depend only on the focused level
 		// and the clock. When neither moved (a sub-ulp remainder against a
 		// large level or clock), every later iteration would repeat this one
-		// forever, so the refill ends here, as transition does on a vanished
-		// step.
+		// forever, so the refill ends here.
 		if st.level == level && m.now == now {
 			return
 		}

@@ -2,6 +2,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,26 +19,28 @@ func ParseSize(s string) (Size, error) {
 	if err != nil {
 		return 0, fmt.Errorf("parse size %q: %w", s, err)
 	}
+	var factor Size
 	switch strings.ToLower(unit) {
 	case "", "b", "byte", "bytes":
-		return Size(value) * Byte, nil
+		factor = Byte
 	case "bit", "bits":
-		return Size(value) * Bit, nil
+		factor = Bit
 	case "kb", "kib", "kbyte", "kilobyte":
-		return Size(value) * KiB, nil
+		factor = KiB
 	case "mb", "mib", "mbyte", "megabyte":
-		return Size(value) * MiB, nil
+		factor = MiB
 	case "gb", "gib":
-		return Size(value) * GB, nil
+		factor = GB
 	case "tb", "tib":
-		return Size(value) * TB, nil
+		factor = TB
 	case "kbit", "kbits":
-		return Size(value * 1000), nil
+		factor = 1000 * Bit
 	case "mbit", "mbits":
-		return Size(value * 1e6), nil
+		factor = 1e6 * Bit
 	default:
 		return 0, fmt.Errorf("parse size %q: unknown unit %q", s, unit)
 	}
+	return finite("size", s, Size(value)*factor)
 }
 
 // ParseBitRate parses a bit rate such as "1024 kbps", "2Mbps" or "32kbit/s".
@@ -48,18 +51,20 @@ func ParseBitRate(s string) (BitRate, error) {
 		return 0, fmt.Errorf("parse bit rate %q: %w", s, err)
 	}
 	unit = strings.ToLower(strings.TrimSuffix(strings.ToLower(unit), "/s"))
+	var factor BitRate
 	switch unit {
 	case "", "bps", "bit", "bits":
-		return BitRate(value), nil
+		factor = BitPerSecond
 	case "kbps", "kbit", "kbits", "kb":
-		return BitRate(value) * Kbps, nil
+		factor = Kbps
 	case "mbps", "mbit", "mbits", "mb":
-		return BitRate(value) * Mbps, nil
+		factor = Mbps
 	case "gbps", "gbit", "gbits", "gb":
-		return BitRate(value) * Gbps, nil
+		factor = Gbps
 	default:
 		return 0, fmt.Errorf("parse bit rate %q: unknown unit %q", s, unit)
 	}
+	return finite("bit rate", s, BitRate(value)*factor)
 }
 
 // ParseDuration parses a duration such as "2ms", "8 h", "1.5 years" or "30us".
@@ -69,24 +74,35 @@ func ParseDuration(s string) (Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("parse duration %q: %w", s, err)
 	}
+	var factor Duration
 	switch strings.ToLower(unit) {
 	case "", "s", "sec", "secs", "second", "seconds":
-		return Duration(value) * Second, nil
+		factor = Second
 	case "ms", "millisecond", "milliseconds":
-		return Duration(value) * Millisecond, nil
+		factor = Millisecond
 	case "us", "µs", "microsecond", "microseconds":
-		return Duration(value) * Microsecond, nil
+		factor = Microsecond
 	case "min", "mins", "minute", "minutes":
-		return Duration(value) * Minute, nil
+		factor = Minute
 	case "h", "hr", "hrs", "hour", "hours":
-		return Duration(value) * Hour, nil
+		factor = Hour
 	case "d", "day", "days":
-		return Duration(value) * Day, nil
+		factor = Day
 	case "y", "yr", "yrs", "year", "years":
-		return Duration(value) * Year, nil
+		factor = Year
 	default:
 		return 0, fmt.Errorf("parse duration %q: unknown unit %q", s, unit)
 	}
+	return finite("duration", s, Duration(value)*factor)
+}
+
+// finite returns a parsed quantity, or an error when its finite number
+// overflowed against its unit ("1e300 GiB").
+func finite[Q Size | BitRate | Duration](kind, s string, q Q) (Q, error) {
+	if math.IsInf(float64(q), 0) {
+		return 0, fmt.Errorf("parse %s %q: value out of range", kind, s)
+	}
+	return q, nil
 }
 
 // splitQuantity splits "12.5 kB" into (12.5, "kB"). The unit may be attached

@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -245,6 +246,26 @@ func TestParseDuration(t *testing.T) {
 	}
 	if _, err := ParseDuration("5 fortnights"); err == nil {
 		t.Error("ParseDuration with bogus unit succeeded, want error")
+	}
+}
+
+// TestParseRejectsOverflow checks that a finite number whose unit scales it
+// past the float range is an error quoting the input, not ±Inf.
+func TestParseRejectsOverflow(t *testing.T) {
+	cases := []struct {
+		in    string
+		parse func(string) error
+	}{
+		{"1e300GiB", func(s string) error { _, err := ParseSize(s); return err }},
+		{"-1e300 TB", func(s string) error { _, err := ParseSize(s); return err }},
+		{"1e300Gbps", func(s string) error { _, err := ParseBitRate(s); return err }},
+		{"1e308y", func(s string) error { _, err := ParseDuration(s); return err }},
+		{"-1e308 years", func(s string) error { _, err := ParseDuration(s); return err }},
+	}
+	for _, c := range cases {
+		if err := c.parse(c.in); err == nil || !strings.Contains(err.Error(), strconv.Quote(c.in)) {
+			t.Errorf("parsing %q: error %v, want one quoting the input", c.in, err)
+		}
 	}
 }
 

@@ -119,9 +119,9 @@ func NormalizeFrames(frames []Frame) ([]Frame, error) {
 
 // ValidateFrames checks a trace in normalized form: at least one frame, the
 // first at time zero, timestamps strictly increasing, every size positive,
-// and every quantity finite (an infinite timestamp or size would otherwise
-// survive parsing — the duration grammar happily scales "1e300y" into
-// infinity — and then poison every rate derived from the trace).
+// and every quantity finite (the parser rejects a quantity that overflows
+// its unit, but a library caller can still pass an infinite timestamp or
+// size, which would poison every rate derived from the trace).
 func ValidateFrames(frames []Frame) error {
 	if len(frames) == 0 {
 		return errors.New("workload: trace holds no frames")
