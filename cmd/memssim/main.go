@@ -4,8 +4,9 @@
 // model at the same operating point.
 //
 // With -replicas N it runs N seed-varied copies of the simulation
-// concurrently through memstream.SimulateBatch and reports the spread of the
-// observed metrics instead of a single run's detail.
+// concurrently, replica i at seed -seed+i in every stochastic input, and
+// reports the spread of the observed metrics instead of a single run's
+// detail.
 //
 // Usage:
 //
@@ -44,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -410,49 +412,33 @@ func run(w io.Writer, o options) error {
 		}
 		backend = memstream.DiskBackend(memstream.DefaultDisk())
 	}
-	mediaRate := memstream.SimConfig{Device: dev, Backend: backend}.MediaRate()
-
-	// specFor builds the stream spec for one seed: the stochastic kinds
-	// re-derive their randomness from it, so seed-varied replicas differ in
-	// every stochastic source. The trace spec is seed-independent and built
-	// once — it memoizes its demand pattern, which every replica shares.
-	var traceSpec memstream.SimStreamSpec
-	if kind == memstream.SpecTrace {
-		traceSpec = memstream.TraceSpec(traceFrames)
-	}
-	specFor := func(s uint64) memstream.SimStreamSpec {
-		switch kind {
-		case memstream.SpecVBR:
-			return memstream.VBRSpec(rate, s)
-		case memstream.SpecVideo:
-			return memstream.VideoSpec(rate, s)
-		case memstream.SpecTrace:
-			return traceSpec
-		default:
-			return memstream.CBRSpec(rate)
-		}
-	}
-
-	// configFor builds the full simulation configuration for one seed; the
-	// best-effort process re-derives its arrivals from it too. The video
-	// trace horizon follows the run duration (capped at
+	// The stochastic kinds and the best-effort process draw from -seed. The
+	// video trace horizon follows the run duration (capped at
 	// memstream.MaxTraceHorizon, wrapping beyond), so a 5-minute run
 	// simulates 5 minutes of distinct frames — not a replayed 60 s window.
-	configFor := func(s uint64) memstream.SimConfig {
-		cfg := memstream.SimConfig{
-			Device:       dev,
-			Backend:      backend,
-			DRAM:         memstream.DefaultDRAM(),
-			Buffer:       buffer,
-			Spec:         specFor(s),
-			Duration:     duration,
-			BitErrorRate: o.ber,
-			Seed:         s,
-		}
-		if o.bestEffort != 0 {
-			cfg.BestEffort = memstream.NewBestEffortProcess(o.bestEffort, mediaRate, s)
-		}
-		return cfg
+	var spec memstream.SimStreamSpec
+	switch kind {
+	case memstream.SpecVBR:
+		spec = memstream.VBRSpec(rate, o.seed)
+	case memstream.SpecVideo:
+		spec = memstream.VideoSpec(rate, o.seed)
+	case memstream.SpecTrace:
+		spec = memstream.TraceSpec(traceFrames)
+	default:
+		spec = memstream.CBRSpec(rate)
+	}
+	cfg := memstream.SimConfig{
+		Device:       dev,
+		Backend:      backend,
+		DRAM:         memstream.DefaultDRAM(),
+		Buffer:       buffer,
+		Spec:         spec,
+		Duration:     duration,
+		BitErrorRate: o.ber,
+		Seed:         o.seed,
+	}
+	if o.bestEffort != 0 {
+		cfg.BestEffort = memstream.NewBestEffortProcess(o.bestEffort, cfg.MediaRate(), o.seed)
 	}
 
 	// Reject incoherent flag combinations before producing any output or
@@ -470,7 +456,6 @@ func run(w io.Writer, o options) error {
 	}
 
 	if o.dumpTrace != "" {
-		spec := specFor(o.seed)
 		frames, err := spec.TraceFrames(duration)
 		if err != nil {
 			return fmt.Errorf("-dump-trace: %w", err)
@@ -493,21 +478,16 @@ func run(w io.Writer, o options) error {
 	// or the trace's own average (where -rate is ignored).
 	reportRate := rate
 	if kind == memstream.SpecTrace {
-		reportRate = specFor(o.seed).AverageRate()
+		reportRate = spec.AverageRate()
 	}
 	if o.replicas > 1 {
-		cfgs := make([]memstream.SimConfig, o.replicas)
-		for i := range cfgs {
-			cfgs[i] = configFor(o.seed + uint64(i))
-		}
-		batch, err := memstream.SimulateBatch(cfgs...)
+		batch, err := sim.RunReplicas(context.Background(), 0, cfg, o.seed, o.replicas)
 		if err != nil {
 			return err
 		}
-		return reportReplicas(w, cfgs, batch, reportRate, buffer)
+		return reportReplicas(w, o.seed, batch, reportRate, buffer)
 	}
 
-	cfg := configFor(o.seed)
 	stats, err := memstream.Simulate(cfg)
 	if err != nil {
 		return err
@@ -571,9 +551,9 @@ func run(w io.Writer, o options) error {
 	return nil
 }
 
-// reportReplicas summarises a seed-varied batch: one line per replica plus
-// the spread of the headline metrics.
-func reportReplicas(w io.Writer, cfgs []memstream.SimConfig, batch []*memstream.SimStats,
+// reportReplicas summarises a seed-varied batch whose replica i ran at seed
+// base+i: one line per replica plus the spread of the headline metrics.
+func reportReplicas(w io.Writer, base uint64, batch []*memstream.SimStats,
 	rate memstream.BitRate, buffer memstream.Size) error {
 
 	fmt.Fprintf(w, "ran %d seed-varied replicas at %v through a %v buffer (concurrent batch)\n",
@@ -590,7 +570,7 @@ func reportReplicas(w io.Writer, cfgs []memstream.SimConfig, batch []*memstream.
 		}
 		sumNJ += nj
 		fmt.Fprintf(w, "  %-8d %-6d %-8d %-10d %.2f nJ/b\n",
-			i, cfgs[i].Seed, stats.RefillCycles, stats.Underruns, nj)
+			i, base+uint64(i), stats.RefillCycles, stats.Underruns, nj)
 	}
 	fmt.Fprintf(w, "per-bit energy spread: mean %.2f, min %.2f, max %.2f nJ/b\n",
 		sumNJ/float64(len(batch)), minNJ, maxNJ)

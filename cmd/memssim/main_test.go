@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -320,6 +322,43 @@ func TestRunReplicasDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Errorf("two identical replica batches diverged:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestRunReplicaIsTheSingleRunAtItsSeed checks the replica seed convention
+// end to end: for both seeded kinds, best-effort traffic included, replica
+// i of -replicas 3 -seed s prints the refills and underruns of the single
+// run at -seed s+i, and its per-bit energy to the two formats' rounding.
+func TestRunReplicaIsTheSingleRunAtItsSeed(t *testing.T) {
+	const seed = 11
+	replicaLine := regexp.MustCompile(`(?m)^ +(\d+) +(\d+) +(\d+) +(\d+) +([0-9.]+) nJ/b$`)
+	singleLine := regexp.MustCompile(`(?s)refill cycles: +(\d+) .*underruns: (\d+),.*per-bit energy: +([0-9.e+-]+) nJ/b`)
+	for _, kind := range []string{"vbr", "video"} {
+		var batch bytes.Buffer
+		if err := run(&batch, opts(func(o *options) { o.stream, o.seed, o.replicas = kind, seed, 3 })); err != nil {
+			t.Fatal(err)
+		}
+		replicas := replicaLine.FindAllStringSubmatch(batch.String(), -1)
+		if len(replicas) != 3 {
+			t.Fatalf("%s: want 3 replica lines:\n%s", kind, batch.String())
+		}
+		for i, got := range replicas {
+			var single bytes.Buffer
+			if err := run(&single, opts(func(o *options) { o.stream, o.seed = kind, seed+uint64(i) })); err != nil {
+				t.Fatal(err)
+			}
+			want := singleLine.FindStringSubmatch(single.String())
+			if want == nil {
+				t.Fatalf("%s: single run output unparsed:\n%s", kind, single.String())
+			}
+			gotNJ, _ := strconv.ParseFloat(got[5], 64)
+			wantNJ, _ := strconv.ParseFloat(want[3], 64)
+			if got[1] != fmt.Sprint(i) || got[2] != fmt.Sprint(seed+i) || got[3] != want[1] || got[4] != want[2] ||
+				math.Abs(gotNJ-wantNJ) > 0.005+5e-4*wantNJ {
+				t.Errorf("%s replica %d reads %q; the run at seed %d has %s refills, %s underruns, %s nJ/b",
+					kind, i, got[0], seed+i, want[1], want[2], want[3])
+			}
+		}
 	}
 }
 

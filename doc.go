@@ -252,9 +252,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_30.json
-//	go run ./cmd/memsbench -check BENCH_30.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_29.json BENCH_30.json
+//	go run ./cmd/memsbench -format json -out BENCH_31.json
+//	go run ./cmd/memsbench -check BENCH_31.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_30.json BENCH_31.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

@@ -27,14 +27,15 @@
 // integrates the demand over whole segments (Advance). A standby is one step
 // that ends at the earliest stream's wake-up or at the deadline, and the
 // positioning, the best-effort backlog and the shutdown are one step each.
-// Only a refill ends at a segment end, and only at its own stream's, where
-// that stream's net fill rate changes. So piecewise-constant demand — CBR,
-// VBR segments, per-frame video and user traces — is integrated exactly,
-// also while the device serves best-effort traffic. Steps end exactly on the
-// boundaries they are solved for (a wake level, a full buffer), so a
-// one-stream cycle is four steps, plus two per non-empty best-effort backlog
-// (with its top-off) and one per end of the stream's own demand segment
-// crossed during a refill: exactly four or six for CBR.
+// Every refill step moves media-rate bits and ends at a full buffer or, if
+// earlier, at its own stream's segment end; admission keeps every peak below
+// the media rate, so the net fill rate is positive. So piecewise-constant
+// demand — CBR, VBR segments, per-frame video and user traces — is
+// integrated exactly, also while the device serves best-effort traffic.
+// Steps end exactly on the boundaries they are solved for (a wake level, a
+// full buffer), so a one-stream cycle is four steps, plus two per non-empty
+// best-effort backlog (with its top-off) and one per end of the stream's own
+// demand segment crossed during a refill: exactly four or six for CBR.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so

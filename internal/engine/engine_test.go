@@ -268,15 +268,16 @@ func (s *spikeRate) Advance(t units.Duration, cursor int, span units.Duration, b
 	return elapsed, bits, cursor
 }
 
-// TestRefillStepsOverDemandSpike locks in the refillStream fix: while demand
-// momentarily outruns the media rate, the engine must step straight to the
-// source's next rate change instead of degrading to fixed 1 ms slices for
-// the whole interval.
+// TestRefillStepsOverDemandSpike feeds a deliberately inadmissible source,
+// whose demand outruns the media rate for 200 ms, through one refill: the
+// engine must step straight to the source's next rate change rather than
+// slicing the interval, and every read/write step must move media-rate bits
+// into the buffer, the spike included.
 func TestRefillStepsOverDemandSpike(t *testing.T) {
 	b := NewMEMS(device.DefaultMEMS())
 	media := b.MediaRate()
 	src := &spikeRate{
-		switchAt: units.Duration(0.2), // a 200 ms spike = 200 fallback slices of 1 ms
+		switchAt: units.Duration(0.2),
 		highRate: media.Scale(2),
 		lowRate:  media.Scale(0.01),
 	}
@@ -292,10 +293,15 @@ func TestRefillStepsOverDemandSpike(t *testing.T) {
 	if c.now < src.switchAt {
 		t.Fatalf("refill finished at %v, before the spike ended at %v", c.now, src.switchAt)
 	}
-	// One step to the spike boundary plus a handful of refill steps — the
-	// 1 ms fallback would have taken hundreds of steps.
+	// One step to the spike boundary plus a handful of refill steps, not
+	// hundreds of slices.
 	if got := c.DeviceStats().Steps - stepsBefore; got > 20 {
 		t.Errorf("refill took %d steps across the spike; want a few event steps", got)
+	}
+	st := c.DeviceStats()
+	rw := st.StateTime[device.StateReadWrite]
+	if want := media.Times(rw); !almostEqual(st.MediaBits.Bits(), want.Bits(), 1e-12) {
+		t.Errorf("refill credited %v over %v of read/write, want media rate x time = %v", st.MediaBits, rw, want)
 	}
 }
 

@@ -124,7 +124,9 @@ type MultiCore struct {
 // levels are provisioned so that the last-serviced stream survives a full
 // service round — all positionings plus every refill at peak demand — with a
 // small safety margin; for a single stream the round is just the positioning
-// transition, the paper's single-stream wake rule.
+// transition, the paper's single-stream wake rule. It requires what
+// internal/sim's validation guarantees: a positive media rate, and every
+// source's PeakRate below it.
 func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 	m := &MultiCore{
 		mediaRate:       b.MediaRate(),
@@ -156,7 +158,7 @@ func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 // fresh statistics and each stream's demand segment at time zero — shared by
 // NewMultiCore and Reset. It allocates nothing, so re-seeded sources (whose
 // realized peaks change with the seed) can be re-provisioned per run on the
-// reset path.
+// reset path. NewMultiCore's precondition keeps every term finite.
 func (m *MultiCore) provision() {
 	// The longest a full service round can take. A single stream only has to
 	// survive the positioning transition before its own refill begins; with
@@ -167,9 +169,7 @@ func (m *MultiCore) provision() {
 	if len(m.streams) > 1 {
 		serviceBound = m.positioningTime.Scale(float64(len(m.streams)))
 		for _, st := range m.streams {
-			if peak := st.source.PeakRate(); peak < m.mediaRate {
-				serviceBound = serviceBound.Add(m.mediaRate.Sub(peak).TimeFor(st.buffer))
-			}
+			serviceBound = serviceBound.Add(m.mediaRate.Sub(st.source.PeakRate()).TimeFor(st.buffer))
 		}
 	}
 
@@ -186,10 +186,8 @@ func (m *MultiCore) provision() {
 		// Startup: the device positions to and fills each region in turn at
 		// the media rate before any stream may start draining; stream i can
 		// start once its own fill completes.
-		if m.mediaRate.Positive() {
-			startup = startup.Add(m.positioningTime).Add(m.mediaRate.TimeFor(st.buffer))
-			st.stats.StartupDelay = startup
-		}
+		startup = startup.Add(m.positioningTime).Add(m.mediaRate.TimeFor(st.buffer))
+		st.stats.StartupDelay = startup
 	}
 	m.device = Stats{MinBufferLevel: m.totalBuffer}
 	// The device-level startup delay is the time until every stream plays.
@@ -445,46 +443,31 @@ func (m *MultiCore) shutdown() {
 
 // refillStream runs the device in the read/write state until stream focus's
 // buffer is full, crediting its media bits and the write wear implied by its
-// configured write fraction while every other stream keeps draining. A step
-// stops only at the end of the focused stream's own demand segment, where
-// its net fill rate changes; the other streams drain across their segment
-// ends inside the step.
+// configured write fraction while every other stream keeps draining. Every
+// step moves media-rate bits into the buffer and ends at the earlier of
+// "full" and the end of the focused stream's own demand segment, where its
+// net fill rate changes (positive, by NewMultiCore's precondition); the
+// other streams drain across their segment ends inside the step.
 func (m *MultiCore) refillStream(focus int) {
 	st := m.streams[focus]
 	media := m.mediaRate
 	for st.level < st.buffer {
 		level, now := st.level, m.now
-		segment := st.segEnd.Sub(m.now)
-		net := media.Sub(st.rate)
-		if net <= 0 {
-			// The stream momentarily outruns the media rate; step straight to
-			// its segment end, falling back to 1 ms slices only when its
-			// demand is constant.
-			dt := units.Duration(1e-3)
-			if !math.IsInf(segment.Seconds(), 0) {
-				dt = segment
-			}
-			m.account(device.StateReadWrite, dt, focus)
-		} else {
-			fill := net.TimeFor(st.buffer.Sub(st.level))
-			dt := fill
-			if segment < dt {
-				dt = segment
-			}
-			transferred := media.Times(dt)
-			m.device.MediaBits = m.device.MediaBits.Add(transferred)
-			st.stats.MediaBits = st.stats.MediaBits.Add(transferred)
-			m.creditWrites(st, transferred.Scale(st.writeFraction))
-			// The refill and the drain happen concurrently: credit the
-			// incoming data before accounting the drain so the net fill never
-			// reads as an artificial underrun. The true occupancy minimum of a
-			// cycle occurs at the end of the positioning, which account has
-			// already tracked. A step its segment end did not trim ends full.
-			st.level = st.level.Add(transferred)
-			m.account(device.StateReadWrite, dt, focus)
-			if dt == fill || st.level > st.buffer {
-				st.level = st.buffer
-			}
+		fill := media.Sub(st.rate).TimeFor(st.buffer.Sub(st.level))
+		dt := min(fill, st.segEnd.Sub(m.now))
+		transferred := media.Times(dt)
+		m.device.MediaBits = m.device.MediaBits.Add(transferred)
+		st.stats.MediaBits = st.stats.MediaBits.Add(transferred)
+		m.creditWrites(st, transferred.Scale(st.writeFraction))
+		// The refill and the drain happen concurrently: credit the incoming
+		// data before accounting the drain so the net fill never reads as an
+		// artificial underrun. The true occupancy minimum of a cycle occurs
+		// at the end of the positioning, which account has already tracked.
+		// A step its segment end did not trim ends full.
+		st.level = st.level.Add(transferred)
+		m.account(device.StateReadWrite, dt, focus)
+		if dt == fill || st.level > st.buffer {
+			st.level = st.buffer
 		}
 		// An iteration's step and outcome depend only on the focused level
 		// and the clock. When neither moved (a sub-ulp remainder against a

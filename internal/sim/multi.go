@@ -59,7 +59,9 @@ type MultiConfig struct {
 	BestEffort workload.BestEffortProcess
 	// Duration is the simulated streaming time.
 	Duration units.Duration
-	// Seed makes the run reproducible.
+	// Seed records the replica seed Reset and RunMultiReplicas derive the
+	// stream and best-effort seeds from. The run itself never reads it: it
+	// draws only from each stream's Spec.Seed and from BestEffort.Seed.
 	Seed uint64
 }
 

@@ -16,9 +16,11 @@ import (
 // measured runs hold them to about 1e-14.
 const conservationTol = 1e-9
 
-// assertConserved checks the two device-level conservation properties of a
-// finished run: the per-state residencies sum to the simulated time, and the
-// device energy is each state's power times its residency.
+// assertConserved checks the three device-level conservation properties of
+// a finished run: the per-state residencies sum to the simulated time, the
+// device energy is each state's power times its residency, and the media
+// bits are the media rate times the read/write residency, since every
+// refill step moves media-rate bits.
 func assertConserved(t *testing.T, b engine.Backend, st *Stats) {
 	t.Helper()
 	var total units.Duration
@@ -32,6 +34,10 @@ func assertConserved(t *testing.T, b engine.Backend, st *Stats) {
 	}
 	if d := relDiff(energy.Joules(), st.DeviceEnergy().Joules()); d > conservationTol {
 		t.Errorf("Σ power × state time = %v, device energy %v (rel %.1e)", energy, st.DeviceEnergy(), d)
+	}
+	media := b.MediaRate().Times(st.StateTime[device.StateReadWrite])
+	if d := relDiff(st.MediaBits.Bits(), media.Bits()); d > conservationTol {
+		t.Errorf("media bits %v, media rate × read/write time %v (rel %.1e)", st.MediaBits, media, d)
 	}
 }
 

@@ -11,12 +11,13 @@
 // through an optional media bit-error model.
 //
 // The cycle machinery and per-state accounting live in internal/engine: an
-// event-driven core that steps exactly from rate change to rate change and
-// charges time and energy against a pluggable device backend. The default
-// backend is the MEMS device of Config.Device; Config.Backend swaps in any
-// other engine.Backend (for example the 1.8-inch disk baseline), so the
-// paper's break-even comparison can be validated by simulation. Demand is
-// described one way, by a workload.StreamSpec.
+// event-driven core that integrates demand exactly across its rate changes,
+// where only a refill ends at a segment end, and only at its own stream's,
+// and charges time and energy against a pluggable device backend: the MEMS
+// device of Config.Device by default, or any engine.Backend (for example
+// the 1.8-inch disk baseline) through Config.Backend, so the paper's
+// break-even comparison can be validated by simulation. Demand is described
+// one way, by a workload.StreamSpec.
 package sim
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"memstream/internal/device"
@@ -65,6 +66,36 @@ func TestVideoTracePeakAboveMediaRateRejected(t *testing.T) {
 	}
 	if err := cfg.Validate(); err == nil {
 		t.Error("frame trace peaking above the media rate accepted")
+	}
+}
+
+// TestFloorDominatedVideoRejected checks that admission counts the 8-bit
+// floor every generated frame gets: a 1 kbps video at 2e7 frames per second
+// has nominal frames far below a bit, yet plays 160 Mbps against the
+// 102.4 Mbps media rate, so both validators reject it by its peak. Only
+// Validate is called: the engine's contract excludes running it.
+func TestFloorDominatedVideoRejected(t *testing.T) {
+	spec := workload.VideoSpec(units.Kbps, 1)
+	spec.FrameRate = 2e7
+	cfg := Config{
+		Device:   device.DefaultMEMS(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   64 * units.KiB,
+		Spec:     spec,
+		Duration: units.Second,
+	}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "sim: the stream's peak demand must be below the media rate") {
+		t.Errorf("Config.Validate = %v, want the peak-demand rejection", err)
+	}
+	multi := MultiConfig{
+		Device:   cfg.Device,
+		DRAM:     cfg.DRAM,
+		Streams:  []MultiStream{{Name: "v", Spec: spec, Buffer: cfg.Buffer}},
+		Duration: cfg.Duration,
+	}
+	want := "sim: stream 0 (v): peak demand 160 Mbps must be below the media rate 102 Mbps"
+	if err := multi.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("MultiConfig.Validate = %v, want %q", err, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -98,6 +99,58 @@ func TestSpecPeakRateBounds(t *testing.T) {
 	}
 	if realized := ip.PeakRate(); realized > invBound {
 		t.Errorf("inverted-weight realized peak %v exceeds the bound %v", realized, invBound)
+	}
+}
+
+// TestSpecPeakBoundsEveryRealizedRate checks the bound admission compares
+// against the media rate over generated specs of every kind: neither the
+// built pattern's PeakRate nor the rate of any segment it plays exceeds
+// StreamSpec.PeakRate, not even in the last bit. Videos reach down to
+// 1 bit/s at up to 1e5 frames per second, where the 8-bit frame floor, not
+// the nominal rate, sets the peak; a quarter of them have no jitter, so
+// their largest frame meets the bound exactly.
+func TestSpecPeakBoundsEveryRealizedRate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	const segments = 400
+	for i := 0; i < 2000; i++ {
+		rate := units.Kbps.Scale(logUniform(0.001, 8000))
+		vbr := VBRSpec(rate, rng.Uint64())
+		vbr.Variability = 0.999 * rng.Float64()
+		vbr.SegmentLength = units.Second.Scale(logUniform(1e-3, 10))
+		video := VideoSpec(rate, rng.Uint64())
+		video.FrameRate = logUniform(1, 1e5)
+		video.GOPLength = 1 + rng.Intn(15)
+		video.IPDistance = 1 + rng.Intn(video.GOPLength)
+		video.WeightI, video.WeightP, video.WeightB = logUniform(0.1, 10), logUniform(0.1, 10), logUniform(0.1, 10)
+		if video.Jitter = 0.999 * rng.Float64(); i%4 == 0 {
+			video.Jitter = 0
+		}
+		frames := make([]Frame, 1+rng.Intn(50))
+		var at units.Duration
+		for j := range frames {
+			frames[j] = Frame{Index: j, Timestamp: at, Size: units.Bit.Scale(logUniform(1, 1e6))}
+			at = at.Add(units.Second.Scale(logUniform(1e-4, 1)))
+		}
+		for _, spec := range []StreamSpec{CBRSpec(rate), vbr, video, TraceSpec(frames)} {
+			bound := spec.PeakRate()
+			// A horizon of that many video frames; the other kinds ignore it.
+			p, err := spec.Pattern(units.Second.Scale(segments / video.FrameRate))
+			if err != nil {
+				t.Fatalf("%s spec %d: %v", spec.Kind, i, err)
+			}
+			if peak := p.PeakRate(); peak > bound {
+				t.Fatalf("%s spec %d: pattern peak %v above the spec's bound %v (%+v)", spec.Kind, i, peak, bound, spec)
+			}
+			at, cursor := units.Duration(0), NoCursor
+			for n := 0; n < segments && !math.IsInf(at.Seconds(), 1); n++ {
+				r, end, next := p.Segment(at, cursor)
+				if r > bound {
+					t.Fatalf("%s spec %d: segment %d plays %v, above the spec's bound %v (%+v)", spec.Kind, i, n, r, bound, spec)
+				}
+				at, cursor = end, next
+			}
+		}
 	}
 }
 

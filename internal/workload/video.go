@@ -76,11 +76,13 @@ func (s StreamSpec) meanFrameSizes() [3]units.Size {
 
 // videoPeak bounds the largest instantaneous demand any trace generated from
 // the defaulted video spec can reach: the largest frame of any class that
-// actually occurs in the GOP (its mean at the top of the jitter band)
-// consumed over one frame interval. Weights are arbitrary — nothing forces
-// I frames to be the largest class — so the bound maximises over the
-// occurring classes. The realized peak of a generated trace is at most this
-// bound, so admission checks against it are conservative but never unsafe.
+// actually occurs in the GOP (its mean at the top of the jitter band, or the
+// 8-bit floor every generated frame gets, whichever is larger) consumed over
+// one frame interval. Weights are arbitrary — nothing forces I frames to be
+// the largest class — so the bound maximises over the occurring classes. It
+// divides by the frame interval as the generated pattern does for its own
+// peak, so no realized rate exceeds it, not even in the last bit: a stream
+// admitted against it never plays at or above the media rate.
 func (s StreamSpec) videoPeak() units.BitRate {
 	means := s.meanFrameSizes()
 	var largest units.Size
@@ -89,7 +91,8 @@ func (s StreamSpec) videoPeak() units.BitRate {
 			largest = mean
 		}
 	}
-	return units.BitPerSecond.Scale(largest.Scale(1+s.Jitter).Bits() * s.FrameRate)
+	largest = max(largest.Scale(1+s.Jitter), 8)
+	return units.BitPerSecond.Scale(largest.Bits() / units.Second.Scale(1/s.FrameRate).Seconds())
 }
 
 // appendTrace appends the frame sizes of the defaulted, validated video
