@@ -15,7 +15,7 @@
 //
 //	cbr-steady     one simulated hour of 1024 kbps CBR streaming, 64 KiB buffer
 //	vbr-mobile     one simulated hour of 512 kbps VBR streaming, 48 KiB buffer
-//	video-abr      one simulated hour of frame-accurate video, trace regenerated per replica
+//	video-abr      one simulated hour of frame-accurate video, frames computed from each replica's seed
 //	trace-replay   one simulated hour replaying a fixed 60 s frame trace (wrap-around)
 //	multi-4stream  one simulated hour of four streams sharing one device
 //	service-warm   a warm-cache dimensioning request through the service facade
@@ -25,8 +25,8 @@
 // (reset + full run), plus simulated hours per wall-clock second — the
 // engine's headline throughput number. The steady-state scenarios are
 // expected to report 0 allocs/op: the simulator is reused, the demand
-// pattern regenerates into its own storage and the engine core carries no
-// per-run garbage.
+// pattern re-seeds in place without storing its frames or segments, and the
+// engine core carries no per-run garbage.
 //
 // -out writes the machine-readable report as JSON with a fixed field order,
 // so committed baselines (BENCH_<pr>.json at the repository root) stay
@@ -149,9 +149,9 @@ func scenarios() []scenario {
 			})
 		}},
 		{name: "video-abr", simHours: 1, setup: func() (func() error, error) {
-			// A full hour of MPEG-like frames; every replica regenerates the
-			// trace in place from its seed, which is the expensive part an
-			// adaptive-bit-rate study pays per rung.
+			// A full hour of MPEG-like frames; every replica re-seeds the
+			// trace, whose frames the run computes from the seed as it
+			// plays them, as an adaptive-bit-rate study does per rung.
 			return singleStream(sim.Config{
 				Device:   mems(),
 				DRAM:     device.DefaultDRAM(),

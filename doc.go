@@ -217,7 +217,7 @@
 //
 // The engine's steady state is allocation-free: once a simulator is warm, a
 // reset-and-rerun iteration — a full simulated hour of CBR or VBR streaming,
-// including regenerating the demand pattern for the next seed — performs
+// including re-seeding the demand pattern for the next replica — performs
 // zero heap allocations, and a shared-device iteration allocates only its
 // two output records. TestSteadyStateAllocs in internal/sim guards this
 // with testing.AllocsPerRun, and the batch and replica APIs exploit it
@@ -225,16 +225,16 @@
 // layer's /v1/simulate and /v1/multisim replica loops validate one
 // prototype configuration and rewind a pooled simulator per worker instead
 // of building one per replica. A simulator's memory does not depend on
-// Duration or the best-effort share: it draws each best-effort request when
-// the run reaches it, and a video pattern keeps 8 B per frame (its size).
-// A standby costs one engine step however many frames or VBR segments it
-// spans (see Simulation engine above), so a frame-accurate video hour takes
-// about half the time a step per frame took, and regenerating its trace for
-// the next seed is now about a third of a replica's cost. A best-effort
-// request draws two exponentials by ziggurat, about 98 % of them one 64-bit
-// draw, a multiply and a compare with no logarithm. On a 2-vCPU Xeon VM,
-// BenchmarkBestEffortArrivals in internal/workload draws a request in about
-// 29 ns, where inversion's two math.Log calls took about 67 ns.
+// Duration or the best-effort share: the run draws each best-effort request
+// as it serves it, and a video pattern computes each frame's size from its
+// seed and stores none (an hour builds in the 240 B a minute takes; the
+// seed's peak comes from the I frames alone for the default GOP). A standby
+// is one engine step however many frames or VBR segments it spans (see
+// Simulation engine above). A best-effort backlog is one call into a loop
+// that makes no call for 96 % of its requests, whose two exponentials take
+// one Uint64, a multiply and a compare each. On a 2-vCPU Xeon VM,
+// BenchmarkBestEffortArrivals serves a request, one call per backlog, in
+// about 32 ns; the per-request reference drew one, unserved, in about 25 ns.
 //
 // The analytical layer follows the same validate-once rule. Inverting the
 // Eq. 1 saving curve for one Fig. 3 point takes a golden-section search for
@@ -252,9 +252,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_31.json
-//	go run ./cmd/memsbench -check BENCH_31.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_30.json BENCH_31.json
+//	go run ./cmd/memsbench -format json -out BENCH_32.json
+//	go run ./cmd/memsbench -check BENCH_32.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_31.json BENCH_32.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op
@@ -264,11 +264,11 @@
 // numbers, forming a perf trajectory — and CI reruns the scenarios against
 // the committed file: allocation counts may never exceed the baseline
 // (exact, no tolerance), timing only within a generous factor that absorbs
-// hardware differences. Representative numbers from the PR 8 baseline
-// machine: a simulated CBR hour in ~0.5 ms (≈2000 simulated hours per wall
-// second) at 0 allocs/op, VBR ≈1800 h/s at 0 allocs/op, frame-accurate
-// video ≈290 h/s with the full trace regenerated per replica, and the
-// four-stream shared device ≈150 h/s at 2 allocs/op.
+// hardware differences. Historical numbers from the PR 8 baseline machine,
+// before one-step standbys and seed-computed frames: a simulated CBR hour in
+// ~0.5 ms (≈2000 simulated hours per wall second) at 0 allocs/op, VBR
+// ≈1800 h/s at 0 allocs/op, frame-accurate video ≈290 h/s with the full
+// trace regenerated per replica, and four streams ≈150 h/s at 2 allocs/op.
 //
 // # Serving
 //

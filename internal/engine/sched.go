@@ -282,27 +282,17 @@ func (m *MultiCore) Run(c *Cycle, end units.Duration) (*Stats, error) {
 }
 
 // serveBestEffort serves the backlog: every queued request that has arrived
-// by the time the device is free for it. A local clock advances by each
-// request's service time, so each next request is asked for at the time its
-// predecessor ends, and every request is credited as it is drawn. The whole
-// backlog is then charged as one step, however many demand segments it
-// spans; an empty backlog takes no step.
-// Background writes wear the region of stream last, where the device stands,
-// inflated by that region's formatting overhead. Like the other shared
-// states they count on the device record only.
+// by the time the device is free for it, drawn and credited in one call
+// (workload.BestEffortArrivals.Serve). The whole backlog is then charged as
+// one step, however many demand segments it spans; an empty backlog takes
+// no step. Background writes wear the region of stream last, where the
+// device stands, inflated by that region's formatting overhead. Like the
+// other shared states they count on the device record only.
 func (m *MultiCore) serveBestEffort(c *Cycle, last int) {
-	t := m.now
-	inflation := m.streams[last].inflation
-	for req, ok := m.arrivals.Next(t); ok; req, ok = m.arrivals.Next(t) {
-		t = t.Add(c.BestEffort.ServiceTime(req.Size))
-		m.device.BestEffortBits = m.device.BestEffortBits.Add(req.Size)
-		m.device.BestEffortRequests++
-		if req.Write {
-			m.device.WrittenUserBits = m.device.WrittenUserBits.Add(req.Size)
-			m.device.WrittenPhysicalBits = m.device.WrittenPhysicalBits.Add(req.Size.Scale(inflation))
-		}
-	}
-	m.account(device.StateBestEffort, t.Sub(m.now), -1)
+	d := &m.device
+	end := m.arrivals.Serve(m.now, c.BestEffort.PositioningTime, c.BestEffort.ServiceRate, m.streams[last].inflation,
+		&d.BestEffortBits, &d.BestEffortRequests, &d.WrittenUserBits, &d.WrittenPhysicalBits)
+	m.account(device.StateBestEffort, end.Sub(m.now), -1)
 }
 
 // Level returns stream i's current buffer fill level.

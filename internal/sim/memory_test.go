@@ -29,22 +29,25 @@ func bytesAllocated(f func()) uint64 {
 // TestSimulatorMemoryIndependentOfDuration checks that a simulator's size
 // does not grow with what it simulates: building one for an hour or under
 // a 99 % best-effort load allocates exactly what a one-minute, 5 % build
-// does, for the single-stream and the shared-device simulator alike. The
-// background requests are drawn as the run reaches them, not stored.
+// does, for a CBR and a video stream and for the shared-device simulator
+// alike. The background requests are drawn as the run reaches them, and
+// the video frames computed from their seed, not stored.
 func TestSimulatorMemoryIndependentOfDuration(t *testing.T) {
-	single := func(fraction float64, d units.Duration) func() {
-		cfg := Config{
-			Device:   device.DefaultMEMS(),
-			DRAM:     device.DefaultDRAM(),
-			Buffer:   64 * units.KiB,
-			Spec:     workload.CBRSpec(1024 * units.Kbps),
-			Duration: d,
-			Seed:     1,
-		}
-		cfg.BestEffort = workload.NewBestEffortProcess(fraction, cfg.MediaRate(), 1)
-		return func() {
-			if _, err := New(cfg); err != nil {
-				t.Fatal(err)
+	stream := func(spec workload.StreamSpec, buffer units.Size) func(float64, units.Duration) func() {
+		return func(fraction float64, d units.Duration) func() {
+			cfg := Config{
+				Device:   device.DefaultMEMS(),
+				DRAM:     device.DefaultDRAM(),
+				Buffer:   buffer,
+				Spec:     spec,
+				Duration: d,
+				Seed:     1,
+			}
+			cfg.BestEffort = workload.NewBestEffortProcess(fraction, cfg.MediaRate(), 1)
+			return func() {
+				if _, err := New(cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -61,7 +64,11 @@ func TestSimulatorMemoryIndependentOfDuration(t *testing.T) {
 	builds := []struct {
 		name  string
 		build func(float64, units.Duration) func()
-	}{{"single", single}, {"multi", multi}}
+	}{
+		{"single", stream(workload.CBRSpec(1024*units.Kbps), 64*units.KiB)},
+		{"video", stream(workload.VideoSpec(1024*units.Kbps, 1), 128*units.KiB)},
+		{"multi", multi},
+	}
 	for _, b := range builds {
 		want := bytesAllocated(b.build(0.05, units.Minute))
 		t.Logf("%s: %d B per build", b.name, want)
@@ -76,19 +83,22 @@ func TestSimulatorMemoryIndependentOfDuration(t *testing.T) {
 	}
 }
 
-// TestVideoPatternKeepsFrameSizes checks that an hour of generated video
-// costs its frame sizes and little else: at most 8 B per frame plus a small
-// constant for the pattern itself.
+// TestVideoPatternKeepsFrameSizes checks that a generated video costs the
+// same whatever its length: building an hour of video allocates exactly
+// what a minute does, because the pattern computes each frame's size from
+// its seed and keeps none.
 func TestVideoPatternKeepsFrameSizes(t *testing.T) {
 	spec := workload.VideoSpec(1024*units.Kbps, 1)
-	frames := uint64(units.Hour.Seconds() * spec.FrameRate)
-	got := bytesAllocated(func() {
-		if _, err := spec.Pattern(units.Hour); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%d frames: %d B", frames, got)
-	if limit := 8*frames + 16<<10; got > limit {
-		t.Errorf("an hour of video (%d frames) allocates %d B, want at most %d B", frames, got, limit)
+	build := func(d units.Duration) uint64 {
+		return bytesAllocated(func() {
+			if _, err := spec.Pattern(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	minute, hour := build(units.Minute), build(units.Hour)
+	t.Logf("a minute of video: %d B, an hour: %d B", minute, hour)
+	if hour != minute {
+		t.Errorf("an hour of video allocates %d B, a minute %d B; want the same", hour, minute)
 	}
 }

@@ -184,7 +184,7 @@ func (s *Simulator) compatible(cfg Config) bool {
 // rewind is ResetFor without the compatibility check, for callers that know
 // cfg is reset-compatible (Reset derives it from the stored configuration;
 // the pooled runner checks it first). It allocates nothing in steady state:
-// the pattern regenerates into its own storage.
+// the pattern re-seeds in place and stores nothing per frame or segment.
 func (s *Simulator) rewind(cfg Config) error {
 	s.cfg = cfg
 	s.rng.Seed(cfg.Seed ^ 0xdeadbeefcafef00d)

@@ -174,3 +174,31 @@ func FuzzAdvanceMatchesSegments(f *testing.F) {
 		}
 	})
 }
+
+// FuzzServeMatchesNext checks Serve against the per-request reference
+// (checkServe) on fuzzed processes and backlog schedules: any valid process
+// with a share of 0.001-0.99 and a finite mean interarrival, over a horizon
+// of up to 10^4 mean interarrivals.
+func FuzzServeMatchesNext(f *testing.F) {
+	f.Add(uint64(1), 0.05, 32768.0, 0.5, 0.002, 102.4e6, 100.0, []byte{1, 0, 2, 128, 0, 9, 3, 255})
+	f.Add(uint64(0), 0.99, 1.0, 1.0, 0.0, 1e3, 40.0, []byte{2, 255, 2, 255, 1, 1})
+	f.Add(uint64(1<<63), 0.001, 1e9, 0.0, 1e-3, 1e10, 5000.0, []byte{3, 7, 1, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, fraction, meanBits, writeFraction, positioning, rate, horizonMeans float64, schedule []byte) {
+		p := BestEffortProcess{
+			TargetFraction:  fraction,
+			MeanSize:        units.Bit.Scale(meanBits),
+			WriteFraction:   writeFraction,
+			ServiceRate:     units.BitPerSecond.Scale(rate),
+			PositioningTime: units.Second.Scale(positioning),
+			Seed:            seed,
+		}
+		if !(fraction >= 0.001 && fraction <= 0.99) || p.Validate() != nil || !(horizonMeans >= 0 && horizonMeans <= 1e4) {
+			return
+		}
+		mean, err := p.MeanInterarrival()
+		if err != nil || math.IsInf(mean.Seconds(), 1) {
+			return
+		}
+		checkServe(t, p, mean.Scale(horizonMeans), schedule[:min(len(schedule), 256)])
+	})
+}

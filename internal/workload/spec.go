@@ -271,17 +271,20 @@ func (s StreamSpec) Validate() error {
 
 // RateBounds returns the long-run average and the largest instantaneous
 // demand the spec can produce in one pass: nominal and nominal for CBR,
-// nominal and the top of the variability band for VBR, nominal and the
-// largest possible frame over one frame interval for video, and the
-// trace's own mean and largest frame for SpecTrace (built once — the trace
-// scan is O(frames)). Buffer provisioning and media-rate admission check
-// against the peak; it bounds the realized pattern peak from above.
+// nominal and the top of the variability band for VBR, for video the
+// nominal rate (or, where the 8-bit frame floor lifts some frames, the rate
+// the floored frames play) and the largest possible frame over one frame
+// interval, and the trace's own mean and largest frame for SpecTrace (built
+// once — the trace scan is O(frames)). Buffer provisioning and media-rate
+// admission check against the peak; it bounds the realized pattern peak
+// from above.
 func (s StreamSpec) RateBounds() (average, peak units.BitRate) {
 	switch s.Kind {
 	case SpecVBR:
 		return s.Rate, s.Rate.Scale(1 + s.withDefaults().Variability)
 	case SpecVideo:
-		return s.Rate, s.withDefaults().videoPeak()
+		d := s.withDefaults()
+		return d.videoAverage(), d.videoPeak()
 	case SpecTrace:
 		p, err := s.tracePattern()
 		if err != nil {
@@ -300,7 +303,8 @@ func (s StreamSpec) PeakRate() units.BitRate {
 }
 
 // AverageRate returns the long-run average demand: the nominal rate for the
-// generated kinds, the trace mean for SpecTrace.
+// generated kinds (for video, counting the 8-bit frame floor), the trace
+// mean for SpecTrace.
 func (s StreamSpec) AverageRate() units.BitRate {
 	average, _ := s.RateBounds()
 	return average

@@ -154,6 +154,70 @@ func TestSpecPeakBoundsEveryRealizedRate(t *testing.T) {
 	}
 }
 
+// TestVideoAverageRateCountsFrameFloor checks the long-run rate a video
+// reports. VideoSpec(50 bps) at 25 fps has mean frames of 1-6 bits, each
+// floored at 8, so it plays 200 bit/s. Over generated specs whose mean
+// frames straddle the floor, the reported rate lies within five standard
+// errors of an hour-long trace's mean (over its whole GOPs, the GOP sums
+// being independent samples), and a spec no frame of which can fall below
+// the floor reports its nominal rate bit for bit.
+func TestVideoAverageRateCountsFrameFloor(t *testing.T) {
+	if got := VideoSpec(50*units.BitPerSecond, 1).AverageRate(); math.Abs(got.BitsPerSecond()-200) > 1e-9 {
+		t.Errorf("VideoSpec(50 bps) reports %v, want the 200 bit/s its floored frames play", got)
+	}
+	rng := rand.New(rand.NewSource(3))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	floored := 0
+	for i := 0; i < 200; i++ {
+		spec := VideoSpec(units.BitPerSecond, rng.Uint64())
+		spec.FrameRate = logUniform(1, 50)
+		spec.GOPLength = 1 + rng.Intn(30)
+		spec.IPDistance = 1 + rng.Intn(spec.GOPLength)
+		spec.WeightI, spec.WeightP, spec.WeightB = logUniform(0.1, 10), logUniform(0.1, 10), logUniform(0.1, 10)
+		if spec.Jitter = 0.999 * rng.Float64(); i%4 == 0 {
+			spec.Jitter = 0
+		}
+		// Mean frames of 0.5-100 bits: some classes straddle the floor.
+		spec.Rate = units.BitPerSecond.Scale(spec.FrameRate * logUniform(0.5, 100))
+		got := spec.AverageRate()
+		means := spec.meanFrameSizes()
+		lifted := false
+		for k := 0; k < spec.GOPLength; k++ {
+			lifted = lifted || means[spec.classOf(k)].Scale(1-spec.Jitter) < 8
+		}
+		if !lifted {
+			if got != spec.Rate {
+				t.Errorf("spec %d (%+v): no frame is floored, yet it reports %v against its nominal %v", i, spec, got, spec.Rate)
+			}
+			continue
+		}
+		floored++
+		frames, err := spec.TraceFrames(units.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gops := len(frames) / spec.GOPLength
+		var sum, sumSq float64
+		for g := 0; g < gops; g++ {
+			var bits float64
+			for _, f := range frames[g*spec.GOPLength : (g+1)*spec.GOPLength] {
+				bits += f.Size.Bits()
+			}
+			sum, sumSq = sum+bits, sumSq+bits*bits
+		}
+		gopDuration := float64(spec.GOPLength) / spec.FrameRate
+		mean := sum / float64(gops)
+		se := math.Sqrt(max(sumSq/float64(gops)-mean*mean, 0)/float64(gops-1)) / gopDuration
+		if d := math.Abs(got.BitsPerSecond() - mean/gopDuration); d > 5*se+1e-9*mean/gopDuration {
+			t.Errorf("spec %d (%+v): reports %v, the hour-long trace plays %.6g bit/s (standard error %.3g)",
+				i, spec, got, mean/gopDuration, se)
+		}
+	}
+	if floored < 50 {
+		t.Errorf("only %d of 200 specs have floored frames; the floor is barely tested", floored)
+	}
+}
+
 // TestSpecVideoHorizonFollowsDuration is the regression test for the
 // fixed-60-second CLI horizon bug: the generated trace must cover the whole
 // requested duration (here 5 minutes), not silently wrap a shorter window.

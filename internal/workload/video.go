@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"memstream/internal/units"
 )
@@ -95,76 +96,76 @@ func (s StreamSpec) videoPeak() units.BitRate {
 	return units.BitPerSecond.Scale(largest.Bits() / units.Second.Scale(1/s.FrameRate).Seconds())
 }
 
-// appendTrace appends the frame sizes of the defaulted, validated video
-// spec covering [0, horizon) to dst and returns the extended slice with its
-// largest frame size. Frame i plays at i·interval in the class of GOP
-// position i mod GOPLength (see VideoRatePattern.Frames). Passing a previous
-// trace's slice truncated to zero length reuses its capacity, so
-// seed-varied replicas regenerate their traces without steady-state
-// allocations.
-func (s StreamSpec) appendTrace(dst []units.Size, horizon units.Duration) ([]units.Size, units.Size, error) {
-	if !horizon.Positive() {
-		return nil, 0, errors.New("workload: horizon must be positive")
-	}
+// videoAverage returns the long-run rate of the defaulted video spec. That
+// is its nominal rate unless some class in the GOP can fall below the 8-bit
+// frame floor; then each GOP position plays E[max(8, m·(1 + Jitter·X))]
+// bits for its class mean m and X uniform on [−1, 1), and the rate is
+// their sum over the GOP's duration. With a = m(1 − Jitter) and
+// b = m(1 + Jitter) that expectation is m where a ≥ 8, 8 where b ≤ 8, and
+// (8·(8 − a) + (b² − 64)/2)/(b − a) in between.
+func (s StreamSpec) videoAverage() units.BitRate {
 	means := s.meanFrameSizes()
-	rng := NewRng(s.Seed ^ 0x9e3779b97f4a7c15)
-	// Defence against absurd horizon × frame-rate products: beyond this the
-	// float-to-int conversion would overflow (or the allocation would take
-	// the process down), so fail loudly instead.
-	const maxFrames = 100_000_000
-	if n := horizon.Seconds() * s.FrameRate; n > maxFrames {
-		return nil, 0, fmt.Errorf("workload: trace of %.3g frames exceeds the %d-frame generation bound", n, maxFrames)
-	}
-	total := int(horizon.Seconds() * s.FrameRate)
-	sizes := dst
-	if sizes == nil {
-		sizes = make([]units.Size, 0, total)
-	}
-	// k is the position in the GOP and m the position since its last anchor
-	// (k mod IPDistance), so the loop classifies frames as classOf does
-	// without a modulo per frame.
-	gop, anchor, jitter := s.GOPLength, s.IPDistance, s.Jitter
-	k, m := 0, 0
-	var largest units.Size
-	for idx := 0; idx < total; idx++ {
-		class := FrameB
+	var bits float64
+	floored := false
+	for k := 0; k < s.GOPLength; k++ {
+		m := means[s.classOf(k)].Bits()
+		a, b := m*(1-s.Jitter), m*(1+s.Jitter)
 		switch {
-		case k == 0:
-			class = FrameI
-		case m == 0:
-			class = FrameP
-		}
-		// Symmetric jitter keeps the long-run mean on target.
-		factor := 1 + jitter*(2*rng.Float64()-1)
-		size := means[class].Scale(factor)
-		if size < 8 {
-			size = 8
-		}
-		if size > largest {
-			largest = size
-		}
-		sizes = append(sizes, size)
-		if k++; k == gop {
-			k, m = 0, 0
-		} else if m++; m == anchor {
-			m = 0
+		case !(a < 8):
+			bits += m
+		case b <= 8:
+			bits, floored = bits+8, true
+		default:
+			bits, floored = bits+(8*(8-a)+(b*b-64)/2)/(b-a), true
 		}
 	}
-	return sizes, largest, nil
+	if !floored {
+		return s.Rate
+	}
+	return units.BitPerSecond.Scale(bits / (float64(s.GOPLength) / s.FrameRate))
 }
+
+// maxFrames bounds a generated trace, so the peak scan and the float-to-int
+// conversion of the frame count stay finite.
+const maxFrames = 100_000_000
 
 // VideoRatePattern samples the instantaneous demand of a generated video
 // trace: within each frame interval the rate is the frame size divided by
-// the interval. StreamSpec.Pattern builds it for SpecVideo.
+// the interval. StreamSpec.Pattern builds it for SpecVideo. It stores no
+// frame, since frame i's size is a function of the seed and i. Segment and
+// Advance remember the frame they located last, so a pattern serves one run
+// at a time; every simulator builds its own.
 type VideoRatePattern struct {
-	spec          StreamSpec   // defaulted
-	sizes         []units.Size // each frame's encoded size; Frames rebuilds the rest
+	spec          StreamSpec    // defaulted
+	means         [3]units.Size // each class's mean frame size, by FrameClass
+	n             int           // frames in the trace
 	frameInterval units.Duration
-	horizon       units.Duration
-	// genHorizon is the horizon the trace was requested for (the realized
-	// horizon above is quantized to whole frames); Reset regenerates over it.
-	genHorizon units.Duration
-	peak       units.BitRate
+	horizon       units.Duration // n frame intervals
+	peak          units.BitRate
+	// at is the frame Segment or Advance located last: the frame after it
+	// is one step away, with no division.
+	at videoFrame
+}
+
+// videoFrame places absolute frame j: it plays trace frame i = j mod n, at
+// GOP position k = i mod GOPLength, m = k mod IPDistance after its anchor.
+type videoFrame struct {
+	j, i, k, m int
+	size       units.Size
+}
+
+// nextFrame places the frame after (i, k, m) in a trace of n frames, and
+// classifies it as classOf does, by counting instead of by modulo.
+func nextFrame(i, k, m, n, gop, anchor int) (int, int, int, FrameClass) {
+	switch {
+	case i+1 == n:
+		return 0, 0, 0, FrameI
+	case k+1 == gop:
+		return i + 1, 0, 0, FrameI
+	case m+1 == anchor:
+		return i + 1, k + 1, 0, FrameP
+	}
+	return i + 1, k + 1, m + 1, FrameB
 }
 
 // newVideoRatePattern builds a demand sampler for the defaulted, validated
@@ -172,49 +173,115 @@ type VideoRatePattern struct {
 // beyond the horizon, so simulations longer than the generated trace remain
 // well defined.
 func newVideoRatePattern(s StreamSpec, horizon units.Duration) (*VideoRatePattern, error) {
-	p := &VideoRatePattern{
-		spec:          s,
-		frameInterval: units.Second.Scale(1 / s.FrameRate),
-		genHorizon:    horizon,
+	if !horizon.Positive() {
+		return nil, errors.New("workload: horizon must be positive")
 	}
-	if err := p.generate(nil); err != nil {
-		return nil, err
+	if n := horizon.Seconds() * s.FrameRate; n > maxFrames {
+		return nil, fmt.Errorf("workload: trace of %.3g frames exceeds the %d-frame generation bound", n, maxFrames)
 	}
-	if len(p.sizes) == 0 {
+	n := int(horizon.Seconds() * s.FrameRate)
+	if n == 0 {
 		return nil, errors.New("workload: horizon too short for a single frame")
 	}
-	return p, nil
+	p := &VideoRatePattern{
+		spec:          s,
+		means:         s.meanFrameSizes(),
+		n:             n,
+		frameInterval: units.Second.Scale(1 / s.FrameRate),
+		horizon:       units.Second.Scale(float64(n) / s.FrameRate),
+	}
+	return p, p.Reset(s.Seed)
 }
 
-// generate (re)builds the trace of the pattern's spec into dst, with its
-// realized horizon and peak. The peak is the largest frame over one frame
-// interval: division by the positive interval is monotone, so it equals the
-// largest per-frame rate.
-func (p *VideoRatePattern) generate(dst []units.Size) error {
-	sizes, largest, err := p.spec.appendTrace(dst, p.genHorizon)
-	if err != nil {
-		return err
-	}
-	p.sizes = sizes
-	p.horizon = units.Second.Scale(float64(len(sizes)) / p.spec.FrameRate)
-	p.peak = units.BitPerSecond.Scale(largest.Bits() / p.frameInterval.Seconds())
+// Reset re-seeds the pattern in place, so it plays exactly the trace
+// StreamSpec.Pattern would build for that seed, and finds the trace's peak,
+// its largest frame over one frame interval. It never fails and does not
+// allocate.
+func (p *VideoRatePattern) Reset(seed uint64) error {
+	p.spec.Seed = seed
+	p.peak = p.rate(p.largestFrame())
+	p.at = videoFrame{size: p.size(0, FrameI)}
 	return nil
 }
 
-// Reset regenerates the trace in place for the spec re-seeded with seed,
-// reusing the existing frame storage, so the pattern ends up exactly as
-// StreamSpec.Pattern would build it for that seed — without allocating. It
-// exists so batch replicas can reuse one pattern across seed-varied runs.
-func (p *VideoRatePattern) Reset(seed uint64) error {
-	p.spec.Seed = seed
-	return p.generate(p.sizes[:0])
+// largestFrame returns the trace's largest frame. No frame of class c
+// exceeds max(means[c]·(1 + Jitter), 8), because 1 + Jitter·(2u − 1) never
+// exceeds 1 + Jitter in floating point and rounding is monotone. So each
+// class is scanned over its GOP positions with stride GOPLength, and the
+// scan stops once the largest frame reaches the bound of every class left.
+// With the default spec every I frame is larger than any P frame can be,
+// so only the I frames are drawn.
+func (p *VideoRatePattern) largestFrame() units.Size {
+	s := p.spec
+	var bound [3]units.Size
+	for c, mean := range p.means {
+		bound[c] = max(mean.Scale(1+s.Jitter), 8)
+	}
+	var largest units.Size
+	for c := range bound {
+		if largest >= slices.Max(bound[c:]) {
+			break
+		}
+		for k := 0; k < min(s.GOPLength, p.n); k++ {
+			if s.classOf(k) != FrameClass(c) {
+				continue
+			}
+			for i := k; i < p.n; i += s.GOPLength {
+				if size := p.size(i, FrameClass(c)); size > largest {
+					largest = size
+				}
+			}
+		}
+	}
+	return largest
+}
+
+// size returns the encoded size of trace frame i of the given class. Its
+// jitter is draw i of the SplitMix64 sequence the spec's seed starts,
+// computed from the state after i draws (the seed plus i increments, as
+// RatePattern.segmentRate computes its segments); symmetric jitter keeps
+// the long-run mean on target, and no frame falls below 8 bits.
+func (p *VideoRatePattern) size(i int, class FrameClass) units.Size {
+	r := Rng{state: (p.spec.Seed ^ goldenGamma) + uint64(i)*goldenGamma}
+	if size := p.means[class].Scale(1 + p.spec.Jitter*(2*r.Float64()-1)); !(size < 8) {
+		return size
+	}
+	return 8
+}
+
+// rate returns the demand of a frame of the given size: the size over the
+// frame interval.
+func (p *VideoRatePattern) rate(size units.Size) units.BitRate {
+	return units.BitPerSecond.Scale(size.Bits() / p.frameInterval.Seconds())
+}
+
+// locate places absolute frame j, with its size, and remembers it. The
+// frame after the one located last is a step away; any other frame takes
+// the only modulos.
+func (p *VideoRatePattern) locate(j int) videoFrame {
+	f := p.at
+	if j == f.j {
+		return f
+	}
+	var class FrameClass
+	if j == f.j+1 {
+		f.i, f.k, f.m, class = nextFrame(f.i, f.k, f.m, p.n, p.spec.GOPLength, p.spec.IPDistance)
+	} else {
+		f.i = j % p.n
+		f.k = f.i % p.spec.GOPLength
+		f.m = f.k % p.spec.IPDistance
+		class = p.spec.classOf(f.k)
+	}
+	f.j, f.size = j, p.size(f.i, class)
+	p.at = f
+	return f
 }
 
 // Segment returns the demand of the frame playing at t, the end of that
 // frame and the cursor for the next call. Absolute frame j covers
 // [j·fi, (j+1)·fi) for the frame interval fi — the product Frame.Timestamp
-// uses, so a dumped trace replays to the same boundaries — and plays
-// sizes[j mod n], so the trace wraps around beyond its horizon. The
+// uses, so a dumped trace replays to the same boundaries — and plays trace
+// frame j mod n, so the trace wraps around beyond its horizon. The
 // returned cursor is j+1, the absolute index of the frame expected next.
 func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate, units.Duration, int) {
 	fi := p.frameInterval
@@ -222,38 +289,46 @@ func (p *VideoRatePattern) Segment(t units.Duration, cursor int) (units.BitRate,
 	if j < 0 {
 		return p.farSegment(t)
 	}
-	return p.rate(j % len(p.sizes)), fi.Scale(float64(j + 1)), j + 1
-}
-
-// rate returns the demand of trace frame i: its size over the frame
-// interval.
-func (p *VideoRatePattern) rate(i int) units.BitRate {
-	return units.BitPerSecond.Scale(p.sizes[i].Bits() / p.frameInterval.Seconds())
+	return p.rate(p.locate(j).size), fi.Scale(float64(j + 1)), j + 1
 }
 
 // Advance walks the frames from the one playing at t: that frame drains at
 // its rate to its end, each whole frame after it drains its size in one add,
-// and the frame the walk stops in drains at its rate.
+// and the frame the walk stops in drains at its rate. The walk steps the
+// frame's place and its generator state by addition, with the spec in
+// locals, so a frame costs no call and no division.
 func (p *VideoRatePattern) Advance(t units.Duration, cursor int, span units.Duration, budget units.Size) (units.Duration, units.Size, int) {
-	fi, n := p.frameInterval, len(p.sizes)
+	fi := p.frameInterval
 	j := segmentIndex(t, fi, cursor)
 	if j < 0 || !(t.Add(span) < fi.Scale(maxFrameIndex)) {
 		return walkSegments(p, t, cursor, span, budget)
 	}
-	i := j % n
+	f := p.locate(j)
+	i, k, m, size := f.i, f.k, f.m, f.size
 	e := fi.Scale(float64(j + 1)).Sub(t) // the walk's elapsed time at frame j's end
-	drained := p.rate(i).Times(e)
+	drained := p.rate(size).Times(e)
+	n, gop, anchor, means, jitter := p.n, p.spec.GOPLength, p.spec.IPDistance, p.means, p.spec.Jitter
+	base := p.spec.Seed ^ goldenGamma
+	state := base + uint64(i)*goldenGamma
 	var elapsed units.Duration
 	var bits units.Size
 	for e < span && bits.Add(drained) < budget {
 		elapsed, bits = e, bits.Add(drained)
 		j++
-		if i++; i == n {
-			i = 0
+		var class FrameClass
+		if i, k, m, class = nextFrame(i, k, m, n, gop, anchor); i == 0 {
+			state = base
+		} else {
+			state += goldenGamma
 		}
-		e, drained = fi.Scale(float64(j+1)).Sub(t), p.sizes[i]
+		r := Rng{state: state}
+		if size = means[class].Scale(1 + jitter*(2*r.Float64()-1)); size < 8 {
+			size = 8
+		}
+		e, drained = fi.Scale(float64(j+1)).Sub(t), size
 	}
-	elapsed, bits = stopIn(p.rate(i), elapsed, span, bits, budget)
+	p.at = videoFrame{j, i, k, m, size}
+	elapsed, bits = stopIn(p.rate(size), elapsed, span, bits, budget)
 	return elapsed, bits, segmentIndex(t.Add(elapsed), fi, j) + 1
 }
 
@@ -289,12 +364,12 @@ func (p *VideoRatePattern) farSegment(t units.Duration) (units.BitRate, units.Du
 	w := math.Mod(t.Seconds(), p.horizon.Seconds())
 	i := 0
 	if x := w / fi; x > 0 {
-		i = min(int(x), len(p.sizes)-1)
+		i = min(int(x), p.n-1)
 	}
 	for i > 0 && fi*float64(i) > w {
 		i--
 	}
-	return p.rate(i), farEnd(t, w, fi*float64(i+1)), NoCursor
+	return p.rate(p.size(i, p.spec.classOf(i%p.spec.GOPLength))), farEnd(t, w, fi*float64(i+1)), NoCursor
 }
 
 // maxFrameIndex bounds the absolute frame indices patterns compute: below
@@ -321,15 +396,17 @@ func farEnd(t units.Duration, w, frameEnd float64) units.Duration {
 func (p *VideoRatePattern) PeakRate() units.BitRate { return p.peak }
 
 // Frames returns the generated trace (for analyses and reports). The
-// pattern keeps only the frame sizes, so each call allocates a fresh slice.
+// pattern stores no frame, so each call computes the sizes from the seed
+// into a fresh slice.
 func (p *VideoRatePattern) Frames() []Frame {
-	frames := make([]Frame, len(p.sizes))
-	for i, size := range p.sizes {
+	frames := make([]Frame, p.n)
+	for i := range frames {
+		class := p.spec.classOf(i % p.spec.GOPLength)
 		frames[i] = Frame{
 			Index:     i,
 			Timestamp: p.frameInterval.Scale(float64(i)),
-			Class:     p.spec.classOf(i % p.spec.GOPLength),
-			Size:      size,
+			Class:     class,
+			Size:      p.size(i, class),
 		}
 	}
 	return frames

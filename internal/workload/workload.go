@@ -4,10 +4,10 @@
 // request process standing in for operating-system and file-system activity.
 //
 // All generators are deterministic given a seed, so simulations are exactly
-// reproducible. The best-effort process draws each request only when the
-// simulator reaches it, and a video trace keeps 8 B per frame, its size.
-// Its exponential sizes and interarrivals come from a ziggurat over the
-// SplitMix64 stream, so most of them cost one 64-bit draw and no logarithm.
+// reproducible, and none stores what it generates: a best-effort backlog's
+// requests are drawn as it is served, a video frame's size is computed from
+// the seed and its index. Exponentials come from a ziggurat over SplitMix64,
+// so most of them cost one 64-bit draw and no logarithm.
 package workload
 
 import (
@@ -37,9 +37,13 @@ func (r *Rng) Seed(seed uint64) {
 	r.state = seed
 }
 
+// goldenGamma is SplitMix64's increment: a generator's state after k draws
+// is its seed plus k of them.
+const goldenGamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64-bit value.
 func (r *Rng) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += goldenGamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -236,19 +240,9 @@ func (p *RatePattern) Advance(t units.Duration, cursor int, span units.Duration,
 // state after k draws is its seed plus k increments, so draw k of the
 // sequence the seed starts is one step from that state.
 func (p *RatePattern) segmentRate(k uint64) units.BitRate {
-	r := Rng{state: (p.spec.Seed ^ 0xa5a5a5a5a5a5a5a5) + k*0x9e3779b97f4a7c15}
+	r := Rng{state: (p.spec.Seed ^ 0xa5a5a5a5a5a5a5a5) + k*goldenGamma}
 	spread := p.spec.Variability
 	return p.spec.Rate.Scale(1 - spread + 2*spread*r.Float64())
-}
-
-// BestEffortRequest is one non-streaming (OS / file-system) request.
-type BestEffortRequest struct {
-	// Arrival is the request arrival time.
-	Arrival units.Duration
-	// Size is the amount of data moved.
-	Size units.Size
-	// Write reports whether the request writes to the device.
-	Write bool
 }
 
 // BestEffortProcess generates background requests whose long-run service
@@ -334,9 +328,9 @@ func (p BestEffortProcess) MeanInterarrival() (units.Duration, error) {
 }
 
 // Arrivals returns the process's requests arriving in [0, horizon) as an
-// on-demand sequence: each request is drawn only when Next reaches it, so
-// the sequence stays the same small value whatever the horizon or the load.
-// A zero-fraction process, or a non-positive horizon, yields nothing.
+// on-demand sequence: Serve draws each request only when the device reaches
+// it, so the sequence stays the same small value whatever the horizon or the
+// load. A zero-fraction process, or a non-positive horizon, yields nothing.
 func (p BestEffortProcess) Arrivals(horizon units.Duration) (BestEffortArrivals, error) {
 	mean, err := p.MeanInterarrival()
 	if err != nil || p.TargetFraction == 0 || !horizon.Positive() {
@@ -366,24 +360,58 @@ type BestEffortArrivals struct {
 	next units.Duration
 }
 
-// Next returns the pending request if it arrives by now and before the
-// horizon, and draws the one after it; otherwise it reports false and draws
-// nothing. Each request draws its size (exponential, at least 512 bits),
-// then its write flag, then the interarrival to the next request, so the
-// sequence does not depend on when Next is called. An exponential takes one
-// Uint64 about 98 % of the time and more in the rest (see Rng.Exp), always
-// the same number from the same state. Next does not allocate.
-func (a *BestEffortArrivals) Next(now units.Duration) (BestEffortRequest, bool) {
-	if !(a.next < a.horizon) || a.next > now {
-		return BestEffortRequest{}, false
+// Serve serves the backlog from now and returns when the device is free:
+// each pending request that arrives before the horizon and by the time its
+// predecessor ends takes positioning plus its size at rate, as
+// BestEffortProcess.ServiceTime computes it. Each request draws its size
+// (exponential, at least 512 bits), its write flag and the interarrival to
+// the next, in that order, and is added to the running totals as it is
+// served: its size to bits and, for a write, to userBits and times
+// inflation to physicalBits. Serve makes no call for the 96 % of requests
+// whose exponentials both take the ziggurat's rectangle on their first
+// Uint64; the rest are drawn again through Rng.Exp. It does not allocate.
+func (a *BestEffortArrivals) Serve(now, positioning units.Duration, rate units.BitRate, inflation float64, bits *units.Size, requests *int, userBits, physicalBits *units.Size) units.Duration {
+	t, next, horizon, state := now, a.next, a.horizon, a.rng.state
+	meanBits, mean, writeFraction := a.meanBits, a.mean, a.writeFraction
+	served, count, user, physical := *bits, *requests, *userBits, *physicalBits
+	for next < horizon && next <= t {
+		r := Rng{state: state}
+		u, w, v := r.Uint64(), r.Uint64(), r.Uint64()
+		size := units.Bit.Scale(meanBits * (float64(u>>11) * expZig.w[u&0xff]))
+		write := float64(w>>11)/(1<<53) < writeFraction
+		gap := mean * (float64(v>>11) * expZig.w[v&0xff])
+		if u>>11 >= expZig.k[u&0xff] || v>>11 >= expZig.k[v&0xff] {
+			slow := Rng{state: state}
+			size = units.Bit.Scale(slow.Exp(meanBits))
+			write = slow.Float64() < writeFraction
+			gap = slow.Exp(mean)
+			r = slow
+		}
+		state = r.state
+		if size < units.Size(512) {
+			size = units.Size(512)
+		}
+		next = next.Add(units.Second.Scale(gap))
+		t = t.Add(positioning.Add(rate.TimeFor(size)))
+		served = served.Add(size)
+		count++
+		// A read adds +0, leaving the written totals (never −0) exact: the
+		// write flag, a coin toss, picks a mask, not a mispredicted branch.
+		var mask uint64
+		if write {
+			mask = math.MaxUint64
+		}
+		user = user.Add(masked(size, mask))
+		physical = physical.Add(masked(size.Scale(inflation), mask))
 	}
-	size := units.Bit.Scale(a.rng.Exp(a.meanBits))
-	if size < units.Size(512) {
-		size = units.Size(512)
-	}
-	req := BestEffortRequest{Arrival: a.next, Size: size, Write: a.rng.Float64() < a.writeFraction}
-	a.next = a.next.Add(units.Second.Scale(a.rng.Exp(a.mean)))
-	return req, true
+	a.rng.state, a.next = state, next
+	*bits, *requests, *userBits, *physicalBits = served, count, user, physical
+	return t
+}
+
+// masked returns s where mask is all ones and +0 where it is zero.
+func masked(s units.Size, mask uint64) units.Size {
+	return units.Bit.Scale(math.Float64frombits(math.Float64bits(s.Bits()) & mask))
 }
 
 // PlaybackCalendar expands a daily usage pattern (hours of streaming per day)
