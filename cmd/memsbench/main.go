@@ -298,8 +298,11 @@ func warmed(sc scenario, warmup int) (func() error, error) {
 // iterations and pooled buffers survive them. Each opens on a settled heap:
 // the collection runs on the one processor, so the runtime's own
 // post-collection work (the unique-map cleanup, the scavenger re-arming its
-// timer) runs while it waits, and one yield lets any leftover finish before
-// the counters are read. The least of five windows drops the runtime's
+// timer) runs while it waits, and one yield lets any leftover finish. One
+// uncounted iteration then makes the allocations the first iteration after
+// a collection makes once (about four for fig3-panel and two for
+// service-warm), which dividing by reps would only dilute, so a window reads
+// the steady state at any -reps. The least of five windows drops the runtime's
 // randomized fills of its per-call-site type-assertion caches (one draw in
 // 1024 per assertion, a 48–112 B object when it hits), which land in an
 // occasional window; a steady-state allocation lands in every window, so
@@ -315,6 +318,9 @@ func countAllocs(sc scenario, warmup, reps int) (mallocs, bytes uint64, err erro
 	for window := 0; window < 5; window++ {
 		runtime.GC()
 		runtime.Gosched()
+		if err := iterate(); err != nil {
+			return 0, 0, fmt.Errorf("%s: %w", sc.name, err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < reps; i++ {

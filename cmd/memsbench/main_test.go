@@ -99,17 +99,20 @@ func TestCBRSteadyStateIsAllocationFree(t *testing.T) {
 
 // TestAllocationCountsIgnoreNeighbours pins the exactness of the allocation
 // gate: a scenario's allocs/op and B/op must come out the same whether it
-// runs alone or after every other scenario in the same process. A counted
-// window that a collection or another goroutine can enter sees neighbours'
-// garbage and emptied sync.Pool caches, and drifts.
+// runs alone or after every other scenario in the same process, and its
+// allocs/op the same at one rep as at three. A counted window that a
+// collection or another goroutine can enter sees neighbours' garbage and
+// emptied sync.Pool caches, and drifts; one that counts the first iteration
+// after its collection adds that iteration's one-time allocations, divided
+// by the reps.
 func TestAllocationCountsIgnoreNeighbours(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so pooled allocations vary between runs")
 	}
-	measureJSON := func(scenario string) []Result {
+	measureJSON := func(scenario string, reps int) []Result {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := run(&buf, options{scenario: scenario, warmup: 1, reps: 3, format: "json"}); err != nil {
+		if err := run(&buf, options{scenario: scenario, warmup: 1, reps: reps, format: "json"}); err != nil {
 			t.Fatal(err)
 		}
 		var r Report
@@ -118,15 +121,18 @@ func TestAllocationCountsIgnoreNeighbours(t *testing.T) {
 		}
 		return r.Scenarios
 	}
-	together := measureJSON("all")
+	together := measureJSON("all", 3)
 	if len(together) != len(scenarios()) {
 		t.Fatalf("ran %d scenarios, want all %d", len(together), len(scenarios()))
 	}
 	for _, got := range together {
-		alone := measureJSON(got.Name)[0]
+		alone := measureJSON(got.Name, 3)[0]
 		if got.AllocsPerOp != alone.AllocsPerOp || got.BytesPerOp != alone.BytesPerOp {
 			t.Errorf("%s: %d allocs/op and %d B/op after the other scenarios, %d and %d alone",
 				got.Name, got.AllocsPerOp, got.BytesPerOp, alone.AllocsPerOp, alone.BytesPerOp)
+		}
+		if once := measureJSON(got.Name, 1)[0]; once.AllocsPerOp != alone.AllocsPerOp {
+			t.Errorf("%s: %d allocs/op at one rep, %d at three", got.Name, once.AllocsPerOp, alone.AllocsPerOp)
 		}
 	}
 }

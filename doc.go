@@ -238,12 +238,24 @@
 //
 // The analytical layer follows the same validate-once rule. Inverting the
 // Eq. 1 saving curve for one Fig. 3 point takes a golden-section search for
-// the maximum saving and a bisection for the target, some 70-84 evaluations.
-// Each search validates the energy model once, derives its per-model
-// constants (rm − rs, rm/rs, the overhead energy, the power gaps) on the
-// stack, and evaluates Eq. 1 over them per buffer size; energy.Model's
-// SavingCurve hands the same validated curve to core. A dimensioning
-// allocates nothing unless it has to explain an infeasible goal.
+// the maximum saving (41 evaluations) and a bisection for the target (up to
+// 43 more). energy.Model.BufferForSaving runs both on one validated curve,
+// as DiskModel.BufferForSaving does for the disk, and core only wraps its
+// answer into a Requirement. The curve holds the per-model constants
+// (rm − rs, rm/rs, the overhead energy, the power gaps) on the stack, and
+// per buffer size the searches compare a scalar saving built from the same
+// phase and per-bit term expressions that Cycle, PerBit and Saving report,
+// with no Cycle or Breakdown record and the DRAM model read through a
+// pointer, not copied. FuzzSearchSavingMatchesRecords holds the scalar to
+// the reported records bit for bit. On a 2-vCPU Xeon VM one
+// core.Model.Dimension takes about 4 µs (BenchmarkDimension), against
+// 11 µs when every evaluation built both records and copied the DRAM
+// model; a Fig. 3a panel of 64 rates (memsbench fig3-panel) takes about
+// 0.5 ms against 0.85 ms, and perfbench's design-space workload spends
+// about 30 % less CPU per call (CHANGES.md has the paired runs).
+// core.Model.At evaluates through SavingCurve, the same curve. A
+// dimensioning allocates nothing unless it has to explain an infeasible
+// goal.
 // internal/core/testdata/analytic_golden.json pins the outputs bit for bit:
 // the Fig. 3 dimensioning of three goals on both devices at 64 rates, and
 // points, cycles, breakdowns, savings and maximum savings along six saving
@@ -252,9 +264,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_32.json
-//	go run ./cmd/memsbench -check BENCH_32.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_31.json BENCH_32.json
+//	go run ./cmd/memsbench -format json -out BENCH_33.json
+//	go run ./cmd/memsbench -check BENCH_33.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_32.json BENCH_33.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

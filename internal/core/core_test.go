@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,6 +216,67 @@ func TestBufferForEnergySaving(t *testing.T) {
 	}
 	if _, err := m.BufferForEnergySaving(-0.1); err == nil {
 		t.Error("negative target accepted")
+	}
+}
+
+// Property: on the Table I device, with DRAM energy on and off, a feasible
+// energy requirement reaches its target and is minimal to the 1e-9 relative
+// tolerance of its threshold search (a buffer 2e-9 smaller misses the target
+// or closes no cycle), and an infeasible one explains itself and no buffer
+// up to the search ceiling reaches its target.
+func TestBufferForEnergySavingIsMinimal(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	for _, includeDRAM := range []bool{true, false} {
+		feasible, infeasible := 0, 0
+		for i := 0; i < 150; i++ {
+			rate := units.Kbps.Scale(32 * math.Pow(4096.0/32, rng.Float64()))
+			target := 0.95 * rng.Float64()
+			if i%10 == 0 {
+				target = 0
+			}
+			m, err := NewWithOptions(device.DefaultMEMS(), rate, Options{IncludeDRAMEnergy: &includeDRAM})
+			if err != nil {
+				t.Fatal(err)
+			}
+			em := m.Energy()
+			maxSaving, _, err := em.MaxSaving()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(target-maxSaving) <= 1e-9 {
+				continue
+			}
+			req, err := m.BufferForEnergySaving(target)
+			if err != nil {
+				t.Fatalf("DRAM %v, %v, target %g: %v", includeDRAM, rate, target, err)
+			}
+			if !req.Feasible {
+				infeasible++
+				if req.Reason == "" {
+					t.Errorf("DRAM %v, %v, target %g: infeasible without a reason", includeDRAM, rate, target)
+				}
+				lo, ceiling := m.MinimumBuffer(), m.Device.MediaRate().Times(10*units.Second)
+				for k := 0; k <= 200; k++ {
+					b := lo.Scale(math.Pow(ceiling.DivideBy(lo), float64(k)/200))
+					if s, err := em.Saving(b); err == nil && s >= target {
+						t.Errorf("DRAM %v, %v, target %g: infeasible, but %v saves %g", includeDRAM, rate, target, b, s)
+						break
+					}
+				}
+				continue
+			}
+			feasible++
+			if s, err := em.Saving(req.Buffer); err != nil || s < target {
+				t.Errorf("DRAM %v, %v, target %g: B_E = %v saves %g (err %v)", includeDRAM, rate, target, req.Buffer, s, err)
+			}
+			smaller := req.Buffer.Scale(1 - 2e-9)
+			if s, err := em.Saving(smaller); err == nil && s >= target {
+				t.Errorf("DRAM %v, %v, target %g: B_E = %v is not minimal: %v saves %g", includeDRAM, rate, target, req.Buffer, smaller, s)
+			}
+		}
+		if feasible == 0 || infeasible == 0 {
+			t.Errorf("DRAM %v: %d feasible and %d infeasible requirements, want both kinds", includeDRAM, feasible, infeasible)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"memstream/internal/energy"
 	"memstream/internal/format"
 	"memstream/internal/lifetime"
-	"memstream/internal/solve"
 	"memstream/internal/units"
 )
 
@@ -311,56 +310,19 @@ func (d Dimensioning) Infeasible() []Constraint {
 }
 
 // BufferForEnergySaving returns the smallest buffer achieving the target
-// energy saving, searching the monotone part of the saving curve. A target of
-// zero returns the break-even buffer (the point where shutting down starts to
-// pay off).
+// energy saving (energy.Model.BufferForSaving), or an infeasible requirement
+// that says why no buffer does.
 func (m *Model) BufferForEnergySaving(target float64) (Requirement, error) {
 	req := Requirement{Constraint: ConstraintEnergy}
 	if target < 0 || target >= 1 {
 		return req, fmt.Errorf("core: energy-saving target %.3f out of range [0, 1)", target)
 	}
-	maxSaving, bestBuffer, err := m.energyModel.MaxSaving()
+	b, reason, err := m.energyModel.BufferForSaving(target)
 	if err != nil {
 		return req, err
 	}
-	if target > maxSaving {
-		req.Feasible = false
-		req.Reason = fmt.Sprintf("maximum achievable saving at %v is %.1f%%, below the %.1f%% target",
-			m.Rate, 100*maxSaving, 100*target)
-		return req, nil
-	}
-	// The saving curve rises monotonically up to its maximiser (and only
-	// droops beyond it once DRAM retention dominates), so the threshold
-	// search is restricted to [minimum buffer, argmax] where the predicate
-	// is monotone.
-	lo := m.MinimumBuffer().Bits() * (1 + 1e-9)
-	hi := bestBuffer.Bits()
-	if hi <= lo {
-		hi = m.energySearchCeiling().Bits()
-	}
-	savingCurve, err := m.energyModel.SavingCurve()
-	if err != nil {
-		return req, err
-	}
-	pred := func(bBits float64) bool {
-		_, s, serr := savingCurve(units.Bit.Scale(bBits))
-		return serr == nil && s >= target
-	}
-	bBits, err := solve.MinimumWhere(pred, lo, hi, 1e-9)
-	if err != nil {
-		req.Feasible = false
-		req.Reason = fmt.Sprintf("no buffer up to %v reaches a %.1f%% saving", units.Bit.Scale(hi), 100*target)
-		return req, nil
-	}
-	req.Buffer = units.Bit.Scale(bBits)
-	req.Feasible = true
+	req.Buffer, req.Feasible, req.Reason = b, reason == "", reason
 	return req, nil
-}
-
-// energySearchCeiling bounds the buffer sizes considered when inverting the
-// energy-saving curve.
-func (m *Model) energySearchCeiling() units.Size {
-	return m.Device.MediaRate().Times(10 * units.Second)
 }
 
 // BufferForUtilisation returns the smallest buffer (sector payload) achieving

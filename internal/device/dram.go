@@ -79,7 +79,7 @@ func (d DRAM) AccessEnergy(data units.Size) units.Energy {
 // in which buffered bits enter the buffer once (written by the storage device)
 // and leave it once (read by the decoder), plus best-effort traffic of the
 // given size passing through it.
-func (d DRAM) CycleEnergy(buffer units.Size, cycleTime units.Duration, bestEffort units.Size) units.Energy {
+func (d *DRAM) CycleEnergy(buffer units.Size, cycleTime units.Duration, bestEffort units.Size) units.Energy {
 	background := d.BackgroundPower(buffer).Times(cycleTime)
 	streaming := d.AccessEnergy(buffer.Scale(2)) // in once, out once
 	be := d.AccessEnergy(bestEffort.Scale(2))

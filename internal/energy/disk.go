@@ -96,11 +96,10 @@ func (m DiskModel) PerBit(b units.Size) (Breakdown, error) {
 		return Breakdown{}, fmt.Errorf("%w: B = %v below the disk cycle minimum %v",
 			ErrBufferTooSmall, b, m.MinimumBuffer())
 	}
-	// The disk keeps its cycle-minimum check and message above, so it times
+	// The disk keeps its cycle-minimum check and message above, so it splits
 	// the cycle here instead of through curve.cycle's standby check.
-	transfer, period := c.timing(b)
-	cycle := Cycle{Buffer: b, Period: period, Transfer: transfer, BestEffort: period.Scale(c.bestEffort)}
-	return c.perBit(cycle), nil
+	transfer, period, bestEffort, _ := c.phases(b)
+	return c.perBit(b, transfer, period, bestEffort), nil
 }
 
 // AlwaysOnPerBit returns the per-bit energy of the never-spun-down reference.

@@ -106,10 +106,12 @@ type Cycle struct {
 
 // curve is Eq. 1 over the per-model constants of one validated Model. Each
 // exported method that evaluates Eq. 1 validates the model and derives the
-// constants once per call, so a search over buffer sizes neither validates
-// nor copies the model per evaluation. Reordering any expression here moves
-// results in the last bits; internal/core/testdata/analytic_golden.json pins
-// them.
+// constants once per call. The searches compare saving, a scalar built from
+// the phases and per-bit terms that evaluate reports as a Cycle and a
+// Breakdown: an evaluation builds neither record, sums the terms as scalars
+// and reads the DRAM model through a pointer. Reordering any expression here
+// moves results in the last bits; internal/core/testdata/analytic_golden.json
+// pins them.
 type curve struct {
 	// rm is the media rate and rs the stream rate.
 	rm, rs units.BitRate
@@ -175,14 +177,21 @@ func (c *curve) timing(b units.Size) (transfer, period units.Duration) {
 	return transfer, transfer.Scale(c.periodScale)
 }
 
+// phases splits the refill cycle of buffer size B: the refill time, the
+// cycle length, the best-effort time fbe·Tm and the standby time left after
+// them and the overhead, negative when the cycle does not close.
+func (c *curve) phases(b units.Size) (transfer, period, bestEffort, standby units.Duration) {
+	transfer, period = c.timing(b)
+	bestEffort = period.Scale(c.bestEffort)
+	return transfer, period, bestEffort, period.Sub(transfer).Sub(c.overhead).Sub(bestEffort)
+}
+
 // cycle computes the refill-cycle timing for buffer size B.
 func (c *curve) cycle(b units.Size) (Cycle, error) {
 	if err := checkBuffer(b); err != nil {
 		return Cycle{}, err
 	}
-	transfer, period := c.timing(b)
-	bestEffort := period.Scale(c.bestEffort)
-	standby := period.Sub(transfer).Sub(c.overhead).Sub(bestEffort)
+	transfer, period, bestEffort, standby := c.phases(b)
 	if standby < 0 {
 		return Cycle{}, fmt.Errorf("%w: B = %v leaves no standby time at rs = %v",
 			ErrBufferTooSmall, b, c.rs)
@@ -198,26 +207,22 @@ func (c *curve) cycle(b units.Size) (Cycle, error) {
 	}, nil
 }
 
-// perBit evaluates Eq. 1 (plus the best-effort and DRAM extensions) over one
-// closed refill cycle.
-func (c *curve) perBit(cycle Cycle) Breakdown {
-	b := cycle.Buffer
-	transferE := c.activeGap.Times(cycle.Transfer)
-	standbyE := c.standbyPower.Times(cycle.Period)
-	bestEffortE := c.activeGap.Times(cycle.BestEffort)
-
-	var dramE units.Energy
+// terms evaluates Eq. 1 (plus the best-effort and DRAM extensions) over one
+// closed refill cycle of buffer size B with the given phases, term by term.
+// It returns scalars, not a Breakdown: the searches sum them directly.
+func (c *curve) terms(b units.Size, transfer, period, bestEffort units.Duration) (overheadE, transferE, standbyE, bestEffortE, dramE units.EnergyPerBit) {
+	var dram units.Energy
 	if c.includeDRAM {
-		bestEffortBits := c.rm.Times(cycle.BestEffort)
-		dramE = c.dram.CycleEnergy(b, cycle.Period, bestEffortBits)
+		dram = c.dram.CycleEnergy(b, period, c.rm.Times(bestEffort))
 	}
-	return Breakdown{
-		Overhead:   c.overheadEnergy.PerBit(b),
-		Transfer:   transferE.PerBit(b),
-		Standby:    standbyE.PerBit(b),
-		BestEffort: bestEffortE.PerBit(b),
-		DRAM:       dramE.PerBit(b),
-	}
+	return c.overheadEnergy.PerBit(b), c.activeGap.Times(transfer).PerBit(b), c.standbyPower.Times(period).PerBit(b),
+		c.activeGap.Times(bestEffort).PerBit(b), dram.PerBit(b)
+}
+
+// perBit returns the terms of buffer size B's refill cycle as a Breakdown.
+func (c *curve) perBit(b units.Size, transfer, period, bestEffort units.Duration) Breakdown {
+	o, t, s, be, d := c.terms(b, transfer, period, bestEffort)
+	return Breakdown{Overhead: o, Transfer: t, Standby: s, BestEffort: be, DRAM: d}
 }
 
 // alwaysOnPerBit prices buffer size B on the always-on reference, given the
@@ -228,6 +233,17 @@ func (c *curve) alwaysOnPerBit(b units.Size, transfer, period units.Duration) un
 	return transferE.Add(baseE).PerBit(b)
 }
 
+// savingOver returns 1 − E/Eon for the buffered per-bit energy E of buffer
+// size B with the given phases, and false when the always-on reference Eon
+// is not positive.
+func (c *curve) savingOver(buffered units.EnergyPerBit, b units.Size, transfer, period units.Duration) (float64, bool) {
+	alwaysOn := c.alwaysOnPerBit(b, transfer, period)
+	if alwaysOn <= 0 {
+		return 0, false
+	}
+	return 1 - buffered.JoulesPerBit()/alwaysOn.JoulesPerBit(), true
+}
+
 // evaluate returns the per-bit breakdown and the saving over the always-on
 // reference at buffer size B, from one refill cycle.
 func (c *curve) evaluate(b units.Size) (Breakdown, float64, error) {
@@ -235,12 +251,26 @@ func (c *curve) evaluate(b units.Size) (Breakdown, float64, error) {
 	if err != nil {
 		return Breakdown{}, 0, err
 	}
-	buffered := c.perBit(cycle)
-	alwaysOn := c.alwaysOnPerBit(b, cycle.Transfer, cycle.Period)
-	if alwaysOn <= 0 {
+	buffered := c.perBit(b, cycle.Transfer, cycle.Period, cycle.BestEffort)
+	saving, ok := c.savingOver(buffered.Total(), b, cycle.Transfer, cycle.Period)
+	if !ok {
 		return Breakdown{}, 0, errors.New("energy: always-on reference energy is not positive")
 	}
-	return buffered, 1 - buffered.Total().JoulesPerBit()/alwaysOn.JoulesPerBit(), nil
+	return buffered, saving, nil
+}
+
+// saving returns the saving evaluate reports at buffer size B, bit for bit,
+// and false exactly where evaluate returns an error. The searches compare
+// it; it builds no Cycle and no Breakdown.
+func (c *curve) saving(b units.Size) (float64, bool) {
+	if !b.Positive() {
+		return 0, false
+	}
+	transfer, period, bestEffort, standby := c.phases(b)
+	if standby < 0 {
+		return 0, false
+	}
+	return c.savingOver(total(c.terms(b, transfer, period, bestEffort)), b, transfer, period)
 }
 
 // Cycle computes the refill-cycle timing for buffer size B (Eq. 1's timing
@@ -291,7 +321,12 @@ type Breakdown struct {
 
 // Total returns the summed per-bit energy.
 func (b Breakdown) Total() units.EnergyPerBit {
-	return b.Overhead + b.Transfer + b.Standby + b.BestEffort + b.DRAM
+	return total(b.Overhead, b.Transfer, b.Standby, b.BestEffort, b.DRAM)
+}
+
+// total sums the per-bit terms in Breakdown order.
+func total(overheadE, transferE, standbyE, bestEffortE, dramE units.EnergyPerBit) units.EnergyPerBit {
+	return overheadE + transferE + standbyE + bestEffortE + dramE
 }
 
 // PerBit evaluates Eq. 1 (plus the best-effort and DRAM extensions) for the
@@ -305,7 +340,7 @@ func (m Model) PerBit(b units.Size) (Breakdown, error) {
 	if err != nil {
 		return Breakdown{}, err
 	}
-	return c.perBit(cycle), nil
+	return c.perBit(b, cycle.Transfer, cycle.Period, cycle.BestEffort), nil
 }
 
 // AlwaysOnPerBit returns the per-bit energy of the always-on reference: the
@@ -358,13 +393,6 @@ func (m Model) SavingCurve() (func(units.Size) (Breakdown, float64, error), erro
 	return c.evaluate, err
 }
 
-// maxSearchBuffer bounds the buffer sizes considered when searching the
-// saving curve: one full second of media-rate traffic is far beyond any
-// practically interesting streaming buffer for this device class.
-func (m Model) maxSearchBuffer() units.Size {
-	return m.Device.MediaRate().Times(10 * units.Second)
-}
-
 // MaxSaving returns the largest achievable energy saving over all buffer
 // sizes together with the buffer size that achieves it. The saving curve
 // rises steeply while the overhead amortises and then flattens (and
@@ -375,19 +403,74 @@ func (m Model) MaxSaving() (saving float64, buffer units.Size, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	lo := m.MinimumBuffer().Bits()
-	hi := m.maxSearchBuffer().Bits()
+	return c.maxSaving()
+}
+
+// BufferForSaving returns the smallest buffer whose saving reaches the
+// target, to a relative tolerance of 1e-9, or a zero size and the reason no
+// buffer does. It is the MEMS counterpart of DiskModel.BufferForSaving. The
+// saving curve rises up to the maximiser MaxSaving finds and only droops
+// beyond it once DRAM retention dominates, so the threshold search runs on
+// the rising part, on the curve the maximum was found on. A target of zero
+// returns about the break-even buffer, where shutting down starts to pay
+// off.
+func (m Model) BufferForSaving(target float64) (b units.Size, reason string, err error) {
+	if target < 0 || target >= 1 {
+		return 0, "", fmt.Errorf("energy: saving target %.3f out of range [0, 1)", target)
+	}
+	c, err := m.curve()
+	if err != nil {
+		return 0, "", err
+	}
+	maxSaving, best, err := c.maxSaving()
+	if err != nil {
+		return 0, "", err
+	}
+	if target > maxSaving {
+		return 0, fmt.Sprintf("maximum achievable saving at %v is %.1f%%, below the %.1f%% target",
+			c.rs, 100*maxSaving, 100*target), nil
+	}
+	lo := c.minimumBuffer().Bits() * (1 + 1e-9)
+	hi := best.Bits()
+	if hi <= lo {
+		hi = c.searchCeiling().Bits()
+	}
+	bBits, err := solve.MinimumWhere(func(bBits float64) bool {
+		s, ok := c.saving(units.Bit.Scale(bBits))
+		return ok && s >= target
+	}, lo, hi, 1e-9)
+	if err != nil {
+		return 0, fmt.Sprintf("no buffer up to %v reaches a %.1f%% saving", units.Bit.Scale(hi), 100*target), nil
+	}
+	return units.Bit.Scale(bBits), "", nil
+}
+
+// minimumBuffer is MinimumBuffer on the curve's constants.
+func (c *curve) minimumBuffer() units.Size {
+	return minimumBuffer(c.rm, c.rs, c.overhead, c.bestEffort)
+}
+
+// searchCeiling bounds the buffer sizes the searches consider: ten seconds
+// of media-rate traffic is far beyond any practically interesting streaming
+// buffer for this device class.
+func (c *curve) searchCeiling() units.Size {
+	return c.rm.Times(10 * units.Second)
+}
+
+// maxSaving is MaxSaving on the validated curve.
+func (c *curve) maxSaving() (float64, units.Size, error) {
+	lo := c.minimumBuffer().Bits()
+	hi := c.searchCeiling().Bits()
 	if math.IsInf(lo, 1) || lo >= hi {
 		return 0, 0, fmt.Errorf("%w: no admissible buffer size", ErrBufferTooSmall)
 	}
-	f := func(bBits float64) float64 {
-		_, s, serr := c.evaluate(units.Bit.Scale(bBits))
-		if serr != nil {
+	x, fx := solve.MaximizeUnimodal(func(bBits float64) float64 {
+		s, ok := c.saving(units.Bit.Scale(bBits))
+		if !ok {
 			return math.Inf(-1)
 		}
 		return s
-	}
-	x, fx := solve.MaximizeUnimodal(f, lo, hi, 1e-7)
+	}, lo, hi, 1e-7)
 	return fx, units.Bit.Scale(x), nil
 }
 

@@ -419,3 +419,75 @@ func TestQuickSavingMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzSearchSavingMatchesRecords checks the saving the searches compare
+// against the records the model reports, over fuzzed devices, DRAM models
+// (the floor, partial-die and multi-die background regimes), best-effort
+// shares, rates and buffers, some below MinimumBuffer: curve.saving must
+// equal 1 − PerBit(B).Total()/AlwaysOnPerBit(B) and Saving(B) bit for bit
+// and be unusable exactly where Saving returns an error, and MaxSaving's
+// saving must be the one Saving reports at its buffer.
+func FuzzSearchSavingMatchesRecords(f *testing.F) {
+	def, defDRAM := device.DefaultMEMS(), device.DefaultDRAM()
+	seed := func(dieCapacity units.Size, includeDRAM bool, rate units.BitRate, buffer units.Size, nearMinimum float64) {
+		f.Add(def.ReadWritePower.Watts(), def.SeekPower.Watts(), def.ShutdownPower.Watts(), def.StandbyPower.Watts(), def.IdlePower.Watts(),
+			def.SeekTime.Seconds(), def.ShutdownTime.Seconds(),
+			dieCapacity.Bits(), defDRAM.DieBackgroundPower.Watts(), defDRAM.FloorPower.Watts(), defDRAM.AccessEnergyPerBit.JoulesPerBit(),
+			0.05, includeDRAM, rate.BitsPerSecond(), buffer.Bits(), nearMinimum)
+	}
+	// A kilobyte buffer in the default die draws the floor power, half of a
+	// 64 KiB die draws more than the floor, and a megabyte spans 17 such dies.
+	seed(defDRAM.DieCapacity, true, 1024*units.Kbps, 100*units.KiB, 1.5)
+	seed(64*units.KiB, true, 1024*units.Kbps, 32*units.KiB, 1+1e-12)
+	seed(64*units.KiB, true, 4096*units.Kbps, units.MiB, 0.999)
+	seed(defDRAM.DieCapacity, false, 32*units.Kbps, 0, 20)
+	seed(defDRAM.DieCapacity, true, 100*units.Mbps, -units.KiB, 1)
+	f.Fuzz(func(t *testing.T, rw, seek, shutdown, standby, idle, seekTime, shutdownTime,
+		dieCapacity, diePower, floorPower, access, fbe float64, includeDRAM bool, rate, buffer, nearMinimum float64) {
+		dev := device.DefaultMEMS()
+		dev.ReadWritePower, dev.SeekPower, dev.ShutdownPower = units.Power(rw), units.Power(seek), units.Power(shutdown)
+		dev.StandbyPower, dev.IdlePower = units.Power(standby), units.Power(idle)
+		dev.SeekTime, dev.ShutdownTime = units.Duration(seekTime), units.Duration(shutdownTime)
+		dram := device.DRAM{
+			DieCapacity:        units.Size(dieCapacity),
+			DieBackgroundPower: units.Power(diePower),
+			FloorPower:         units.Power(floorPower),
+			AccessEnergyPerBit: units.EnergyPerBit(access),
+		}
+		m := Model{Device: dev, Buffer: dram, StreamRate: units.BitRate(rate), BestEffortFraction: fbe, IncludeDRAM: includeDRAM}
+		c, err := m.curve()
+		if err != nil {
+			return // the searches never run on an invalid model
+		}
+		for _, b := range []units.Size{units.Size(buffer), m.MinimumBuffer().Scale(nearMinimum)} {
+			s, ok := c.saving(b)
+			want, err := m.Saving(b)
+			if ok != (err == nil) {
+				t.Fatalf("B = %v: search saving usable %v, Saving error %v", b, ok, err)
+			}
+			if !ok {
+				continue
+			}
+			perBit, errB := m.PerBit(b)
+			alwaysOn, errOn := m.AlwaysOnPerBit(b)
+			if errB != nil || errOn != nil {
+				t.Fatalf("B = %v: Saving succeeded but PerBit %v, AlwaysOnPerBit %v", b, errB, errOn)
+			}
+			formula := 1 - perBit.Total().JoulesPerBit()/alwaysOn.JoulesPerBit()
+			if math.Float64bits(s) != math.Float64bits(want) || math.Float64bits(s) != math.Float64bits(formula) {
+				t.Fatalf("B = %v: search saving %v, Saving %v, 1 − PerBit/AlwaysOn %v", b, s, want, formula)
+			}
+		}
+		maxSaving, best, err := m.MaxSaving()
+		if err != nil {
+			return
+		}
+		if s, err := m.Saving(best); err != nil {
+			if !math.IsInf(maxSaving, -1) {
+				t.Fatalf("MaxSaving %v at %v, where Saving errs: %v", maxSaving, best, err)
+			}
+		} else if math.Float64bits(s) != math.Float64bits(maxSaving) {
+			t.Fatalf("MaxSaving %v at %v, where Saving reports %v", maxSaving, best, s)
+		}
+	})
+}

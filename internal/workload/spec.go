@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"memstream/internal/units"
 )
@@ -208,6 +209,9 @@ func zeroOr[T ~int | ~float64](v, def T) T {
 	return v
 }
 
+// finitePositive reports whether v lies in (0, +Inf); NaN fails.
+func finitePositive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
 // errWriteFraction reports a write share outside [0, 1] for every kind.
 var errWriteFraction = errors.New("workload: write fraction must be in [0, 1]")
 
@@ -247,7 +251,7 @@ func (s StreamSpec) Validate() error {
 		if s.IPDistance < 1 || s.IPDistance > s.GOPLength {
 			errs = append(errs, errors.New("workload: anchor distance must be in [1, GOP length]"))
 		}
-		if !(s.WeightI > 0 && s.WeightP > 0 && s.WeightB > 0) {
+		if !(finitePositive(s.WeightI) && finitePositive(s.WeightP) && finitePositive(s.WeightB)) {
 			errs = append(errs, errors.New("workload: frame weights must be positive"))
 		}
 		if !(s.Jitter >= 0 && s.Jitter < 1) {

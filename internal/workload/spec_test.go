@@ -56,6 +56,8 @@ func TestSpecValidate(t *testing.T) {
 		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightI = nan }), "frame weights must be positive"},
 		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightP = -1 }), "frame weights must be positive"},
 		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightB = nan }), "frame weights must be positive"},
+		// An infinite weight would make every frame of its type NaN bits.
+		{with(VideoSpec(units.Kbps, 1), func(s *StreamSpec) { s.WeightI = math.Inf(1) }), "frame weights must be positive"},
 	}
 	for i, c := range bad {
 		err := c.spec.Validate()
