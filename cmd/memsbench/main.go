@@ -108,58 +108,51 @@ type scenario struct {
 // mems returns the Table I device every scenario simulates.
 func mems() device.MEMS { return device.DefaultMEMS() }
 
-// singleStream builds the reset-and-rerun iteration over one Simulator.
-func singleStream(cfg sim.Config) (func() error, error) {
-	s, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
+// replay is the iteration every simulator scenario times: rewind the warm
+// simulator to the next replica seed and run it again.
+func replay[R any](reset func(seed uint64) error, run func() (R, error)) func() error {
 	seed := uint64(0)
 	return func() error {
 		seed++
-		if err := s.Reset(seed); err != nil {
+		if err := reset(seed); err != nil {
 			return err
 		}
-		_, err := s.Run()
+		_, err := run()
 		return err
-	}, nil
+	}
+}
+
+// singleStream builds the replay over one Simulator streaming spec through
+// buffer for one simulated hour on the Table I device.
+func singleStream(buffer units.Size, spec workload.StreamSpec) (func() error, error) {
+	s, err := sim.New(sim.Config{
+		Device:   mems(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   buffer,
+		Spec:     spec,
+		Duration: units.Hour,
+		Seed:     1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return replay(s.Reset, s.Run), nil
 }
 
 // scenarios returns the fixed scenario set in report order.
 func scenarios() []scenario {
 	return []scenario{
 		{name: "cbr-steady", simHours: 1, setup: func() (func() error, error) {
-			return singleStream(sim.Config{
-				Device:   mems(),
-				DRAM:     device.DefaultDRAM(),
-				Buffer:   64 * units.KiB,
-				Spec:     workload.CBRSpec(1024 * units.Kbps),
-				Duration: units.Hour,
-				Seed:     1,
-			})
+			return singleStream(64*units.KiB, workload.CBRSpec(1024*units.Kbps))
 		}},
 		{name: "vbr-mobile", simHours: 1, setup: func() (func() error, error) {
-			return singleStream(sim.Config{
-				Device:   mems(),
-				DRAM:     device.DefaultDRAM(),
-				Buffer:   48 * units.KiB,
-				Spec:     workload.VBRSpec(512*units.Kbps, 1),
-				Duration: units.Hour,
-				Seed:     1,
-			})
+			return singleStream(48*units.KiB, workload.VBRSpec(512*units.Kbps, 1))
 		}},
 		{name: "video-abr", simHours: 1, setup: func() (func() error, error) {
 			// A full hour of MPEG-like frames; every replica re-seeds the
 			// trace, whose frames the run computes from the seed as it
 			// plays them, as an adaptive-bit-rate study does per rung.
-			return singleStream(sim.Config{
-				Device:   mems(),
-				DRAM:     device.DefaultDRAM(),
-				Buffer:   128 * units.KiB,
-				Spec:     workload.VideoSpec(1024*units.Kbps, 1),
-				Duration: units.Hour,
-				Seed:     1,
-			})
+			return singleStream(128*units.KiB, workload.VideoSpec(1024*units.Kbps, 1))
 		}},
 		{name: "trace-replay", simHours: 1, setup: func() (func() error, error) {
 			// A fixed 60-second trace generated once and replayed with
@@ -169,17 +162,10 @@ func scenarios() []scenario {
 			if err != nil {
 				return nil, err
 			}
-			return singleStream(sim.Config{
-				Device:   mems(),
-				DRAM:     device.DefaultDRAM(),
-				Buffer:   128 * units.KiB,
-				Spec:     workload.TraceSpec(frames),
-				Duration: units.Hour,
-				Seed:     1,
-			})
+			return singleStream(128*units.KiB, workload.TraceSpec(frames))
 		}},
 		{name: "multi-4stream", simHours: 1, setup: func() (func() error, error) {
-			cfg := sim.MultiConfig{
+			s, err := sim.NewMulti(sim.MultiConfig{
 				Device: mems(),
 				DRAM:   device.DefaultDRAM(),
 				Streams: []sim.MultiStream{
@@ -191,20 +177,11 @@ func scenarios() []scenario {
 				BestEffort: workload.NewBestEffortProcess(0.05, sim.MultiConfig{Device: device.DefaultMEMS()}.MediaRate(), 1),
 				Duration:   units.Hour,
 				Seed:       1,
-			}
-			s, err := sim.NewMulti(cfg)
+			})
 			if err != nil {
 				return nil, err
 			}
-			seed := uint64(0)
-			return func() error {
-				seed++
-				if err := s.Reset(seed); err != nil {
-					return err
-				}
-				_, err := s.Run()
-				return err
-			}, nil
+			return replay(s.Reset, s.Run), nil
 		}},
 		{name: "service-warm", simHours: 0, setup: func() (func() error, error) {
 			svc := memstream.NewService(memstream.ServiceConfig{})

@@ -70,11 +70,13 @@
 // seeds, SimulateMulti's device record equals Simulate's in every field but
 // the ECC counters, which only Simulate's error model fills
 // (FuzzOneStreamSharedDeviceIsSingle in internal/sim). The two simulators
-// share one simulator core that builds the demand patterns, the engine core
-// and the cycle rule, and rewinds them between replicas; left to differ are
-// their seed conventions, validation texts, result shapes and the
-// single-stream ECC error model, which samples each refill cycle once after
-// the run. Time advances by next-event stepping, and no step has to stop at
+// are one simulator: sim.MultiSimulator owns the demand patterns, the
+// engine core and the cycle rule, and builds, rewinds and runs them one way,
+// and sim.Simulator is a one-stream, round-robin MultiSimulator plus the ECC
+// error model, which samples each refill cycle once after the run. Kept
+// apart is only what the goldens and digests pin: the validation and
+// wake-level texts, the two replica seed conventions and the result shapes.
+// Time advances by next-event stepping, and no step has to stop at
 // a rate change: each stream's demand pattern integrates its own demand
 // across whole segments (a video or trace frame drains its size, a VBR
 // segment its rate times its length, CBR in closed form). A standby is one
@@ -264,9 +266,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_33.json
-//	go run ./cmd/memsbench -check BENCH_33.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_32.json BENCH_33.json
+//	go run ./cmd/memsbench -format json -out BENCH_34.json
+//	go run ./cmd/memsbench -check BENCH_34.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_33.json BENCH_34.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op

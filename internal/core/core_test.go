@@ -167,6 +167,9 @@ func TestGoalValidateAndString(t *testing.T) {
 		{EnergySaving: 1.0, CapacityUtilisation: 0.5, Lifetime: units.Year},
 		{EnergySaving: 0.5, CapacityUtilisation: 1.0, Lifetime: units.Year},
 		{EnergySaving: 0.5, CapacityUtilisation: 0.5, Lifetime: -units.Year},
+		{EnergySaving: math.NaN(), CapacityUtilisation: 0.5, Lifetime: units.Year},
+		{EnergySaving: 0.5, CapacityUtilisation: math.NaN(), Lifetime: units.Year},
+		{EnergySaving: 0.5, CapacityUtilisation: 0.5, Lifetime: units.Duration(math.NaN())},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
@@ -216,6 +219,9 @@ func TestBufferForEnergySaving(t *testing.T) {
 	}
 	if _, err := m.BufferForEnergySaving(-0.1); err == nil {
 		t.Error("negative target accepted")
+	}
+	if _, err := m.BufferForEnergySaving(math.NaN()); err == nil {
+		t.Error("NaN target accepted")
 	}
 }
 
@@ -329,6 +335,9 @@ func TestBufferForUtilisation(t *testing.T) {
 	}
 	if _, err := m.BufferForUtilisation(1.0); err == nil {
 		t.Error("target 1.0 accepted")
+	}
+	if _, err := m.BufferForUtilisation(math.NaN()); err == nil {
+		t.Error("NaN target accepted")
 	}
 }
 

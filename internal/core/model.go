@@ -225,13 +225,14 @@ type Goal struct {
 // Validate checks that the goal is well formed (it may still be infeasible).
 func (g Goal) Validate() error {
 	var errs []error
-	if g.EnergySaving < 0 || g.EnergySaving >= 1 {
+	// Each range check is written so that NaN fails it.
+	if !(g.EnergySaving >= 0 && g.EnergySaving < 1) {
 		errs = append(errs, errors.New("core: energy-saving goal must be in [0, 1)"))
 	}
-	if g.CapacityUtilisation < 0 || g.CapacityUtilisation >= 1 {
+	if !(g.CapacityUtilisation >= 0 && g.CapacityUtilisation < 1) {
 		errs = append(errs, errors.New("core: capacity goal must be in [0, 1)"))
 	}
-	if g.Lifetime < 0 {
+	if !(g.Lifetime >= 0) {
 		errs = append(errs, errors.New("core: lifetime goal must be non-negative"))
 	}
 	return errors.Join(errs...)
@@ -314,7 +315,7 @@ func (d Dimensioning) Infeasible() []Constraint {
 // that says why no buffer does.
 func (m *Model) BufferForEnergySaving(target float64) (Requirement, error) {
 	req := Requirement{Constraint: ConstraintEnergy}
-	if target < 0 || target >= 1 {
+	if !(target >= 0 && target < 1) {
 		return req, fmt.Errorf("core: energy-saving target %.3f out of range [0, 1)", target)
 	}
 	b, reason, err := m.energyModel.BufferForSaving(target)
@@ -329,7 +330,7 @@ func (m *Model) BufferForEnergySaving(target float64) (Requirement, error) {
 // the target capacity utilisation.
 func (m *Model) BufferForUtilisation(target float64) (Requirement, error) {
 	req := Requirement{Constraint: ConstraintCapacity}
-	if target < 0 || target >= 1 {
+	if !(target >= 0 && target < 1) {
 		return req, fmt.Errorf("core: capacity target %.3f out of range [0, 1)", target)
 	}
 	su, err := m.Layout.MinUserBitsForUtilisation(target)

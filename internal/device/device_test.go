@@ -129,6 +129,14 @@ func TestMEMSValidateRejectsBadConfigs(t *testing.T) {
 		{"zero spring cycles", func(m *MEMS) { m.SpringDutyCycles = 0 }},
 		{"negative sync bits", func(m *MEMS) { m.SyncBitsPerSubsector = -1 }},
 		{"ECC fraction too large", func(m *MEMS) { m.ECCFraction = 1.5 }},
+		{"NaN rw power", func(m *MEMS) { m.ReadWritePower = units.Power(math.NaN()) }},
+		{"NaN seek power", func(m *MEMS) { m.SeekPower = units.Power(math.NaN()) }},
+		{"NaN shutdown power", func(m *MEMS) { m.ShutdownPower = units.Power(math.NaN()) }},
+		{"NaN standby power", func(m *MEMS) { m.StandbyPower = units.Power(math.NaN()) }},
+		{"NaN idle power", func(m *MEMS) { m.IdlePower = units.Power(math.NaN()) }},
+		{"NaN probe cycles", func(m *MEMS) { m.ProbeWriteCycles = math.NaN() }},
+		{"NaN spring cycles", func(m *MEMS) { m.SpringDutyCycles = math.NaN() }},
+		{"NaN ECC fraction", func(m *MEMS) { m.ECCFraction = math.NaN() }},
 	}
 	for _, mut := range mutations {
 		t.Run(mut.name, func(t *testing.T) {
@@ -184,6 +192,9 @@ func TestDiskValidateRejectsBadConfigs(t *testing.T) {
 		{"zero spin-up", func(d *Disk) { d.SpinUpTime = 0 }},
 		{"idle below standby", func(d *Disk) { d.IdlePower = d.StandbyPower }},
 		{"zero load cycles", func(d *Disk) { d.LoadUnloadCycles = 0 }},
+		{"NaN idle power", func(d *Disk) { d.IdlePower = units.Power(math.NaN()) }},
+		{"NaN standby power", func(d *Disk) { d.StandbyPower = units.Power(math.NaN()) }},
+		{"NaN load cycles", func(d *Disk) { d.LoadUnloadCycles = math.NaN() }},
 	}
 	for _, mut := range mutations {
 		t.Run(mut.name, func(t *testing.T) {
@@ -272,6 +283,17 @@ func TestDRAMValidateRejectsBadConfigs(t *testing.T) {
 	d.DieBackgroundPower = -1
 	if err := d.Validate(); err == nil {
 		t.Error("Validate accepted negative background power")
+	}
+	for name, mutate := range map[string]func(*DRAM){
+		"background power": func(d *DRAM) { d.DieBackgroundPower = units.Power(math.NaN()) },
+		"floor power":      func(d *DRAM) { d.FloorPower = units.Power(math.NaN()) },
+		"access energy":    func(d *DRAM) { d.AccessEnergyPerBit = units.EnergyPerBit(math.NaN()) },
+	} {
+		d = DefaultDRAM()
+		mutate(&d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("Validate accepted a NaN %s", name)
+		}
 	}
 }
 

@@ -103,10 +103,11 @@ func (d Disk) Validate() error {
 	if !d.SpinUpTime.Positive() || !d.SpinDownTime.Positive() {
 		errs = append(errs, errors.New("spin-up and spin-down times must be positive"))
 	}
-	if d.IdlePower <= d.StandbyPower {
+	// Every float check is written so that NaN fails it.
+	if !(d.IdlePower > d.StandbyPower) {
 		errs = append(errs, errors.New("idle power must exceed standby power"))
 	}
-	if d.LoadUnloadCycles <= 0 {
+	if !(d.LoadUnloadCycles > 0) {
 		errs = append(errs, errors.New("load/unload cycle rating must be positive"))
 	}
 	return errors.Join(errs...)

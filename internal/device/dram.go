@@ -92,10 +92,11 @@ func (d DRAM) Validate() error {
 	if !d.DieCapacity.Positive() {
 		errs = append(errs, errors.New("die capacity must be positive"))
 	}
-	if d.DieBackgroundPower < 0 || d.FloorPower < 0 {
+	// Every float check is written so that NaN fails it.
+	if !(d.DieBackgroundPower >= 0 && d.FloorPower >= 0) {
 		errs = append(errs, errors.New("background and floor power must be non-negative"))
 	}
-	if d.AccessEnergyPerBit < 0 {
+	if !(d.AccessEnergyPerBit >= 0) {
 		errs = append(errs, errors.New("access energy must be non-negative"))
 	}
 	return errors.Join(errs...)

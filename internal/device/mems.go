@@ -240,25 +240,26 @@ func (m MEMS) Validate() error {
 	if !m.SeekTime.Positive() || !m.ShutdownTime.Positive() {
 		errs = append(errs, errors.New("seek and shutdown times must be positive"))
 	}
-	if m.ReadWritePower <= 0 || m.SeekPower <= 0 || m.ShutdownPower <= 0 {
+	// Every float check is written so that NaN fails it.
+	if !(m.ReadWritePower > 0 && m.SeekPower > 0 && m.ShutdownPower > 0) {
 		errs = append(errs, errors.New("active-state powers must be positive"))
 	}
-	if m.StandbyPower < 0 || m.IdlePower <= 0 {
+	if !(m.StandbyPower >= 0 && m.IdlePower > 0) {
 		errs = append(errs, errors.New("standby power must be non-negative and idle power positive"))
 	}
-	if m.IdlePower <= m.StandbyPower {
+	if !(m.IdlePower > m.StandbyPower) {
 		errs = append(errs, errors.New("idle power must exceed standby power for shutdown to ever pay off"))
 	}
-	if m.ProbeWriteCycles <= 0 {
+	if !(m.ProbeWriteCycles > 0) {
 		errs = append(errs, errors.New("probe write cycles must be positive"))
 	}
-	if m.SpringDutyCycles <= 0 {
+	if !(m.SpringDutyCycles > 0) {
 		errs = append(errs, errors.New("spring duty cycles must be positive"))
 	}
 	if m.SyncBitsPerSubsector < 0 {
 		errs = append(errs, errors.New("sync bits per subsector must be non-negative"))
 	}
-	if m.ECCFraction < 0 || m.ECCFraction >= 1 {
+	if !(m.ECCFraction >= 0 && m.ECCFraction < 1) {
 		errs = append(errs, errors.New("ECC fraction must be in [0, 1)"))
 	}
 	return errors.Join(errs...)

@@ -27,6 +27,10 @@ const CodewordBits = DataBits + ParityBits
 // code can correct (a detected double-bit error, or an inconsistent syndrome).
 var ErrUncorrectable = errors.New("ecc: uncorrectable error")
 
+// errDoubleBit is Decode's detected double-bit error. It is one value, so
+// a decode that detects one allocates nothing.
+var errDoubleBit = fmt.Errorf("%w: double-bit error detected", ErrUncorrectable)
+
 // Codeword is an encoded 64-bit word: the original data plus eight check bits.
 type Codeword struct {
 	// Data is the 64 user bits.
@@ -134,7 +138,7 @@ func Decode(cw Codeword) (data uint64, corrected int, err error) {
 		return 0, 0, fmt.Errorf("%w: syndrome %d out of range", ErrUncorrectable, syndrome)
 	default:
 		// Even total parity with a non-zero syndrome: double-bit error.
-		return 0, 0, fmt.Errorf("%w: double-bit error detected", ErrUncorrectable)
+		return 0, 0, errDoubleBit
 	}
 }
 

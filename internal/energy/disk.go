@@ -143,6 +143,14 @@ func (m DiskModel) BreakEvenBuffer() (units.Size, error) {
 // saving, or an error wrapping ErrNoSaving if the target is unreachable.
 var ErrNoSaving = errors.New("energy: saving target unreachable")
 
+// checkTarget rejects a saving target outside [0, 1), NaN included.
+func checkTarget(target float64) error {
+	if !(target >= 0 && target < 1) {
+		return fmt.Errorf("energy: saving target %.3f out of range [0, 1)", target)
+	}
+	return nil
+}
+
 // BufferForSaving inverts the disk saving curve by doubling the buffer from
 // the cycle minimum until the target is met (the curve is monotone; DRAM
 // retention is not modelled for the disk's megabyte-scale buffers because the
@@ -151,8 +159,8 @@ func (m DiskModel) BufferForSaving(target float64) (units.Size, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	if target < 0 || target >= 1 {
-		return 0, fmt.Errorf("energy: saving target %.3f out of range [0, 1)", target)
+	if err := checkTarget(target); err != nil {
+		return 0, err
 	}
 	b := m.MinimumBuffer().Scale(1.0001)
 	limit := m.Disk.MediaRate.Times(600 * units.Second)

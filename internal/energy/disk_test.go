@@ -154,6 +154,9 @@ func TestDiskBufferForSaving(t *testing.T) {
 	if _, err := m.BufferForSaving(1.2); err == nil {
 		t.Error("out-of-range target accepted")
 	}
+	if _, err := m.BufferForSaving(math.NaN()); err == nil || errors.Is(err, ErrNoSaving) {
+		t.Errorf("NaN target: err = %v, want the out-of-range error", err)
+	}
 }
 
 func TestDiskAlwaysOnErrors(t *testing.T) {

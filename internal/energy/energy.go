@@ -415,8 +415,8 @@ func (m Model) MaxSaving() (saving float64, buffer units.Size, err error) {
 // returns about the break-even buffer, where shutting down starts to pay
 // off.
 func (m Model) BufferForSaving(target float64) (b units.Size, reason string, err error) {
-	if target < 0 || target >= 1 {
-		return 0, "", fmt.Errorf("energy: saving target %.3f out of range [0, 1)", target)
+	if err := checkTarget(target); err != nil {
+		return 0, "", err
 	}
 	c, err := m.curve()
 	if err != nil {

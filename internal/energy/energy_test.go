@@ -275,6 +275,12 @@ func TestMaxSaving(t *testing.T) {
 	if savingHigh >= saving {
 		t.Errorf("max saving did not shrink with rate: %g at 4096 vs %g at 1024", savingHigh, saving)
 	}
+	// A target outside [0, 1), NaN included, is an error, not a reason.
+	for _, target := range []float64{-0.1, 1, math.NaN()} {
+		if _, reason, err := m.BufferForSaving(target); err == nil {
+			t.Errorf("BufferForSaving(%g) accepted the target (reason %q)", target, reason)
+		}
+	}
 }
 
 func TestBreakEvenBufferMatchesPaper(t *testing.T) {

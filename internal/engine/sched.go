@@ -149,17 +149,20 @@ func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 		m.streams = append(m.streams, st)
 	}
 	m.order = make([]int, len(m.streams))
-	m.provision()
+	m.Reset()
 	return m
 }
 
-// provision derives every run-initial quantity that depends on the sources
-// — wake levels against their peak demands, startup delays, full buffers,
-// fresh statistics and each stream's demand segment at time zero — shared by
-// NewMultiCore and Reset. It allocates nothing, so re-seeded sources (whose
-// realized peaks change with the seed) can be re-provisioned per run on the
-// reset path. NewMultiCore's precondition keeps every term finite.
-func (m *MultiCore) provision() {
+// Reset rewinds the core to the state NewMultiCore builds for the same
+// backend and streams: time zero, full buffers, fresh statistics, startup
+// delays, wake levels provisioned against the sources' current peak demands
+// and each stream's demand segment loaded at time zero. NewMultiCore ends
+// with it. It allocates nothing, so re-seeded sources (whose realized peaks
+// change with the seed) can be re-provisioned per run on the reset path.
+// The sources themselves are not reset: a caller re-seeding stochastic
+// sources resets them first, so the wake levels and segments see the new
+// traces. NewMultiCore's precondition keeps every term finite.
+func (m *MultiCore) Reset() {
 	// The longest a full service round can take. A single stream only has to
 	// survive the positioning transition before its own refill begins; with
 	// several streams the round is one positioning per stream plus each
@@ -192,16 +195,6 @@ func (m *MultiCore) provision() {
 	m.device = Stats{MinBufferLevel: m.totalBuffer}
 	// The device-level startup delay is the time until every stream plays.
 	m.device.StartupDelay = startup
-}
-
-// Reset rewinds the core to the state NewMultiCore would build for the same
-// backend and streams — time zero, full buffers, zeroed statistics, wake
-// levels re-provisioned against the sources' current peak demands, segments
-// reloaded at time zero — without allocating. The sources themselves are not
-// reset: a caller re-seeding stochastic sources resets them before calling
-// Reset, so the re-provisioned wake levels and segments see the new traces.
-func (m *MultiCore) Reset() {
-	m.provision()
 }
 
 // Cycle is the rule set Run applies to every refill cycle, whatever the

@@ -174,12 +174,17 @@ func (m *MultiStats) EnergyShare(i int) float64 {
 	return own.Joules() / total.Joules()
 }
 
-// MultiSimulator runs several streams through the refill cycle on the shared
-// simulator core, under the one cycle rule Simulator follows for its one
-// stream.
+// MultiSimulator runs several streams through the refill cycle of one
+// shared device. It owns the demand patterns, the engine core and the
+// engine.Cycle the core runs under, for Simulator too: that is its
+// one-stream, round-robin case.
 type MultiSimulator struct {
-	runner
 	cfg MultiConfig
+	// patterns are the per-stream demand patterns in configuration order,
+	// kept so a rewind can reseed them in place.
+	patterns []workload.Pattern
+	core     *engine.MultiCore
+	cycle    engine.Cycle
 }
 
 // NewMulti builds a multi-stream simulator from a validated configuration.
@@ -197,11 +202,36 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	// The simulator owns its Streams slice: Reset re-seeds the entries in
 	// place, which must never reach through to the caller's slice.
 	cfg.Streams = append([]MultiStream(nil), cfg.Streams...)
-	s := &MultiSimulator{cfg: cfg}
+	s := &MultiSimulator{}
 	if i, err := s.build(cfg); err != nil {
 		return nil, fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
 	}
 	return s, nil
+}
+
+// build makes the simulator for cfg, whose Streams slice it then owns: each
+// stream's demand pattern over the run's duration, the engine core over
+// them and the one Cycle every run follows. When a pattern fails, failed is
+// its stream's index, so each simulator can name the stream its own way;
+// otherwise it is -1.
+func (s *MultiSimulator) build(cfg MultiConfig) (failed int, err error) {
+	s.cfg = cfg
+	s.cycle = engine.Cycle{Policy: cfg.policy(), DRAM: cfg.DRAM, BestEffort: cfg.BestEffort}
+	configs := make([]engine.StreamConfig, len(cfg.Streams))
+	s.patterns = make([]workload.Pattern, len(cfg.Streams))
+	for i, st := range cfg.Streams {
+		if s.patterns[i], err = st.Spec.Pattern(cfg.Duration); err != nil {
+			return i, err
+		}
+		configs[i] = engine.StreamConfig{
+			Source:        s.patterns[i],
+			Buffer:        st.Buffer,
+			WriteFraction: st.Spec.WriteFraction,
+			Priority:      st.Priority,
+		}
+	}
+	s.core = engine.NewMultiCore(backendOf(cfg.Backend, cfg.Device), configs)
+	return -1, nil
 }
 
 // ResetFor rewinds the simulator so its next Run replays cfg from scratch,
@@ -239,9 +269,13 @@ func (s *MultiSimulator) compatible(cfg MultiConfig) bool {
 
 // rewind is ResetFor without the compatibility check, for callers that know
 // cfg is reset-compatible (Reset derives it from the stored configuration;
-// the pooled runner checks it first). cfg's stream entries are copied into
-// the simulator-owned slice, so later in-place reseeds never reach through to
-// the caller's.
+// the pooled runner checks it first), and the one rewind of both
+// simulators. cfg's stream entries are copied into the simulator-owned
+// slice, so later in-place reseeds never reach through to the caller's. The
+// patterns reseed in place before the core re-provisions, because the core
+// recomputes the wake levels from the reseeded patterns' realized peaks. It
+// allocates nothing: the next run draws its best-effort requests as it
+// reaches them.
 func (s *MultiSimulator) rewind(cfg MultiConfig) error {
 	streams := s.cfg.Streams
 	copy(streams, cfg.Streams)
@@ -252,7 +286,8 @@ func (s *MultiSimulator) rewind(cfg MultiConfig) error {
 			return fmt.Errorf("sim: stream %d (%s): %w", i, st.Name, err)
 		}
 	}
-	s.restart(cfg.BestEffort)
+	s.cycle.BestEffort = cfg.BestEffort
+	s.core.Reset()
 	return nil
 }
 
@@ -269,6 +304,13 @@ func (s *MultiSimulator) Reset(seed uint64) error {
 	return s.rewind(reseedMultiConfig(s.cfg, seed))
 }
 
+// run drives the engine core through the refill cycle over the configured
+// duration and returns the device record, which the next rewind wipes. Both
+// simulators' Run methods call it after their own wake-level check.
+func (s *MultiSimulator) run() (*Stats, error) {
+	return s.core.Run(&s.cycle, s.cfg.Duration)
+}
+
 // Run executes the simulation and returns the collected statistics. A
 // second Run without a reset returns the same statistics and counts nothing
 // twice.
@@ -280,7 +322,7 @@ func (s *MultiSimulator) Run() (*MultiStats, error) {
 				i, st.Name, st.Buffer, len(s.cfg.Streams), s.core.WakeLevel(i))
 		}
 	}
-	dev, err := s.core.Run(&s.cycle, s.duration)
+	dev, err := s.run()
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func TestConservationProperties(t *testing.T) {
 				}
 				assertConserved(t, be.backend, st)
 				moved := st.MediaBits.Sub(st.StreamedBits)
-				filled := s.core.Level(0).Sub(cfg.Buffer)
+				filled := s.multi.core.Level(0).Sub(cfg.Buffer)
 				scale := math.Max(st.MediaBits.Bits(), cfg.Buffer.Bits())
 				if d := math.Abs(moved.Bits()-filled.Bits()) / scale; d > conservationTol {
 					t.Errorf("media − streamed = %v, final level − buffer = %v (rel %.1e)", moved, filled, d)

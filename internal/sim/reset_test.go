@@ -294,10 +294,11 @@ func TestRunMultiBatchResetPathMatchesFresh(t *testing.T) {
 }
 
 // TestSteadyStateAllocs is the tentpole's allocation guard: once a simulator
-// is warm, a reset-and-rerun iteration — a full simulated hour of CBR or VBR
-// streaming — must not allocate at all, and a two-stream shared-device
-// iteration may allocate only its two output records (the MultiStats value
-// and its per-stream slice).
+// is warm, a reset-and-rerun iteration — a full simulated hour of any
+// single-stream kind, with best-effort traffic or the ECC error model on —
+// must not allocate at all, and a two-stream shared-device iteration may
+// allocate only its two output records (the MultiStats value and its
+// per-stream slice).
 func TestSteadyStateAllocs(t *testing.T) {
 	hourCfg := func(spec workload.StreamSpec) Config {
 		return Config{
@@ -309,9 +310,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 			Seed:     1,
 		}
 	}
+	frames, err := workload.VideoSpec(1024*units.Kbps, 1).TraceFrames(units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bestEffort := hourCfg(workload.CBRSpec(1024 * units.Kbps))
+	bestEffort.BestEffort = workload.NewBestEffortProcess(0.05, bestEffort.MediaRate(), 1)
+	withECC := hourCfg(workload.CBRSpec(1024 * units.Kbps))
+	withECC.BitErrorRate = 1e-4
 	singles := map[string]Config{
-		"cbr": hourCfg(workload.CBRSpec(1024 * units.Kbps)),
-		"vbr": hourCfg(workload.VBRSpec(1024*units.Kbps, 1)),
+		"cbr":            hourCfg(workload.CBRSpec(1024 * units.Kbps)),
+		"vbr":            hourCfg(workload.VBRSpec(1024*units.Kbps, 1)),
+		"video":          hourCfg(workload.VideoSpec(1024*units.Kbps, 1)),
+		"trace":          hourCfg(workload.TraceSpec(frames)),
+		"cbr-besteffort": bestEffort,
+		"cbr-ecc":        withECC,
 	}
 	for name, cfg := range singles {
 		t.Run(name, func(t *testing.T) {

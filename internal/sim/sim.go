@@ -18,6 +18,16 @@
 // the 1.8-inch disk baseline) through Config.Backend, so the paper's
 // break-even comparison can be validated by simulation. Demand is described
 // one way, by a workload.StreamSpec.
+//
+// Both simulators are one simulator. MultiSimulator owns the demand
+// patterns, the engine core and the engine.Cycle, and builds, rewinds and
+// runs them one way for any number of streams; Simulator is its one-stream,
+// round-robin case plus the ECC error model, which it samples once per
+// refill cycle after the run. What stays apart is what the goldens and
+// digests pin: the validation and wake-level texts (the service contract
+// golden), the two replica seed conventions (reseedConfig and
+// reseedMultiConfig, behind every replica output and perfbench digest) and
+// the result shapes.
 package sim
 
 import (
@@ -79,6 +89,36 @@ func (c Config) MediaRate() units.BitRate {
 	return backendOf(c.Backend, c.Device).MediaRate()
 }
 
+// backendOf returns the device backend a run drives: backend when set, the
+// MEMS device otherwise. Both configurations resolve it here, so callers
+// sizing best-effort processes against the media rate cannot diverge from
+// the simulator.
+func backendOf(backend engine.Backend, dev device.MEMS) engine.Backend {
+	if backend != nil {
+		return backend
+	}
+	return engine.NewMEMS(dev)
+}
+
+// validateDevice checks the device and the DRAM behind a run, the checks
+// both configurations open with. The device is always validated: the MEMS
+// device directly, or the backend through its Validate method.
+func validateDevice(backend engine.Backend, dev device.MEMS, dram device.DRAM) []error {
+	var errs []error
+	if err := backendOf(backend, dev).Validate(); err != nil {
+		errs = append(errs, err)
+	}
+	if backend != nil && !backend.MediaRate().Positive() {
+		// Custom backends may validate loosely; the engine still needs a
+		// positive media rate to form a refill cycle at all.
+		errs = append(errs, errors.New("sim: backend media rate must be positive"))
+	}
+	if err := dram.Validate(); err != nil {
+		errs = append(errs, err)
+	}
+	return errs
+}
+
 // Validate checks the configuration. The device behind the run is always
 // validated: the MEMS Device directly, or the Backend through its Validate
 // method.
@@ -118,13 +158,13 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Simulator runs one stream through the refill cycle: it is the one-stream
-// MultiSimulator, bit for bit, plus the ECC error model, whose draws come
-// from the simulator's own RNG.
+// Simulator runs one stream through the refill cycle: it is the one-stream,
+// round-robin MultiSimulator plus the ECC error model, whose draws come from
+// the simulator's own RNG.
 type Simulator struct {
-	runner
-	cfg Config
-	rng *workload.Rng
+	multi MultiSimulator
+	cfg   Config
+	rng   workload.Rng
 	// sampled counts the refill cycles the error model has sampled since the
 	// last rewind, so a second Run samples none again.
 	sampled int
@@ -140,10 +180,12 @@ func New(cfg Config) (*Simulator, error) {
 
 // newValidated builds a simulator assuming cfg already passed Validate, so
 // batch runners validating a whole batch once do not pay per-replica
-// re-validation.
+// re-validation. A pattern error comes back without a stream prefix: the
+// configuration has only the one stream.
 func newValidated(cfg Config) (*Simulator, error) {
-	s := &Simulator{cfg: cfg, rng: workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d)}
-	if _, err := s.build(MultiConfig{
+	s := &Simulator{cfg: cfg}
+	s.rng.Seed(cfg.Seed ^ 0xdeadbeefcafef00d)
+	if _, err := s.multi.build(MultiConfig{
 		Device:     cfg.Device,
 		Backend:    cfg.Backend,
 		DRAM:       cfg.DRAM,
@@ -183,17 +225,18 @@ func (s *Simulator) compatible(cfg Config) bool {
 
 // rewind is ResetFor without the compatibility check, for callers that know
 // cfg is reset-compatible (Reset derives it from the stored configuration;
-// the pooled runner checks it first). It allocates nothing in steady state:
-// the pattern re-seeds in place and stores nothing per frame or segment.
+// the pooled runner checks it first). It reseeds the run RNG, writes the
+// replica's Spec and BestEffort into the one-stream configuration in place
+// and hands it to the shared rewind, so it allocates nothing in steady
+// state.
 func (s *Simulator) rewind(cfg Config) error {
 	s.cfg = cfg
 	s.rng.Seed(cfg.Seed ^ 0xdeadbeefcafef00d)
 	s.sampled = 0
-	if err := s.patterns[0].Reset(cfg.Spec.Seed); err != nil {
-		return err
-	}
-	s.restart(cfg.BestEffort)
-	return nil
+	one := s.multi.cfg
+	one.Streams[0].Spec = cfg.Spec
+	one.BestEffort = cfg.BestEffort
+	return s.multi.rewind(one)
 }
 
 // Reset is the common-case ResetFor: it re-seeds every stochastic input —
@@ -218,7 +261,7 @@ func (s *Simulator) injectErrors(stats *Stats) {
 	for words := (stats.RefillCycles - s.sampled) * eccSampleWords; words > 0; words-- {
 		word := s.rng.Uint64()
 		cw := ecc.Encode(word)
-		flips := poissonSample(s.rng, expectedFlipsPerWord)
+		flips := poissonSample(&s.rng, expectedFlipsPerWord)
 		for f := 0; f < flips; f++ {
 			pos := s.rng.Intn(ecc.CodewordBits)
 			if pos < ecc.DataBits {
@@ -269,11 +312,11 @@ func poissonSample(rng *workload.Rng, mean float64) int {
 func (s *Simulator) Run() (*Stats, error) {
 	// Wake the device early enough that the buffer survives the positioning
 	// transition at the stream's peak demand, with a small safety margin.
-	if s.core.WakeLevel(0) >= s.cfg.Buffer {
+	if s.multi.core.WakeLevel(0) >= s.cfg.Buffer {
 		return nil, fmt.Errorf("sim: buffer %v cannot even cover the %v positioning time at peak demand",
 			s.cfg.Buffer, backendOf(s.cfg.Backend, s.cfg.Device).PositioningTime())
 	}
-	stats, err := s.core.Run(&s.cycle, s.duration)
+	stats, err := s.multi.run()
 	if err != nil {
 		return nil, err
 	}

@@ -326,3 +326,31 @@ func TestQuickSizeScaleAdd(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzParseQuantities checks the three quantity parsers on arbitrary
+// strings: none panics, a nil error comes with a finite value, and an error
+// quotes the input it rejects.
+func FuzzParseQuantities(f *testing.F) {
+	for _, s := range []string{"64 KiB", "1024 kbps", "1.5 years", "-2ms", "1e300GiB", "1e400 s", "NaN", "12 eV", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		check := func(parser string, v float64, err error) {
+			if err != nil {
+				if !strings.Contains(err.Error(), strconv.Quote(s)) {
+					t.Errorf("%s(%q): error %q does not quote the input", parser, s, err)
+				}
+				return
+			}
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Errorf("%s(%q) = %g with a nil error", parser, s, v)
+			}
+		}
+		size, err := ParseSize(s)
+		check("ParseSize", size.Bits(), err)
+		rate, err := ParseBitRate(s)
+		check("ParseBitRate", rate.BitsPerSecond(), err)
+		d, err := ParseDuration(s)
+		check("ParseDuration", d.Seconds(), err)
+	})
+}
