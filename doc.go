@@ -266,9 +266,9 @@
 // cmd/memsbench tracks the numbers across pull requests:
 //
 //	go run ./cmd/memsbench                        # human-readable table
-//	go run ./cmd/memsbench -format json -out BENCH_34.json
-//	go run ./cmd/memsbench -check BENCH_34.json   # CI regression gate
-//	go run ./cmd/memsbench -compare BENCH_33.json BENCH_34.json
+//	go run ./cmd/memsbench -format json -out BENCH_35.json
+//	go run ./cmd/memsbench -check BENCH_35.json   # CI regression gate
+//	go run ./cmd/memsbench -compare BENCH_34.json BENCH_35.json
 //
 // Each scenario (cbr-steady, vbr-mobile, video-abr, trace-replay,
 // multi-4stream, service-warm, fig3-panel) reports ns/op, B/op, allocs/op
@@ -326,7 +326,8 @@
 //
 // Every /v1 endpoint runs one pipeline: a strict decode of the body (unknown
 // fields and trailing data are refused), resolve into canonical inputs,
-// fingerprint those inputs, answer from the cache or join the single flight
+// fingerprint those inputs in a compact binary form (the fields their JSON
+// encoding would hold), answer from the cache or join the single flight
 // computing them, and on a miss compute and marshal the answer once. An
 // invalid request answers 400, and so does one the engines reject (a rate at
 // or above the media rate, a buffer the run cannot refill); an oversized

@@ -370,6 +370,20 @@ func TestBufferForLifetimes(t *testing.T) {
 	if reqPHigh.Feasible {
 		t.Error("probes 7-year requirement at 4096 kbps should be infeasible")
 	}
+	// A NaN or negative target is rejected up front, as the energy and
+	// capacity targets are; zero asks for nothing and needs no buffer.
+	for name, buffer := range map[string]func(units.Duration) (Requirement, error){
+		"springs": m.BufferForSpringsLifetime, "probes": m.BufferForProbesLifetime,
+	} {
+		for _, target := range []units.Duration{units.Duration(math.NaN()), -1 * units.Year} {
+			if req, err := buffer(target); err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+				t.Errorf("%s target %v: %+v, %v; want the non-negative target error", name, target, req, err)
+			}
+		}
+		if req, err := buffer(0); err != nil || !req.Feasible || req.Buffer != 0 {
+			t.Errorf("%s target 0: %+v, %v; want a feasible zero buffer", name, req, err)
+		}
+	}
 }
 
 func TestDimensionGoalAMatchesFigure3a(t *testing.T) {

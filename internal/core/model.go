@@ -345,9 +345,13 @@ func (m *Model) BufferForUtilisation(target float64) (Requirement, error) {
 }
 
 // BufferForSpringsLifetime returns the smallest buffer whose springs lifetime
-// reaches the target.
+// reaches the target. A NaN or negative target is an error; zero needs no
+// buffer.
 func (m *Model) BufferForSpringsLifetime(target units.Duration) (Requirement, error) {
 	req := Requirement{Constraint: ConstraintSprings}
+	if !(target >= 0) {
+		return req, fmt.Errorf("core: springs-lifetime target %v must be non-negative", target)
+	}
 	b, err := m.lifetimeModel.BufferForSprings(target)
 	if err != nil {
 		return req, err
@@ -359,9 +363,13 @@ func (m *Model) BufferForSpringsLifetime(target units.Duration) (Requirement, er
 
 // BufferForProbesLifetime returns the smallest buffer whose probes lifetime
 // reaches the target, or an infeasible requirement when even perfect
-// formatting cannot reach it.
+// formatting cannot reach it. A NaN or negative target is an error; zero
+// needs no buffer.
 func (m *Model) BufferForProbesLifetime(target units.Duration) (Requirement, error) {
 	req := Requirement{Constraint: ConstraintProbes}
+	if !(target >= 0) {
+		return req, fmt.Errorf("core: probes-lifetime target %v must be non-negative", target)
+	}
 	b, err := m.lifetimeModel.BufferForProbes(target)
 	if err != nil {
 		if ceiling := m.lifetimeModel.MaxProbesLifetime(); target > ceiling {

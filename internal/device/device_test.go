@@ -195,6 +195,12 @@ func TestDiskValidateRejectsBadConfigs(t *testing.T) {
 		{"NaN idle power", func(d *Disk) { d.IdlePower = units.Power(math.NaN()) }},
 		{"NaN standby power", func(d *Disk) { d.StandbyPower = units.Power(math.NaN()) }},
 		{"NaN load cycles", func(d *Disk) { d.LoadUnloadCycles = math.NaN() }},
+		{"negative read/write power", func(d *Disk) { d.ReadWritePower = -5 * units.Watt }},
+		{"NaN spin-up power", func(d *Disk) { d.SpinUpPower = units.Power(math.NaN()) }},
+		{"zero spin-down power", func(d *Disk) { d.SpinDownPower = 0 }},
+		{"zero seek power", func(d *Disk) { d.SeekPower = 0 }},
+		{"negative standby power", func(d *Disk) { d.StandbyPower = -100 * units.Milliwatt }},
+		{"NaN seek time", func(d *Disk) { d.SeekTime = units.Duration(math.NaN()) }},
 	}
 	for _, mut := range mutations {
 		t.Run(mut.name, func(t *testing.T) {

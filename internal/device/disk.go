@@ -91,24 +91,26 @@ func (d Disk) OverheadPower() units.Power {
 	return d.OverheadEnergy().DividedBy(toh)
 }
 
-// Validate checks the configuration for internal consistency.
+// Validate checks the configuration for internal consistency. A zero seek
+// time is valid; every power but standby must be positive.
 func (d Disk) Validate() error {
-	var errs []error
+	errs := make([]error, 0, 5)
+	// Every float check is written so that NaN fails it.
 	if !d.Capacity.Positive() {
 		errs = append(errs, errors.New("capacity must be positive"))
 	}
 	if !d.MediaRate.Positive() {
 		errs = append(errs, errors.New("media rate must be positive"))
 	}
-	if !d.SpinUpTime.Positive() || !d.SpinDownTime.Positive() {
-		errs = append(errs, errors.New("spin-up and spin-down times must be positive"))
-	}
-	// Every float check is written so that NaN fails it.
-	if !(d.IdlePower > d.StandbyPower) {
-		errs = append(errs, errors.New("idle power must exceed standby power"))
-	}
 	if !(d.LoadUnloadCycles > 0) {
 		errs = append(errs, errors.New("load/unload cycle rating must be positive"))
+	}
+	if !(d.ReadWritePower > 0 && d.SpinUpPower > 0 && d.SpinDownPower > 0 && d.SeekPower > 0 &&
+		d.StandbyPower >= 0 && d.IdlePower > d.StandbyPower) {
+		errs = append(errs, errors.New("active-state powers must be positive, standby power non-negative and below idle power"))
+	}
+	if !(d.SpinUpTime > 0 && d.SpinDownTime > 0 && d.SeekTime >= 0) {
+		errs = append(errs, errors.New("spin-up and spin-down times must be positive and seek time non-negative"))
 	}
 	return errors.Join(errs...)
 }

@@ -18,36 +18,41 @@ func decodeStrict(data string, v any) bool {
 
 // fuzzResolve drives one /v1 decoder and its resolve with arbitrary bodies.
 // Nothing may panic, and every rejection must be a *ValidationError (a 400,
-// never a 500). An accepted request's fingerprint must marshal, so no NaN or
-// Inf reaches a cache key. And the decoded request must round-trip: marshal
-// is a fixed point of decode-then-marshal, and decode → marshal → decode →
-// resolve lands on the same fingerprint, because the key is built from the
-// resolved values, not from their spelling.
+// never a 500). An accepted request gets both keys: its JSON encoding, the
+// oracle, and its binary fingerprint, the cache key. The fingerprint must
+// fail exactly where the JSON encoding fails, and an accepted request's must
+// not, so no NaN or Inf reaches a cache key. And the decoded request must
+// round-trip: marshal is a fixed point of decode-then-marshal, and decode →
+// marshal → decode → resolve lands on the same two keys, because they are
+// built from the resolved values, not from their spelling.
 func fuzzResolve[Req any, J job](f *testing.F, resolve func(Req, *Service) (J, error), seeds ...string) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	svc := New(Config{})
-	fingerprint := func(t *testing.T, req Req) []byte {
+	fingerprint := func(t *testing.T, req Req) (jsonKey, key []byte) {
 		j, err := resolve(req, svc)
 		if err != nil {
 			if verr := (*ValidationError)(nil); !errors.As(err, &verr) {
 				t.Fatalf("rejection is not a ValidationError: %v", err)
 			}
-			return nil
+			return nil, nil
 		}
-		key, err := json.Marshal(j)
+		jsonKey, jsonErr, key, err := jobKeys(j)
+		if (jsonErr == nil) != (err == nil) {
+			t.Fatalf("json.Marshal fails with %v, the fingerprint with %v", jsonErr, err)
+		}
 		if err != nil {
 			t.Fatalf("fingerprint of an accepted request: %v", err)
 		}
-		return key
+		return jsonKey, key
 	}
 	f.Fuzz(func(t *testing.T, data string) {
 		var req Req
 		if !decodeStrict(data, &req) {
 			return
 		}
-		key := fingerprint(t, req)
+		jsonKey, key := fingerprint(t, req)
 		blob, err := json.Marshal(req)
 		if err != nil {
 			t.Fatalf("marshal decoded request: %v", err)
@@ -66,8 +71,12 @@ func fuzzResolve[Req any, J job](f *testing.F, resolve func(Req, *Service) (J, e
 		if key == nil {
 			return
 		}
-		if key2 := fingerprint(t, again); !bytes.Equal(key, key2) {
-			t.Errorf("fingerprint changed across the round trip of %s:\n%s\n%s", blob, key, key2)
+		jsonKey2, key2 := fingerprint(t, again)
+		if !bytes.Equal(jsonKey, jsonKey2) {
+			t.Errorf("JSON key changed across the round trip of %s:\n%s\n%s", blob, jsonKey, jsonKey2)
+		}
+		if !bytes.Equal(key, key2) {
+			t.Errorf("fingerprint changed across the round trip of %s:\n%x\n%x", blob, key, key2)
 		}
 	})
 }

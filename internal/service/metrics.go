@@ -331,7 +331,9 @@ func requestID(r *http.Request) string {
 // request carrying the request ID (honored from X-Request-ID when it is
 // bounded printable ASCII, generated otherwise, and echoed back in the
 // response), method, endpoint, status, response bytes, latency,
-// result-cache outcome and worker bound. A nil logger returns h unchanged.
+// result-cache outcome and worker bound. Records carry no source position:
+// the one Logger.LogAttrs captured named a line inside AccessLog itself. A
+// nil logger returns h unchanged.
 func AccessLog(log *slog.Logger, h http.Handler) http.Handler {
 	if log == nil {
 		return h
@@ -339,12 +341,15 @@ func AccessLog(log *slog.Logger, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		info := &RequestInfo{ID: requestID(r)}
 		ctx := context.WithValue(r.Context(), requestInfoKey{}, info)
-		w.Header().Set("X-Request-ID", info.ID)
+		w.Header()["X-Request-Id"] = []string{info.ID}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h.ServeHTTP(rec, r.WithContext(ctx))
 		elapsed := time.Since(start)
-		attrs := []slog.Attr{
+		if !log.Enabled(ctx, slog.LevelInfo) {
+			return
+		}
+		attrs := [8]slog.Attr{
 			slog.String("id", info.ID),
 			slog.String("method", r.Method),
 			slog.String("endpoint", r.URL.Path),
@@ -352,12 +357,18 @@ func AccessLog(log *slog.Logger, h http.Handler) http.Handler {
 			slog.Int("bytes", rec.bytes),
 			slog.Duration("duration", elapsed),
 		}
+		n := 6
 		if info.Cache != "" {
-			attrs = append(attrs, slog.String("cache", info.Cache))
+			attrs[n] = slog.String("cache", info.Cache)
+			n++
 		}
 		if info.Workers > 0 {
-			attrs = append(attrs, slog.Int("workers", info.Workers))
+			attrs[n] = slog.Int("workers", info.Workers)
+			n++
 		}
-		log.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
+		record := slog.NewRecord(time.Now(), slog.LevelInfo, "request", 0)
+		record.AddAttrs(attrs[:n]...)
+		// Like Logger.LogAttrs, a handler's error has nowhere to go.
+		_ = log.Handler().Handle(ctx, record)
 	})
 }

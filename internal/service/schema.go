@@ -40,6 +40,10 @@ type Quantity string
 // UnmarshalJSON accepts a JSON string or number.
 func (q *Quantity) UnmarshalJSON(data []byte) error {
 	if len(data) > 0 && data[0] == '"' {
+		if s, ok := plainString(data); ok {
+			*q = Quantity(s)
+			return nil
+		}
 		var s string
 		if err := json.Unmarshal(data, &s); err != nil {
 			return err
@@ -53,6 +57,24 @@ func (q *Quantity) UnmarshalJSON(data []byte) error {
 	}
 	*q = Quantity(n.String())
 	return nil
+}
+
+// plainString returns the value of a JSON string literal of printable ASCII
+// with no escape: exactly the bytes between its quotes, which is what
+// json.Unmarshal would decode, without the second decode. Any other literal
+// reports false.
+func plainString(data []byte) (string, bool) {
+	n := len(data)
+	if n < 2 || data[0] != '"' || data[n-1] != '"' {
+		return "", false
+	}
+	s := data[1 : n-1]
+	for _, c := range s {
+		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return "", false
+		}
+	}
+	return string(s), true
 }
 
 // rate parses the quantity as a bit rate and requires it positive and finite.

@@ -14,10 +14,12 @@
 // internal/explore, internal/sim, internal/multistream) on the bounded
 // worker pool of internal/parallel, under a per-request context deadline and
 // worker bound. Results are memoized in a sharded LRU (internal/cache) keyed
-// on a canonicalized fingerprint of the parsed request, so identical
+// on a compact binary fingerprint of the resolved request, so identical
 // questions — including concurrent ones, which share a single computation —
-// return byte-identical response bodies. Worker bounds never change a
-// result, only its latency, so they are excluded from the fingerprint.
+// return byte-identical response bodies. The fingerprint holds what the
+// resolved request's JSON encoding would; that encoding stays only as the
+// tests' oracle for the key. Worker bounds never change a result, only its
+// latency, so they are excluded from the fingerprint.
 // Every endpoint runs one pipeline — strict decode, resolve, fingerprint,
 // cache or single-flight, compute, marshal — on the request's own
 // goroutine, so no computation outlives its response.
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -234,9 +237,12 @@ func (s *Service) begin(ctx context.Context) (context.Context, func(err error)) 
 
 // job is one resolved request: every input of its computation, parsed,
 // validated and canonicalized. Every input that can change the answer is an
-// exported field, so the job's JSON encoding is its cache key and equivalent
-// spellings of one question share an entry. The worker bound changes only the
-// latency, never the answer, so it is not exported and not part of the key.
+// exported field, so the job's binary fingerprint (appendFingerprint), which
+// holds exactly what its JSON encoding would, is its cache key, and
+// equivalent spellings of one question share an entry. The JSON encoding
+// stays only as the tests' oracle for the key. The worker bound changes only
+// the latency, never the answer, so it is not exported and not part of the
+// key.
 type job interface {
 	// workers returns the worker bound the computation runs under.
 	workers() int
@@ -256,12 +262,15 @@ func serve[J job](ctx context.Context, s *Service, endpoint string, resolve func
 	if err != nil {
 		return nil, err
 	}
-	key, err := json.Marshal(j)
+	// The key is the endpoint, a zero byte and the job's fingerprint, built
+	// on the stack: a hit allocates only the key string.
+	var buf [512]byte
+	key, err := appendFingerprint(append(append(buf[:0], endpoint...), 0), reflect.ValueOf(&j).Elem())
 	if err != nil {
 		return nil, fmt.Errorf("service: fingerprint: %w", err)
 	}
 	noteWorkers(ctx, effectiveWorkers(j.workers()))
-	body, cached, err := s.cache.Do(ctx, endpoint+"\x00"+string(key), func() ([]byte, error) {
+	body, cached, err := s.cache.Do(ctx, string(key), func() ([]byte, error) {
 		// A dead context never starts a computation, so a single-flight
 		// retry of a timed-out flight cannot start work nobody awaits.
 		if err := ctx.Err(); err != nil {
@@ -938,11 +947,15 @@ func endpoint[Req any](s *Service, serve func(context.Context, Req) ([]byte, err
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusOK)
 		w.Write(body)
 	})
 }
+
+// jsonContentType is the Content-Type header value of every JSON response,
+// stored under the canonical key. The slice is shared and never written.
+var jsonContentType = []string{"application/json"}
 
 // errorBody is the JSON error payload of every non-200 response. 429
 // refusals additionally carry the Retry-After hint in the body, so strict
@@ -976,7 +989,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }

@@ -508,6 +508,25 @@ func TestQuantityRejectsNonScalar(t *testing.T) {
 	}
 }
 
+// TestQuantityStringsDecodeAsJSON checks the plain-string shortcut of
+// Quantity.UnmarshalJSON against encoding/json: every string literal, with
+// or without escapes, control bytes or invalid UTF-8, decodes or fails as
+// json.Unmarshal has it.
+func TestQuantityStringsDecodeAsJSON(t *testing.T) {
+	for _, lit := range []string{
+		`"1024 kbps"`, `""`, `"7 yr"`, `"10 µs"`, `"1 kbps"`, `"a\"b"`, `"\\"`,
+		"\"\xff kbps\"", "\"a\tb\"", `"abc`, `"a"b"`, `"`,
+	} {
+		var q Quantity
+		err := q.UnmarshalJSON([]byte(lit))
+		var want string
+		wantErr := json.Unmarshal([]byte(lit), &want)
+		if (err == nil) != (wantErr == nil) || err == nil && string(q) != want {
+			t.Errorf("%s: got %q, %v; json.Unmarshal gives %q, %v", lit, q, err, want, wantErr)
+		}
+	}
+}
+
 // TestSimulateDiskDevice exercises the pluggable-backend path of
 // /v1/simulate: "disk" selects the 1.8-inch baseline, which needs a
 // megabyte-scale buffer and reports no MEMS wear projections.
